@@ -5,6 +5,10 @@ makes that equivalent to checking all vectors.  Residuals are the exact
 difference of the two sides of the displayed identity, so a report carries
 everything needed to reproduce a violation by hand.
 
+Identities are data: signed terms ``(x A y) B z`` or ``x A (y B z)`` over a
+permutation of the basis tuple, evaluated on integers after clearing
+denominators (see the integer kernel in :mod:`splitalg.core`).
+
 Identity ids are stable strings; indices in failures are 1-based.
 """
 
@@ -13,20 +17,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     Algebra,
     BilinearForm,
     DimensionMismatch,
-    Table,
     UnknownOperation,
-    Vector,
-    basis_vector,
-    is_zero_vector,
+    clear_denominators,
+    field_width,
+    max_abs,
+    pack,
     table_add,
-    table_apply,
-    vec_add,
-    vec_sub,
+    unpack,
 )
 
 __all__ = [
@@ -80,157 +83,202 @@ class CheckReport:
         }
 
 
-def _run(identities, dim: int) -> CheckReport:
-    """Evaluate (id, arity, residual_fn) rows over all basis tuples, in
-    declaration order and lexicographic index order."""
+class _Exact(dict):
+    """int -> Fraction(int, scale), each value built once per identity."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        value = self[x] = Fraction(x, self.scale)
+        return value
+
+
+def _run(identities, dim: int, d: int) -> CheckReport:
+    """Evaluate (id, arity, degree, residual_fn) rows over all basis tuples,
+    in declaration order and lexicographic index order.
+
+    ``residual_fn(*idx)`` returns the int residual on inputs scaled by d
+    (empty or all zero when the identity holds there); the identity is
+    homogeneous of ``degree`` in those inputs, so the exact residual is the
+    int one divided by d**degree.
+    """
     failures = []
-    for identity_id, arity, fn in identities:
+    for identity_id, arity, degree, fn in identities:
+        exact = _Exact(d ** degree)
         for idx in itertools.product(range(dim), repeat=arity):
             residual = fn(*idx)
-            if not is_zero_vector(residual):
-                failures.append(
-                    Failure(identity_id, tuple(i + 1 for i in idx), tuple(residual))
-                )
+            if any(residual):
+                failures.append(Failure(
+                    identity_id,
+                    tuple(i + 1 for i in idx),
+                    tuple(map(exact.__getitem__, residual)),
+                ))
     return CheckReport(tuple(failures))
 
 
 # ---------------------------------------------------------------------------
-# the class identity systems
+# the identity language
+#
+# A term is (sign, shape, A, B, perm).  The shape is one of
+#   LEFT   (x A y) B z
+#   RIGHT  x A (y B z)
+#   PLAIN  x A y          (arity 2, no B)
+# and the term's variables x, y, z are the basis indices idx[perm[0]],
+# idx[perm[1]], idx[perm[2]] of the tuple being checked.  A and B name int
+# tables ([i][j] -> output vector); a bilinear form enters as the table "B"
+# with one-entry outputs, so B(x A y, z) is the term (x A y) B z.
 
-def _prelie_identities(alg: Algebra):
-    t = alg.op("circ")
+LEFT, RIGHT, PLAIN = "(xAy)Bz", "xA(yBz)", "xAy"
+XY, YX = (0, 1), (1, 0)
+XYZ, YXZ, XZY, YZX, ZXY = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
 
-    def assoc(i: int, j: int, k: int) -> Vector:
-        return vec_sub(
-            table_apply(t, t[i][j], basis_vector(alg.dim, k)),
-            table_apply(t, basis_vector(alg.dim, i), t[j][k]),
-        )
-
-    def eq_2_2(i, j, k):
-        return vec_sub(assoc(i, j, k), assoc(j, i, k))
-
-    return [("eq-2.2", 3, eq_2_2)]
-
-
-def _associative_identities(alg: Algebra):
-    t = alg.op("circ")
-    n = alg.dim
-
-    def associativity(i, j, k):
-        return vec_sub(
-            table_apply(t, t[i][j], basis_vector(n, k)),
-            table_apply(t, basis_vector(n, i), t[j][k]),
-        )
-
-    return [("associativity", 3, associativity)]
+#: degree of a term of each shape in the tables it multiplies
+_DEGREE = {LEFT: 2, RIGHT: 2, PLAIN: 1}
 
 
-def _lie_identities(alg: Algebra):
-    b = alg.op("bracket")
-    n = alg.dim
+def _compile(terms, ops, n: int):
+    """Residual function of one identity over the int tables ``ops``.
 
-    def antisym(i, j):
-        return vec_add(b[i][j], b[j][i])
+    Each output vector is packed into one int, so a term costs one
+    multiply-add per inner index: (x A y) B z  =  sum_m A[x][y][m] * B[m][z].
+    """
+    first = terms[0]
+    width = len(ops[first[3] if first[1] == LEFT else first[2]][0][0])
+    bound = sum(
+        max_abs(ops[a]) if shape == PLAIN else n * max_abs(ops[a]) * max_abs(ops[b])
+        for _, shape, a, b, _ in terms
+    )
+    bits = field_width(bound)
+    packed = {}
 
-    def jacobi(i, j, k):
-        e = lambda m: basis_vector(n, m)
-        total = table_apply(b, e(i), b[j][k])
-        total = vec_add(total, table_apply(b, e(j), b[k][i]))
-        return vec_add(total, table_apply(b, e(k), b[i][j]))
-
-    return [("lie-antisym", 2, antisym), ("lie-jacobi", 3, jacobi)]
-
-
-def _dendriform_identities(succ: Table, prec: Table, dim: int, prefix: str = "eq-1.1"):
-    star = table_add(succ, prec)
-    e = lambda m: basis_vector(dim, m)
-
-    def left(i, j, k):
-        return vec_sub(
-            table_apply(prec, prec[i][j], e(k)), table_apply(prec, e(i), star[j][k])
-        )
-
-    def mid(i, j, k):
-        return vec_sub(
-            table_apply(prec, succ[i][j], e(k)), table_apply(succ, e(i), prec[j][k])
-        )
-
-    def right(i, j, k):
-        return vec_sub(
-            table_apply(succ, e(i), succ[j][k]), table_apply(succ, star[i][j], e(k))
-        )
-
-    return [(f"{prefix}-left", 3, left), (f"{prefix}-mid", 3, mid), (f"{prefix}-right", 3, right)]
-
-
-def _ldend_identities(alg: Algebra):
-    tr = alg.op("tri_r")
-    tl = alg.op("tri_l")
-    n = alg.dim
-    e = lambda m: basis_vector(n, m)
-
-    def eq_3_1(i, j, k):
-        lhs = table_apply(tr, e(i), tr[j][k])
-        rhs = table_apply(tr, tr[i][j], e(k))
-        rhs = vec_add(rhs, table_apply(tr, tl[i][j], e(k)))
-        rhs = vec_add(rhs, table_apply(tr, e(j), tr[i][k]))
-        rhs = vec_sub(rhs, table_apply(tr, tl[j][i], e(k)))
-        rhs = vec_sub(rhs, table_apply(tr, tr[j][i], e(k)))
-        return vec_sub(lhs, rhs)
-
-    def eq_3_2(i, j, k):
-        lhs = table_apply(tr, e(i), tl[j][k])
-        rhs = table_apply(tl, tr[i][j], e(k))
-        rhs = vec_add(rhs, table_apply(tl, e(j), tr[i][k]))
-        rhs = vec_add(rhs, table_apply(tl, e(j), tl[i][k]))
-        rhs = vec_sub(rhs, table_apply(tl, tl[j][i], e(k)))
-        return vec_sub(lhs, rhs)
-
-    return [("eq-3.1", 3, eq_3_1), ("eq-3.2", 3, eq_3_2)]
-
-
-def _quadri_identities(alg: Algebra):
-    se, ne, nw, sw = (alg.op(name) for name in ("se", "ne", "nw", "sw"))
-    n = alg.dim
-    e = lambda m: basis_vector(n, m)
-    # derived operations, never required as input
-    succ = table_add(ne, se)
-    prec = table_add(nw, sw)
-    vee = table_add(se, sw)
-    wedge = table_add(ne, nw)
-    star = table_add(se, ne, nw, sw)
-
-    def ident(out_left, mid_left, out_right, mid_right):
-        #  (x A y) B z  =  x C (y D z)   with B, C applied to a basis slot
-        def fn(i, j, k):
-            return vec_sub(
-                table_apply(out_left, mid_left[i][j], e(k)),
-                table_apply(out_right, e(i), mid_right[j][k]),
+    def packed_table(name, sign):
+        key = (name, sign)
+        if key not in packed:
+            packed[key] = tuple(
+                tuple(pack([sign * x for x in vec], bits) for vec in plane)
+                for plane in ops[name]
             )
-        return fn
+        return packed[key]
 
-    return [
-        ("eq-3.17-left", 3, ident(nw, nw, nw, star)),
-        ("eq-3.17-mid", 3, ident(nw, ne, ne, prec)),
-        ("eq-3.17-right", 3, ident(ne, wedge, ne, succ)),
-        ("eq-3.18-left", 3, ident(nw, sw, sw, wedge)),
-        ("eq-3.18-mid", 3, ident(nw, se, se, nw)),
-        ("eq-3.18-right", 3, ident(ne, vee, se, ne)),
-        ("eq-3.19-left", 3, ident(sw, prec, sw, vee)),
-        ("eq-3.19-mid", 3, ident(sw, succ, se, sw)),
-        ("eq-3.19-right", 3, ident(se, star, se, se)),
-    ]
+    if first[1] == PLAIN:
+        rows = [(packed_table(a, sign), perm[0], perm[1]) for sign, _, a, _, perm in terms]
+
+        def residual(*idx):
+            p = sum([t[idx[a]][idx[b]] for t, a, b in rows])
+            return unpack(p, width, bits) if p else ()
+
+        return residual
+
+    rows = []
+    for sign, shape, a, b, perm in terms:
+        if shape == LEFT:       # sum_m A[x][y][m] * B[m][z]: B regrouped by z
+            outer = packed_table(b, sign)
+            by_z = tuple(tuple(outer[m][z] for m in range(n)) for z in range(n))
+            rows.append((ops[a], perm[0], perm[1], by_z, perm[2]))
+        else:                   # sum_m B[y][z][m] * A[x][m]
+            rows.append((ops[b], perm[1], perm[2], packed_table(a, sign), perm[0]))
+
+    def residual(*idx):
+        p = sum([sum(map(mul, t[idx[a]][idx[b]], w[idx[c]])) for t, a, b, w, c in rows])
+        return unpack(p, width, bits) if p else ()
+
+    return residual
 
 
-_BUILDERS = {
-    "pre_lie": _prelie_identities,
-    "lie": _lie_identities,
-    "associative": _associative_identities,
-    "dendriform": lambda alg: _dendriform_identities(
-        alg.op("succ"), alg.op("prec"), alg.dim
+def _check_system(system, dim: int, tables, form: BilinearForm | None = None,
+                  derived=None) -> CheckReport:
+    """Evaluate identity rows (id, arity, terms) on the named Fraction
+    tables, an optional form (the table "B") and derived tables, each the
+    sum of the named tables."""
+    grids = list(tables.values()) + ([] if form is None else [form.gram])
+    d, scaled = clear_denominators(*grids)
+    ops = dict(zip(tables, scaled))
+    if form is not None:
+        ops["B"] = tuple(tuple((x,) for x in row) for row in scaled[-1])
+    for name, parts in (derived or {}).items():
+        ops[name] = table_add(*(ops[part] for part in parts))
+    return _run(
+        [(ident, arity, _DEGREE[terms[0][1]], _compile(terms, ops, dim))
+         for ident, arity, terms in system],
+        dim,
+        d,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the class identity systems: (derived tables, identity rows)
+
+def _assoc(a, b, perm=XYZ, sign=1):
+    """sign * ((x a y) b z - x b (y a z)), the associator-shaped pair."""
+    return ((sign, LEFT, a, b, perm), (-sign, RIGHT, b, a, perm))
+
+
+def _pair(out_left, mid_left, out_right, mid_right):
+    """(x mid_left y) out_left z - x out_right (y mid_right z)."""
+    return ((1, LEFT, mid_left, out_left, XYZ), (-1, RIGHT, out_right, mid_right, XYZ))
+
+
+_CLASS_SYSTEMS = {
+    "pre_lie": ({}, (
+        ("eq-2.2", 3, _assoc("circ", "circ") + _assoc("circ", "circ", YXZ, -1)),
+    )),
+    "lie": ({}, (
+        ("lie-antisym", 2, ((1, PLAIN, "bracket", None, XY), (1, PLAIN, "bracket", None, YX))),
+        ("lie-jacobi", 3, (
+            (1, RIGHT, "bracket", "bracket", XYZ),
+            (1, RIGHT, "bracket", "bracket", YZX),
+            (1, RIGHT, "bracket", "bracket", ZXY),
+        )),
+    )),
+    "associative": ({}, (
+        ("associativity", 3, _assoc("circ", "circ")),
+    )),
+    "dendriform": ({"star": ("succ", "prec")}, (
+        ("eq-1.1-left", 3, ((1, LEFT, "prec", "prec", XYZ), (-1, RIGHT, "prec", "star", XYZ))),
+        ("eq-1.1-mid", 3, ((1, LEFT, "succ", "prec", XYZ), (-1, RIGHT, "succ", "prec", XYZ))),
+        ("eq-1.1-right", 3, ((1, RIGHT, "succ", "succ", XYZ), (-1, LEFT, "star", "succ", XYZ))),
+    )),
+    "l_dendriform": ({}, (
+        # x|>(y|>z) - (x|>y)|>z - (x<|y)|>z - y|>(x|>z) + (y<|x)|>z + (y|>x)|>z
+        ("eq-3.1", 3, (
+            (1, RIGHT, "tri_r", "tri_r", XYZ),
+            (-1, LEFT, "tri_r", "tri_r", XYZ),
+            (-1, LEFT, "tri_l", "tri_r", XYZ),
+            (-1, RIGHT, "tri_r", "tri_r", YXZ),
+            (1, LEFT, "tri_l", "tri_r", YXZ),
+            (1, LEFT, "tri_r", "tri_r", YXZ),
+        )),
+        # x|>(y<|z) - (x|>y)<|z - y<|(x|>z) - y<|(x<|z) + (y<|x)<|z
+        ("eq-3.2", 3, (
+            (1, RIGHT, "tri_r", "tri_l", XYZ),
+            (-1, LEFT, "tri_r", "tri_l", XYZ),
+            (-1, RIGHT, "tri_l", "tri_r", YXZ),
+            (-1, RIGHT, "tri_l", "tri_l", YXZ),
+            (1, LEFT, "tri_l", "tri_l", YXZ),
+        )),
+    )),
+    "quadri": (
+        {
+            "succ": ("ne", "se"),
+            "prec": ("nw", "sw"),
+            "vee": ("se", "sw"),
+            "wedge": ("ne", "nw"),
+            "star": ("se", "ne", "nw", "sw"),
+        },
+        (
+            ("eq-3.17-left", 3, _pair("nw", "nw", "nw", "star")),
+            ("eq-3.17-mid", 3, _pair("nw", "ne", "ne", "prec")),
+            ("eq-3.17-right", 3, _pair("ne", "wedge", "ne", "succ")),
+            ("eq-3.18-left", 3, _pair("nw", "sw", "sw", "wedge")),
+            ("eq-3.18-mid", 3, _pair("nw", "se", "se", "nw")),
+            ("eq-3.18-right", 3, _pair("ne", "vee", "se", "ne")),
+            ("eq-3.19-left", 3, _pair("sw", "prec", "sw", "vee")),
+            ("eq-3.19-mid", 3, _pair("sw", "succ", "se", "sw")),
+            ("eq-3.19-right", 3, _pair("se", "star", "se", "se")),
+        ),
     ),
-    "l_dendriform": _ldend_identities,
-    "quadri": _quadri_identities,
 }
 
 
@@ -239,53 +287,52 @@ def check_class(alg: Algebra, class_name: str) -> CheckReport:
 
     The class tag on the algebra is ignored; only the tables matter.
     """
-    if class_name not in _BUILDERS:
+    if class_name not in _CLASS_SYSTEMS:
         raise ValueError(f"unknown class {class_name!r} (choose from {CLASS_NAMES})")
     for op_name in REQUIRED_OPS[class_name]:
         if not alg.has_op(op_name):
             raise UnknownOperation(
                 f"class {class_name!r} needs operation {op_name!r}"
             )
-    return _run(_BUILDERS[class_name](alg), alg.dim)
+    derived, system = _CLASS_SYSTEMS[class_name]
+    tables = {name: alg.op(name) for name in REQUIRED_OPS[class_name]}
+    return _check_system(system, alg.dim, tables, derived=derived)
 
 
 # ---------------------------------------------------------------------------
 # bilinear-form identities
+
+_PRELIE_COCYCLE = (
+    # B(x.y, z) - B(x, y.z) - B(y.x, z) + B(y, x.z)
+    ("eq-2.8", 3, _assoc("circ", "B") + _assoc("circ", "B", YXZ, -1)),
+)
+
+_LDEND_COCYCLE = (
+    ("skew", 2, ((1, PLAIN, "B", None, XY), (1, PLAIN, "B", None, YX))),
+    # B(x <| y, z) + B(y, z |> x) - B(y, x <| z) - B(x, z * y)
+    ("eq-4.16", 3, (
+        (1, LEFT, "tri_l", "B", XYZ),
+        (1, RIGHT, "B", "tri_r", YZX),
+        (-1, RIGHT, "B", "tri_l", YXZ),
+        (-1, RIGHT, "B", "bullet", XZY),
+    )),
+)
+
 
 def check_prelie_cocycle(alg: Algebra, B: BilinearForm) -> CheckReport:
     """2-cocycle identity  B(x.y, z) - B(x, y.z) = B(y.x, z) - B(y, x.z)."""
     t = alg.op("circ")
     if B.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
-    n = alg.dim
-    e = lambda m: basis_vector(n, m)
-
-    def eq_2_8(i, j, k):
-        lhs = B.evaluate(t[i][j], e(k)) - B.evaluate(e(i), t[j][k])
-        rhs = B.evaluate(t[j][i], e(k)) - B.evaluate(e(j), t[i][k])
-        return (lhs - rhs,)
-
-    return _run([("eq-2.8", 3, eq_2_8)], n)
+    return _check_system(_PRELIE_COCYCLE, alg.dim, {"circ": t}, B)
 
 
 def check_ldend_cocycle(alg: Algebra, B: BilinearForm) -> CheckReport:
     """Skew-symmetry plus  B(x<|y, z) = -B(y, z o x) + B(x, z * y)  where
     o and * are the vertical and horizontal products of the tables."""
-    tr = alg.op("tri_r")
-    tl = alg.op("tri_l")
+    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
     if B.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
-    n = alg.dim
-    e = lambda m: basis_vector(n, m)
-
-    def skew(i, j):
-        return (B.gram[i][j] + B.gram[j][i],)
-
-    def eq_4_16(i, j, k):
-        circ_zk_i = vec_sub(tr[k][i], tl[i][k])          # z o x
-        bullet_zk_j = vec_add(tr[k][j], tl[k][j])        # z * y
-        lhs = B.evaluate(tl[i][j], e(k))
-        rhs = -B.evaluate(e(j), circ_zk_i) + B.evaluate(e(i), bullet_zk_j)
-        return (lhs - rhs,)
-
-    return _run([("skew", 2, skew), ("eq-4.16", 3, eq_4_16)], n)
+    return _check_system(
+        _LDEND_COCYCLE, alg.dim, tables, B, {"bullet": ("tri_r", "tri_l")}
+    )

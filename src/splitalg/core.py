@@ -12,6 +12,7 @@ Indexing is 0-based internally.  File formats and counterexample reports use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -101,10 +102,6 @@ def vec_scale(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def is_zero_vector(x: Vector) -> bool:
-    return not any(x)
-
-
 # ---------------------------------------------------------------------------
 # multiplication tables (structure constants)
 
@@ -116,6 +113,13 @@ def zero_table(dim: int) -> Table:
     return tuple(tuple(zero_vector(dim) for _ in range(dim)) for _ in range(dim))
 
 
+def mark_new(seen: set, index: tuple, what: str):
+    """Record a sparse row's index, refusing one given twice."""
+    if index in seen:
+        raise ValueError(f"duplicate {what} at ({','.join(map(str, index))})")
+    seen.add(index)
+
+
 def table_from_triples(dim: int, triples: Iterable[Sequence]) -> Table:
     """Build a dense table from sparse 1-based ``(i, j, k, value)`` rows."""
     dense = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
@@ -123,9 +127,7 @@ def table_from_triples(dim: int, triples: Iterable[Sequence]) -> Table:
     for i, j, k, value in triples:
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise DimensionMismatch(f"index ({i},{j},{k}) outside 1..{dim}")
-        if (i, j, k) in seen:
-            raise ValueError(f"duplicate structure constant at ({i},{j},{k})")
-        seen.add((i, j, k))
+        mark_new(seen, (i, j, k), "structure constant")
         dense[i - 1][j - 1][k - 1] = rat(value)
     return tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
@@ -204,6 +206,9 @@ class Algebra:
         if not isinstance(other, Algebra):
             return NotImplemented
         return self.dim == other.dim and dict(self.ops) == dict(other.ops)
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.ops.items())))
 
     def op(self, name: str) -> Table:
         if name not in OP_NAMES:
@@ -493,9 +498,11 @@ class Tensor2:
 def tensor2(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor2:
     """Build from sparse 1-based ``(i, j, value)`` rows."""
     grid = _grid(dim)
+    seen = set()
     for i, j, value in sparse:
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise DimensionMismatch(f"index ({i},{j}) outside 1..{dim}")
+        mark_new(seen, (i, j), "entry")
         grid[i - 1][j - 1] = rat(value)
     return Tensor2(dim, tuple(tuple(r) for r in grid))
 
@@ -566,9 +573,11 @@ def tensor3_from_entries(entries) -> Tensor3:
 def tensor3(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor3:
     """Build from sparse 1-based ``(i, j, k, value)`` rows."""
     grid = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = set()
     for i, j, k, value in sparse:
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise DimensionMismatch(f"index ({i},{j},{k}) outside 1..{dim}")
+        mark_new(seen, (i, j, k), "entry")
         grid[i - 1][j - 1][k - 1] = rat(value)
     return tensor3_from_entries(grid)
 
@@ -718,3 +727,89 @@ def map_from_form(B: BilinearForm) -> LinearMap:
     if not gram.is_invertible:
         raise SingularMap("form is degenerate")
     return gram.transpose().inverse()
+
+
+# ---------------------------------------------------------------------------
+# integer kernel
+#
+# The identity checks evaluate on Python ints: all inputs of one check are
+# scaled to a common denominator d once, and since every identity is
+# homogeneous of some degree k in those inputs, the true residual is the int
+# residual divided by d**k.  Vectors are packed into one int (Kronecker
+# substitution), so a linear combination of vectors costs one big-int
+# multiply-add per vector instead of one per entry.
+
+def _rows(grid):
+    return grid.entries if isinstance(grid, LinearMap) else grid
+
+
+def _is_leaf_row(row) -> bool:
+    return not row or not isinstance(row[0], (tuple, list, LinearMap))
+
+
+def _denominators(grid, out: set):
+    grid = _rows(grid)
+    if _is_leaf_row(grid):
+        out.update(x.denominator for x in grid)
+    else:
+        for sub in grid:
+            _denominators(sub, out)
+
+
+def _scaled(grid, d: int):
+    grid = _rows(grid)
+    if _is_leaf_row(grid):
+        if d == 1:
+            return tuple(x.numerator for x in grid)
+        return tuple(x.numerator * (d // x.denominator) for x in grid)
+    return tuple(_scaled(sub, d) for sub in grid)
+
+
+def clear_denominators(*grids) -> tuple[int, tuple]:
+    """Scale all ``grids`` (tables, Gram matrices, maps, matrix families,
+    any nesting of them) by the least common denominator d of their entries.
+
+    Returns ``(d, copies)``: each copy keeps its grid's nesting, with maps
+    replaced by their row tuples and every entry replaced by the int d * x.
+    Entries may be Fractions or ints.
+    """
+    denominators = set()
+    for grid in grids:
+        _denominators(grid, denominators)
+    d = math.lcm(*denominators)
+    return d, tuple(_scaled(grid, d) for grid in grids)
+
+
+def max_abs(grid) -> int:
+    """Largest absolute entry of a nested grid of ints (0 when empty)."""
+    if _is_leaf_row(grid):
+        return max(map(abs, grid), default=0)
+    return max((max_abs(sub) for sub in grid), default=0)
+
+
+def field_width(bound: int) -> int:
+    """Bits per packed entry for entries of absolute value at most ``bound``."""
+    return bound.bit_length() + 1
+
+
+def pack(entries: Sequence[int], width: int) -> int:
+    """One int holding ``entries``: sum_k entries[k] * 2**(k * width).  Any
+    linear combination of packed vectors is the packed linear combination,
+    as long as each result entry stays below 2**(width - 1) in absolute
+    value (see :func:`field_width`)."""
+    return sum(x << (k * width) for k, x in enumerate(entries))
+
+
+def unpack(packed: int, count: int, width: int) -> list[int]:
+    """The ``count`` entries of a packed vector, inverse of :func:`pack`."""
+    full = 1 << width
+    half = full >> 1
+    mask = full - 1
+    out = []
+    for _ in range(count):
+        x = packed & mask
+        if x >= half:
+            x -= full
+        out.append(x)
+        packed = (packed - x) >> width
+    return out

@@ -30,6 +30,7 @@ from .core import (
     Tensor2,
     Tensor3,
     algebra,
+    mark_new,
     rat,
     tensor2,
     tensor3,
@@ -51,7 +52,28 @@ class FileFormatError(ValueError):
     """A file does not follow the canonical format; the message says where."""
 
 
+#: largest dim, rows, cols or vdim a file may declare; checked before any
+#: grid is allocated, so a hostile header cannot exhaust memory
+MAX_DIM = 64
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false arrive as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _size(doc: dict, key: str, where: str) -> int:
+    value = doc.get(key)
+    _expect(
+        _is_int(value) and 1 <= value <= MAX_DIM,
+        f"{where}: bad {key!r} (expected an integer 1..{MAX_DIM}, got {json.dumps(value)})",
+    )
+    return value
+
+
 def _scalar(value, where: str) -> Fraction:
+    if isinstance(value, bool):
+        raise FileFormatError(f"{where}: bad rational {json.dumps(value)} (not a number)")
     try:
         return rat(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -117,9 +139,8 @@ def algebra_to_doc(alg: Algebra) -> dict:
 
 def algebra_from_doc(doc, where: str = "algebra") -> Algebra:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
-    _expect(isinstance(doc.get("dim"), int) and doc["dim"] >= 1, f"{where}: bad 'dim'")
+    dim = _size(doc, "dim", where)
     _expect(isinstance(doc.get("ops"), dict), f"{where}: missing 'ops' object")
-    dim = doc["dim"]
     sparse = {}
     for name, rows in doc["ops"].items():
         _expect(name in OP_NAMES, f"{where}: unknown operation name {name!r}")
@@ -132,7 +153,7 @@ def algebra_from_doc(doc, where: str = "algebra") -> Algebra:
             )
             i, j, k, value = row
             _expect(
-                all(isinstance(t, int) and 1 <= t <= dim for t in (i, j, k)),
+                all(_is_int(t) and 1 <= t <= dim for t in (i, j, k)),
                 f"{where}.ops.{name}[{idx}]: index outside 1..{dim}",
             )
             triples.append((i, j, k, _scalar(value, f"{where}.ops.{name}[{idx}]")))
@@ -159,10 +180,9 @@ def map_to_doc(T: LinearMap) -> dict:
 
 def map_from_doc(doc, where: str = "map") -> LinearMap:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
-    rows, cols = doc.get("rows"), doc.get("cols")
-    _expect(isinstance(rows, int) and rows >= 1, f"{where}: bad 'rows'")
-    _expect(isinstance(cols, int) and cols >= 1, f"{where}: bad 'cols'")
+    rows, cols = _size(doc, "rows", where), _size(doc, "cols", where)
     grid = [[Fraction(0)] * cols for _ in range(rows)]
+    seen = set()
     for idx, row in enumerate(doc.get("entries", [])):
         _expect(
             isinstance(row, list) and len(row) == 3,
@@ -170,9 +190,13 @@ def map_from_doc(doc, where: str = "map") -> LinearMap:
         )
         i, j, value = row
         _expect(
-            isinstance(i, int) and 1 <= i <= rows and isinstance(j, int) and 1 <= j <= cols,
+            _is_int(i) and 1 <= i <= rows and _is_int(j) and 1 <= j <= cols,
             f"{where}.entries[{idx}]: index outside the grid",
         )
+        try:
+            mark_new(seen, (i, j), "entry")
+        except ValueError as exc:
+            raise FileFormatError(f"{where}.entries[{idx}]: {exc}") from None
         grid[i - 1][j - 1] = _scalar(value, f"{where}.entries[{idx}]")
     return LinearMap(rows, cols, tuple(tuple(r) for r in grid))
 
@@ -197,9 +221,8 @@ def tensor_to_doc(t: Tensor2 | Tensor3) -> dict:
 
 def tensor_from_doc(doc, where: str = "tensor") -> Tensor2 | Tensor3:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
-    dim, rank = doc.get("dim"), doc.get("rank")
-    _expect(isinstance(dim, int) and dim >= 1, f"{where}: bad 'dim'")
-    _expect(rank in (2, 3), f"{where}: 'rank' must be 2 or 3")
+    dim, rank = _size(doc, "dim", where), doc.get("rank")
+    _expect(_is_int(rank) and rank in (2, 3), f"{where}: 'rank' must be 2 or 3")
     width = rank + 1
     sparse = []
     for idx, row in enumerate(doc.get("entries", [])):
@@ -209,11 +232,14 @@ def tensor_from_doc(doc, where: str = "tensor") -> Tensor2 | Tensor3:
         )
         *index, value = row
         _expect(
-            all(isinstance(t, int) and 1 <= t <= dim for t in index),
+            all(_is_int(t) and 1 <= t <= dim for t in index),
             f"{where}.entries[{idx}]: index outside 1..{dim}",
         )
         sparse.append((*index, _scalar(value, f"{where}.entries[{idx}]")))
-    return tensor2(dim, sparse) if rank == 2 else tensor3(dim, sparse)
+    try:
+        return tensor2(dim, sparse) if rank == 2 else tensor3(dim, sparse)
+    except ValueError as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +295,7 @@ def module_from_doc(doc, where: str = "module"):
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     _expect("base" in doc, f"{where}: missing 'base'")
     base = algebra_from_doc(doc["base"], f"{where}.base")
-    vdim = doc.get("vdim")
-    _expect(isinstance(vdim, int) and vdim >= 1, f"{where}: bad 'vdim'")
+    vdim = _size(doc, "vdim", where)
     if all(k in doc for k in _LDEND_KEYS):
         fams = {k: _family_from_doc(doc[k], vdim, base.dim, f"{where}.{k}") for k in _LDEND_KEYS}
         return LDendModule(base, vdim, **fams)

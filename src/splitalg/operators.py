@@ -8,6 +8,7 @@ hypotheses; pass ``force=True`` to experiment anyway.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Sequence
 
 from .axioms import CheckReport, _run
@@ -17,10 +18,14 @@ from .core import (
     LinearMap,
     PreconditionFailed,
     basis_vector,
+    clear_denominators,
     family_contract,
+    field_width,
+    max_abs,
+    pack,
     rat,
     table_apply,
-    vec_add,
+    unpack,
     vec_sub,
 )
 from .representations import LDendModule, PreLieModule, left_family
@@ -59,36 +64,60 @@ def _require_shape(T: LinearMap, rows: int, cols: int, what: str):
 # ---------------------------------------------------------------------------
 # operator checks
 
+def _columns(family):
+    """images[i][v] = family[i] applied to the v-th basis vector."""
+    return [tuple(zip(*m)) for m in family]
+
+
+def _o_identity(T, table, l_images, r_images, r_sign: int):
+    """Int residual function of  T(u).T(v) - T(l(T(u))v + r_sign * r(T(v))u)
+    over module basis pairs (u, v), of degree 3 in its inputs.
+
+    T holds int rows (base x module), ``table`` is the base product, and
+    ``l_images[a][v]`` / ``r_images[a][v]`` are l(e_a) / r(e_a) applied to
+    the v-th module basis vector.  Vectors in the base are packed, and every
+    product that does not depend on both u and v is formed once.
+    """
+    n, vdim = len(T), len(T[0])
+    big = max(max_abs(T), max_abs(table), max_abs(l_images), max_abs(r_images))
+    bits = field_width((n * n + 2 * n * vdim) * big ** 3)
+    images = tuple(zip(*T))                     # images[u] = T(f_u), a base vector
+    packed_t = [pack(col, bits) for col in images]
+
+    def t_of(vec):                              # T(vec), packed
+        return sum(map(mul, vec, packed_t))
+
+    # by_b[b][a] = e_a . e_b,  l_by_v[v][a] = T(l(e_a) f_v),  r_by_u[u][a] = T(r(e_a) f_u)
+    by_b = tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
+    l_by_v = tuple(zip(*[[t_of(img) for img in row] for row in l_images]))
+    r_by_u = tuple(zip(*[[t_of(img) for img in row] for row in r_images]))
+    # left_of[u][b] = T(f_u) . e_b,  l_term[u][v] = T(l(T(f_u)) f_v)
+    left_of = [[sum(map(mul, tu, col)) for col in by_b] for tu in images]
+    l_term = [[sum(map(mul, tu, col)) for col in l_by_v] for tu in images]
+
+    def residual(u, v):
+        tv = images[v]
+        p = sum(map(mul, tv, left_of[u])) - l_term[u][v] - r_sign * sum(map(mul, tv, r_by_u[u]))
+        return unpack(p, n, bits) if p else ()
+
+    return residual
+
+
 def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    circ = m.base.op("circ")
-
-    def eq_2_10(u, v):
-        tu, tv = T.column(u), T.column(v)
-        lhs = table_apply(circ, tu, tv)
-        arg = vec_add(family_contract(m.l, tu).column(v), family_contract(m.r, tv).column(u))
-        return vec_sub(lhs, T.apply(arg))
-
-    return _run([("eq-2.10", 2, eq_2_10)], m.vdim)
+    d, (t, circ, l, r) = clear_denominators(T, m.base.op("circ"), m.l, m.r)
+    fn = _o_identity(t, circ, _columns(l), _columns(r), 1)
+    return _run([("eq-2.10", 2, 3, fn)], m.vdim, d)
 
 
 def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
     """Weight-zero Rota-Baxter identity R(x) o R(y) = R(R(x) o y + x o R(y))."""
     _require_shape(R, alg.dim, alg.dim, "Rota-Baxter operator")
-    circ = alg.op("circ")
-    n = alg.dim
-
-    def eq_2_11(i, j):
-        rx, ry = R.column(i), R.column(j)
-        lhs = table_apply(circ, rx, ry)
-        arg = vec_add(
-            table_apply(circ, rx, basis_vector(n, j)),
-            table_apply(circ, basis_vector(n, i), ry),
-        )
-        return vec_sub(lhs, R.apply(arg))
-
-    return _run([("eq-2.11", 2, eq_2_11)], n)
+    d, (r, circ) = clear_denominators(R, alg.op("circ"))
+    # the regular module: l(e_a) e_v = e_a o e_v,  r(e_a) e_u = e_u o e_a
+    fn = _o_identity(r, circ, circ, tuple(zip(*circ)), 1)
+    return _run([("eq-2.11", 2, 3, fn)], alg.dim, d)
 
 
 def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckReport:
@@ -97,38 +126,25 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
     if len(rho) != lie.dim:
         raise DimensionMismatch("representation family must match the Lie dimension")
     _require_shape(T, lie.dim, vdim, "O-operator")
-    bracket = lie.op("bracket")
-
-    def eq_3_13(u, v):
-        tu, tv = T.column(u), T.column(v)
-        lhs = table_apply(bracket, tu, tv)
-        arg = vec_sub(family_contract(rho, tu).column(v), family_contract(rho, tv).column(u))
-        return vec_sub(lhs, T.apply(arg))
-
-    return _run([("eq-3.13", 2, eq_3_13)], vdim)
+    d, (t, bracket, rho_int) = clear_denominators(T, lie.op("bracket"), rho)
+    images = _columns(rho_int)
+    return _run([("eq-3.13", 2, 3, _o_identity(t, bracket, images, images, -1))], vdim, d)
 
 
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     """Both displayed O-operator identities of an L-dendriform module."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    tr = m.base.op("tri_r")
-    tl = m.base.op("tri_l")
-
-    def residual(table, lfam, rfam, u, v):
-        tu, tv = T.column(u), T.column(v)
-        lhs = table_apply(table, tu, tv)
-        arg = vec_add(
-            family_contract(lfam, tu).column(v), family_contract(rfam, tv).column(u)
-        )
-        return vec_sub(lhs, T.apply(arg))
-
-    def eq_4_7_r(u, v):
-        return residual(tr, m.l_r, m.r_r, u, v)
-
-    def eq_4_7_l(u, v):
-        return residual(tl, m.l_l, m.r_l, u, v)
-
-    return _run([("eq-4.7-tri_r", 2, eq_4_7_r), ("eq-4.7-tri_l", 2, eq_4_7_l)], m.vdim)
+    d, (t, tr, tl, lr, rr, ll, rl) = clear_denominators(
+        T, m.base.op("tri_r"), m.base.op("tri_l"), m.l_r, m.r_r, m.l_l, m.r_l
+    )
+    return _run(
+        [
+            ("eq-4.7-tri_r", 2, 3, _o_identity(t, tr, _columns(lr), _columns(rr), 1)),
+            ("eq-4.7-tri_l", 2, 3, _o_identity(t, tl, _columns(ll), _columns(rl), 1)),
+        ],
+        m.vdim,
+        d,
+    )
 
 
 # ---------------------------------------------------------------------------

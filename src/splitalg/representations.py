@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .axioms import CheckReport, _run
@@ -20,10 +21,8 @@ from .core import (
     DimensionMismatch,
     LinearMap,
     Table,
+    clear_denominators,
     dual_rep,
-    family_contract,
-    vec_add,
-    vec_sub,
 )
 
 __all__ = [
@@ -127,8 +126,22 @@ def regular_ldend_module(alg: Algebra) -> LDendModule:
 # ---------------------------------------------------------------------------
 # pre-Lie modules
 
-def _flatten(m: LinearMap) -> tuple:
-    return tuple(x for row in m.entries for x in row)
+def _mat_mul(a, b) -> list[int]:
+    """Product of two int matrices (row tuples), flattened row-major."""
+    cols = tuple(zip(*b))
+    return [sum(map(mul, row, col)) for row in a for col in cols]
+
+
+def _contractor(family):
+    """x -> sum_i x_i family[i] for a family of int matrices, flattened
+    row-major."""
+    entries = tuple(zip(*(tuple(x for row in m for x in row) for m in family)))
+    return lambda coeffs: [sum(map(mul, coeffs, e)) for e in entries]
+
+
+def _difference(plus, minus) -> list[int]:
+    """Entrywise sum of the ``plus`` lists minus the sum of the ``minus`` lists."""
+    return [sum(p) - sum(q) for p, q in zip(zip(*plus), zip(*minus))]
 
 
 def check_prelie_module(m: PreLieModule) -> CheckReport:
@@ -136,23 +149,24 @@ def check_prelie_module(m: PreLieModule) -> CheckReport:
 
     Residuals are the matrix difference of the two sides, flattened row-major.
     """
-    circ = m.base.op("circ")
-    l, r = m.l, m.r
-
-    def at(family, coeffs):
-        return family_contract(family, coeffs)
+    d, (circ, l, r) = clear_denominators(m.base.op("circ"), m.l, m.r)
+    at_l, at_r = _contractor(l), _contractor(r)
 
     def eq_2_5(i, j):
-        lhs = l[i] @ l[j] - at(l, circ[i][j])
-        rhs = l[j] @ l[i] - at(l, circ[j][i])
-        return _flatten(lhs - rhs)
+        # l(x)l(y) - l(x.y) - l(y)l(x) + l(y.x)
+        return _difference(
+            (_mat_mul(l[i], l[j]), at_l(circ[j][i])),
+            (at_l(circ[i][j]), _mat_mul(l[j], l[i])),
+        )
 
     def eq_2_6(i, j):
-        lhs = l[i] @ r[j] - r[j] @ l[i]
-        rhs = at(r, circ[i][j]) - r[j] @ r[i]
-        return _flatten(lhs - rhs)
+        # l(x)r(y) - r(y)l(x) - r(x.y) + r(y)r(x)
+        return _difference(
+            (_mat_mul(l[i], r[j]), _mat_mul(r[j], r[i])),
+            (_mat_mul(r[j], l[i]), at_r(circ[i][j])),
+        )
 
-    return _run([("eq-2.5", 2, eq_2_5), ("eq-2.6", 2, eq_2_6)], m.base.dim)
+    return _run([("eq-2.5", 2, 2, eq_2_5), ("eq-2.6", 2, 2, eq_2_6)], m.base.dim, d)
 
 
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:
@@ -197,56 +211,58 @@ def semidirect_prelie(m: PreLieModule) -> Algebra:
 def check_ldend_module(m: LDendModule) -> CheckReport:
     """The five module identities over all basis pairs, with the vertical,
     horizontal and bracket products recomputed from the base tables."""
-    tr = m.base.op("tri_r")
-    tl = m.base.op("tri_l")
-    n = m.base.dim
-    lr, rr, ll, rl = m.l_r, m.r_r, m.l_l, m.r_l
-
-    def circ(i, j):
-        return vec_sub(tr[i][j], tl[j][i])
+    d, (tr, tl, lr, rr, ll, rl) = clear_denominators(
+        m.base.op("tri_r"), m.base.op("tri_l"), m.l_r, m.r_r, m.l_l, m.r_l
+    )
+    at_lr, at_rr, at_ll, at_rl = map(_contractor, (lr, rr, ll, rl))
 
     def bullet(i, j):
-        return vec_add(tr[i][j], tl[i][j])
-
-    def bracket(i, j):
-        return vec_sub(bullet(i, j), bullet(j, i))
-
-    def at(family, coeffs):
-        return family_contract(family, coeffs)
-
-    def comm(a, b):
-        return a @ b - b @ a
+        return [a + b for a, b in zip(tr[i][j], tl[i][j])]
 
     def eq_4_1(i, j):
-        return _flatten(comm(lr[i], lr[j]) - at(lr, bracket(i, j)))
+        # [l_r(x), l_r(y)] - l_r([x, y])
+        bracket = [a - b for a, b in zip(bullet(i, j), bullet(j, i))]
+        return _difference((_mat_mul(lr[i], lr[j]),), (_mat_mul(lr[j], lr[i]), at_lr(bracket)))
 
     def eq_4_2(i, j):
-        return _flatten(comm(lr[i], ll[j]) - at(ll, circ(i, j)) - ll[j] @ ll[i])
+        # [l_r(x), l_l(y)] - l_l(x o y) - l_l(y)l_l(x)
+        circ = [a - b for a, b in zip(tr[i][j], tl[j][i])]
+        return _difference(
+            (_mat_mul(lr[i], ll[j]),),
+            (_mat_mul(ll[j], lr[i]), at_ll(circ), _mat_mul(ll[j], ll[i])),
+        )
 
     def eq_4_3(i, j):
-        lhs = at(rr, tr[i][j])
-        rhs = rr[j] @ rr[i] + rr[j] @ rl[i] + comm(lr[i], rr[j]) - rr[j] @ ll[i]
-        return _flatten(lhs - rhs)
+        # r_r(x |> y) - r_r(y)r_r(x) - r_r(y)r_l(x) - [l_r(x), r_r(y)] + r_r(y)l_l(x)
+        return _difference(
+            (at_rr(tr[i][j]), _mat_mul(rr[j], lr[i]), _mat_mul(rr[j], ll[i])),
+            (_mat_mul(rr[j], rr[i]), _mat_mul(rr[j], rl[i]), _mat_mul(lr[i], rr[j])),
+        )
 
     def eq_4_4(i, j):
-        lhs = at(rr, tl[i][j])
-        rhs = rl[j] @ rr[i] + ll[i] @ rr[j] + comm(ll[i], rl[j])
-        return _flatten(lhs - rhs)
+        # r_r(x <| y) - r_l(y)r_r(x) - l_l(x)r_r(y) - [l_l(x), r_l(y)]
+        return _difference(
+            (at_rr(tl[i][j]), _mat_mul(rl[j], ll[i])),
+            (_mat_mul(rl[j], rr[i]), _mat_mul(ll[i], rr[j]), _mat_mul(ll[i], rl[j])),
+        )
 
     def eq_4_5(i, j):
-        lhs = comm(lr[i], rl[j])
-        rhs = at(rl, bullet(i, j)) - rl[j] @ rl[i]
-        return _flatten(lhs - rhs)
+        # [l_r(x), r_l(y)] - r_l(x * y) + r_l(y)r_l(x)
+        return _difference(
+            (_mat_mul(lr[i], rl[j]), _mat_mul(rl[j], rl[i])),
+            (_mat_mul(rl[j], lr[i]), at_rl(bullet(i, j))),
+        )
 
     return _run(
         [
-            ("eq-4.1", 2, eq_4_1),
-            ("eq-4.2", 2, eq_4_2),
-            ("eq-4.3", 2, eq_4_3),
-            ("eq-4.4", 2, eq_4_4),
-            ("eq-4.5", 2, eq_4_5),
+            ("eq-4.1", 2, 2, eq_4_1),
+            ("eq-4.2", 2, 2, eq_4_2),
+            ("eq-4.3", 2, 2, eq_4_3),
+            ("eq-4.4", 2, 2, eq_4_4),
+            ("eq-4.5", 2, 2, eq_4_5),
         ],
-        n,
+        m.base.dim,
+        d,
     )
 
 

@@ -12,7 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import CheckReport, check_ldend_cocycle
+from .axioms import (
+    LEFT,
+    RIGHT,
+    XYZ,
+    XZY,
+    YXZ,
+    YZX,
+    CheckReport,
+    _check_system,
+    check_ldend_cocycle,
+)
 from .core import (
     Algebra,
     DimensionMismatch,
@@ -20,15 +30,12 @@ from .core import (
     PreconditionFailed,
     Tensor2,
     Tensor3,
-    basis_vector,
     exchange,
     form_from_invertible_map,
     rename_ops,
     slot_product,
     tensor2,
     tensor_to_map,
-    vec_add,
-    vec_sub,
 )
 from .functors import horizontal_prelie, sub_adjacent_lie, vertical_prelie
 from .operators import check_o_ldend, check_o_prelie
@@ -402,26 +409,24 @@ class FormCriterionReport:
         return self.companion_zero or not self.cocycle_zero
 
 
+_COMPANION = (
+    # B(x |> y, z) + B(y, x * z) - B(y, z * x) + B(x, z |> y)
+    ("eq-4.15", 3, (
+        (1, LEFT, "tri_r", "B", XYZ),
+        (1, RIGHT, "B", "bullet", YXZ),
+        (-1, RIGHT, "B", "bullet", YZX),
+        (1, RIGHT, "B", "tri_r", XZY),
+    )),
+)
+
+
 def _check_companion_identity(alg: Algebra, B) -> CheckReport:
-    """B(x |> y, z) = -B(y, [x, z]) - B(x, z |> y)  over all basis triples."""
-    from .axioms import _run
-
-    tr = alg.op("tri_r")
-    tl = alg.op("tri_l")
-    n = alg.dim
-    e = lambda m: basis_vector(n, m)
-
-    def bracket_vec(i, k):
-        bullet_ik = vec_add(tr[i][k], tl[i][k])
-        bullet_ki = vec_add(tr[k][i], tl[k][i])
-        return vec_sub(bullet_ik, bullet_ki)
-
-    def eq_4_15(i, j, k):
-        lhs = B.evaluate(tr[i][j], e(k))
-        rhs = -B.evaluate(e(j), bracket_vec(i, k)) - B.evaluate(e(i), tr[k][j])
-        return (lhs - rhs,)
-
-    return _run([("eq-4.15", 3, eq_4_15)], n)
+    """B(x |> y, z) = -B(y, [x, z]) - B(x, z |> y)  over all basis triples,
+    the bracket being that of the horizontal product *."""
+    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
+    return _check_system(
+        _COMPANION, alg.dim, tables, B, {"bullet": ("tri_r", "tri_l")}
+    )
 
 
 def form_criterion_check(alg: Algebra, r: Tensor2) -> FormCriterionReport:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitalg as sa
+from splitalg import catalog
 from splitalg.core import table_apply
 
 from naive_tensor import naive_slot_product
@@ -84,6 +85,21 @@ def test_algebra_table_shape_checked():
 def test_duplicate_structure_constant_rejected():
     with pytest.raises(ValueError):
         sa.algebra(2, {"circ": [(1, 1, 1, 1), (1, 1, 1, 2)]})
+
+
+def test_duplicate_tensor_entry_rejected():
+    with pytest.raises(ValueError, match=r"duplicate entry at \(1,1\)"):
+        sa.tensor2(2, [(1, 1, 1), (1, 1, 5)])
+    with pytest.raises(ValueError, match=r"duplicate entry at \(2,1,2\)"):
+        sa.tensor3(2, [(2, 1, 2, 1), (1, 1, 1, 1), (2, 1, 2, "1/2")])
+
+
+def test_algebra_hash_agrees_with_equality(p2):
+    again = catalog.build("P2")
+    assert again == p2 and hash(again) == hash(p2)
+    retagged = sa.Algebra(2, dict(p2.ops), "other tag")
+    assert retagged == p2 and hash(retagged) == hash(p2)      # class_tag is ignored
+    assert len({p2, again, retagged, catalog.build("N2")}) == 2
 
 
 def test_rename_and_merge(ld2):

@@ -1,6 +1,8 @@
 """Canonical JSON formats: round trips, byte determinism, diagnostics."""
 
 import json
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -219,3 +221,74 @@ def test_fractions_parse_in_reduced_and_unreduced_forms():
     doc = {"dim": 1, "ops": {"circ": [[1, 1, 1, "2/4"]]}}
     alg = fileio.algebra_from_doc(doc)
     assert alg.op("circ")[0][0][0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"dim": True, "ops": {"circ": []}}, "algebra: bad 'dim'"),
+    ({"dim": 2, "ops": {"circ": [[True, 1, 1, "1"]]}}, "algebra.ops.circ[0]: index"),
+    ({"dim": 1, "ops": {"circ": [[1, 1, 1, True]]}}, "algebra.ops.circ[0]: bad rational true"),
+])
+def test_json_booleans_rejected(doc, where):
+    with pytest.raises(fileio.FileFormatError, match=re.escape(where)):
+        fileio.algebra_from_doc(doc)
+
+
+def test_json_booleans_rejected_in_maps_tensors_and_modules(p2):
+    with pytest.raises(fileio.FileFormatError, match="map: bad 'rows'"):
+        fileio.map_from_doc({"rows": True, "cols": 1, "entries": []})
+    with pytest.raises(fileio.FileFormatError, match=re.escape("map.entries[0]: bad rational")):
+        fileio.map_from_doc({"rows": 1, "cols": 1, "entries": [[1, 1, False]]})
+    with pytest.raises(fileio.FileFormatError, match=re.escape("tensor.entries[0]: index")):
+        fileio.tensor_from_doc({"dim": 2, "rank": 2, "entries": [[1, True, "1"]]})
+    with pytest.raises(fileio.FileFormatError, match="module: bad 'vdim'"):
+        fileio.module_from_doc({"base": fileio.algebra_to_doc(p2), "vdim": True, "l": [], "r": []})
+
+
+def test_cli_rejects_boolean_dim(tmp_path, capsys):
+    from splitalg.cli import main
+
+    path = tmp_path / "bool.alg.json"
+    path.write_text('{"dim": true, "ops": {"circ": []}}')
+    assert main(["check", "--class", "pre_lie", str(path)]) == 2
+    assert "bad 'dim'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader, doc, where", [
+    (fileio.map_from_doc, {"rows": 2, "cols": 2, "entries": [[1, 2, "1"], [1, 2, "5"]]},
+     "map.entries[1]: duplicate entry at (1,2)"),
+    (fileio.form_from_doc, {"gram": {"rows": 1, "cols": 1, "entries": [[1, 1, "1"], [1, 1, "1"]]}},
+     "form.gram.entries[1]: duplicate entry at (1,1)"),
+    (fileio.tensor_from_doc, {"dim": 2, "rank": 2, "entries": [[1, 1, "1"], [1, 1, "5"]]},
+     "tensor: duplicate entry at (1,1)"),
+    (fileio.tensor_from_doc, {"dim": 2, "rank": 3, "entries": [[1, 2, 1, "1"], [1, 2, 1, "1"]]},
+     "tensor: duplicate entry at (1,2,1)"),
+])
+def test_duplicate_entries_rejected(reader, doc, where):
+    with pytest.raises(fileio.FileFormatError, match=re.escape(where)):
+        reader(doc)
+
+
+@pytest.mark.parametrize("reader, text, where", [
+    (fileio.read_algebra, '{"dim": 1000000000, "ops": {"circ": [[1, 1, 1, "1"]]}}', "bad 'dim'"),
+    (fileio.read_map, '{"rows": 1, "cols": 1000000000, "entries": []}', "bad 'cols'"),
+    (fileio.read_tensor, '{"dim": 1000000000, "rank": 3, "entries": []}', "bad 'dim'"),
+])
+def test_huge_dimension_rejected_before_allocation(tmp_path, reader, text, where):
+    """A dim of 10**9 would need about 10**27 entries: rejected, within 1 MB."""
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(fileio.FileFormatError, match=re.escape(where)):
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dimension_cap_admits_the_limit():
+    doc = {"rows": fileio.MAX_DIM, "cols": 1, "entries": []}
+    assert fileio.map_from_doc(doc).rows == fileio.MAX_DIM
+    with pytest.raises(fileio.FileFormatError, match="bad 'rows'"):
+        fileio.map_from_doc({**doc, "rows": fileio.MAX_DIM + 1})
