@@ -47,7 +47,6 @@ from .core import (
     tensor3_from_entries,
     tensor_to_map,
     zero_algebra,
-    zero_tensor3,
 )
 from .functors import (
     dendriform_to_ldend,

@@ -138,8 +138,9 @@ XYZ, YXZ, XZY, YZX, ZXY = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
 _DEGREE = {LEFT: 2, RIGHT: 2, PLAIN: 1}
 
 
-def _compile(terms, ops, n: int):
-    """Residual function of one identity over the int tables ``ops``.
+def _compile(terms, ops, n: int, bounds):
+    """Residual function of one identity over the int tables ``ops``, whose
+    largest absolute entries are ``bounds`` (name -> int).
 
     Each output vector is packed into one int, so a term costs one
     multiply-add per inner index: (x A y) B z  =  sum_m A[x][y][m] * B[m][z].
@@ -147,19 +148,26 @@ def _compile(terms, ops, n: int):
     first = terms[0]
     width = len(ops[first[3] if first[1] == LEFT else first[2]][0][0])
     bound = sum(
-        max_abs(ops[a]) if shape == PLAIN else n * max_abs(ops[a]) * max_abs(ops[b])
+        bounds[a] if shape == PLAIN else n * bounds[a] * bounds[b]
         for _, shape, a, b, _ in terms
     )
     bits = field_width(bound)
     packed = {}
 
-    def packed_table(name, sign):
-        key = (name, sign)
+    def packed_table(name, sign, by_column=False):
+        """ops[name] times sign, each vector packed; by_column regroups
+        [i][j] as [j][i]."""
+        key = (name, sign, by_column)
         if key not in packed:
-            packed[key] = tuple(
-                tuple(pack([sign * x for x in vec], bits) for vec in plane)
-                for plane in ops[name]
-            )
+            if by_column:
+                packed[key] = tuple(zip(*packed_table(name, sign)))
+            elif sign < 0:
+                packed[key] = tuple(tuple(-p for p in plane) for plane in packed_table(name, 1))
+            else:
+                packed[key] = tuple(
+                    tuple(pack(vec, bits) if any(vec) else 0 for vec in plane)
+                    for plane in ops[name]
+                )
         return packed[key]
 
     if first[1] == PLAIN:
@@ -174,9 +182,7 @@ def _compile(terms, ops, n: int):
     rows = []
     for sign, shape, a, b, perm in terms:
         if shape == LEFT:       # sum_m A[x][y][m] * B[m][z]: B regrouped by z
-            outer = packed_table(b, sign)
-            by_z = tuple(tuple(outer[m][z] for m in range(n)) for z in range(n))
-            rows.append((ops[a], perm[0], perm[1], by_z, perm[2]))
+            rows.append((ops[a], perm[0], perm[1], packed_table(b, sign, True), perm[2]))
         else:                   # sum_m B[y][z][m] * A[x][m]
             rows.append((ops[b], perm[1], perm[2], packed_table(a, sign), perm[0]))
 
@@ -199,8 +205,9 @@ def _check_system(system, dim: int, tables, form: BilinearForm | None = None,
         ops["B"] = tuple(tuple((x,) for x in row) for row in scaled[-1])
     for name, parts in (derived or {}).items():
         ops[name] = table_add(*(ops[part] for part in parts))
+    bounds = {name: max_abs(table) for name, table in ops.items()}
     return _run(
-        [(ident, arity, _DEGREE[terms[0][1]], _compile(terms, ops, dim))
+        [(ident, arity, _DEGREE[terms[0][1]], _compile(terms, ops, dim, bounds))
          for ident, arity, terms in system],
         dim,
         d,

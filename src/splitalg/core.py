@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lshift
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -53,14 +54,21 @@ class PreconditionFailed(ValueError):
     """A construction's mathematical precondition does not hold."""
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool (``True`` is an int subclass, not a number
+    here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or string like ``-3/4`` to an exact rational.
 
-    Floats are rejected: this workbench never rounds.
+    Floats and booleans are rejected: this workbench never rounds, and never
+    reads ``True`` as 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if is_int(value) or isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -113,6 +121,15 @@ def zero_table(dim: int) -> Table:
     return tuple(tuple(zero_vector(dim) for _ in range(dim)) for _ in range(dim))
 
 
+def check_index(index: tuple, dim: int):
+    """Refuse a sparse row's 1-based index unless every part is an int in
+    1..dim."""
+    if not all(map(is_int, index)):
+        raise TypeError(f"index ({','.join(map(repr, index))}) must be ints")
+    if not all(1 <= t <= dim for t in index):
+        raise DimensionMismatch(f"index ({','.join(map(str, index))}) outside 1..{dim}")
+
+
 def mark_new(seen: set, index: tuple, what: str):
     """Record a sparse row's index, refusing one given twice."""
     if index in seen:
@@ -125,8 +142,7 @@ def table_from_triples(dim: int, triples: Iterable[Sequence]) -> Table:
     dense = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for i, j, k, value in triples:
-        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-            raise DimensionMismatch(f"index ({i},{j},{k}) outside 1..{dim}")
+        check_index((i, j, k), dim)
         mark_new(seen, (i, j, k), "structure constant")
         dense[i - 1][j - 1][k - 1] = rat(value)
     return tuple(tuple(tuple(row) for row in plane) for plane in dense)
@@ -500,8 +516,7 @@ def tensor2(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor2:
     grid = _grid(dim)
     seen = set()
     for i, j, value in sparse:
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise DimensionMismatch(f"index ({i},{j}) outside 1..{dim}")
+        check_index((i, j), dim)
         mark_new(seen, (i, j), "entry")
         grid[i - 1][j - 1] = rat(value)
     return Tensor2(dim, tuple(tuple(r) for r in grid))
@@ -561,10 +576,6 @@ class Tensor3:
         )
 
 
-def zero_tensor3(dim: int) -> Tensor3:
-    return Tensor3(dim, tuple(tuple(zero_vector(dim) for _ in range(dim)) for _ in range(dim)))
-
-
 def tensor3_from_entries(entries) -> Tensor3:
     grid = tuple(tuple(tuple(rat(x) for x in row) for row in plane) for plane in entries)
     return Tensor3(len(grid), grid)
@@ -575,8 +586,7 @@ def tensor3(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor3:
     grid = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for i, j, k, value in sparse:
-        if not all(1 <= t <= dim for t in (i, j, k)):
-            raise DimensionMismatch(f"index ({i},{j},{k}) outside 1..{dim}")
+        check_index((i, j, k), dim)
         mark_new(seen, (i, j, k), "entry")
         grid[i - 1][j - 1][k - 1] = rat(value)
     return tensor3_from_entries(grid)
@@ -797,7 +807,7 @@ def pack(entries: Sequence[int], width: int) -> int:
     linear combination of packed vectors is the packed linear combination,
     as long as each result entry stays below 2**(width - 1) in absolute
     value (see :func:`field_width`)."""
-    return sum(x << (k * width) for k, x in enumerate(entries))
+    return sum(map(lshift, entries, range(0, width * len(entries), width)))
 
 
 def unpack(packed: int, count: int, width: int) -> list[int]:

@@ -30,6 +30,7 @@ from .core import (
     Tensor2,
     Tensor3,
     algebra,
+    is_int,
     mark_new,
     rat,
     tensor2,
@@ -57,15 +58,10 @@ class FileFormatError(ValueError):
 MAX_DIM = 64
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; JSON true/false arrive as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _size(doc: dict, key: str, where: str) -> int:
     value = doc.get(key)
     _expect(
-        _is_int(value) and 1 <= value <= MAX_DIM,
+        is_int(value) and 1 <= value <= MAX_DIM,
         f"{where}: bad {key!r} (expected an integer 1..{MAX_DIM}, got {json.dumps(value)})",
     )
     return value
@@ -153,7 +149,7 @@ def algebra_from_doc(doc, where: str = "algebra") -> Algebra:
             )
             i, j, k, value = row
             _expect(
-                all(_is_int(t) and 1 <= t <= dim for t in (i, j, k)),
+                all(is_int(t) and 1 <= t <= dim for t in (i, j, k)),
                 f"{where}.ops.{name}[{idx}]: index outside 1..{dim}",
             )
             triples.append((i, j, k, _scalar(value, f"{where}.ops.{name}[{idx}]")))
@@ -190,7 +186,7 @@ def map_from_doc(doc, where: str = "map") -> LinearMap:
         )
         i, j, value = row
         _expect(
-            _is_int(i) and 1 <= i <= rows and _is_int(j) and 1 <= j <= cols,
+            is_int(i) and 1 <= i <= rows and is_int(j) and 1 <= j <= cols,
             f"{where}.entries[{idx}]: index outside the grid",
         )
         try:
@@ -222,7 +218,7 @@ def tensor_to_doc(t: Tensor2 | Tensor3) -> dict:
 def tensor_from_doc(doc, where: str = "tensor") -> Tensor2 | Tensor3:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     dim, rank = _size(doc, "dim", where), doc.get("rank")
-    _expect(_is_int(rank) and rank in (2, 3), f"{where}: 'rank' must be 2 or 3")
+    _expect(is_int(rank) and rank in (2, 3), f"{where}: 'rank' must be 2 or 3")
     width = rank + 1
     sparse = []
     for idx, row in enumerate(doc.get("entries", [])):
@@ -232,7 +228,7 @@ def tensor_from_doc(doc, where: str = "tensor") -> Tensor2 | Tensor3:
         )
         *index, value = row
         _expect(
-            all(_is_int(t) and 1 <= t <= dim for t in index),
+            all(is_int(t) and 1 <= t <= dim for t in index),
             f"{where}.entries[{idx}]: index outside 1..{dim}",
         )
         sparse.append((*index, _scalar(value, f"{where}.entries[{idx}]")))

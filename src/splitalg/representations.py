@@ -1,21 +1,25 @@
 """Modules over pre-Lie and L-dendriform algebras, duals, semidirect sums.
 
 A module is stored extensionally as matrix families indexed by the base
-algebra's basis, so linearity in the algebra argument is automatic and all
-module identities reduce to exact matrix equalities over basis pairs.
+algebra's basis, so linearity in the algebra argument is automatic.
 
 Semidirect sums place base coordinates first and module coordinates second,
 which fixes the block layout in file output.
+
+A module is checked as the class identities of its semidirect sum: the
+family data is a module exactly when A + V lies in the class, and since
+V.V = 0 only the basis tuples holding exactly one module vector f_w can
+fail.  Each module identity is one class identity with f_w in a fixed slot
+(see ``_PRELIE_MODULE_IDS`` and ``_LDEND_MODULE_IDS``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
-from .axioms import CheckReport, _run
+from .axioms import _CLASS_SYSTEMS, CheckReport, _compile, _run
 from .core import (
     Algebra,
     DimensionMismatch,
@@ -23,6 +27,7 @@ from .core import (
     Table,
     clear_denominators,
     dual_rep,
+    max_abs,
 )
 
 __all__ = [
@@ -102,10 +107,6 @@ def right_family(alg: Algebra, op: str) -> tuple[LinearMap, ...]:
     )
 
 
-def _neg_family(family: Sequence[LinearMap]) -> tuple[LinearMap, ...]:
-    return tuple(-m for m in family)
-
-
 def regular_prelie_module(alg: Algebra) -> PreLieModule:
     """The regular module (L, R, A) of a pre-Lie algebra."""
     return PreLieModule(alg, alg.dim, left_family(alg, "circ"), right_family(alg, "circ"))
@@ -124,49 +125,95 @@ def regular_ldend_module(alg: Algebra) -> LDendModule:
 
 
 # ---------------------------------------------------------------------------
+# semidirect sums and the module identities
+
+def _block_fill(table: Table, left, right, zero) -> Table:
+    """The table of A + V from a base table and a (left, right) action pair
+    given as row tuples:  e_i f_j = left[i] f_j,  f_j e_i = right[i] f_j,
+    and V.V = 0.  Base coordinates first; ``zero`` fills the other blocks."""
+    n, v = len(table), len(left[0])
+    pad_v, pad_n = (zero,) * v, (zero,) * n
+    module_block = ((zero,) * (n + v),) * v
+    top = tuple(
+        tuple(vec + pad_v for vec in plane) + tuple(pad_n + col for col in zip(*left[i]))
+        for i, plane in enumerate(table)
+    )
+    bottom = tuple(
+        tuple(pad_n + tuple(row[j] for row in right[i]) for i in range(n)) + module_block
+        for j in range(v)
+    )
+    return top + bottom
+
+
+def _semidirect(m, blocks, name: str) -> Algebra:
+    """The semidirect sum of module ``m`` whose operation ``op`` extends the
+    base table by the action pair ``blocks[op]``."""
+    ops = {
+        op: _block_fill(m.base.op(op), *(tuple(a.entries for a in fam) for fam in pair),
+                        Fraction(0))
+        for op, pair in blocks.items()
+    }
+    tag = m.base.class_tag
+    return Algebra(m.base.dim + m.vdim, ops, f"{name}({tag})" if tag else name)
+
+
+def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
+    """The module identities ``ids``, rows (module id, class identity, slot
+    of f_w, sign), as class identities of the semidirect sum: the base
+    indices (i, j) fill the other two slots in order, and the residual at
+    (i, j) is the v x v matrix whose column w is sign times the module part
+    of the class residual (the base part vanishes), flattened row-major."""
+    n, v = m.base.dim, m.vdim
+    d, scaled = clear_denominators(*((m.base.op(op), *pair) for op, pair in blocks.items()))
+    ops = {op: _block_fill(*grids, 0) for op, grids in zip(blocks, scaled)}
+    bounds = {op: max_abs(table) for op, table in ops.items()}
+    compiled = {ident: _compile(terms, ops, n + v, bounds)
+                for ident, _, terms in _CLASS_SYSTEMS[class_name][1]}
+
+    def module_residual(fn, slot, sign):
+        def residual(i, j):
+            out = [0] * (v * v)
+            for w in range(v):
+                idx = [i, j]
+                idx.insert(slot, n + w)
+                column = fn(*idx)
+                if column:
+                    out[w::v] = [sign * x for x in column[n:]]
+            return out
+
+        return residual
+
+    rows = [(ident, 2, 2, module_residual(compiled[cls], slot, sign))
+            for ident, cls, slot, sign in ids]
+    return _run(rows, n, d)
+
+
+#: argument slots of a class identity
+X, Y, Z = 0, 1, 2
+
+#: module id -> (class identity of the semidirect sum, slot of f_w, sign)
+_PRELIE_MODULE_IDS = (
+    ("eq-2.5", "eq-2.2", Z, -1),    # l(x)l(y) - l(x.y) - l(y)l(x) + l(y.x)
+    ("eq-2.6", "eq-2.2", X, 1),     # l(x)r(y) - r(y)l(x) - r(x.y) + r(y)r(x)
+)
+_LDEND_MODULE_IDS = (
+    ("eq-4.1", "eq-3.1", Z, 1),     # [l_r(x), l_r(y)] - l_r([x, y])
+    ("eq-4.2", "eq-3.2", Z, 1),     # [l_r(x), l_l(y)] - l_l(x o y) - l_l(y)l_l(x)
+    ("eq-4.3", "eq-3.1", X, 1),     # r_r(x |> y) + r_r(y)(l_r + l_l - r_r - r_l)(x) - l_r(x)r_r(y)
+    ("eq-4.4", "eq-3.2", X, 1),     # r_r(x <| y) + r_l(y)(l_l - r_r)(x) - l_l(x)(r_r + r_l)(y)
+    ("eq-4.5", "eq-3.2", Y, 1),     # [l_r(x), r_l(y)] - r_l(x * y) + r_l(y)r_l(x)
+)
+
+
+# ---------------------------------------------------------------------------
 # pre-Lie modules
-
-def _mat_mul(a, b) -> list[int]:
-    """Product of two int matrices (row tuples), flattened row-major."""
-    cols = tuple(zip(*b))
-    return [sum(map(mul, row, col)) for row in a for col in cols]
-
-
-def _contractor(family):
-    """x -> sum_i x_i family[i] for a family of int matrices, flattened
-    row-major."""
-    entries = tuple(zip(*(tuple(x for row in m for x in row) for m in family)))
-    return lambda coeffs: [sum(map(mul, coeffs, e)) for e in entries]
-
-
-def _difference(plus, minus) -> list[int]:
-    """Entrywise sum of the ``plus`` lists minus the sum of the ``minus`` lists."""
-    return [sum(p) - sum(q) for p, q in zip(zip(*plus), zip(*minus))]
-
 
 def check_prelie_module(m: PreLieModule) -> CheckReport:
     """Both module identities over all basis pairs, as matrix equalities.
 
     Residuals are the matrix difference of the two sides, flattened row-major.
     """
-    d, (circ, l, r) = clear_denominators(m.base.op("circ"), m.l, m.r)
-    at_l, at_r = _contractor(l), _contractor(r)
-
-    def eq_2_5(i, j):
-        # l(x)l(y) - l(x.y) - l(y)l(x) + l(y.x)
-        return _difference(
-            (_mat_mul(l[i], l[j]), at_l(circ[j][i])),
-            (at_l(circ[i][j]), _mat_mul(l[j], l[i])),
-        )
-
-    def eq_2_6(i, j):
-        # l(x)r(y) - r(y)l(x) - r(x.y) + r(y)r(x)
-        return _difference(
-            (_mat_mul(l[i], r[j]), _mat_mul(r[j], r[i])),
-            (_mat_mul(r[j], l[i]), at_r(circ[i][j])),
-        )
-
-    return _run([("eq-2.5", 2, 2, eq_2_5), ("eq-2.6", 2, 2, eq_2_6)], m.base.dim, d)
+    return _check_module(m, {"circ": (m.l, m.r)}, "pre_lie", _PRELIE_MODULE_IDS)
 
 
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:
@@ -174,7 +221,7 @@ def dual_prelie_module(m: PreLieModule) -> PreLieModule:
     l_star = dual_rep(m.l)
     r_star = dual_rep(m.r)
     new_l = tuple(a - b for a, b in zip(l_star, r_star))
-    new_r = _neg_family(r_star)
+    new_r = tuple(-a for a in r_star)
     return PreLieModule(m.base, m.vdim, new_l, new_r)
 
 
@@ -183,87 +230,20 @@ def semidirect_prelie(m: PreLieModule) -> Algebra:
 
     Base coordinates come first, module coordinates second; V.V = 0.
     """
-    n, v = m.base.dim, m.vdim
-    dim = n + v
-    circ = m.base.op("circ")
-    dense = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dense[i][j][k] = circ[i][j][k]
-        for j in range(v):
-            col = m.l[i].column(j)          # e_i . f_j
-            for k in range(v):
-                dense[i][n + j][n + k] = col[k]
-    for i in range(v):
-        for j in range(n):
-            col = m.r[j].column(i)          # f_i . e_j
-            for k in range(v):
-                dense[n + i][j][n + k] = col[k]
-    table = tuple(tuple(tuple(row) for row in plane) for plane in dense)
-    tag = m.base.class_tag
-    return Algebra(dim, {"circ": table}, f"semidirect_prelie({tag})" if tag else "semidirect_prelie")
+    return _semidirect(m, {"circ": (m.l, m.r)}, "semidirect_prelie")
 
 
 # ---------------------------------------------------------------------------
 # L-dendriform modules
 
+def _ldend_blocks(m: LDendModule):
+    return {"tri_r": (m.l_r, m.r_r), "tri_l": (m.l_l, m.r_l)}
+
+
 def check_ldend_module(m: LDendModule) -> CheckReport:
     """The five module identities over all basis pairs, with the vertical,
     horizontal and bracket products recomputed from the base tables."""
-    d, (tr, tl, lr, rr, ll, rl) = clear_denominators(
-        m.base.op("tri_r"), m.base.op("tri_l"), m.l_r, m.r_r, m.l_l, m.r_l
-    )
-    at_lr, at_rr, at_ll, at_rl = map(_contractor, (lr, rr, ll, rl))
-
-    def bullet(i, j):
-        return [a + b for a, b in zip(tr[i][j], tl[i][j])]
-
-    def eq_4_1(i, j):
-        # [l_r(x), l_r(y)] - l_r([x, y])
-        bracket = [a - b for a, b in zip(bullet(i, j), bullet(j, i))]
-        return _difference((_mat_mul(lr[i], lr[j]),), (_mat_mul(lr[j], lr[i]), at_lr(bracket)))
-
-    def eq_4_2(i, j):
-        # [l_r(x), l_l(y)] - l_l(x o y) - l_l(y)l_l(x)
-        circ = [a - b for a, b in zip(tr[i][j], tl[j][i])]
-        return _difference(
-            (_mat_mul(lr[i], ll[j]),),
-            (_mat_mul(ll[j], lr[i]), at_ll(circ), _mat_mul(ll[j], ll[i])),
-        )
-
-    def eq_4_3(i, j):
-        # r_r(x |> y) - r_r(y)r_r(x) - r_r(y)r_l(x) - [l_r(x), r_r(y)] + r_r(y)l_l(x)
-        return _difference(
-            (at_rr(tr[i][j]), _mat_mul(rr[j], lr[i]), _mat_mul(rr[j], ll[i])),
-            (_mat_mul(rr[j], rr[i]), _mat_mul(rr[j], rl[i]), _mat_mul(lr[i], rr[j])),
-        )
-
-    def eq_4_4(i, j):
-        # r_r(x <| y) - r_l(y)r_r(x) - l_l(x)r_r(y) - [l_l(x), r_l(y)]
-        return _difference(
-            (at_rr(tl[i][j]), _mat_mul(rl[j], ll[i])),
-            (_mat_mul(rl[j], rr[i]), _mat_mul(ll[i], rr[j]), _mat_mul(ll[i], rl[j])),
-        )
-
-    def eq_4_5(i, j):
-        # [l_r(x), r_l(y)] - r_l(x * y) + r_l(y)r_l(x)
-        return _difference(
-            (_mat_mul(lr[i], rl[j]), _mat_mul(rl[j], rl[i])),
-            (_mat_mul(rl[j], lr[i]), at_rl(bullet(i, j))),
-        )
-
-    return _run(
-        [
-            ("eq-4.1", 2, 2, eq_4_1),
-            ("eq-4.2", 2, 2, eq_4_2),
-            ("eq-4.3", 2, 2, eq_4_3),
-            ("eq-4.4", 2, 2, eq_4_4),
-            ("eq-4.5", 2, 2, eq_4_5),
-        ],
-        m.base.dim,
-        d,
-    )
+    return _check_module(m, _ldend_blocks(m), "l_dendriform", _LDEND_MODULE_IDS)
 
 
 def dual_ldend_module(m: LDendModule) -> LDendModule:
@@ -282,29 +262,4 @@ def dual_ldend_module(m: LDendModule) -> LDendModule:
 
 def semidirect_ldend(m: LDendModule) -> Algebra:
     """L-dendriform structure on A + V from the four action families."""
-    n, v = m.base.dim, m.vdim
-    dim = n + v
-
-    def block(table: Table, lfam, rfam) -> Table:
-        dense = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    dense[i][j][k] = table[i][j][k]
-            for j in range(v):
-                col = lfam[i].column(j)
-                for k in range(v):
-                    dense[i][n + j][n + k] = col[k]
-        for i in range(v):
-            for j in range(n):
-                col = rfam[j].column(i)
-                for k in range(v):
-                    dense[n + i][j][n + k] = col[k]
-        return tuple(tuple(tuple(row) for row in plane) for plane in dense)
-
-    ops = {
-        "tri_r": block(m.base.op("tri_r"), m.l_r, m.r_r),
-        "tri_l": block(m.base.op("tri_l"), m.l_l, m.r_l),
-    }
-    tag = m.base.class_tag
-    return Algebra(dim, ops, f"semidirect_ldend({tag})" if tag else "semidirect_ldend")
+    return _semidirect(m, _ldend_blocks(m), "semidirect_ldend")

@@ -46,6 +46,7 @@ from .representations import (
     dual_prelie_module,
     left_family,
     regular_ldend_module,
+    regular_prelie_module,
     right_family,
     semidirect_ldend,
     semidirect_prelie,
@@ -68,87 +69,30 @@ __all__ = [
 ]
 
 
-def _negf(family):
-    return tuple(-m for m in family)
-
-
 def _check_dims(alg: Algebra, r: Tensor2):
     if r.dim != alg.dim:
         raise DimensionMismatch("tensor dimension does not match the algebra")
 
 
 # ---------------------------------------------------------------------------
-# S-equation
+# the tensor equations as signed slot-product rows
 
-def s_residual(alg: Algebra, r: Tensor2) -> Tensor3:
-    """-r12 o r13 + r12 o r23 + [r13, r23], the bracket taken in the
-    sub-adjacent Lie algebra of the circ table."""
-    _check_dims(alg, r)
-    lie = sub_adjacent_lie(alg)
-    both = Algebra(alg.dim, {"circ": alg.op("circ"), "bracket": lie.op("bracket")})
-    t1 = slot_product(r, (1, 2), r, (1, 3), both, "circ")
-    t2 = slot_product(r, (1, 2), r, (2, 3), both, "circ")
-    t3 = slot_product(r, (1, 3), r, (2, 3), both, "bracket")
-    return (-t1) + t2 + t3
-
-
-def _s_alternate_residual(alg: Algebra, r: Tensor2) -> Tensor3:
-    """r13 o r23 + [r12, r23] - r13 o r12  (the equivalent displayed form)."""
-    lie = sub_adjacent_lie(alg)
-    both = Algebra(alg.dim, {"circ": alg.op("circ"), "bracket": lie.op("bracket")})
-    t1 = slot_product(r, (1, 3), r, (2, 3), both, "circ")
-    t2 = slot_product(r, (1, 2), r, (2, 3), both, "bracket")
-    t3 = slot_product(r, (1, 3), r, (1, 2), both, "circ")
-    return t1 + t2 + (-t3)
-
-
-@dataclass(frozen=True)
-class SEquivalenceReport:
-    """Simultaneous-vanishing report for a symmetric tensor: the S-equation
-    residual, its alternate displayed form, and the O-operator condition of
-    the tensor's map for the dual of the regular module."""
-
-    residual: Tensor3
-    alternate: Tensor3
-    operator: CheckReport
-
-    @property
-    def residual_zero(self) -> bool:
-        return self.residual.is_zero
-
-    @property
-    def alternate_zero(self) -> bool:
-        return self.alternate.is_zero
-
-    @property
-    def operator_zero(self) -> bool:
-        return self.operator.passed
-
-    @property
-    def all_vanish(self) -> bool:
-        return self.residual_zero and self.alternate_zero and self.operator_zero
-
-    @property
-    def consistent(self) -> bool:
-        return self.residual_zero == self.alternate_zero == self.operator_zero
-
-
-def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
-    if not r.is_symmetric:
-        raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
-    _check_dims(alg, r)
-    dual = dual_prelie_module(
-        PreLieModule(alg, alg.dim, left_family(alg, "circ"), right_family(alg, "circ"))
-    )
-    return SEquivalenceReport(
-        residual=s_residual(alg, r),
-        alternate=_s_alternate_residual(alg, r),
-        operator=check_o_prelie(tensor_to_map(r), dual),
-    )
-
-
-# ---------------------------------------------------------------------------
-# LD-equation and its permutation variants
+#: eq-2.9 and its alternate displayed form, as (sign, left_slots,
+#: right_slots, op) summands
+_S_FORMS = {
+    # -r12 o r13 + r12 o r23 + [r13, r23]
+    "eq-2.9": (
+        (-1, (1, 2), (1, 3), "circ"),
+        (1, (1, 2), (2, 3), "circ"),
+        (1, (1, 3), (2, 3), "bracket"),
+    ),
+    # r13 o r23 + [r12, r23] - r13 o r12
+    "alternate": (
+        (1, (1, 3), (2, 3), "circ"),
+        (1, (1, 2), (2, 3), "bracket"),
+        (-1, (1, 3), (1, 2), "circ"),
+    ),
+}
 
 #: equation id -> tuple of (sign, left_slots, right_slots, op) summands
 LD_VARIANTS = {
@@ -200,6 +144,80 @@ _VARIANT_ALIASES = {
 }
 
 
+def _slot_sum(carrier: Algebra, r: Tensor2, summands) -> Tensor3:
+    """The signed sum of slot products of r with itself, one per
+    (sign, left_slots, right_slots, op) summand, in order."""
+    total = None
+    for sign, left_slots, right_slots, op in summands:
+        term = slot_product(r, left_slots, r, right_slots, carrier, op)
+        if sign < 0:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# S-equation
+
+def _s_carrier(alg: Algebra) -> Algebra:
+    """The circ table together with its sub-adjacent bracket."""
+    lie = sub_adjacent_lie(alg)
+    return Algebra(alg.dim, {"circ": alg.op("circ"), "bracket": lie.op("bracket")})
+
+
+def s_residual(alg: Algebra, r: Tensor2) -> Tensor3:
+    """-r12 o r13 + r12 o r23 + [r13, r23], the bracket taken in the
+    sub-adjacent Lie algebra of the circ table."""
+    _check_dims(alg, r)
+    return _slot_sum(_s_carrier(alg), r, _S_FORMS["eq-2.9"])
+
+
+@dataclass(frozen=True)
+class SEquivalenceReport:
+    """Simultaneous-vanishing report for a symmetric tensor: the S-equation
+    residual, its alternate displayed form, and the O-operator condition of
+    the tensor's map for the dual of the regular module."""
+
+    residual: Tensor3
+    alternate: Tensor3
+    operator: CheckReport
+
+    @property
+    def residual_zero(self) -> bool:
+        return self.residual.is_zero
+
+    @property
+    def alternate_zero(self) -> bool:
+        return self.alternate.is_zero
+
+    @property
+    def operator_zero(self) -> bool:
+        return self.operator.passed
+
+    @property
+    def all_vanish(self) -> bool:
+        return self.residual_zero and self.alternate_zero and self.operator_zero
+
+    @property
+    def consistent(self) -> bool:
+        return self.residual_zero == self.alternate_zero == self.operator_zero
+
+
+def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
+    if not r.is_symmetric:
+        raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
+    _check_dims(alg, r)
+    dual = dual_prelie_module(regular_prelie_module(alg))
+    return SEquivalenceReport(
+        residual=s_residual(alg, r),
+        alternate=_slot_sum(_s_carrier(alg), r, _S_FORMS["alternate"]),
+        operator=check_o_prelie(tensor_to_map(r), dual),
+    )
+
+
+# ---------------------------------------------------------------------------
+# LD-equation and its permutation variants
+
 def _ld_carrier(alg: Algebra) -> Algebra:
     """The L-dendriform tables together with their derived vertical,
     horizontal and bracket products, for slot-product consumption."""
@@ -228,14 +246,7 @@ def ld_residual(alg: Algebra, r: Tensor2, variant: str = "eq-4.8") -> Tensor3:
         known = sorted(LD_VARIANTS) + sorted(_VARIANT_ALIASES)
         raise ValueError(f"unknown LD-equation variant {variant!r} (choose from {known})")
     _check_dims(alg, r)
-    carrier = _ld_carrier(alg)
-    total = None
-    for sign, left_slots, right_slots, op in LD_VARIANTS[key]:
-        term = slot_product(r, left_slots, r, right_slots, carrier, op)
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return _slot_sum(_ld_carrier(alg), r, LD_VARIANTS[key])
 
 
 @dataclass(frozen=True)
@@ -292,26 +303,30 @@ class LDEquivalenceReport:
         return self.aux_a.is_zero or not self.aux_b.is_zero
 
 
+def _dual_prelie_modules(alg: Algebra) -> tuple[PreLieModule, PreLieModule]:
+    """The duals of the pre-Lie modules (L_r, -L_l) over the vertical and
+    (L_r, R_l) over the horizontal algebra of an L-dendriform algebra."""
+    n = alg.dim
+    lr = left_family(alg, "tri_r")
+    ll = left_family(alg, "tri_l")
+    rl = right_family(alg, "tri_l")
+    vert = vertical_prelie(alg)
+    hor = rename_ops(horizontal_prelie(alg), {"bullet": "circ"})
+    return (
+        dual_prelie_module(PreLieModule(vert, n, lr, tuple(-m for m in ll))),
+        dual_prelie_module(PreLieModule(hor, n, lr, rl)),
+    )
+
+
 def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
     if not r.is_skew:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
-    n = alg.dim
     T = tensor_to_map(r)
-
-    lr = left_family(alg, "tri_r")
-    ll = left_family(alg, "tri_l")
-    rl = right_family(alg, "tri_l")
-
-    m_ldend = dual_ldend_module(regular_ldend_module(alg))
-    vert = vertical_prelie(alg)
-    hor = rename_ops(horizontal_prelie(alg), {"bullet": "circ"})
-    m_vert = dual_prelie_module(PreLieModule(vert, n, lr, _negf(ll)))
-    m_hor = dual_prelie_module(PreLieModule(hor, n, lr, rl))
-
+    m_vert, m_hor = _dual_prelie_modules(alg)
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
-        operator_ldend=check_o_ldend(T, m_ldend),
+        operator_ldend=check_o_ldend(T, dual_ldend_module(regular_ldend_module(alg))),
         operator_vertical=check_o_prelie(T, m_vert),
         operator_horizontal=check_o_prelie(T, m_hor),
         aux_a=ld_residual(alg, r, "eq-4.9"),
@@ -360,13 +375,7 @@ def canonical_double_solution(alg: Algebra) -> tuple[Algebra, Algebra, Tensor2]:
     regular-action module) in which the canonical symmetric tensor
     sum_i (e_i (x) e_i* + e_i* (x) e_i)  solves the S-equation."""
     n = alg.dim
-    lr = left_family(alg, "tri_r")
-    ll = left_family(alg, "tri_l")
-    rl = right_family(alg, "tri_l")
-    vert = vertical_prelie(alg)
-    hor = rename_ops(horizontal_prelie(alg), {"bullet": "circ"})
-    hat_vert = semidirect_prelie(dual_prelie_module(PreLieModule(vert, n, lr, _negf(ll))))
-    hat_hor = semidirect_prelie(dual_prelie_module(PreLieModule(hor, n, lr, rl)))
+    hat_vert, hat_hor = map(semidirect_prelie, _dual_prelie_modules(alg))
     r = tensor2(
         2 * n,
         [(i + 1, n + i + 1, 1) for i in range(n)]

@@ -71,6 +71,30 @@ def test_rat_rejects_floats():
         sa.rat(0.5)
 
 
+def test_booleans_and_non_int_indices_rejected():
+    with pytest.raises(TypeError):
+        sa.rat(True)
+    with pytest.raises(TypeError):
+        sa.algebra(2, {"circ": [(1, 1, 1, True)]})
+    with pytest.raises(TypeError):
+        sa.linmap([[False, 1]])
+    with pytest.raises(TypeError, match=r"index \(True,1,1\) must be ints"):
+        sa.algebra(2, {"circ": [(True, 1, 1, 1)]})
+    with pytest.raises(TypeError, match="must be ints"):
+        sa.tensor2(2, [(1, 1.0, 1)])
+    with pytest.raises(TypeError, match="must be ints"):
+        sa.tensor3(2, [(1, 1, Fraction(1), 1)])
+
+
+def test_out_of_range_index_message():
+    with pytest.raises(sa.DimensionMismatch, match=r"index \(1,3,1\) outside 1\.\.2"):
+        sa.algebra(2, {"circ": [(1, 3, 1, 1)]})
+    with pytest.raises(sa.DimensionMismatch, match=r"index \(0,1\) outside 1\.\.2"):
+        sa.tensor2(2, [(0, 1, 1)])
+    with pytest.raises(sa.DimensionMismatch, match=r"index \(1,1,3\) outside 1\.\.2"):
+        sa.tensor3(2, [(1, 1, 3, 1)])
+
+
 def test_algebra_vocabulary_is_closed():
     with pytest.raises(sa.UnknownOperation):
         sa.zero_algebra(2, ("frobnicate",))

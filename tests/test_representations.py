@@ -1,9 +1,14 @@
 """Module checks, duals and semidirect sums over pre-Lie and L-dendriform
 algebras, including both directions of the module/semidirect equivalences."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import splitalg as sa
+from splitalg import catalog
 from splitalg.representations import (
     left_family,
     regular_ldend_module,
@@ -228,3 +233,87 @@ def test_ldend_dual_prelie_modules_match_cited_tuples(ld2):
     ll_s = sa.dual_rep(ll)
     assert d_vert.l == tuple(a + b for a, b in zip(lr_s, ll_s))
     assert d_vert.r == ll_s
+
+
+# ---------------------------------------------------------------------------
+# the module/semidirect equivalence on generated inputs
+
+def _catalog_base(name):
+    alg = catalog.build(name)
+    if alg.has_op("bullet"):
+        return sa.rename_ops(alg, {"bullet": "circ"})
+    if alg.has_op("succ"):
+        return sa.dendriform_to_ldend(alg)
+    return alg
+
+
+def _scaled(alg, c):
+    return sa.Algebra(alg.dim, {name: tuple(tuple(tuple(c * x for x in vec) for vec in plane)
+                                            for plane in table)
+                                for name, table in alg.ops.items()})
+
+
+def _bumped(grid, index, delta):
+    """A nested tuple grid with delta added to the entry at ``index``."""
+    head, *rest = index
+    entry = grid[head] + delta if not rest else _bumped(grid[head], rest, delta)
+    return grid[:head] + (entry,) + grid[head + 1:]
+
+
+def _padded(family, k):
+    """Each matrix direct-summed with a zero k x k block (the module plus a
+    trivial k-dimensional one)."""
+    return tuple(
+        sa.linmap([list(row) + [0] * k for row in m.entries] + [[0] * (m.cols + k)] * k)
+        for m in family
+    )
+
+
+#: class -> (catalog members, families, regular, dual, constructor,
+#: semidirect sum, module check)
+_MODULE_CLASSES = {
+    "pre_lie": (("Z2", "P1", "P2", "N2", "LD2_VERT", "LD2_HOR"), ("l", "r"),
+                regular_prelie_module, sa.dual_prelie_module, sa.PreLieModule,
+                sa.semidirect_prelie, sa.check_prelie_module),
+    "l_dendriform": (("LD2", "D1"), ("l_r", "r_r", "l_l", "r_l"),
+                     regular_ldend_module, sa.dual_ldend_module, sa.LDendModule,
+                     sa.semidirect_ldend, sa.check_ldend_module),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(_MODULE_CLASSES))
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_module_iff_semidirect_in_class(class_name, data):
+    """A + V is in the class exactly when A is and (V, families) is a module:
+    zero, regular and dual modules of scaled catalog members, padded to
+    vdim != dim, with one family entry (and sometimes the base) perturbed."""
+    names, fields, regular, dual, make, semidirect, check = _MODULE_CLASSES[class_name]
+    draw = data.draw
+    base = _catalog_base(draw(st.sampled_from(names)))
+    base = _scaled(base, draw(st.sampled_from((Fraction(1), Fraction(-2), Fraction(1, 3)))))
+    n = base.dim
+    if draw(st.integers(0, 3)) == 0:
+        op = draw(st.sampled_from(sorted(base.ops)))
+        index = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        base = sa.Algebra(n, {**base.ops, op: _bumped(base.op(op), index, Fraction(1, 2))})
+    kind = draw(st.sampled_from(("zero", "regular", "dual")))
+    if kind == "zero":
+        vdim = draw(st.integers(1, 3))
+        families = [zeros(vdim, n) for _ in fields]
+    else:
+        m = regular(base) if kind == "regular" else dual(regular(base))
+        k = draw(st.integers(0, 1))
+        vdim = n + k
+        families = [_padded(getattr(m, f), k) for f in fields]
+    if draw(st.booleans()):
+        f = draw(st.integers(0, len(fields) - 1))
+        i, a, b = draw(st.tuples(st.integers(0, n - 1), *[st.integers(0, vdim - 1)] * 2))
+        matrix = families[f][i]
+        bumped = sa.LinearMap(vdim, vdim, _bumped(matrix.entries, (a, b), draw(
+            st.sampled_from((Fraction(1), Fraction(-1, 3))))))
+        families[f] = families[f][:i] + (bumped,) + families[f][i + 1:]
+    m = make(base, vdim, *families)
+    expected = sa.check_class(base, class_name).passed and check(m).passed
+    event(f"in class: {expected}")
+    assert sa.check_class(semidirect(m), class_name).passed == expected
