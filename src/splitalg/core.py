@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lshift
+from itertools import chain
+from operator import add, lshift, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -58,6 +59,14 @@ def is_int(value) -> bool:
     """An int that is not a bool (``True`` is an int subclass, not a number
     here)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rationals(entries: Iterable, what: str):
+    """Refuse ``entries`` unless each is a Fraction or an int that is not a
+    bool: floats would round, and ``True`` is not the number 1 here."""
+    for x in entries:
+        if type(x) is not Fraction and type(x) is not int:
+            raise TypeError(f"{what} holds an entry that is not an exact rational: {x!r}")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -216,6 +225,7 @@ class Algebra:
                 for plane in table
             ):
                 raise DimensionMismatch(f"table {name!r} is not {self.dim}^3")
+            _check_rationals(chain.from_iterable(chain.from_iterable(table)), f"table {name!r}")
         object.__setattr__(self, "ops", MappingProxyType(dict(self.ops)))
 
     def __eq__(self, other):
@@ -307,6 +317,7 @@ class LinearMap:
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise DimensionMismatch("entry grid does not match rows x cols")
+        _check_rationals(chain.from_iterable(self.entries), "linear map")
 
     @staticmethod
     def from_rows(entries: Iterable[Iterable]) -> "LinearMap":
@@ -469,6 +480,7 @@ class Tensor2:
     def __post_init__(self):
         if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
             raise DimensionMismatch("tensor entries are not dim x dim")
+        _check_rationals(chain.from_iterable(self.entries), "tensor")
 
     @property
     def is_symmetric(self) -> bool:
@@ -540,6 +552,7 @@ class Tensor3:
             len(p) != d or any(len(r) != d for r in p) for p in self.entries
         ):
             raise DimensionMismatch("tensor entries are not dim^3")
+        _check_rationals(chain.from_iterable(chain.from_iterable(self.entries)), "tensor")
 
     @property
     def is_zero(self) -> bool:
@@ -605,6 +618,7 @@ class BilinearForm:
     def __post_init__(self):
         if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
             raise DimensionMismatch("gram matrix is not dim x dim")
+        _check_rationals(chain.from_iterable(self.gram), "gram matrix")
 
     def evaluate(self, u: Sequence, v: Sequence) -> Fraction:
         if len(u) != self.dim or len(v) != self.dim:
@@ -665,43 +679,7 @@ def slot_product(
     corresponding tensor's remaining component.  For instance slots (1,2) and
     (1,3) give  sum a_i*a_j (x) b_i (x) b_j.
     """
-    for pair in (r_slots, s_slots):
-        if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= {1, 2, 3}:
-            raise ValueError(f"invalid slot pair {pair!r}")
-    shared_set = set(r_slots) & set(s_slots)
-    if len(shared_set) != 1:
-        raise ValueError(f"slot pairs {r_slots} and {s_slots} must share exactly one slot")
-    if r.dim != alg.dim or s.dim != alg.dim:
-        raise DimensionMismatch("tensor dimensions do not match the algebra")
-    (shared,) = shared_set
-    r_other = r_slots[0] if r_slots[1] == shared else r_slots[1]
-    s_other = s_slots[0] if s_slots[1] == shared else s_slots[1]
-    r_shared_first = r_slots[0] == shared
-    s_shared_first = s_slots[0] == shared
-
-    table = alg.op(op)
-    n = alg.dim
-    out = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    pos = [0, 0, 0]
-    for u in range(n):          # r's component in the shared slot
-        for x in range(n):      # r's component in its other slot
-            cr = r.entries[u][x] if r_shared_first else r.entries[x][u]
-            if not cr:
-                continue
-            pos[r_other - 1] = x
-            for v in range(n):  # s's component in the shared slot
-                prod = table[u][v]
-                for y in range(n):
-                    cs = s.entries[v][y] if s_shared_first else s.entries[y][v]
-                    if not cs:
-                        continue
-                    pos[s_other - 1] = y
-                    c = cr * cs
-                    for k, w in enumerate(prod):
-                        if w:
-                            pos[shared - 1] = k
-                            out[pos[0]][pos[1]][pos[2]] += c * w
-    return tensor3_from_entries(out)
+    return slot_sum(((1, r, r_slots, s, s_slots, op),), {op: alg.op(op)})
 
 
 def tensor_to_map(r: Tensor2) -> LinearMap:
@@ -823,3 +801,106 @@ def unpack(packed: int, count: int, width: int) -> list[int]:
         out.append(x)
         packed = (packed - x) >> width
     return out
+
+
+# ---------------------------------------------------------------------------
+# slot products on ints
+
+def _slot_layout(r_slots, s_slots, n: int) -> tuple[bool, bool, int, int, int]:
+    """Whether r and s put their shared-slot component first, and the flat
+    strides of the shared slot, r's other slot and s's other slot."""
+    for pair in (r_slots, s_slots):
+        if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= {1, 2, 3}:
+            raise ValueError(f"invalid slot pair {pair!r}")
+    shared_set = set(r_slots) & set(s_slots)
+    if len(shared_set) != 1:
+        raise ValueError(f"slot pairs {r_slots} and {s_slots} must share exactly one slot")
+    (shared,) = shared_set
+    r_other = r_slots[0] if r_slots[1] == shared else r_slots[1]
+    s_other = s_slots[0] if s_slots[1] == shared else s_slots[1]
+    stride = {1: n * n, 2: n, 3: 1}
+    return (r_slots[0] == shared, s_slots[0] == shared,
+            stride[shared], stride[r_other], stride[s_other])
+
+
+def _by_shared(t: Tensor2, shared_first: bool) -> dict[int, list]:
+    """t's nonzero entries grouped by the component in the shared slot:
+    u -> [(other component, (numerator, denominator)), ...]."""
+    groups: dict[int, list] = {}
+    for i, row in enumerate(t.entries):
+        for j, c in enumerate(row):
+            if c:
+                u, x = (i, j) if shared_first else (j, i)
+                groups.setdefault(u, []).append((x, c.as_integer_ratio()))
+    return groups
+
+
+def slot_sum(
+    terms, tables: Mapping[str, Table], derived: Mapping[str, Sequence] = MappingProxyType({})
+) -> Tensor3:
+    """Signed sum of slot products (see :func:`slot_product`), evaluated on ints.
+
+    ``terms`` are ``(sign, r, r_slots, s, s_slots, op)`` rows.  ``op`` names
+    a table in ``tables`` or a derived product in ``derived``: ``derived[op]``
+    lists ``(sign, name, flipped)`` parts, the derived table being the sum of
+    the named tables with signs +1 or -1, each with its two arguments swapped when
+    ``flipped`` (flip(t)[u][v] = t[v][u]).
+
+    Only the nonzero entries of r and s are walked, and only the table rows
+    [u][v] they meet are derived.  Those entries and rows are scaled by the
+    least common denominator d of their entries; every term has degree 2 in
+    the tensors and 1 in the tables, so the residual is the int sum / d**3.
+    """
+    n = len(next(iter(tables.values())))
+    plans = []
+    for sign, r, r_slots, s, s_slots, op in terms:
+        r_first, s_first, *strides = _slot_layout(r_slots, s_slots, n)
+        if r.dim != n or s.dim != n:
+            raise DimensionMismatch("tensor dimensions do not match the algebra")
+        plans.append((sign, _by_shared(r, r_first), _by_shared(s, s_first), op, strides))
+
+    # the rows the entries meet, and the table rows they are derived from
+    rows = dict.fromkeys((op, u, v) for _, r_groups, s_groups, op, _ in plans
+                         for u in r_groups for v in s_groups)
+    base = {}                       # (name, a, b) -> table[a][b] as (numerator, denominator)
+    for op, u, v in rows:
+        for _, name, flipped in derived.get(op, ((1, op, False),)):
+            key = (name, v, u) if flipped else (name, u, v)
+            if key not in base:
+                base[key] = [x.as_integer_ratio() for x in tables[name][key[1]][key[2]]]
+    denominators = {b for vec in base.values() for _, b in vec}
+    for _, r_groups, s_groups, _, _ in plans:
+        for groups in (r_groups, s_groups):
+            denominators.update(b for entries in groups.values() for _, (_, b) in entries)
+    d = math.lcm(*denominators)
+
+    base = {key: [a * (d // b) for a, b in vec] for key, vec in base.items()}
+    for op, u, v in rows:
+        vec = [0] * n
+        for sign, name, flipped in derived.get(op, ((1, op, False),)):
+            row = base[(name, v, u) if flipped else (name, u, v)]
+            vec = list(map(add if sign > 0 else sub, vec, row))
+        rows[op, u, v] = [(k, w) for k, w in enumerate(vec) if w]
+
+    acc = [0] * n ** 3
+    for sign, r_groups, s_groups, op, (k_stride, x_stride, y_stride) in plans:
+        s_groups = [(v, [(y * y_stride, a * (d // b)) for y, (a, b) in entries])
+                    for v, entries in s_groups.items()]
+        for u, entries in r_groups.items():
+            r_entries = [(x * x_stride, sign * a * (d // b)) for x, (a, b) in entries]
+            for v, s_entries in s_groups:
+                row = [(k * k_stride, w) for k, w in rows[op, u, v]]
+                if not row:
+                    continue
+                for x_off, cr in r_entries:
+                    scaled_row = [(x_off + k_off, cr * w) for k_off, w in row]
+                    for y_off, cs in s_entries:
+                        for off, cw in scaled_row:
+                            acc[off + y_off] += cs * cw
+
+    scale = d ** 3
+    flat = [Fraction(x, scale) if x else _ZERO for x in acc]
+    return Tensor3(n, tuple(
+        tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
+        for i in range(n)
+    ))

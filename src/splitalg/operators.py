@@ -69,26 +69,33 @@ def _columns(family):
     return [tuple(zip(*m)) for m in family]
 
 
-def _o_identity(T, table, l_images, r_images, r_sign: int):
-    """Int residual function of  T(u).T(v) - T(l(T(u))v + r_sign * r(T(v))u)
+def _o_bits(n: int, vdim: int, big: int) -> int:
+    """Packed field width for the O-operator residuals over a base of
+    dimension n and a module of dimension vdim, all inputs bounded by big."""
+    return field_width((n * n + 2 * n * vdim) * big ** 3)
+
+
+def _packed_columns(table, bits: int):
+    """by_b[b][a] = e_a . e_b, packed."""
+    return tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
+
+
+def _o_packed(T, by_b, l_images, r_images, r_sign: int, bits: int):
+    """Packed int residual of  T(u).T(v) - T(l(T(u))v + r_sign * r(T(v))u)
     over module basis pairs (u, v), of degree 3 in its inputs.
 
-    T holds int rows (base x module), ``table`` is the base product, and
-    ``l_images[a][v]`` / ``r_images[a][v]`` are l(e_a) / r(e_a) applied to
-    the v-th module basis vector.  Vectors in the base are packed, and every
+    T holds int rows (base x module), ``by_b`` is the packed base product
+    (see :func:`_packed_columns`), and ``l_images[a][v]`` / ``r_images[a][v]``
+    are l(e_a) / r(e_a) applied to the v-th module basis vector.  Every
     product that does not depend on both u and v is formed once.
     """
-    n, vdim = len(T), len(T[0])
-    big = max(max_abs(T), max_abs(table), max_abs(l_images), max_abs(r_images))
-    bits = field_width((n * n + 2 * n * vdim) * big ** 3)
     images = tuple(zip(*T))                     # images[u] = T(f_u), a base vector
     packed_t = [pack(col, bits) for col in images]
 
     def t_of(vec):                              # T(vec), packed
         return sum(map(mul, vec, packed_t))
 
-    # by_b[b][a] = e_a . e_b,  l_by_v[v][a] = T(l(e_a) f_v),  r_by_u[u][a] = T(r(e_a) f_u)
-    by_b = tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
+    # l_by_v[v][a] = T(l(e_a) f_v),  r_by_u[u][a] = T(r(e_a) f_u)
     l_by_v = tuple(zip(*[[t_of(img) for img in row] for row in l_images]))
     r_by_u = tuple(zip(*[[t_of(img) for img in row] for row in r_images]))
     # left_of[u][b] = T(f_u) . e_b,  l_term[u][v] = T(l(T(f_u)) f_v)
@@ -97,7 +104,21 @@ def _o_identity(T, table, l_images, r_images, r_sign: int):
 
     def residual(u, v):
         tv = images[v]
-        p = sum(map(mul, tv, left_of[u])) - l_term[u][v] - r_sign * sum(map(mul, tv, r_by_u[u]))
+        return sum(map(mul, tv, left_of[u])) - l_term[u][v] - r_sign * sum(map(mul, tv, r_by_u[u]))
+
+    return residual
+
+
+def _o_identity(T, table, l_images, r_images, r_sign: int):
+    """The residual function of :func:`_o_packed` for :func:`axioms._run`:
+    the unpacked base vector, empty where the identity holds."""
+    n, vdim = len(T), len(T[0])
+    big = max(max_abs(T), max_abs(table), max_abs(l_images), max_abs(r_images))
+    bits = _o_bits(n, vdim, big)
+    packed = _o_packed(T, _packed_columns(table, bits), l_images, r_images, r_sign, bits)
+
+    def residual(u, v):
+        p = packed(u, v)
         return unpack(p, n, bits) if p else ()
 
     return residual
@@ -325,9 +346,18 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     total = len(values) ** (n * n)
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")
+    # The identity is homogeneous in R and in the table, so pass/fail does not
+    # depend on the common denominator: scale and pack once per search.
+    _, (circ, ints) = clear_denominators(alg.op("circ"), values)
+    bits = _o_bits(n, n, max(max_abs(circ), max_abs(ints)))
+    by_b = _packed_columns(circ, bits)
+    r_images = tuple(zip(*circ))               # the regular module, as in the check
+    pairs = tuple(itertools.product(range(n), repeat=2))
+    exact = dict(zip(ints, values))
     found = []
-    for flat in itertools.product(values, repeat=n * n):
-        R = LinearMap(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        if check_rota_baxter_prelie(R, alg).passed:
-            found.append(R)
+    for flat in itertools.product(ints, repeat=n * n):
+        rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        residual = _o_packed(rows, by_b, circ, r_images, 1, bits)
+        if not any(residual(u, v) for u, v in pairs):
+            found.append(LinearMap(n, n, tuple(tuple(map(exact.__getitem__, row)) for row in rows)))
     return found

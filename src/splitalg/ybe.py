@@ -33,11 +33,11 @@ from .core import (
     exchange,
     form_from_invertible_map,
     rename_ops,
-    slot_product,
+    slot_sum,
     tensor2,
     tensor_to_map,
 )
-from .functors import horizontal_prelie, sub_adjacent_lie, vertical_prelie
+from .functors import horizontal_prelie, vertical_prelie
 from .operators import check_o_ldend, check_o_prelie
 from .representations import (
     LDendModule,
@@ -144,32 +144,40 @@ _VARIANT_ALIASES = {
 }
 
 
-def _slot_sum(carrier: Algebra, r: Tensor2, summands) -> Tensor3:
+def _commutator(parts):
+    """The derived-op parts of [x, y] = x * y - y * x, given those of *."""
+    return parts + tuple((-sign, name, not flipped) for sign, name, flipped in parts)
+
+
+#: derived products as (sign, table, flipped) parts: the S-equation's
+#: bracket is the commutator of circ
+_S_DERIVED = {"bracket": _commutator(((1, "circ", False),))}
+
+#: x o y = x |> y - y <| x (vertical),  x . y = x |> y + x <| y (horizontal),
+#: and the bracket of the vertical product
+_VERTICAL = ((1, "tri_r", False), (-1, "tri_l", True))
+_LD_DERIVED = {
+    "circ": _VERTICAL,
+    "bullet": ((1, "tri_r", False), (1, "tri_l", False)),
+    "bracket": _commutator(_VERTICAL),
+}
+
+
+def _slot_sum(tables, derived, r: Tensor2, summands) -> Tensor3:
     """The signed sum of slot products of r with itself, one per
-    (sign, left_slots, right_slots, op) summand, in order."""
-    total = None
-    for sign, left_slots, right_slots, op in summands:
-        term = slot_product(r, left_slots, r, right_slots, carrier, op)
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    (sign, left_slots, right_slots, op) summand."""
+    terms = [(sign, r, left, r, right, op) for sign, left, right, op in summands]
+    return slot_sum(terms, tables, derived)
 
 
 # ---------------------------------------------------------------------------
 # S-equation
 
-def _s_carrier(alg: Algebra) -> Algebra:
-    """The circ table together with its sub-adjacent bracket."""
-    lie = sub_adjacent_lie(alg)
-    return Algebra(alg.dim, {"circ": alg.op("circ"), "bracket": lie.op("bracket")})
-
-
 def s_residual(alg: Algebra, r: Tensor2) -> Tensor3:
     """-r12 o r13 + r12 o r23 + [r13, r23], the bracket taken in the
     sub-adjacent Lie algebra of the circ table."""
     _check_dims(alg, r)
-    return _slot_sum(_s_carrier(alg), r, _S_FORMS["eq-2.9"])
+    return _slot_sum({"circ": alg.op("circ")}, _S_DERIVED, r, _S_FORMS["eq-2.9"])
 
 
 @dataclass(frozen=True)
@@ -210,33 +218,13 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
     dual = dual_prelie_module(regular_prelie_module(alg))
     return SEquivalenceReport(
         residual=s_residual(alg, r),
-        alternate=_slot_sum(_s_carrier(alg), r, _S_FORMS["alternate"]),
+        alternate=_slot_sum({"circ": alg.op("circ")}, _S_DERIVED, r, _S_FORMS["alternate"]),
         operator=check_o_prelie(tensor_to_map(r), dual),
     )
 
 
 # ---------------------------------------------------------------------------
 # LD-equation and its permutation variants
-
-def _ld_carrier(alg: Algebra) -> Algebra:
-    """The L-dendriform tables together with their derived vertical,
-    horizontal and bracket products, for slot-product consumption."""
-    tr = alg.op("tri_r")
-    tl = alg.op("tri_l")
-    vert = vertical_prelie(alg)
-    hor = horizontal_prelie(alg)
-    lie = sub_adjacent_lie(vert)
-    return Algebra(
-        alg.dim,
-        {
-            "tri_r": tr,
-            "tri_l": tl,
-            "circ": vert.op("circ"),
-            "bullet": hor.op("bullet"),
-            "bracket": lie.op("bracket"),
-        },
-    )
-
 
 def ld_residual(alg: Algebra, r: Tensor2, variant: str = "eq-4.8") -> Tensor3:
     """Exact residual of the selected LD-equation variant (an equation id
@@ -246,7 +234,8 @@ def ld_residual(alg: Algebra, r: Tensor2, variant: str = "eq-4.8") -> Tensor3:
         known = sorted(LD_VARIANTS) + sorted(_VARIANT_ALIASES)
         raise ValueError(f"unknown LD-equation variant {variant!r} (choose from {known})")
     _check_dims(alg, r)
-    return _slot_sum(_ld_carrier(alg), r, LD_VARIANTS[key])
+    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
+    return _slot_sum(tables, _LD_DERIVED, r, LD_VARIANTS[key])
 
 
 @dataclass(frozen=True)

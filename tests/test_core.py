@@ -86,6 +86,23 @@ def test_booleans_and_non_int_indices_rejected():
         sa.tensor3(2, [(1, 1, Fraction(1), 1)])
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1"])
+@pytest.mark.parametrize("build", [
+    lambda x: sa.Algebra(1, {"circ": (((x,),),)}),
+    lambda x: sa.LinearMap(1, 2, ((Fraction(1), x),)),
+    lambda x: sa.Tensor2(1, ((x,),)),
+    lambda x: sa.Tensor3(1, (((x,),),)),
+    lambda x: sa.BilinearForm(1, ((x,),)),
+], ids=["Algebra", "LinearMap", "Tensor2", "Tensor3", "BilinearForm"])
+def test_value_constructors_refuse_inexact_entries(build, bad):
+    """Floats, booleans and strings never reach the integer kernels, which
+    read numerators and denominators."""
+    with pytest.raises(TypeError, match=f"not an exact rational: {bad!r}"):
+        build(bad)
+    assert build(Fraction(1, 2)) == build(Fraction(1, 2))
+    assert build(3) == build(Fraction(3))
+
+
 def test_out_of_range_index_message():
     with pytest.raises(sa.DimensionMismatch, match=r"index \(1,3,1\) outside 1\.\.2"):
         sa.algebra(2, {"circ": [(1, 3, 1, 1)]})

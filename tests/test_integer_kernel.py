@@ -1,10 +1,11 @@
-"""The integer kernel against the Fraction oracle.
+"""The integer kernel against the Fraction oracles.
 
 Every identity check must give the same report as the original closures in
 ``naive_checks``: the same identity ids in the same order, the same 1-based
-indices and the same string for every residual entry.  Inputs have
-denominators in {1, 2, 3, 6, 7}, each object with its own extra scale (so T
-over 1/5 meets tables over 1/3), and are sometimes all zero.
+indices and the same string for every residual entry.  Every tensor equation
+must give the same Tensor3 as the term expansion in ``naive_tensor``.
+Inputs have denominators in {1, 2, 3, 6, 7}, each object with its own extra
+scale (so T over 1/5 meets tables over 1/3), and are sometimes all zero.
 """
 
 from fractions import Fraction
@@ -21,6 +22,13 @@ from splitalg.core import clear_denominators, field_width, pack, unpack
 from splitalg.ybe import _check_companion_identity
 
 import naive_checks as naive
+from naive_tensor import (
+    commutator_table,
+    naive_ld_residual,
+    naive_s_residual,
+    naive_slot_product,
+    t3_combine,
+)
 
 DENOMINATORS = (1, 2, 3, 6, 7)
 SCALES = (1, 3, 5)
@@ -222,3 +230,94 @@ def test_scaled_rota_baxter_operators_pass(p2, rb_operators_p2):
     alg = scaled(p2, Fraction(2, 3))
     for R in rb_operators_p2:
         assert same_report("check_rota_baxter_prelie", R.scale(Fraction(-1, 5)), alg) == []
+
+
+# ---------------------------------------------------------------------------
+# tensor equations
+
+tensor_dims = st.integers(min_value=1, max_value=4)
+
+SLOT_PAIRS = (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3)),
+              ((2, 3), (1, 2)), ((1, 3), (1, 2)), ((2, 3), (1, 3)))
+
+ALIASES = {"main": "eq-4.8", "aux-a": "eq-4.9", "aux-b": "eq-4.10",
+           "p1": "eq-4.11", "p2": "eq-4.12", "p3": "eq-4.13", "p4": "eq-4.14"}
+
+
+@st.composite
+def integral_grids(draw, shape):
+    nums = draw(st.lists(st.integers(-3, 3), min_size=prod(shape), max_size=prod(shape)))
+    return _nest([Fraction(a) for a in nums], shape)
+
+
+@st.composite
+def tensors(draw, n):
+    """A rank-2 tensor: dense, or with at most n nonzero entries, or zero."""
+    entries = draw(grids((n, n)))
+    if draw(st.booleans()):
+        keep = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+        entries = tuple(tuple(x if (i, j) in keep else Fraction(0) for j, x in enumerate(row))
+                        for i, row in enumerate(entries))
+    return sa.Tensor2(n, entries)
+
+
+def lists(grid):
+    return [lists(sub) for sub in grid] if isinstance(grid[0], tuple) else list(grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slot_products_match_oracle(data):
+    n = data.draw(tensor_dims)
+    table = data.draw(grids((n, n, n)))
+    alg = sa.Algebra(n, {"tri_l": table})
+    r, s = data.draw(tensors(n)), data.draw(tensors(n))
+    for r_slots, s_slots in SLOT_PAIRS:
+        ours = sa.slot_product(r, r_slots, s, s_slots, alg, "tri_l")
+        naive_entries = naive_slot_product(lists(r.entries), r_slots, lists(s.entries), s_slots,
+                                           lists(table))
+        assert ours == sa.tensor3_from_entries(naive_entries), (r_slots, s_slots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_s_equation_matches_oracle(data):
+    n = data.draw(tensor_dims)
+    alg = sa.Algebra(n, {"circ": data.draw(st.one_of(grids((n, n, n)),
+                                                     integral_grids((n, n, n))))})
+    r = data.draw(tensors(n))
+    circ = lists(alg.op("circ"))
+    naive_entries = naive_s_residual(circ, lists(r.entries))
+    assert sa.s_residual(alg, r) == sa.tensor3_from_entries(naive_entries)
+
+    sym = sa.Tensor2(n, tuple(tuple(r.entries[i][j] + r.entries[j][i] for j in range(n))
+                              for i in range(n)))
+    report = sa.s_equivalence_check(alg, sym)
+    rs = lists(sym.entries)
+    # r13 o r23 + [r12, r23] - r13 o r12
+    alternate = t3_combine([
+        (Fraction(1), naive_slot_product(rs, (1, 3), rs, (2, 3), circ)),
+        (Fraction(1), naive_slot_product(rs, (1, 2), rs, (2, 3), commutator_table(circ))),
+        (Fraction(-1), naive_slot_product(rs, (1, 3), rs, (1, 2), circ)),
+    ])
+    assert report.residual == sa.tensor3_from_entries(naive_s_residual(circ, rs))
+    assert report.alternate == sa.tensor3_from_entries(alternate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ld_equation_matches_oracle(data):
+    """All seven variants and their aliases; in half the examples tri_r is
+    integral and only tri_l carries denominators."""
+    n = data.draw(tensor_dims)
+    shape = (n, n, n)
+    tri_r = data.draw(st.one_of(grids(shape), integral_grids(shape)))
+    alg = sa.Algebra(n, {"tri_r": tri_r, "tri_l": data.draw(grids(shape))})
+    r = data.draw(tensors(n))
+    for variant in sa.LD_VARIANTS:
+        naive_entries = naive_ld_residual(lists(tri_r), lists(alg.op("tri_l")),
+                                          lists(r.entries), variant)
+        assert sa.ld_residual(alg, r, variant) == sa.tensor3_from_entries(naive_entries), variant
+    for alias, variant in ALIASES.items():
+        assert sa.ld_residual(alg, r, alias) == sa.ld_residual(alg, r, variant)
+

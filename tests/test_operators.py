@@ -1,8 +1,11 @@
 """Rota-Baxter and O-operator checks plus every induced construction."""
 
+import itertools
+
 import pytest
 
 import splitalg as sa
+from splitalg import catalog
 from splitalg.representations import (
     left_family,
     regular_ldend_module,
@@ -287,6 +290,30 @@ def test_search_rb_p1(p1):
 def test_search_rb_lexicographic(p2, rb_operators_p2):
     flats = [tuple(x for row in T.entries for x in row) for T in rb_operators_p2]
     assert flats == sorted(flats)
+
+
+def _enumerate_rb(alg, entry_set):
+    """The search as a plain enumeration: one Rota-Baxter check per candidate."""
+    n = alg.dim
+    values = sorted({sa.rat(x) for x in entry_set})
+    found = []
+    for flat in itertools.product(values, repeat=n * n):
+        R = sa.LinearMap(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+        if sa.check_rota_baxter_prelie(R, alg).passed:
+            found.append(R)
+    return found
+
+
+@pytest.mark.parametrize("entry_set", [[-1, 0, 1], ["1/2", 0, -2], ["-1/3", 0, "1/2", 1]])
+@pytest.mark.parametrize("name", ["Z2", "P1", "P2", "N2", "LD2_VERT"])
+def test_search_rb_matches_enumeration(name, entry_set):
+    alg = catalog.build(name)
+    halved = sa.Algebra(alg.dim, {"circ": tuple(tuple(tuple(x / 2 for x in vec) for vec in plane)
+                                                 for plane in alg.op("circ"))})
+    for a in (alg, halved):
+        found = sa.search_rb(a, entry_set)
+        assert found
+        assert repr(found) == repr(_enumerate_rb(a, entry_set))
 
 
 def test_search_rb_cap(p2):
