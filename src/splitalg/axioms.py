@@ -25,12 +25,13 @@ from .core import (
     DimensionMismatch,
     UnknownOperation,
     clear_denominators,
+    derive,
     field_width,
     max_abs,
     pack,
-    table_add,
     unpack,
 )
+from .functors import DENDRIFORM_STAR, HORIZONTAL, QUADRI_DERIVED
 
 __all__ = [
     "CLASS_NAMES",
@@ -196,15 +197,15 @@ def _compile(terms, ops, n: int, bounds):
 def _check_system(system, dim: int, tables, form: BilinearForm | None = None,
                   derived=None) -> CheckReport:
     """Evaluate identity rows (id, arity, terms) on the named Fraction
-    tables, an optional form (the table "B") and derived tables, each the
-    sum of the named tables."""
+    tables, an optional form (the table "B") and derived tables (name ->
+    parts, see :func:`splitalg.core.derive`)."""
     grids = list(tables.values()) + ([] if form is None else [form.gram])
     d, scaled = clear_denominators(*grids)
     ops = dict(zip(tables, scaled))
     if form is not None:
         ops["B"] = tuple(tuple((x,) for x in row) for row in scaled[-1])
     for name, parts in (derived or {}).items():
-        ops[name] = table_add(*(ops[part] for part in parts))
+        ops[name] = derive(ops, parts)
     bounds = {name: max_abs(table) for name, table in ops.items()}
     return _run(
         [(ident, arity, _DEGREE[terms[0][1]], _compile(terms, ops, dim, bounds))
@@ -242,7 +243,7 @@ _CLASS_SYSTEMS = {
     "associative": ({}, (
         ("associativity", 3, _assoc("circ", "circ")),
     )),
-    "dendriform": ({"star": ("succ", "prec")}, (
+    "dendriform": ({"star": DENDRIFORM_STAR}, (
         ("eq-1.1-left", 3, ((1, LEFT, "prec", "prec", XYZ), (-1, RIGHT, "prec", "star", XYZ))),
         ("eq-1.1-mid", 3, ((1, LEFT, "succ", "prec", XYZ), (-1, RIGHT, "succ", "prec", XYZ))),
         ("eq-1.1-right", 3, ((1, RIGHT, "succ", "succ", XYZ), (-1, LEFT, "star", "succ", XYZ))),
@@ -267,13 +268,7 @@ _CLASS_SYSTEMS = {
         )),
     )),
     "quadri": (
-        {
-            "succ": ("ne", "se"),
-            "prec": ("nw", "sw"),
-            "vee": ("se", "sw"),
-            "wedge": ("ne", "nw"),
-            "star": ("se", "ne", "nw", "sw"),
-        },
+        {name: QUADRI_DERIVED[name] for name in ("succ", "prec", "vee", "wedge", "star")},
         (
             ("eq-3.17-left", 3, _pair("nw", "nw", "nw", "star")),
             ("eq-3.17-mid", 3, _pair("nw", "ne", "ne", "prec")),
@@ -340,6 +335,4 @@ def check_ldend_cocycle(alg: Algebra, B: BilinearForm) -> CheckReport:
     tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
     if B.dim != alg.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
-    return _check_system(
-        _LDEND_COCYCLE, alg.dim, tables, B, {"bullet": ("tri_r", "tri_l")}
-    )
+    return _check_system(_LDEND_COCYCLE, alg.dim, tables, B, {"bullet": HORIZONTAL})

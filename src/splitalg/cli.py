@@ -215,7 +215,13 @@ def _cmd_induce(args) -> int:
 
 def _cmd_search_rb(args) -> int:
     alg = read_algebra(args.algebra)
-    entry_set = [rat(piece.strip()) for piece in args.entry_set.split(",") if piece.strip()]
+    entry_set = []
+    for piece in filter(None, map(str.strip, args.entry_set.split(","))):
+        try:
+            entry_set.append(rat(piece))
+        except (ValueError, ZeroDivisionError):
+            print(f"error: --entry-set value {piece!r} is not a rational", file=sys.stderr)
+            return 2
     if not entry_set:
         print("error: --entry-set is empty", file=sys.stderr)
         return 2

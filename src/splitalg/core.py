@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, lshift, sub
+from operator import add, lshift, neg, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -157,31 +157,26 @@ def table_from_triples(dim: int, triples: Iterable[Sequence]) -> Table:
     return tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
 
-def table_add(*tables: Table) -> Table:
-    dim = len(tables[0])
-    return tuple(
-        tuple(
-            tuple(sum(t[i][j][k] for t in tables) for k in range(dim))
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-
-
-def table_sub(a: Table, b: Table) -> Table:
-    return tuple(
-        tuple(vec_sub(a[i][j], b[i][j]) for j in range(len(a)))
-        for i in range(len(a))
-    )
-
-
-def table_neg(a: Table) -> Table:
-    return tuple(tuple(vec_neg(a[i][j]) for j in range(len(a))) for i in range(len(a)))
-
-
-def table_flip(a: Table) -> Table:
-    """Swap the two argument slots: flip(a)[i][j] = a[j][i]."""
-    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a)))
+def derive(tables: Mapping[str, Table], parts: Sequence) -> Table:
+    """The table of a derived product written as ``(sign, name, flipped)``
+    parts: entry [i][j] is the sum over the parts of sign * tables[name][i][j],
+    read as tables[name][j][i] when ``flipped``, each sign +1 or -1.  Entries
+    may be Fractions or ints, and without flipped parts the grids need not be
+    cubic (a matrix family, rows [a][j], sums the same way)."""
+    views = [(sign, tuple(zip(*tables[name])) if flipped else tables[name])
+             for sign, name, flipped in parts]
+    (sign, first), rest = views[0], views[1:]
+    out = []
+    for i, plane in enumerate(first):
+        row = []
+        for j, vec in enumerate(plane):
+            if sign < 0:
+                vec = tuple(map(neg, vec))
+            for s, t in rest:
+                vec = tuple(map(add if s > 0 else sub, vec, t[i][j]))
+            row.append(vec)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def table_apply(table: Table, x: Vector, y: Vector) -> Vector:
@@ -390,21 +385,7 @@ class LinearMap:
         )
 
     def rank(self) -> int:
-        work = [list(row) for row in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if work[r][col]), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv = 1 / work[rank][col]
-            work[rank] = [x * inv for x in work[rank]]
-            for r in range(self.rows):
-                if r != rank and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-            rank += 1
-        return rank
+        return _gauss_jordan([list(row) for row in self.entries], self.cols)
 
     def try_inverse(self) -> "LinearMap | None":
         """Gauss-Jordan inverse, or None when singular."""
@@ -412,17 +393,8 @@ class LinearMap:
             return None
         n = self.rows
         work = [list(row) + list(basis_vector(n, i)) for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return None
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+        if _gauss_jordan(work, n) < n:
+            return None
         return LinearMap(n, n, tuple(tuple(row[n:]) for row in work))
 
     def inverse(self) -> "LinearMap":
@@ -434,6 +406,25 @@ class LinearMap:
     @property
     def is_invertible(self) -> bool:
         return self.try_inverse() is not None
+
+
+def _gauss_jordan(work: list[list], cols: int) -> int:
+    """Reduce the first ``cols`` columns of the rows ``work`` in place to
+    reduced row echelon form, exactly; return the number of pivots."""
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = _ONE / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
 
 
 def linmap(entries: Iterable[Iterable]) -> LinearMap:
@@ -841,13 +832,12 @@ def slot_sum(
     """Signed sum of slot products (see :func:`slot_product`), evaluated on ints.
 
     ``terms`` are ``(sign, r, r_slots, s, s_slots, op)`` rows.  ``op`` names
-    a table in ``tables`` or a derived product in ``derived``: ``derived[op]``
-    lists ``(sign, name, flipped)`` parts, the derived table being the sum of
-    the named tables with signs +1 or -1, each with its two arguments swapped when
-    ``flipped`` (flip(t)[u][v] = t[v][u]).
+    a table in ``tables`` or a derived product in ``derived``, whose
+    ``derived[op]`` holds the parts of :func:`derive`.
 
     Only the nonzero entries of r and s are walked, and only the table rows
-    [u][v] they meet are derived.  Those entries and rows are scaled by the
+    [u][v] they meet are derived, row by row: deriving whole tables would
+    cost O(n^3) on sparse tensors.  Those entries and rows are scaled by the
     least common denominator d of their entries; every term has degree 2 in
     the tensors and 1 in the tables, so the residual is the int sum / d**3.
     """

@@ -4,17 +4,15 @@ Everything here is table-level: a functor never verifies that its input
 satisfies any axioms (that is the axioms module's job, composed explicitly
 where needed), which also lets tests feed deliberately invalid tables.
 Outputs carry a class_tag recording their construction for audit trails.
+
+This module is also the registry of derived products: each is defined once
+here as ``(sign, table, flipped)`` parts (see :func:`splitalg.core.derive`),
+and the checks and tensor equations read their parts from here.
 """
 
 from __future__ import annotations
 
-from .core import (
-    Algebra,
-    table_add,
-    table_flip,
-    table_neg,
-    table_sub,
-)
+from .core import Algebra, derive
 
 __all__ = [
     "sub_adjacent_lie",
@@ -24,107 +22,87 @@ __all__ = [
     "dendriform_to_ldend",
     "quadri_derive",
     "QUADRI_DERIVED",
+    "VERTICAL",
+    "HORIZONTAL",
+    "SUB_ADJACENT",
+    "DENDRIFORM_STAR",
+    "commutator",
 ]
+
+
+def commutator(parts):
+    """The parts of [x, y] = x * y - y * x, given those of *."""
+    return parts + tuple((-sign, name, not flipped) for sign, name, flipped in parts)
+
+
+#: x o y = x |> y - y <| x, the vertical pre-Lie product of an L-dendriform algebra
+VERTICAL = ((1, "tri_r", False), (-1, "tri_l", True))
+#: x . y = x |> y + x <| y, the horizontal pre-Lie product
+HORIZONTAL = ((1, "tri_r", False), (1, "tri_l", False))
+#: [x, y] = x o y - y o x, the sub-adjacent Lie bracket of a pre-Lie product
+SUB_ADJACENT = commutator(((1, "circ", False),))
+#: x * y = x > y + x < y, the associative sum of a dendriform algebra
+DENDRIFORM_STAR = ((1, "succ", False), (1, "prec", False))
+
+_STAR = ((1, "se", False), (1, "ne", False), (1, "nw", False), (1, "sw", False))
+
+#: the ten derived operations of a quadri-algebra
+QUADRI_DERIVED = {
+    "succ": ((1, "ne", False), (1, "se", False)),
+    "prec": ((1, "nw", False), (1, "sw", False)),
+    "vee": ((1, "se", False), (1, "sw", False)),
+    "wedge": ((1, "ne", False), (1, "nw", False)),
+    "star": _STAR,
+    # x |> y = x se y - y nw x,  x <| y = x ne y - y sw x
+    "tri_r": ((1, "se", False), (-1, "nw", True)),
+    "tri_l": ((1, "ne", False), (-1, "sw", True)),
+    # x o y = x se y + x sw y - y nw x - y ne x
+    "circ": ((1, "se", False), (1, "sw", False), (-1, "nw", True), (-1, "ne", True)),
+    # x . y = x se y + x ne y - y nw x - y sw x
+    "bullet": ((1, "se", False), (1, "ne", False), (-1, "nw", True), (-1, "sw", True)),
+    "bracket": commutator(_STAR),
+}
+
+_LD = ("tri_r", "tri_l")
 
 
 def _tag(name: str, alg: Algebra) -> str:
     return f"{name}({alg.class_tag})" if alg.class_tag else name
 
 
+def _derived(alg: Algebra, name: str, needs: tuple[str, ...], products) -> Algebra:
+    """The algebra of the derived ``products`` (op -> parts) of the tables
+    ``needs`` of ``alg``, looked up in that order."""
+    tables = {op: alg.op(op) for op in needs}
+    ops = {op: derive(tables, parts) for op, parts in products.items()}
+    return Algebra(alg.dim, ops, _tag(name, alg))
+
+
 def sub_adjacent_lie(alg: Algebra) -> Algebra:
     """Commutator bracket [x,y] = x o y - y o x of a pre-Lie product."""
-    c = alg.op("circ")
-    return Algebra(alg.dim, {"bracket": table_sub(c, table_flip(c))}, _tag("sub_adjacent_lie", alg))
+    return _derived(alg, "sub_adjacent_lie", ("circ",), {"bracket": SUB_ADJACENT})
 
 
 def horizontal_prelie(alg: Algebra) -> Algebra:
     """x . y = x |> y + x <| y."""
-    t = table_add(alg.op("tri_r"), alg.op("tri_l"))
-    return Algebra(alg.dim, {"bullet": t}, _tag("horizontal_prelie", alg))
+    return _derived(alg, "horizontal_prelie", _LD, {"bullet": HORIZONTAL})
 
 
 def vertical_prelie(alg: Algebra) -> Algebra:
     """x o y = x |> y - y <| x."""
-    t = table_sub(alg.op("tri_r"), table_flip(alg.op("tri_l")))
-    return Algebra(alg.dim, {"circ": t}, _tag("vertical_prelie", alg))
+    return _derived(alg, "vertical_prelie", _LD, {"circ": VERTICAL})
 
 
 def transpose(alg: Algebra) -> Algebra:
     """The transpose structure: |> unchanged,  x <|' y = -(y <| x)."""
-    ops = {
-        "tri_r": alg.op("tri_r"),
-        "tri_l": table_neg(table_flip(alg.op("tri_l"))),
-    }
-    return Algebra(alg.dim, ops, _tag("transpose", alg))
+    products = {"tri_r": ((1, "tri_r", False),), "tri_l": ((-1, "tri_l", True),)}
+    return _derived(alg, "transpose", _LD, products)
 
 
 def dendriform_to_ldend(alg: Algebra) -> Algebra:
     """Any dendriform algebra is L-dendriform under a straight renaming."""
-    ops = {"tri_r": alg.op("succ"), "tri_l": alg.op("prec")}
-    return Algebra(alg.dim, ops, _tag("dendriform_to_ldend", alg))
-
-
-def _quadri_tables(alg: Algebra):
-    return (alg.op("se"), alg.op("ne"), alg.op("nw"), alg.op("sw"))
-
-
-def _q_succ(se, ne, nw, sw):
-    return table_add(ne, se)
-
-
-def _q_prec(se, ne, nw, sw):
-    return table_add(nw, sw)
-
-
-def _q_vee(se, ne, nw, sw):
-    return table_add(se, sw)
-
-
-def _q_wedge(se, ne, nw, sw):
-    return table_add(ne, nw)
-
-
-def _q_star(se, ne, nw, sw):
-    return table_add(se, ne, nw, sw)
-
-
-def _q_tri_r(se, ne, nw, sw):
-    # x |> y = x se y - y nw x
-    return table_sub(se, table_flip(nw))
-
-
-def _q_tri_l(se, ne, nw, sw):
-    # x <| y = x ne y - y sw x
-    return table_sub(ne, table_flip(sw))
-
-
-def _q_circ(se, ne, nw, sw):
-    # x o y = x se y + x sw y - y nw x - y ne x
-    return table_sub(table_add(se, sw), table_add(table_flip(nw), table_flip(ne)))
-
-
-def _q_bullet(se, ne, nw, sw):
-    # x . y = x se y + x ne y - y nw x - y sw x
-    return table_sub(table_add(se, ne), table_add(table_flip(nw), table_flip(sw)))
-
-
-def _q_bracket(se, ne, nw, sw):
-    total = table_add(se, ne, nw, sw)
-    return table_sub(total, table_flip(total))
-
-
-QUADRI_DERIVED = {
-    "succ": _q_succ,
-    "prec": _q_prec,
-    "vee": _q_vee,
-    "wedge": _q_wedge,
-    "star": _q_star,
-    "tri_r": _q_tri_r,
-    "tri_l": _q_tri_l,
-    "circ": _q_circ,
-    "bullet": _q_bullet,
-    "bracket": _q_bracket,
-}
+    products = {"tri_r": ((1, "succ", False),), "tri_l": ((1, "prec", False),)}
+    return _derived(alg, "dendriform_to_ldend", ("succ", "prec"), products)
 
 
 def quadri_derive(alg: Algebra, which: str) -> Algebra:
@@ -133,5 +111,5 @@ def quadri_derive(alg: Algebra, which: str) -> Algebra:
         raise ValueError(
             f"unknown derived operation {which!r} (choose from {sorted(QUADRI_DERIVED)})"
         )
-    table = QUADRI_DERIVED[which](*_quadri_tables(alg))
-    return Algebra(alg.dim, {which: table}, _tag(f"quadri_derive[{which}]", alg))
+    return _derived(alg, f"quadri_derive[{which}]", ("se", "ne", "nw", "sw"),
+                    {which: QUADRI_DERIVED[which]})

@@ -17,8 +17,10 @@ from .core import (
     DimensionMismatch,
     LinearMap,
     PreconditionFailed,
+    Table,
     basis_vector,
     clear_denominators,
+    derive,
     family_contract,
     field_width,
     max_abs,
@@ -26,8 +28,8 @@ from .core import (
     rat,
     table_apply,
     unpack,
-    vec_sub,
 )
+from .functors import SUB_ADJACENT
 from .representations import LDendModule, PreLieModule, left_family
 
 __all__ = [
@@ -206,37 +208,30 @@ def ldend_from_o_prelie(
     return on_v, on_image
 
 
+def _image_table(table: Table, left: LinearMap, right: LinearMap) -> Table:
+    """The product (x, y) -> left(x) * right(y) under ``table``."""
+    return tuple(
+        tuple(table_apply(table, left.column(i), right.column(j)) for j in range(right.cols))
+        for i in range(left.cols)
+    )
+
+
 def ldend_from_rb(R: LinearMap, alg: Algebra, force: bool = False) -> Algebra:
     """x |> y = R(x) o y,  x <| y = -(y o R(x))  from a Rota-Baxter operator."""
     _gate(check_rota_baxter_prelie(R, alg), force, "Rota-Baxter candidate")
-    circ = alg.op("circ")
-    n = alg.dim
-    tri_r = tuple(
-        tuple(table_apply(circ, R.column(i), basis_vector(n, j)) for j in range(n))
-        for i in range(n)
-    )
-    tri_l = tuple(
-        tuple(
-            tuple(-x for x in table_apply(circ, basis_vector(n, j), R.column(i)))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    circ, one = alg.op("circ"), LinearMap.identity(alg.dim)
+    tri_r = _image_table(circ, R, one)
+    tri_l = derive({"circ": _image_table(circ, one, R)}, ((-1, "circ", True),))
     tag = f"ldend_from_rb({alg.class_tag})" if alg.class_tag else "ldend_from_rb"
-    return Algebra(n, {"tri_r": tri_r, "tri_l": tri_l}, tag)
+    return Algebra(alg.dim, {"tri_r": tri_r, "tri_l": tri_l}, tag)
 
 
 def prelie_from_o_lie(R: LinearMap, lie: Algebra, force: bool = False) -> Algebra:
     """x o y = [R(x), y]  from an O-operator for the adjoint representation."""
     _gate(check_o_lie(R, lie, adjoint_family(lie)), force, "O-operator candidate")
-    bracket = lie.op("bracket")
-    n = lie.dim
-    circ = tuple(
-        tuple(table_apply(bracket, R.column(i), basis_vector(n, j)) for j in range(n))
-        for i in range(n)
-    )
+    circ = _image_table(lie.op("bracket"), R, LinearMap.identity(lie.dim))
     tag = f"prelie_from_o_lie({lie.class_tag})" if lie.class_tag else "prelie_from_o_lie"
-    return Algebra(n, {"circ": circ}, tag)
+    return Algebra(lie.dim, {"circ": circ}, tag)
 
 
 def ldend_from_commuting_pair(
@@ -250,18 +245,10 @@ def ldend_from_commuting_pair(
     if R1 @ R2 != R2 @ R1 and not force:
         raise PreconditionFailed("the two operators do not commute")
     bracket = lie.op("bracket")
-    n = lie.dim
-    r12 = R1 @ R2
-    tri_r = tuple(
-        tuple(table_apply(bracket, r12.column(i), basis_vector(n, j)) for j in range(n))
-        for i in range(n)
-    )
-    tri_l = tuple(
-        tuple(table_apply(bracket, R2.column(i), R1.column(j)) for j in range(n))
-        for i in range(n)
-    )
+    tri_r = _image_table(bracket, R1 @ R2, LinearMap.identity(lie.dim))
+    tri_l = _image_table(bracket, R2, R1)
     tag = f"ldend_from_commuting_pair({lie.class_tag})" if lie.class_tag else "ldend_from_commuting_pair"
-    return Algebra(n, {"tri_r": tri_r, "tri_l": tri_l}, tag)
+    return Algebra(lie.dim, {"tri_r": tri_r, "tri_l": tri_l}, tag)
 
 
 def compatible_ldend_from_invertible_o(
@@ -310,9 +297,7 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
     # each product vector w solves G^T w = rhs; computed once via the inverse
     solver = gram.transpose().inverse()
     e = lambda i: basis_vector(n, i)
-
-    def bracket_vec(i, k):
-        return vec_sub(circ[i][k], circ[k][i])
+    bracket = derive({"circ": circ}, SUB_ADJACENT)
 
     tri_r_rows = []
     tri_l_rows = []
@@ -320,8 +305,8 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
         row_r = []
         row_l = []
         for b in range(n):
-            rhs_r = tuple(-B.evaluate(e(b), bracket_vec(a, z)) for z in range(n))
-            rhs_l = tuple(-B.evaluate(e(b), table_apply(circ, e(z), e(a))) for z in range(n))
+            rhs_r = tuple(-B.evaluate(e(b), bracket[a][z]) for z in range(n))
+            rhs_l = tuple(-B.evaluate(e(b), circ[z][a]) for z in range(n))
             row_r.append(solver.apply(rhs_r))
             row_l.append(solver.apply(rhs_l))
         tri_r_rows.append(tuple(row_r))

@@ -26,7 +26,7 @@ from .core import (
     LinearMap,
     Table,
     clear_denominators,
-    dual_rep,
+    derive,
     max_abs,
 )
 
@@ -87,24 +87,20 @@ class LDendModule:
             _check_family(getattr(self, name), self.base.dim, self.vdim, name)
 
 
+def _left_operators(table: Table) -> tuple[LinearMap, ...]:
+    """L(e_i) e_j = e_i * e_j under ``table``."""
+    n = len(table)
+    return tuple(LinearMap(n, n, tuple(zip(*plane))) for plane in table)
+
+
 def left_family(alg: Algebra, op: str) -> tuple[LinearMap, ...]:
     """Left multiplication operators L(e_i) of the named operation."""
-    table = alg.op(op)
-    n = alg.dim
-    return tuple(
-        LinearMap(n, n, tuple(tuple(table[i][j][k] for j in range(n)) for k in range(n)))
-        for i in range(n)
-    )
+    return _left_operators(alg.op(op))
 
 
 def right_family(alg: Algebra, op: str) -> tuple[LinearMap, ...]:
     """Right multiplication operators R(e_i):  R(e_i) e_j = e_j * e_i."""
-    table = alg.op(op)
-    n = alg.dim
-    return tuple(
-        LinearMap(n, n, tuple(tuple(table[j][i][k] for j in range(n)) for k in range(n)))
-        for i in range(n)
-    )
+    return _left_operators(derive({op: alg.op(op)}, ((1, op, True),)))
 
 
 def regular_prelie_module(alg: Algebra) -> PreLieModule:
@@ -216,13 +212,20 @@ def check_prelie_module(m: PreLieModule) -> CheckReport:
     return _check_module(m, {"circ": (m.l, m.r)}, "pre_lie", _PRELIE_MODULE_IDS)
 
 
+def _dual_family(m, *terms) -> tuple[LinearMap, ...]:
+    """e_a -> (sum of sign * family[a])^T over the (sign, family name)
+    ``terms`` of module m: the signed sum by :func:`derive`, whose rows
+    [a][j] are row j of matrix a, then one transpose per matrix."""
+    families = {name: tuple(a.entries for a in getattr(m, name)) for _, name in terms}
+    total = derive(families, [(sign, name, False) for sign, name in terms])
+    return tuple(LinearMap(m.vdim, m.vdim, tuple(zip(*rows))) for rows in total)
+
+
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:
-    """The dual module (l* - r*, -r*, V*)."""
-    l_star = dual_rep(m.l)
-    r_star = dual_rep(m.r)
-    new_l = tuple(a - b for a, b in zip(l_star, r_star))
-    new_r = tuple(-a for a in r_star)
-    return PreLieModule(m.base, m.vdim, new_l, new_r)
+    """The dual module (l* - r*, -r*, V*) with rho* = -rho^T, that is
+    ((r - l)^T, r^T, V*)."""
+    l_star = _dual_family(m, (1, "r"), (-1, "l"))
+    return PreLieModule(m.base, m.vdim, l_star, _dual_family(m, (1, "r")))
 
 
 def semidirect_prelie(m: PreLieModule) -> Algebra:
@@ -248,16 +251,16 @@ def check_ldend_module(m: LDendModule) -> CheckReport:
 
 def dual_ldend_module(m: LDendModule) -> LDendModule:
     """The dual module (l_r* + l_l* - r_r* - r_l*,  r_r*,  r_r* - l_l*,
-    -(r_r* + r_l*),  V*)."""
-    lr_s = dual_rep(m.l_r)
-    rr_s = dual_rep(m.r_r)
-    ll_s = dual_rep(m.l_l)
-    rl_s = dual_rep(m.r_l)
-    new_lr = tuple(a + b - c - d for a, b, c, d in zip(lr_s, ll_s, rr_s, rl_s))
-    new_rr = rr_s
-    new_ll = tuple(a - b for a, b in zip(rr_s, ll_s))
-    new_rl = tuple(-(a + b) for a, b in zip(rr_s, rl_s))
-    return LDendModule(m.base, m.vdim, new_lr, new_rr, new_ll, new_rl)
+    -(r_r* + r_l*),  V*) with rho* = -rho^T, that is
+    ((r_r + r_l - l_r - l_l)^T, (-r_r)^T, (l_l - r_r)^T, (r_r + r_l)^T, V*)."""
+    return LDendModule(
+        m.base,
+        m.vdim,
+        _dual_family(m, (1, "r_r"), (1, "r_l"), (-1, "l_r"), (-1, "l_l")),
+        _dual_family(m, (-1, "r_r")),
+        _dual_family(m, (1, "l_l"), (-1, "r_r")),
+        _dual_family(m, (1, "r_r"), (1, "r_l")),
+    )
 
 
 def semidirect_ldend(m: LDendModule) -> Algebra:

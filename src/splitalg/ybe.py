@@ -37,7 +37,14 @@ from .core import (
     tensor2,
     tensor_to_map,
 )
-from .functors import horizontal_prelie, vertical_prelie
+from .functors import (
+    HORIZONTAL,
+    SUB_ADJACENT,
+    VERTICAL,
+    commutator,
+    horizontal_prelie,
+    vertical_prelie,
+)
 from .operators import check_o_ldend, check_o_prelie
 from .representations import (
     LDendModule,
@@ -144,23 +151,10 @@ _VARIANT_ALIASES = {
 }
 
 
-def _commutator(parts):
-    """The derived-op parts of [x, y] = x * y - y * x, given those of *."""
-    return parts + tuple((-sign, name, not flipped) for sign, name, flipped in parts)
-
-
-#: derived products as (sign, table, flipped) parts: the S-equation's
-#: bracket is the commutator of circ
-_S_DERIVED = {"bracket": _commutator(((1, "circ", False),))}
-
-#: x o y = x |> y - y <| x (vertical),  x . y = x |> y + x <| y (horizontal),
-#: and the bracket of the vertical product
-_VERTICAL = ((1, "tri_r", False), (-1, "tri_l", True))
-_LD_DERIVED = {
-    "circ": _VERTICAL,
-    "bullet": ((1, "tri_r", False), (1, "tri_l", False)),
-    "bracket": _commutator(_VERTICAL),
-}
+#: the derived products of each equation: the S-equation's bracket is the
+#: sub-adjacent one, the LD-equation's is that of the vertical product
+_S_DERIVED = {"bracket": SUB_ADJACENT}
+_LD_DERIVED = {"circ": VERTICAL, "bullet": HORIZONTAL, "bracket": commutator(VERTICAL)}
 
 
 def _slot_sum(tables, derived, r: Tensor2, summands) -> Tensor3:
@@ -422,9 +416,7 @@ def _check_companion_identity(alg: Algebra, B) -> CheckReport:
     """B(x |> y, z) = -B(y, [x, z]) - B(x, z |> y)  over all basis triples,
     the bracket being that of the horizontal product *."""
     tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
-    return _check_system(
-        _COMPANION, alg.dim, tables, B, {"bullet": ("tri_r", "tri_l")}
-    )
+    return _check_system(_COMPANION, alg.dim, tables, B, {"bullet": HORIZONTAL})
 
 
 def form_criterion_check(alg: Algebra, r: Tensor2) -> FormCriterionReport:

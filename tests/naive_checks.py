@@ -27,7 +27,6 @@ from splitalg.core import (
     Vector,
     basis_vector,
     family_contract,
-    table_add,
     table_apply,
     vec_add,
     vec_sub,
@@ -37,6 +36,29 @@ from splitalg.operators import _require_shape
 
 def is_zero_vector(x: Vector) -> bool:
     return not any(x)
+
+
+def table_add(*tables: Table) -> Table:
+    dim = len(tables[0])
+    return tuple(
+        tuple(
+            tuple(sum(t[i][j][k] for t in tables) for k in range(dim))
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
+
+
+def table_sub(a: Table, b: Table) -> Table:
+    return tuple(
+        tuple(vec_sub(a[i][j], b[i][j]) for j in range(len(a)))
+        for i in range(len(a))
+    )
+
+
+def table_flip(a: Table) -> Table:
+    """Swap the two argument slots: flip(a)[i][j] = a[j][i]."""
+    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a)))
 
 
 def _run(identities, dim: int) -> CheckReport:

@@ -9,7 +9,6 @@ import itertools
 from fractions import Fraction
 
 import splitalg as sa
-from splitalg.core import table_add
 from splitalg.representations import (
     left_family,
     regular_ldend_module,
@@ -17,6 +16,7 @@ from splitalg.representations import (
 )
 
 from conftest import search_symmetric_cocycles
+from naive_checks import table_add
 from naive_tensor import naive_ld_residual, naive_s_residual, naive_slot_product, t3_combine, commutator_table
 
 

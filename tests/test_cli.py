@@ -244,6 +244,16 @@ def test_search_rb_output(workdir, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("bad", ["1/0", "1/2/3", "x"])
+def test_search_rb_bad_entry_is_a_usage_error(workdir, capsys, bad):
+    write_fixture("P2", workdir)
+    capsys.readouterr()
+    code, out, err = run(capsys, "search-rb", f"--entry-set=0,{bad}", "p2.alg.json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --entry-set value {bad!r} is not a rational\n"
+
+
 def test_verify_eq(workdir, capsys, p2):
     fileio.write_algebra(p2, workdir / "p2.alg.json")
     fileio.write_tensor(sa.tensor2(2, [(1, 1, 1)]), workdir / "sol.tensor.json")

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg import catalog
-from splitalg.core import table_apply
+from splitalg.core import derive, table_apply
 
+from naive_checks import table_add, table_flip, table_sub
 from naive_tensor import naive_slot_product
 
 
@@ -356,6 +357,61 @@ def test_form_map_round_trip(T):
 
 
 # ---------------------------------------------------------------------------
+# derived products
+
+def test_derive_examples():
+    t = sa.algebra(2, {"circ": [(1, 2, 1, 3), (2, 1, 2, "1/2")]}).op("circ")
+    u = sa.algebra(2, {"circ": [(1, 2, 2, 1), (2, 2, 1, -1)]}).op("circ")
+    tables = {"circ": t, "bullet": u}
+    assert derive(tables, ((1, "circ", False),)) == t
+    assert derive(tables, ((1, "circ", True),)) == table_flip(t)
+    assert derive(tables, ((1, "circ", False), (1, "bullet", False))) == table_add(t, u)
+    assert derive(tables, ((1, "circ", False), (-1, "bullet", True))) == table_sub(t, table_flip(u))
+    assert derive(tables, ((-1, "circ", False), (1, "bullet", False))) == table_sub(u, t)
+    # [x, y] = x o y - y o x
+    assert derive(tables, ((1, "circ", False), (-1, "circ", True))) == ((
+        (0, 0), (3, Fraction(-1, 2))), ((-3, Fraction(1, 2)), (0, 0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_derive_matches_table_combinators(data):
+    n = data.draw(small_dims)
+    names = ("circ", "bullet", "tri_r")
+    grids = {name: data.draw(tables(n)) for name in names}
+    if data.draw(st.booleans()):        # int tables, as the checks pass them
+        grids = {name: tuple(tuple(tuple(int(x * 12) for x in vec) for vec in plane)
+                             for plane in t) for name, t in grids.items()}
+    parts = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.sampled_from(names),
+                                         st.booleans()), min_size=1, max_size=4))
+    expected = None
+    for sign, name, flipped in parts:
+        t = table_flip(grids[name]) if flipped else grids[name]
+        if expected is None:
+            expected = t if sign > 0 else table_sub(table_sub(t, t), t)
+        else:
+            expected = table_add(expected, t) if sign > 0 else table_sub(expected, t)
+    out = derive(grids, parts)
+    assert out == expected
+    entry_types = {type(x) for plane in out for vec in plane for x in vec}
+    assert entry_types == {type(grids["circ"][0][0][0])}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_functor_tables_match_table_combinators(data):
+    n = data.draw(small_dims)
+    a, b = data.draw(tables(n)), data.draw(tables(n))
+    ld = sa.Algebra(n, {"tri_r": a, "tri_l": b})
+    assert sa.vertical_prelie(ld).op("circ") == table_sub(a, table_flip(b))
+    assert sa.horizontal_prelie(ld).op("bullet") == table_add(a, b)
+    assert sa.transpose(ld).ops == {"tri_r": a, "tri_l": table_sub(table_sub(b, b), table_flip(b))}
+    assert sa.sub_adjacent_lie(sa.Algebra(n, {"circ": a})).op("bracket") == table_sub(a, table_flip(a))
+    out = sa.dendriform_to_ldend(sa.Algebra(n, {"succ": a, "prec": b}))
+    assert out.ops == {"tri_r": a, "tri_l": b}
+
+
+# ---------------------------------------------------------------------------
 # dual representations
 
 def test_dual_rep_examples():
@@ -385,6 +441,49 @@ def test_inverse_and_rank():
     assert sa.linmap([[1, 2], [2, 4]]).rank() == 1
     with pytest.raises(sa.SingularMap):
         sa.linmap([[1, 2], [2, 4]]).inverse()
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small matrices, square or not, with Fraction or plain int entries;
+    often zero or with a row that combines the others (so rank-deficient)."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("random", "zero", "dependent")))
+    grid = [[draw(rationals) for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero":
+        grid = [[Fraction(0)] * cols for _ in range(rows)]
+    elif kind == "dependent" and rows > 1:
+        coeffs = [draw(rationals) for _ in range(rows - 1)]
+        grid[-1] = [sum(c * row[j] for c, row in zip(coeffs, grid)) for j in range(cols)]
+    if draw(st.booleans()):                 # int entries, scaled to stay integral
+        grid = [[int(x * 12) for x in row] for row in grid]
+    return sa.LinearMap(rows, cols, tuple(tuple(row) for row in grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_rank_and_inverse_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    reference = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                              for row in m.entries])
+    assert m.rank() == reference.rank()
+    inverse = m.try_inverse()
+    if not m.is_square or reference.det() == 0:
+        assert inverse is None
+        return
+    expected = reference.inv()
+    assert inverse.entries == tuple(
+        tuple(Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(m.cols))
+        for i in range(m.rows)
+    )
+
+
+def test_rank_and_inverse_stay_exact_on_int_entries():
+    # 1/49 * 49 is not 1 in floats
+    assert sa.LinearMap(2, 2, ((49, 1), (98, 2))).rank() == 1
+    inverse = sa.LinearMap(2, 2, ((1, 0), (0, 3))).inverse()
+    assert inverse.entries == ((1, 0), (0, Fraction(1, 3)))
+    assert all(type(x) is Fraction for row in inverse.entries for x in row)
 
 
 def test_apply_shape_checked():

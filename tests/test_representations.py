@@ -317,3 +317,42 @@ def test_module_iff_semidirect_in_class(class_name, data):
     expected = sa.check_class(base, class_name).passed and check(m).passed
     event(f"in class: {expected}")
     assert sa.check_class(semidirect(m), class_name).passed == expected
+
+
+# ---------------------------------------------------------------------------
+# dual modules against the dual_rep formulas
+
+def _old_dual_prelie(m):
+    l_star, r_star = sa.dual_rep(m.l), sa.dual_rep(m.r)
+    return (tuple(a - b for a, b in zip(l_star, r_star)), tuple(-a for a in r_star))
+
+
+def _old_dual_ldend(m):
+    lr_s, rr_s, ll_s, rl_s = map(sa.dual_rep, (m.l_r, m.r_r, m.l_l, m.r_l))
+    return (
+        tuple(a + b - c - d for a, b, c, d in zip(lr_s, ll_s, rr_s, rl_s)),
+        rr_s,
+        tuple(a - b for a, b in zip(rr_s, ll_s)),
+        tuple(-(a + b) for a, b in zip(rr_s, rl_s)),
+    )
+
+
+@pytest.mark.parametrize("class_name", sorted(_MODULE_CLASSES))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dual_module_matches_dual_rep_formulas(class_name, data):
+    """Random families (not modules in general) over a random base: each dual
+    family equals its formula in rho* = -rho^T."""
+    _, fields, _, dual, make, _, _ = _MODULE_CLASSES[class_name]
+    draw = data.draw
+    n, vdim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    matrix = st.lists(st.lists(entries, min_size=vdim, max_size=vdim),
+                      min_size=vdim, max_size=vdim).map(sa.linmap)
+    families = [tuple(draw(matrix) for _ in range(n)) for _ in fields]
+    base = sa.zero_algebra(n, ("circ",) if class_name == "pre_lie" else ("tri_r", "tri_l"))
+    m = make(base, vdim, *families)
+    d = dual(m)
+    oracle = _old_dual_prelie(m) if class_name == "pre_lie" else _old_dual_ldend(m)
+    assert tuple(getattr(d, f) for f in fields) == oracle
+    assert (d.base, d.vdim) == (m.base, m.vdim)
