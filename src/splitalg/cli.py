@@ -23,7 +23,6 @@ from .axioms import (
     check_prelie_cocycle,
 )
 from .core import (
-    DimensionMismatch,
     PreconditionFailed,
     SingularMap,
     Tensor2,
@@ -31,7 +30,6 @@ from .core import (
     rat,
 )
 from .fileio import (
-    FileFormatError,
     algebra_to_doc,
     dump_doc,
     map_to_doc,
@@ -54,7 +52,6 @@ from .functors import (
     vertical_prelie,
 )
 from .operators import (
-    SearchSpaceTooLarge,
     adjoint_family,
     check_o_ldend,
     check_o_lie,
@@ -117,8 +114,7 @@ def _cmd_check(args) -> int:
     alg = read_algebra(args.algebra)
     if args.class_name in _COCYCLE_CLASSES:
         if not args.form:
-            print("error: cocycle checks need --form", file=sys.stderr)
-            return 2
+            raise ValueError("cocycle checks need --form")
         form = read_form(args.form)
         checker = check_prelie_cocycle if args.class_name == "prelie_cocycle" else check_ldend_cocycle
         report = checker(alg, form)
@@ -152,8 +148,7 @@ def _cmd_oop_check(args) -> int:
         report, kind = check_o_lie(T, lie, adjoint_family(lie)), "lie[adjoint]"
         source = args.algebra
     else:
-        print("error: oop-check needs --module or a Lie algebra file", file=sys.stderr)
-        return 2
+        raise ValueError("oop-check needs --module or a Lie algebra file")
     context = {"command": "oop-check", "kind": kind, "map": args.map, "input": source}
     return _print_report(report, args.json, f"oop-check {args.map} over {source} [{kind}]", context)
 
@@ -179,11 +174,9 @@ def _cmd_induce(args) -> int:
     if args.module:
         module = read_module(args.module)
         if not isinstance(module, PreLieModule):
-            print("error: induce --module expects a pre-Lie module file", file=sys.stderr)
-            return 2
+            raise ValueError("induce --module expects a pre-Lie module file")
         if len(maps) != 1:
-            print("error: induce --module takes exactly one --map", file=sys.stderr)
-            return 2
+            raise ValueError("induce --module takes exactly one --map")
         if args.compatible:
             out = compatible_ldend_from_invertible_o(maps[0], module, force=args.force)
         else:
@@ -196,19 +189,15 @@ def _cmd_induce(args) -> int:
             elif len(maps) == 2:
                 out = ldend_from_commuting_pair(maps[0], maps[1], alg, force=args.force)
             else:
-                print("error: induce on a Lie algebra takes one or two --map", file=sys.stderr)
-                return 2
+                raise ValueError("induce on a Lie algebra takes one or two --map")
         elif alg.has_op("circ"):
             if len(maps) != 1:
-                print("error: induce on a pre-Lie algebra takes one --map", file=sys.stderr)
-                return 2
+                raise ValueError("induce on a pre-Lie algebra takes one --map")
             out = ldend_from_rb(maps[0], alg, force=args.force)
         else:
-            print("error: induce needs an algebra carrying circ or bracket", file=sys.stderr)
-            return 2
+            raise ValueError("induce needs an algebra carrying circ or bracket")
     else:
-        print("error: induce needs --module or an algebra file", file=sys.stderr)
-        return 2
+        raise ValueError("induce needs --module or an algebra file")
     _emit_algebra(out, args.out)
     return 0
 
@@ -220,11 +209,9 @@ def _cmd_search_rb(args) -> int:
         try:
             entry_set.append(rat(piece))
         except (ValueError, ZeroDivisionError):
-            print(f"error: --entry-set value {piece!r} is not a rational", file=sys.stderr)
-            return 2
+            raise ValueError(f"--entry-set value {piece!r} is not a rational") from None
     if not entry_set:
-        print("error: --entry-set is empty", file=sys.stderr)
-        return 2
+        raise ValueError("--entry-set is empty")
     found = search_rb(alg, entry_set, cap=args.cap)
     if args.json:
         for T in found:
@@ -243,8 +230,7 @@ def _cmd_verify_eq(args) -> int:
     alg = read_algebra(args.algebra)
     tensor = read_tensor(args.tensor)
     if not isinstance(tensor, Tensor2):
-        print("error: verify-eq expects a rank-2 tensor file", file=sys.stderr)
-        return 2
+        raise ValueError("verify-eq expects a rank-2 tensor file")
     if args.equation == "eq-2.9":
         residual = s_residual(alg, tensor)
     else:
@@ -283,8 +269,7 @@ def _cmd_build_solution(args) -> int:
         equation = "eq-4.8"
         residual = ld_residual(hat, r, equation)
     else:
-        print("error: build-solution expects a pre-Lie or L-dendriform module", file=sys.stderr)
-        return 2
+        raise ValueError("build-solution expects a pre-Lie or L-dendriform module")
     alg_path = f"{args.out}.alg.json"
     tensor_path = f"{args.out}.tensor.json"
     write_algebra(hat, alg_path)
@@ -300,8 +285,7 @@ def _cmd_catalog(args) -> int:
     try:
         files = catalog_mod.catalog_files(args.name)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise ValueError(exc.args[0]) from None
     out_dir = Path(args.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, obj in files:
@@ -408,23 +392,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreconditionFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except SearchSpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownOperation, DimensionMismatch, SingularMap, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except (ValueError, UnknownOperation, SingularMap, OSError) as exc:
+        # str() of a KeyError such as UnknownOperation quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -73,10 +73,13 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or string like ``-3/4`` to an exact rational.
 
     Floats and booleans are rejected: this workbench never rounds, and never
-    reads ``True`` as 1.
+    reads ``True`` as 1.  So are strings with an exponent, whose value
+    ``Fraction`` would expand: ``1e1000000`` is a 3.3-million-bit integer.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent notation in {value!r} is not accepted")
     if is_int(value) or isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
@@ -181,8 +184,7 @@ def derive(tables: Mapping[str, Table], parts: Sequence) -> Table:
 
 def table_apply(table: Table, x: Vector, y: Vector) -> Vector:
     """Bilinear contraction  sum_ij x_i y_j table[i][j]."""
-    dim = len(table)
-    out = [_ZERO] * dim
+    out = [_ZERO] * len(table[0][0])
     for i, xi in enumerate(x):
         if not xi:
             continue
@@ -702,10 +704,10 @@ def form_from_invertible_map(T: LinearMap) -> BilinearForm:
 
 def map_from_form(B: BilinearForm) -> LinearMap:
     """Invert the pairing identification: the T with <T^-1 u, v> = B(u, v)."""
-    gram = LinearMap(B.dim, B.dim, B.gram)
-    if not gram.is_invertible:
+    inv = LinearMap(B.dim, B.dim, B.gram).transpose().try_inverse()
+    if inv is None:
         raise SingularMap("form is degenerate")
-    return gram.transpose().inverse()
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -312,12 +312,16 @@ def _read_doc(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise FileFormatError(f"{path}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:                   # an integer literal beyond the digit limit
+        raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _write_doc(doc: dict, path):

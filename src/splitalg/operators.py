@@ -18,10 +18,8 @@ from .core import (
     LinearMap,
     PreconditionFailed,
     Table,
-    basis_vector,
     clear_denominators,
     derive,
-    family_contract,
     field_width,
     max_abs,
     pack,
@@ -29,7 +27,7 @@ from .core import (
     table_apply,
     unpack,
 )
-from .functors import SUB_ADJACENT
+from .functors import SUB_ADJACENT, _tag
 from .representations import LDendModule, PreLieModule, left_family
 
 __all__ = [
@@ -71,15 +69,13 @@ def _columns(family):
     return [tuple(zip(*m)) for m in family]
 
 
-def _o_bits(n: int, vdim: int, big: int) -> int:
-    """Packed field width for the O-operator residuals over a base of
-    dimension n and a module of dimension vdim, all inputs bounded by big."""
-    return field_width((n * n + 2 * n * vdim) * big ** 3)
-
-
-def _packed_columns(table, bits: int):
-    """by_b[b][a] = e_a . e_b, packed."""
-    return tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
+def _packed_base(table, vdim: int, big: int):
+    """The packed field width for the O-operator residuals of a module of
+    dimension vdim over the product ``table``, all inputs bounded by big,
+    and that product packed by columns: by_b[b][a] = e_a . e_b."""
+    n = len(table)
+    bits = field_width((n * n + 2 * n * vdim) * big ** 3)
+    return bits, tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
 
 
 def _o_packed(T, by_b, l_images, r_images, r_sign: int, bits: int):
@@ -87,7 +83,7 @@ def _o_packed(T, by_b, l_images, r_images, r_sign: int, bits: int):
     over module basis pairs (u, v), of degree 3 in its inputs.
 
     T holds int rows (base x module), ``by_b`` is the packed base product
-    (see :func:`_packed_columns`), and ``l_images[a][v]`` / ``r_images[a][v]``
+    (see :func:`_packed_base`), and ``l_images[a][v]`` / ``r_images[a][v]``
     are l(e_a) / r(e_a) applied to the v-th module basis vector.  Every
     product that does not depend on both u and v is formed once.
     """
@@ -114,10 +110,10 @@ def _o_packed(T, by_b, l_images, r_images, r_sign: int, bits: int):
 def _o_identity(T, table, l_images, r_images, r_sign: int):
     """The residual function of :func:`_o_packed` for :func:`axioms._run`:
     the unpacked base vector, empty where the identity holds."""
-    n, vdim = len(T), len(T[0])
+    n = len(T)
     big = max(max_abs(T), max_abs(table), max_abs(l_images), max_abs(r_images))
-    bits = _o_bits(n, vdim, big)
-    packed = _o_packed(T, _packed_columns(table, bits), l_images, r_images, r_sign, bits)
+    bits, by_b = _packed_base(table, len(T[0]), big)
+    packed = _o_packed(T, by_b, l_images, r_images, r_sign, bits)
 
     def residual(u, v):
         p = packed(u, v)
@@ -182,6 +178,36 @@ def _gate(report: CheckReport, force: bool, what: str):
         )
 
 
+def _image_table(table: Table, left: LinearMap, right: LinearMap, out=None) -> Table:
+    """The product (x, y) -> left(x) * right(y) under ``table``, followed by
+    ``out`` when given."""
+    products = (
+        (table_apply(table, left.column(i), right.column(j)) for j in range(right.cols))
+        for i in range(left.cols)
+    )
+    if out is None:
+        return tuple(map(tuple, products))
+    return tuple(tuple(map(out.apply, row)) for row in products)
+
+
+def _o_structure(T: LinearMap, l_acts: Table, r_acts: Table, t_inv=None) -> dict:
+    """u |> v = l(T(u))v,  u <| v = -r(T(u))v  on V, from the action tables
+    l_acts[a][w] = l(e_a)f_w and r_acts of a module.  Given T^-1, the same
+    structure carried to A along T:  x |> y = T(l(x) T^-1 y),  x <| y =
+    -T(r(x) T^-1 y)."""
+    if t_inv is None:
+        maps = (T, LinearMap.identity(T.cols))
+    else:
+        maps = (LinearMap.identity(T.rows), t_inv, T)
+    tables = {"l": _image_table(l_acts, *maps), "r": _image_table(r_acts, *maps)}
+    return {"tri_r": tables["l"], "tri_l": derive(tables, ((-1, "r", False),))}
+
+
+def _actions(family: Sequence[LinearMap]) -> Table:
+    """The action table of a matrix family: [a][w] = family[a] f_w."""
+    return tuple(_columns(m.entries for m in family))
+
+
 def ldend_from_o_prelie(
     T: LinearMap, m: PreLieModule, force: bool = False
 ) -> tuple[Algebra, Algebra | None]:
@@ -192,46 +218,27 @@ def ldend_from_o_prelie(
     tables coincide with the V-structure because T intertwines the products.
     """
     _gate(check_o_prelie(T, m), force, "O-operator candidate")
-    v = m.vdim
-    tri_r = tuple(
-        tuple(family_contract(m.l, T.column(u)).column(w) for w in range(v))
-        for u in range(v)
-    )
-    tri_l = tuple(
-        tuple(tuple(-x for x in family_contract(m.r, T.column(u)).column(w)) for w in range(v))
-        for u in range(v)
-    )
-    on_v = Algebra(v, {"tri_r": tri_r, "tri_l": tri_l}, "ldend_from_o_prelie")
+    ops = _o_structure(T, _actions(m.l), _actions(m.r))
+    on_v = Algebra(m.vdim, ops, "ldend_from_o_prelie")
     on_image = None
-    if T.rank() == v:
-        on_image = Algebra(v, dict(on_v.ops), "ldend_from_o_prelie[image]")
+    if T.rank() == m.vdim:
+        on_image = Algebra(m.vdim, ops, "ldend_from_o_prelie[image]")
     return on_v, on_image
 
 
-def _image_table(table: Table, left: LinearMap, right: LinearMap) -> Table:
-    """The product (x, y) -> left(x) * right(y) under ``table``."""
-    return tuple(
-        tuple(table_apply(table, left.column(i), right.column(j)) for j in range(right.cols))
-        for i in range(left.cols)
-    )
-
-
 def ldend_from_rb(R: LinearMap, alg: Algebra, force: bool = False) -> Algebra:
-    """x |> y = R(x) o y,  x <| y = -(y o R(x))  from a Rota-Baxter operator."""
+    """x |> y = R(x) o y,  x <| y = -(y o R(x))  from a Rota-Baxter operator:
+    the O-operator structure of the regular module."""
     _gate(check_rota_baxter_prelie(R, alg), force, "Rota-Baxter candidate")
-    circ, one = alg.op("circ"), LinearMap.identity(alg.dim)
-    tri_r = _image_table(circ, R, one)
-    tri_l = derive({"circ": _image_table(circ, one, R)}, ((-1, "circ", True),))
-    tag = f"ldend_from_rb({alg.class_tag})" if alg.class_tag else "ldend_from_rb"
-    return Algebra(alg.dim, {"tri_r": tri_r, "tri_l": tri_l}, tag)
+    circ = alg.op("circ")
+    return Algebra(alg.dim, _o_structure(R, circ, tuple(zip(*circ))), _tag("ldend_from_rb", alg))
 
 
 def prelie_from_o_lie(R: LinearMap, lie: Algebra, force: bool = False) -> Algebra:
     """x o y = [R(x), y]  from an O-operator for the adjoint representation."""
     _gate(check_o_lie(R, lie, adjoint_family(lie)), force, "O-operator candidate")
     circ = _image_table(lie.op("bracket"), R, LinearMap.identity(lie.dim))
-    tag = f"prelie_from_o_lie({lie.class_tag})" if lie.class_tag else "prelie_from_o_lie"
-    return Algebra(lie.dim, {"circ": circ}, tag)
+    return Algebra(lie.dim, {"circ": circ}, _tag("prelie_from_o_lie", lie))
 
 
 def ldend_from_commuting_pair(
@@ -247,7 +254,7 @@ def ldend_from_commuting_pair(
     bracket = lie.op("bracket")
     tri_r = _image_table(bracket, R1 @ R2, LinearMap.identity(lie.dim))
     tri_l = _image_table(bracket, R2, R1)
-    tag = f"ldend_from_commuting_pair({lie.class_tag})" if lie.class_tag else "ldend_from_commuting_pair"
+    tag = _tag("ldend_from_commuting_pair", lie)
     return Algebra(lie.dim, {"tri_r": tri_r, "tri_l": tri_l}, tag)
 
 
@@ -256,31 +263,23 @@ def compatible_ldend_from_invertible_o(
 ) -> Algebra:
     """Compatible L-dendriform structure on the base of an invertible
     O-operator:  x |> y = T(l(x) T^-1 y),  x <| y = -T(r(x) T^-1 y)."""
-    if not T.is_square or not T.is_invertible:
+    t_inv = T.try_inverse()
+    if t_inv is None:
         raise PreconditionFailed("the O-operator must be square and invertible")
     if T.rows != m.base.dim or m.vdim != m.base.dim:
         raise DimensionMismatch("invertible O-operator requires dim V = dim A")
     _gate(check_o_prelie(T, m), force, "O-operator candidate")
-    t_inv = T.inverse()
-    n = m.base.dim
-    tri_r = tuple(
-        tuple(T.apply(family_contract(m.l, basis_vector(n, a)).apply(t_inv.column(b))) for b in range(n))
-        for a in range(n)
-    )
-    tri_l = tuple(
-        tuple(
-            tuple(-x for x in T.apply(family_contract(m.r, basis_vector(n, a)).apply(t_inv.column(b))))
-            for b in range(n)
-        )
-        for a in range(n)
-    )
-    return Algebra(n, {"tri_r": tri_r, "tri_l": tri_l}, "compatible_ldend_from_invertible_o")
+    ops = _o_structure(T, _actions(m.l), _actions(m.r), t_inv)
+    return Algebra(m.base.dim, ops, "compatible_ldend_from_invertible_o")
 
 
 def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
     """Compatible L-dendriform structure from a nondegenerate symmetric
-    2-cocycle:  B(x|>y, z) = -B(y, [x,z])  and  B(x<|y, z) = -B(y, z o x),
-    solved for each product pair via the inverse Gram matrix."""
+    2-cocycle:  B(x|>y, z) = -B(y, [x,z])  and  B(x<|y, z) = -B(y, z o x).
+
+    With G the Gram matrix and M_a the matrix whose row z is [e_a, e_z]
+    (resp. e_z o e_a), the products e_a |> e_b (resp. e_a <| e_b) are the
+    columns of -(G^T)^-1 M_a G^T."""
     from .axioms import check_prelie_cocycle  # local import avoids a cycle
 
     circ = alg.op("circ")
@@ -289,33 +288,19 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
         raise DimensionMismatch("form dimension does not match the algebra")
     if not B.is_symmetric and not force:
         raise PreconditionFailed("the 2-cocycle must be symmetric")
-    gram = LinearMap(n, n, B.gram)
-    if not gram.is_invertible:
+    gram_t = LinearMap(n, n, B.gram).transpose()
+    inv = gram_t.try_inverse()
+    if inv is None:
         raise PreconditionFailed("the 2-cocycle must be nondegenerate")
     _gate(check_prelie_cocycle(alg, B), force, "2-cocycle candidate")
+    solver = -inv
 
-    # each product vector w solves G^T w = rhs; computed once via the inverse
-    solver = gram.transpose().inverse()
-    e = lambda i: basis_vector(n, i)
-    bracket = derive({"circ": circ}, SUB_ADJACENT)
+    def products(rows):
+        return tuple((solver @ LinearMap(n, n, m) @ gram_t).transpose().entries for m in rows)
 
-    tri_r_rows = []
-    tri_l_rows = []
-    for a in range(n):
-        row_r = []
-        row_l = []
-        for b in range(n):
-            rhs_r = tuple(-B.evaluate(e(b), bracket[a][z]) for z in range(n))
-            rhs_l = tuple(-B.evaluate(e(b), circ[z][a]) for z in range(n))
-            row_r.append(solver.apply(rhs_r))
-            row_l.append(solver.apply(rhs_l))
-        tri_r_rows.append(tuple(row_r))
-        tri_l_rows.append(tuple(row_l))
-    return Algebra(
-        n,
-        {"tri_r": tuple(tri_r_rows), "tri_l": tuple(tri_l_rows)},
-        "ldend_from_2cocycle",
-    )
+    ops = {"tri_r": products(derive({"circ": circ}, SUB_ADJACENT)),
+           "tri_l": products(tuple(zip(*circ)))}
+    return Algebra(n, ops, "ldend_from_2cocycle")
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +319,7 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     # The identity is homogeneous in R and in the table, so pass/fail does not
     # depend on the common denominator: scale and pack once per search.
     _, (circ, ints) = clear_denominators(alg.op("circ"), values)
-    bits = _o_bits(n, n, max(max_abs(circ), max_abs(ints)))
-    by_b = _packed_columns(circ, bits)
+    bits, by_b = _packed_base(circ, n, max(max_abs(circ), max_abs(ints)))
     r_images = tuple(zip(*circ))               # the regular module, as in the check
     pairs = tuple(itertools.product(range(n), repeat=2))
     exact = dict(zip(ints, values))

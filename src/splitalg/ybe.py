@@ -28,6 +28,7 @@ from .core import (
     DimensionMismatch,
     LinearMap,
     PreconditionFailed,
+    SingularMap,
     Tensor2,
     Tensor3,
     exchange,
@@ -423,10 +424,10 @@ def form_criterion_check(alg: Algebra, r: Tensor2) -> FormCriterionReport:
     if not r.is_skew:
         raise PreconditionFailed("the form criterion needs a skew tensor")
     _check_dims(alg, r)
-    T = tensor_to_map(r)
-    if not T.is_invertible:
-        raise PreconditionFailed("the form criterion needs an invertible tensor")
-    B = form_from_invertible_map(T)
+    try:
+        B = form_from_invertible_map(tensor_to_map(r))
+    except SingularMap:
+        raise PreconditionFailed("the form criterion needs an invertible tensor") from None
     return FormCriterionReport(
         residual=ld_residual(alg, r, "eq-4.8"),
         cocycle=check_ldend_cocycle(alg, B),

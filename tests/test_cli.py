@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, deterministic output, pipeline composition."""
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -252,6 +254,49 @@ def test_search_rb_bad_entry_is_a_usage_error(workdir, capsys, bad):
     assert code == 2
     assert out == ""
     assert err == f"error: --entry-set value {bad!r} is not a rational\n"
+
+
+def _within_bounds(capsys, *argv):
+    """Run the CLI under tracemalloc; return (exit code, stderr) after
+    checking that it took under 1 s and 1 MB of traced memory."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = run(capsys, *argv)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1 and peak < 1 << 20
+    return code, err
+
+
+def test_exponent_scalars_are_usage_errors(workdir, capsys):
+    write_fixture("P2", workdir)
+    capsys.readouterr()
+    code, err = _within_bounds(capsys, "search-rb", "--entry-set=0,1e999999999", "p2.alg.json")
+    assert code == 2
+    assert err == "error: --entry-set value '1e999999999' is not a rational\n"
+    doc = {"dim": 1, "ops": {"circ": [[1, 1, 1, "1e999999999"]]}}
+    (workdir / "exp.alg.json").write_text(json.dumps(doc))
+    code, err = _within_bounds(capsys, "check", "--class", "pre_lie", "exp.alg.json")
+    assert code == 2
+    assert err.startswith("error: exp.alg.json.ops.circ[0]: bad rational '1e999999999'")
+
+
+@pytest.mark.parametrize("data", [
+    b"[" * 200_000,
+    b'{"dim": 1, "ops": {"circ": [[1, 1, 1, "\xff"]]}}',
+    b'{"dim": ' + b"1" * 5000 + b"}",
+], ids=["deep-nesting", "invalid-utf8", "huge-int-literal"])
+def test_undecodable_files_are_usage_errors(workdir, capsys, data):
+    (workdir / "bad.json").write_bytes(data)
+    for argv in (["check", "--class", "pre_lie", "bad.json"],
+                 ["rb-check", "--map", "bad.json", "bad.json"],
+                 ["verify-eq", "--equation", "eq-2.9", "bad.json", "bad.json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad.json")
 
 
 def test_verify_eq(workdir, capsys, p2):

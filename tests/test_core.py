@@ -72,6 +72,19 @@ def test_rat_rejects_floats():
         sa.rat(0.5)
 
 
+@pytest.mark.parametrize("text", ["1e6", "1E6", "2.5e-3", "1e999999999", "-3/4e2"])
+def test_rat_rejects_exponents(text):
+    with pytest.raises(ValueError, match="exponent notation"):
+        sa.rat(text)
+    assert sa.rat("-1.25") == Fraction(-5, 4)      # decimals stay exact
+
+
+def test_table_apply_output_follows_the_table_vectors():
+    # an action table of a 1-dim base on a 2-dim space: [a][w] = l(e_a) f_w
+    acts = (((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))),)
+    assert sa.core.table_apply(acts, (Fraction(2),), (Fraction(1), Fraction(1))) == (8, 12)
+
+
 def test_booleans_and_non_int_indices_rejected():
     with pytest.raises(TypeError):
         sa.rat(True)

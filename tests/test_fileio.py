@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -292,3 +293,46 @@ def test_dimension_cap_admits_the_limit():
     assert fileio.map_from_doc(doc).rows == fileio.MAX_DIM
     with pytest.raises(fileio.FileFormatError, match="bad 'rows'"):
         fileio.map_from_doc({**doc, "rows": fileio.MAX_DIM + 1})
+
+
+def _bounded(fn, path):
+    """Run ``fn(path)`` expecting a FileFormatError naming the path; return
+    the seconds and the traced peak bytes it took."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(fileio.FileFormatError, match=re.escape(str(path))) as info:
+            fn(path)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, peak, str(info.value)
+
+
+@pytest.mark.parametrize("reader, doc", [
+    (fileio.read_algebra, {"dim": 1, "ops": {"circ": [[1, 1, 1, "1e999999999"]]}}),
+    (fileio.read_map, {"rows": 1, "cols": 1, "entries": [[1, 1, "1E999999999"]]}),
+    (fileio.read_tensor, {"dim": 1, "rank": 2, "entries": [[1, 1, "-2e999999999"]]}),
+])
+def test_exponent_scalar_rejected_cheaply(tmp_path, reader, doc):
+    """Fraction would expand 1e999999999 into a 3.3-billion-bit integer."""
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    seconds, peak, message = _bounded(reader, path)
+    assert "bad rational" in message and "exponent notation" in message
+    assert seconds < 1 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("data, what", [
+    (b"[" * 200_000, "nested too deeply"),
+    (b'{"dim": 1, "ops": {"circ": [[1, 1, 1, "\xff"]]}}', "utf-8"),
+    (b'{"dim": ' + b"1" * 5000 + b"}", "4300 digits"),
+], ids=["deep-nesting", "invalid-utf8", "huge-int-literal"])
+def test_undecodable_files_are_format_errors(tmp_path, data, what):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    for reader in (fileio.read_algebra, fileio.read_map, fileio.read_module):
+        with pytest.raises(fileio.FileFormatError, match=re.escape(str(path))) as info:
+            reader(path)
+        assert what in str(info.value)
