@@ -63,31 +63,26 @@ def d1() -> Algebra:
     return algebra(1, {"succ": [(1, 1, 1, 1)], "prec": []}, "D1")
 
 
-CATALOG_NAMES = (
-    "Z2", "P1", "P2", "N2", "L2", "RB2", "LD2", "D1",
-    "LD2_VERT", "LD2_HOR", "LD2_LIE",
-    "LD2_DOUBLE_VERT", "LD2_DOUBLE_HOR", "LD2_CANONICAL_R",
-)
+#: fixture name -> builder, in catalog order
+_BUILDERS = {
+    "Z2": z2, "P1": p1, "P2": p2, "N2": n2, "L2": l2,
+    "RB2": rb2, "LD2": ld2, "D1": d1,
+    "LD2_VERT": lambda: vertical_prelie(ld2()),
+    "LD2_HOR": lambda: horizontal_prelie(ld2()),
+    "LD2_LIE": lambda: sub_adjacent_lie(vertical_prelie(ld2())),
+    "LD2_DOUBLE_VERT": lambda: canonical_double_solution(ld2())[0],
+    "LD2_DOUBLE_HOR": lambda: canonical_double_solution(ld2())[1],
+    "LD2_CANONICAL_R": lambda: canonical_double_solution(ld2())[2],
+}
+
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def build(name: str):
     """The catalog object for a fixture name (Algebra, LinearMap or Tensor2)."""
-    direct = {
-        "Z2": z2, "P1": p1, "P2": p2, "N2": n2, "L2": l2,
-        "RB2": rb2, "LD2": ld2, "D1": d1,
-    }
-    if name in direct:
-        return direct[name]()
-    if name == "LD2_VERT":
-        return vertical_prelie(ld2())
-    if name == "LD2_HOR":
-        return horizontal_prelie(ld2())
-    if name == "LD2_LIE":
-        return sub_adjacent_lie(vertical_prelie(ld2()))
-    if name in ("LD2_DOUBLE_VERT", "LD2_DOUBLE_HOR", "LD2_CANONICAL_R"):
-        hat_vert, hat_hor, r = canonical_double_solution(ld2())
-        return {"LD2_DOUBLE_VERT": hat_vert, "LD2_DOUBLE_HOR": hat_hor, "LD2_CANONICAL_R": r}[name]
-    raise KeyError(f"unknown catalog fixture {name!r} (choose from {CATALOG_NAMES})")
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown catalog fixture {name!r} (choose from {CATALOG_NAMES})")
+    return _BUILDERS[name]()
 
 
 def catalog_files(name: str) -> list[tuple[str, object]]:

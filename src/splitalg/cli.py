@@ -66,7 +66,7 @@ from .operators import (
     search_rb,
 )
 from .representations import LDendModule, PreLieModule
-from .ybe import LD_VARIANTS, ld_residual, s_residual
+from .ybe import LD_VARIANTS, build_ld_solution, build_s_solution, ld_residual, s_residual
 
 _FUNCTORS = {
     "sub_adjacent_lie": sub_adjacent_lie,
@@ -257,14 +257,10 @@ def _cmd_build_solution(args) -> int:
     module = read_module(args.module)
     T = read_map(args.map)
     if isinstance(module, PreLieModule):
-        from .ybe import build_s_solution
-
         hat, r = build_s_solution(module, T)
         equation = "eq-2.9"
         residual = s_residual(hat, r)
     elif isinstance(module, LDendModule):
-        from .ybe import build_ld_solution
-
         hat, r = build_ld_solution(module, T)
         equation = "eq-4.8"
         residual = ld_residual(hat, r, equation)

@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, product, repeat
 from operator import add, lshift, neg, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 #: Closed vocabulary of operation names an algebra may carry.
 OP_NAMES = (
@@ -86,6 +86,83 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# dense grids
+#
+# Every value here is a dense grid of exact entries, nested one tuple level
+# per axis: a table is dim^3, a map rows x cols, a tensor dim^rank.  Users
+# and files give grids as sparse 1-based ``(*index, value)`` rows.
+
+def _leaves(grid, rank: int) -> Iterable:
+    """The entries of a grid nested ``rank`` deep, in row-major order."""
+    for _ in range(rank - 1):
+        grid = chain.from_iterable(grid)
+    return grid
+
+
+def _has_shape(grid, shape: Sequence[int]) -> bool:
+    n, *rest = shape
+    if len(grid) != n:
+        return False
+    if len(rest) > 1:
+        return all(_has_shape(sub, rest) for sub in grid)
+    return not rest or all(len(row) == rest[0] for row in grid)
+
+
+def check_grid(grid, shape: Sequence[int], mismatch: str, what: str):
+    """Refuse ``grid`` unless it is nested to exactly ``shape``, raising
+    DimensionMismatch(``mismatch``), and each entry is an exact rational."""
+    if not _has_shape(grid, shape):
+        raise DimensionMismatch(mismatch)
+    _check_rationals(_leaves(grid, len(shape)), what)
+
+
+def nest(flat: Iterable, dim: int, rank: int) -> tuple:
+    """The dim^rank grid whose row-major entries are ``flat``."""
+    for _ in range(rank - 1):
+        flat = zip(*[iter(flat)] * dim)
+    return tuple(flat)
+
+
+def grid_nonzero(grid, shape: Sequence[int]):
+    """An iterator over the 1-based (index, value) pairs of the nonzero
+    entries of a grid of ``shape``, in lexicographic order."""
+    indices = product(*(range(1, n + 1) for n in shape))
+    return compress(zip(indices, _leaves(grid, len(shape))), _leaves(grid, len(shape)))
+
+
+def check_index(index: tuple, dim: int):
+    """Refuse a sparse row's 1-based index unless every part is an int in
+    1..dim."""
+    if not all(map(is_int, index)):
+        raise TypeError(f"index ({','.join(map(repr, index))}) must be ints")
+    if not all(1 <= t <= dim for t in index):
+        raise DimensionMismatch(f"index ({','.join(map(str, index))}) outside 1..{dim}")
+
+
+def mark_new(seen: set, index: tuple, what: str):
+    """Record a sparse row's index, refusing one given twice."""
+    if index in seen:
+        raise ValueError(f"duplicate {what} at ({','.join(map(str, index))})")
+    seen.add(index)
+
+
+def grid_from_rows(dim: int, rank: int, rows: Iterable[Sequence], what: str) -> tuple:
+    """The dense dim^rank grid of sparse 1-based ``(*index, value)`` rows;
+    an index given twice is refused as a duplicate ``what``."""
+    values = {}
+    seen = set()
+    for row in rows:
+        if len(row) != rank + 1:
+            raise ValueError(f"{what} row has {len(row)} fields, not {rank + 1}")
+        index = tuple(row[:rank])
+        check_index(index, dim)
+        mark_new(seen, index, what)
+        values[index] = rat(row[rank])
+    indices = product(range(1, dim + 1), repeat=rank)
+    return nest(map(values.get, indices, repeat(_ZERO)), dim, rank)
+
+
+# ---------------------------------------------------------------------------
 # vectors
 
 Vector = tuple[Fraction, ...]
@@ -133,31 +210,9 @@ def zero_table(dim: int) -> Table:
     return tuple(tuple(zero_vector(dim) for _ in range(dim)) for _ in range(dim))
 
 
-def check_index(index: tuple, dim: int):
-    """Refuse a sparse row's 1-based index unless every part is an int in
-    1..dim."""
-    if not all(map(is_int, index)):
-        raise TypeError(f"index ({','.join(map(repr, index))}) must be ints")
-    if not all(1 <= t <= dim for t in index):
-        raise DimensionMismatch(f"index ({','.join(map(str, index))}) outside 1..{dim}")
-
-
-def mark_new(seen: set, index: tuple, what: str):
-    """Record a sparse row's index, refusing one given twice."""
-    if index in seen:
-        raise ValueError(f"duplicate {what} at ({','.join(map(str, index))})")
-    seen.add(index)
-
-
 def table_from_triples(dim: int, triples: Iterable[Sequence]) -> Table:
     """Build a dense table from sparse 1-based ``(i, j, k, value)`` rows."""
-    dense = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
-    for i, j, k, value in triples:
-        check_index((i, j, k), dim)
-        mark_new(seen, (i, j, k), "structure constant")
-        dense[i - 1][j - 1][k - 1] = rat(value)
-    return tuple(tuple(tuple(row) for row in plane) for plane in dense)
+    return grid_from_rows(dim, 3, triples, "structure constant")
 
 
 def derive(tables: Mapping[str, Table], parts: Sequence) -> Table:
@@ -217,12 +272,8 @@ class Algebra:
         for name, table in self.ops.items():
             if name not in OP_NAMES:
                 raise UnknownOperation(name)
-            if len(table) != self.dim or any(
-                len(plane) != self.dim or any(len(row) != self.dim for row in plane)
-                for plane in table
-            ):
-                raise DimensionMismatch(f"table {name!r} is not {self.dim}^3")
-            _check_rationals(chain.from_iterable(chain.from_iterable(table)), f"table {name!r}")
+            check_grid(table, (self.dim,) * 3, f"table {name!r} is not {self.dim}^3",
+                       f"table {name!r}")
         object.__setattr__(self, "ops", MappingProxyType(dict(self.ops)))
 
     def __eq__(self, other):
@@ -312,9 +363,8 @@ class LinearMap:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise DimensionMismatch("entry grid does not match rows x cols")
-        _check_rationals(chain.from_iterable(self.entries), "linear map")
+        check_grid(self.entries, (self.rows, self.cols),
+                   "entry grid does not match rows x cols", "linear map")
 
     @staticmethod
     def from_rows(entries: Iterable[Iterable]) -> "LinearMap":
@@ -459,21 +509,49 @@ def dual_rep(family: Sequence[LinearMap]) -> tuple[LinearMap, ...]:
 # ---------------------------------------------------------------------------
 # tensors
 
-def _grid(dim: int) -> list[list[Fraction]]:
-    return [[_ZERO] * dim for _ in range(dim)]
+@dataclass(frozen=True)
+class _Tensor:
+    """A dense dim^rank coefficient array; subclasses fix ``rank`` and the
+    message for a grid of the wrong shape."""
+
+    dim: int
+    entries: tuple
+    rank: ClassVar[int]
+    _mismatch: ClassVar[str]
+
+    def __post_init__(self):
+        check_grid(self.entries, (self.dim,) * self.rank, self._mismatch, "tensor")
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(_leaves(self.entries, self.rank))
+
+    def nonzero_entries(self):
+        """Yield 1-based (index, value) in lexicographic order."""
+        return grid_nonzero(self.entries, (self.dim,) * self.rank)
+
+    def _map(self, op, *others):
+        grids = [_leaves(t.entries, self.rank) for t in (self, *others)]
+        return type(self)(self.dim, nest(map(op, *grids), self.dim, self.rank))
+
+    def __add__(self, other):
+        if self.dim != other.dim:
+            raise DimensionMismatch("tensor dimensions differ")
+        return self._map(add, other)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._map(neg)
 
 
 @dataclass(frozen=True)
-class Tensor2:
+class Tensor2(_Tensor):
     """Element of A (x) A; entry [i][j] is the coefficient of e_i (x) e_j."""
 
-    dim: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
-            raise DimensionMismatch("tensor entries are not dim x dim")
-        _check_rationals(chain.from_iterable(self.entries), "tensor")
+    rank = 2
+    _mismatch = "tensor entries are not dim x dim"
 
     @property
     def is_symmetric(self) -> bool:
@@ -491,40 +569,10 @@ class Tensor2:
             for j in range(i, self.dim)
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
-
-    def nonzero_entries(self):
-        """Yield 1-based ((i, j), value) in lexicographic order."""
-        for i, row in enumerate(self.entries):
-            for j, value in enumerate(row):
-                if value:
-                    yield (i + 1, j + 1), value
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        if self.dim != other.dim:
-            raise DimensionMismatch("tensor dimensions differ")
-        return Tensor2(
-            self.dim, tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor2":
-        return Tensor2(self.dim, tuple(vec_neg(r) for r in self.entries))
-
 
 def tensor2(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor2:
     """Build from sparse 1-based ``(i, j, value)`` rows."""
-    grid = _grid(dim)
-    seen = set()
-    for i, j, value in sparse:
-        check_index((i, j), dim)
-        mark_new(seen, (i, j), "entry")
-        grid[i - 1][j - 1] = rat(value)
-    return Tensor2(dim, tuple(tuple(r) for r in grid))
+    return Tensor2(dim, grid_from_rows(dim, 2, sparse, "entry"))
 
 
 def tensor2_from_entries(entries: Iterable[Iterable]) -> Tensor2:
@@ -533,53 +581,14 @@ def tensor2_from_entries(entries: Iterable[Iterable]) -> Tensor2:
 
 
 @dataclass(frozen=True)
-class Tensor3:
+class Tensor3(_Tensor):
     """Element of A (x) A (x) A as a dense rank-3 coefficient array."""
 
-    dim: int
-    entries: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def __post_init__(self):
-        d = self.dim
-        if len(self.entries) != d or any(
-            len(p) != d or any(len(r) != d for r in p) for p in self.entries
-        ):
-            raise DimensionMismatch("tensor entries are not dim^3")
-        _check_rationals(chain.from_iterable(chain.from_iterable(self.entries)), "tensor")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(any(any(row) for row in plane) for plane in self.entries)
-
-    def nonzero_entries(self):
-        """Yield 1-based ((i, j, k), value) in lexicographic order."""
-        for i, plane in enumerate(self.entries):
-            for j, row in enumerate(plane):
-                for k, value in enumerate(row):
-                    if value:
-                        yield (i + 1, j + 1, k + 1), value
+    rank = 3
+    _mismatch = "tensor entries are not dim^3"
 
     def nonzero_count(self) -> int:
         return sum(1 for _ in self.nonzero_entries())
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        if self.dim != other.dim:
-            raise DimensionMismatch("tensor dimensions differ")
-        return Tensor3(
-            self.dim,
-            tuple(
-                tuple(vec_add(a, b) for a, b in zip(pa, pb))
-                for pa, pb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(
-            self.dim, tuple(tuple(vec_neg(r) for r in p) for p in self.entries)
-        )
 
 
 def tensor3_from_entries(entries) -> Tensor3:
@@ -589,13 +598,7 @@ def tensor3_from_entries(entries) -> Tensor3:
 
 def tensor3(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor3:
     """Build from sparse 1-based ``(i, j, k, value)`` rows."""
-    grid = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
-    for i, j, k, value in sparse:
-        check_index((i, j, k), dim)
-        mark_new(seen, (i, j, k), "entry")
-        grid[i - 1][j - 1][k - 1] = rat(value)
-    return tensor3_from_entries(grid)
+    return Tensor3(dim, grid_from_rows(dim, 3, sparse, "entry"))
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +612,7 @@ class BilinearForm:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
-            raise DimensionMismatch("gram matrix is not dim x dim")
-        _check_rationals(chain.from_iterable(self.gram), "gram matrix")
+        check_grid(self.gram, (self.dim, self.dim), "gram matrix is not dim x dim", "gram matrix")
 
     def evaluate(self, u: Sequence, v: Sequence) -> Fraction:
         if len(u) != self.dim or len(v) != self.dim:
@@ -649,10 +650,7 @@ def bilinear_form(entries: Iterable[Iterable]) -> BilinearForm:
 
 def exchange(r: Tensor2) -> Tensor2:
     """Swap the two tensor factors: e_i (x) e_j -> e_j (x) e_i."""
-    return Tensor2(
-        r.dim,
-        tuple(tuple(r.entries[j][i] for j in range(r.dim)) for i in range(r.dim)),
-    )
+    return Tensor2(r.dim, tensor_to_map(r).entries)
 
 
 def slot_product(
@@ -677,20 +675,14 @@ def slot_product(
 
 def tensor_to_map(r: Tensor2) -> LinearMap:
     """The map A* -> A identified with r:  e_i* -> sum_k r[i][k] e_k."""
-    return LinearMap(
-        r.dim, r.dim,
-        tuple(tuple(r.entries[j][i] for j in range(r.dim)) for i in range(r.dim)),
-    )
+    return LinearMap(r.dim, r.dim, r.entries).transpose()
 
 
 def map_to_tensor(T: LinearMap) -> Tensor2:
     """Inverse identification of :func:`tensor_to_map` (square maps only)."""
     if not T.is_square:
         raise DimensionMismatch("only square maps identify with rank-2 tensors")
-    return Tensor2(
-        T.rows,
-        tuple(tuple(T.entries[j][i] for j in range(T.rows)) for i in range(T.rows)),
-    )
+    return Tensor2(T.rows, T.transpose().entries)
 
 
 def form_from_invertible_map(T: LinearMap) -> BilinearForm:
@@ -891,8 +883,4 @@ def slot_sum(
                             acc[off + y_off] += cs * cw
 
     scale = d ** 3
-    flat = [Fraction(x, scale) if x else _ZERO for x in acc]
-    return Tensor3(n, tuple(
-        tuple(tuple(flat[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n))
-        for i in range(n)
-    ))
+    return Tensor3(n, nest((Fraction(x, scale) if x else _ZERO for x in acc), n, 3))

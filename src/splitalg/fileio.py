@@ -30,6 +30,7 @@ from .core import (
     Tensor2,
     Tensor3,
     algebra,
+    grid_nonzero,
     is_int,
     mark_new,
     rat,
@@ -81,6 +82,32 @@ def _expect(cond: bool, message: str):
         raise FileFormatError(message)
 
 
+def _rows_from_doc(rows, dim: int, rank: int, where: str, expected: str) -> list:
+    """The sparse ``(*index, Fraction)`` rows of a dim^rank grid's row list
+    ``where``.  A list longer than the grid is refused before any row is
+    converted."""
+    _expect(isinstance(rows, list), f"{where}: expected a list")
+    size = dim ** rank
+    _expect(len(rows) <= size,
+            f"{where}: more rows ({len(rows)}) than the grid has entries ({size})")
+    sparse = []
+    for idx, row in enumerate(rows):
+        _expect(isinstance(row, list) and len(row) == rank + 1,
+                f"{where}[{idx}]: expected {expected}")
+        *index, value = row
+        _expect(
+            all(is_int(t) and 1 <= t <= dim for t in index),
+            f"{where}[{idx}]: index outside 1..{dim}",
+        )
+        sparse.append((*index, _scalar(value, f"{where}[{idx}]")))
+    return sparse
+
+
+def _sparse(nonzero) -> list:
+    """File rows [*index, "p/q"] of (1-based index, value) pairs."""
+    return [[*index, str(value)] for index, value in nonzero]
+
+
 def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (str, int, bool))
 
@@ -116,17 +143,8 @@ def dump_doc(doc: dict) -> str:
 # algebras
 
 def algebra_to_doc(alg: Algebra) -> dict:
-    ops = {}
-    for name in sorted(alg.ops):
-        table = alg.ops[name]
-        rows = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                for k in range(alg.dim):
-                    value = table[i][j][k]
-                    if value:
-                        rows.append([i + 1, j + 1, k + 1, str(value)])
-        ops[name] = rows
+    shape = (alg.dim,) * 3
+    ops = {name: _sparse(grid_nonzero(alg.ops[name], shape)) for name in sorted(alg.ops)}
     doc = {"dim": alg.dim, "ops": ops}
     if alg.class_tag:
         doc["class_tag"] = alg.class_tag
@@ -140,20 +158,7 @@ def algebra_from_doc(doc, where: str = "algebra") -> Algebra:
     sparse = {}
     for name, rows in doc["ops"].items():
         _expect(name in OP_NAMES, f"{where}: unknown operation name {name!r}")
-        _expect(isinstance(rows, list), f"{where}.ops.{name}: expected a list")
-        triples = []
-        for idx, row in enumerate(rows):
-            _expect(
-                isinstance(row, list) and len(row) == 4,
-                f"{where}.ops.{name}[{idx}]: expected [i, j, k, scalar]",
-            )
-            i, j, k, value = row
-            _expect(
-                all(is_int(t) and 1 <= t <= dim for t in (i, j, k)),
-                f"{where}.ops.{name}[{idx}]: index outside 1..{dim}",
-            )
-            triples.append((i, j, k, _scalar(value, f"{where}.ops.{name}[{idx}]")))
-        sparse[name] = triples
+        sparse[name] = _rows_from_doc(rows, dim, 3, f"{where}.ops.{name}", "[i, j, k, scalar]")
     tag = doc.get("class_tag")
     _expect(tag is None or isinstance(tag, str), f"{where}: bad 'class_tag'")
     try:
@@ -166,11 +171,7 @@ def algebra_from_doc(doc, where: str = "algebra") -> Algebra:
 # linear maps
 
 def map_to_doc(T: LinearMap) -> dict:
-    entries = []
-    for i in range(T.rows):
-        for j in range(T.cols):
-            if T.entries[i][j]:
-                entries.append([i + 1, j + 1, str(T.entries[i][j])])
+    entries = _sparse(grid_nonzero(T.entries, (T.rows, T.cols)))
     return {"rows": T.rows, "cols": T.cols, "entries": entries}
 
 
@@ -201,37 +202,15 @@ def map_from_doc(doc, where: str = "map") -> LinearMap:
 # tensors
 
 def tensor_to_doc(t: Tensor2 | Tensor3) -> dict:
-    entries = []
-    if isinstance(t, Tensor2):
-        rank = 2
-        for i in range(t.dim):
-            for j in range(t.dim):
-                if t.entries[i][j]:
-                    entries.append([i + 1, j + 1, str(t.entries[i][j])])
-    else:
-        rank = 3
-        for index, value in t.nonzero_entries():
-            entries.append([*index, str(value)])
-    return {"dim": t.dim, "rank": rank, "entries": entries}
+    return {"dim": t.dim, "rank": t.rank, "entries": _sparse(t.nonzero_entries())}
 
 
 def tensor_from_doc(doc, where: str = "tensor") -> Tensor2 | Tensor3:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     dim, rank = _size(doc, "dim", where), doc.get("rank")
     _expect(is_int(rank) and rank in (2, 3), f"{where}: 'rank' must be 2 or 3")
-    width = rank + 1
-    sparse = []
-    for idx, row in enumerate(doc.get("entries", [])):
-        _expect(
-            isinstance(row, list) and len(row) == width,
-            f"{where}.entries[{idx}]: expected {width} fields",
-        )
-        *index, value = row
-        _expect(
-            all(is_int(t) and 1 <= t <= dim for t in index),
-            f"{where}.entries[{idx}]: index outside 1..{dim}",
-        )
-        sparse.append((*index, _scalar(value, f"{where}.entries[{idx}]")))
+    sparse = _rows_from_doc(doc.get("entries", []), dim, rank, f"{where}.entries",
+                            f"{rank + 1} fields")
     try:
         return tensor2(dim, sparse) if rank == 2 else tensor3(dim, sparse)
     except ValueError as exc:

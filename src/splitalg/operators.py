@@ -11,7 +11,7 @@ import itertools
 from operator import mul
 from typing import Sequence
 
-from .axioms import CheckReport, _run
+from .axioms import CheckReport, _run, check_prelie_cocycle
 from .core import (
     Algebra,
     DimensionMismatch,
@@ -280,8 +280,6 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
     With G the Gram matrix and M_a the matrix whose row z is [e_a, e_z]
     (resp. e_z o e_a), the products e_a |> e_b (resp. e_a <| e_b) are the
     columns of -(G^T)^-1 M_a G^T."""
-    from .axioms import check_prelie_cocycle  # local import avoids a cycle
-
     circ = alg.op("circ")
     n = alg.dim
     if B.dim != n:

@@ -284,6 +284,14 @@ def test_exponent_scalars_are_usage_errors(workdir, capsys):
     assert err.startswith("error: exp.alg.json.ops.circ[0]: bad rational '1e999999999'")
 
 
+def test_row_list_longer_than_its_grid_is_a_usage_error(workdir, capsys):
+    doc = {"dim": 1, "ops": {"circ": [[1, 1, 1, "1"]] * 20_000}}
+    (workdir / "rows.alg.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--class", "pre_lie", "rows.alg.json")
+    assert (code, out) == (2, "")
+    assert err == "error: rows.alg.json.ops.circ: more rows (20000) than the grid has entries (1)\n"
+
+
 @pytest.mark.parametrize("data", [
     b"[" * 200_000,
     b'{"dim": 1, "ops": {"circ": [[1, 1, 1, "\xff"]]}}',

@@ -149,6 +149,46 @@ def test_duplicate_tensor_entry_rejected():
         sa.tensor3(2, [(2, 1, 2, 1), (1, 1, 1, 1), (2, 1, 2, "1/2")])
 
 
+def test_sparse_rows_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError):
+        sa.algebra(2, {"circ": [(1, 1, 1)]})
+    with pytest.raises(ValueError):
+        sa.tensor2(2, [(1, 1, 1, 1)])
+    with pytest.raises(ValueError):
+        sa.tensor3(2, [(1, 1, 1)])
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_tensor_arithmetic_is_entrywise(data):
+    """+, - and unary - of both tensor ranks act entry by entry, and the
+    sparse builders and nonzero_entries invert each other."""
+    n = data.draw(small_dims)
+    for rank, build in ((2, sa.tensor2), (3, sa.tensor3)):
+        index = st.tuples(*[st.integers(1, n)] * rank)
+        a, b = (data.draw(st.dictionaries(index, rationals.filter(bool), max_size=5))
+                for _ in range(2))
+        ta, tb = (build(n, [(*i, v) for i, v in d.items()]) for d in (a, b))
+        assert dict(ta.nonzero_entries()) == a
+        assert list(ta.nonzero_entries()) == sorted(a.items())
+        total = {i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}
+        assert dict((ta + tb).nonzero_entries()) == {i: v for i, v in total.items() if v}
+        assert ta - tb == ta + (-tb)
+        assert (-ta).is_zero == (not a) and (ta - ta).is_zero
+        assert type(ta + tb) is type(ta)
+    assert not hasattr(sa.tensor2(1), "nonzero_count")
+
+
+def test_catalog_names_and_unknown_name():
+    assert catalog.CATALOG_NAMES == (
+        "Z2", "P1", "P2", "N2", "L2", "RB2", "LD2", "D1",
+        "LD2_VERT", "LD2_HOR", "LD2_LIE",
+        "LD2_DOUBLE_VERT", "LD2_DOUBLE_HOR", "LD2_CANONICAL_R",
+    )
+    with pytest.raises(KeyError, match="unknown catalog fixture 'X9'"):
+        catalog.build("X9")
+
+
 def test_algebra_hash_agrees_with_equality(p2):
     again = catalog.build("P2")
     assert again == p2 and hash(again) == hash(p2)

@@ -212,6 +212,12 @@ def test_bad_rank_rejected():
         fileio.tensor_from_doc({"dim": 2, "rank": 4, "entries": []})
 
 
+@pytest.mark.parametrize("entries", [5, "ab", {"a": 1}, None])
+def test_tensor_entries_must_be_a_list(entries):
+    with pytest.raises(fileio.FileFormatError, match=re.escape("tensor.entries: expected a list")):
+        fileio.tensor_from_doc({"dim": 2, "rank": 2, "entries": entries})
+
+
 def test_module_without_known_keys_rejected(p2):
     doc = {"base": fileio.algebra_to_doc(p2), "vdim": 2}
     with pytest.raises(fileio.FileFormatError):
@@ -322,6 +328,29 @@ def test_exponent_scalar_rejected_cheaply(tmp_path, reader, doc):
     seconds, peak, message = _bounded(reader, path)
     assert "bad rational" in message and "exponent notation" in message
     assert seconds < 1 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("reader, doc, where", [
+    (fileio.read_algebra, {"dim": 1, "ops": {"circ": [[1, 1, 1, "1"]] * 20_000}}, "ops.circ"),
+    (fileio.read_tensor, {"dim": 1, "rank": 2, "entries": [[1, 1, "1"]] * 20_000}, "entries"),
+    (fileio.read_tensor, {"dim": 1, "rank": 3, "entries": [[1, 1, 1, "1"]] * 20_000}, "entries"),
+], ids=["algebra", "tensor2", "tensor3"])
+def test_row_list_longer_than_its_grid_rejected_before_conversion(tmp_path, reader, doc, where):
+    """20,000 copies of one row in a grid of one entry are refused by their
+    count, before any row is converted: the reader's traced peak stays
+    within 1.5x that of json.loads on the same text."""
+    path = tmp_path / "rows.json"
+    text = json.dumps(doc)
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, peak, message = _bounded(reader, path)
+    assert message == f"{path}.{where}: more rows (20000) than the grid has entries (1)"
+    assert peak <= 1.5 * parse_peak
 
 
 @pytest.mark.parametrize("data, what", [
