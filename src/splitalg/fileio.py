@@ -179,8 +179,10 @@ def map_from_doc(doc, where: str = "map") -> LinearMap:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     rows, cols = _size(doc, "rows", where), _size(doc, "cols", where)
     grid = [[Fraction(0)] * cols for _ in range(rows)]
+    entries = doc.get("entries", [])
+    _expect(isinstance(entries, list), f"{where}.entries: expected a list")
     seen = set()
-    for idx, row in enumerate(doc.get("entries", [])):
+    for idx, row in enumerate(entries):
         _expect(
             isinstance(row, list) and len(row) == 3,
             f"{where}.entries[{idx}]: expected [i, j, scalar]",

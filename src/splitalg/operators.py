@@ -27,8 +27,16 @@ from .core import (
     table_apply,
     unpack,
 )
-from .functors import SUB_ADJACENT, _tag
-from .representations import LDendModule, PreLieModule, left_family
+from .functors import _tag
+from .representations import (
+    LDendModule,
+    PreLieModule,
+    _actions,
+    _check_family,
+    dual_prelie_module,
+    left_family,
+    regular_prelie_module,
+)
 
 __all__ = [
     "SearchSpaceTooLarge",
@@ -64,11 +72,6 @@ def _require_shape(T: LinearMap, rows: int, cols: int, what: str):
 # ---------------------------------------------------------------------------
 # operator checks
 
-def _columns(family):
-    """images[i][v] = family[i] applied to the v-th basis vector."""
-    return [tuple(zip(*m)) for m in family]
-
-
 def _packed_base(table, vdim: int, big: int):
     """The packed field width for the O-operator residuals of a module of
     dimension vdim over the product ``table``, all inputs bounded by big,
@@ -78,8 +81,8 @@ def _packed_base(table, vdim: int, big: int):
     return bits, tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
 
 
-def _o_packed(T, by_b, l_images, r_images, r_sign: int, bits: int):
-    """Packed int residual of  T(u).T(v) - T(l(T(u))v + r_sign * r(T(v))u)
+def _o_packed(T, by_b, l_images, r_images, bits: int):
+    """Packed int residual of  T(u).T(v) - T(l(T(u))v + r(T(v))u)
     over module basis pairs (u, v), of degree 3 in its inputs.
 
     T holds int rows (base x module), ``by_b`` is the packed base product
@@ -102,18 +105,18 @@ def _o_packed(T, by_b, l_images, r_images, r_sign: int, bits: int):
 
     def residual(u, v):
         tv = images[v]
-        return sum(map(mul, tv, left_of[u])) - l_term[u][v] - r_sign * sum(map(mul, tv, r_by_u[u]))
+        return sum(map(mul, tv, left_of[u])) - l_term[u][v] - sum(map(mul, tv, r_by_u[u]))
 
     return residual
 
 
-def _o_identity(T, table, l_images, r_images, r_sign: int):
+def _o_identity(T, table, l_images, r_images):
     """The residual function of :func:`_o_packed` for :func:`axioms._run`:
     the unpacked base vector, empty where the identity holds."""
     n = len(T)
     big = max(max_abs(T), max_abs(table), max_abs(l_images), max_abs(r_images))
     bits, by_b = _packed_base(table, len(T[0]), big)
-    packed = _o_packed(T, by_b, l_images, r_images, r_sign, bits)
+    packed = _o_packed(T, by_b, l_images, r_images, bits)
 
     def residual(u, v):
         p = packed(u, v)
@@ -125,8 +128,8 @@ def _o_identity(T, table, l_images, r_images, r_sign: int):
 def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    d, (t, circ, l, r) = clear_denominators(T, m.base.op("circ"), m.l, m.r)
-    fn = _o_identity(t, circ, _columns(l), _columns(r), 1)
+    d, (t, circ, l, r) = clear_denominators(T, m.base.op("circ"), _actions(m.l), _actions(m.r))
+    fn = _o_identity(t, circ, l, r)
     return _run([("eq-2.10", 2, 3, fn)], m.vdim, d)
 
 
@@ -135,7 +138,7 @@ def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
     _require_shape(R, alg.dim, alg.dim, "Rota-Baxter operator")
     d, (r, circ) = clear_denominators(R, alg.op("circ"))
     # the regular module: l(e_a) e_v = e_a o e_v,  r(e_a) e_u = e_u o e_a
-    fn = _o_identity(r, circ, circ, tuple(zip(*circ)), 1)
+    fn = _o_identity(r, circ, circ, tuple(zip(*circ)))
     return _run([("eq-2.11", 2, 3, fn)], alg.dim, d)
 
 
@@ -144,22 +147,23 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
     vdim = rho[0].rows if rho else 0
     if len(rho) != lie.dim:
         raise DimensionMismatch("representation family must match the Lie dimension")
+    _check_family(rho, lie.dim, vdim, "rho")
     _require_shape(T, lie.dim, vdim, "O-operator")
-    d, (t, bracket, rho_int) = clear_denominators(T, lie.op("bracket"), rho)
-    images = _columns(rho_int)
-    return _run([("eq-3.13", 2, 3, _o_identity(t, bracket, images, images, -1))], vdim, d)
+    d, (t, bracket, acts) = clear_denominators(T, lie.op("bracket"), _actions(rho))
+    fn = _o_identity(t, bracket, acts, derive({"rho": acts}, ((-1, "rho", False),)))
+    return _run([("eq-3.13", 2, 3, fn)], vdim, d)
 
 
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     """Both displayed O-operator identities of an L-dendriform module."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
     d, (t, tr, tl, lr, rr, ll, rl) = clear_denominators(
-        T, m.base.op("tri_r"), m.base.op("tri_l"), m.l_r, m.r_r, m.l_l, m.r_l
+        T, m.base.op("tri_r"), m.base.op("tri_l"), *map(_actions, (m.l_r, m.r_r, m.l_l, m.r_l))
     )
     return _run(
         [
-            ("eq-4.7-tri_r", 2, 3, _o_identity(t, tr, _columns(lr), _columns(rr), 1)),
-            ("eq-4.7-tri_l", 2, 3, _o_identity(t, tl, _columns(ll), _columns(rl), 1)),
+            ("eq-4.7-tri_r", 2, 3, _o_identity(t, tr, lr, rr)),
+            ("eq-4.7-tri_l", 2, 3, _o_identity(t, tl, ll, rl)),
         ],
         m.vdim,
         d,
@@ -201,11 +205,6 @@ def _o_structure(T: LinearMap, l_acts: Table, r_acts: Table, t_inv=None) -> dict
         maps = (LinearMap.identity(T.rows), t_inv, T)
     tables = {"l": _image_table(l_acts, *maps), "r": _image_table(r_acts, *maps)}
     return {"tri_r": tables["l"], "tri_l": derive(tables, ((-1, "r", False),))}
-
-
-def _actions(family: Sequence[LinearMap]) -> Table:
-    """The action table of a matrix family: [a][w] = family[a] f_w."""
-    return tuple(_columns(m.entries for m in family))
 
 
 def ldend_from_o_prelie(
@@ -277,10 +276,10 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
     """Compatible L-dendriform structure from a nondegenerate symmetric
     2-cocycle:  B(x|>y, z) = -B(y, [x,z])  and  B(x<|y, z) = -B(y, z o x).
 
-    With G the Gram matrix and M_a the matrix whose row z is [e_a, e_z]
-    (resp. e_z o e_a), the products e_a |> e_b (resp. e_a <| e_b) are the
-    columns of -(G^T)^-1 M_a G^T."""
-    circ = alg.op("circ")
+    With G the Gram matrix, T = (G^T)^-1 is an invertible O-operator of the
+    dual regular module (l*, r*), and this is its compatible structure:
+    x |> y = T(l*(x) G^T y),  x <| y = -T(r*(x) G^T y)."""
+    dual = dual_prelie_module(regular_prelie_module(alg))
     n = alg.dim
     if B.dim != n:
         raise DimensionMismatch("form dimension does not match the algebra")
@@ -291,13 +290,7 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
     if inv is None:
         raise PreconditionFailed("the 2-cocycle must be nondegenerate")
     _gate(check_prelie_cocycle(alg, B), force, "2-cocycle candidate")
-    solver = -inv
-
-    def products(rows):
-        return tuple((solver @ LinearMap(n, n, m) @ gram_t).transpose().entries for m in rows)
-
-    ops = {"tri_r": products(derive({"circ": circ}, SUB_ADJACENT)),
-           "tri_l": products(tuple(zip(*circ)))}
+    ops = _o_structure(inv, _actions(dual.l), _actions(dual.r), gram_t)
     return Algebra(n, ops, "ldend_from_2cocycle")
 
 
@@ -324,7 +317,7 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     found = []
     for flat in itertools.product(ints, repeat=n * n):
         rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        residual = _o_packed(rows, by_b, circ, r_images, 1, bits)
+        residual = _o_packed(rows, by_b, circ, r_images, bits)
         if not any(residual(u, v) for u, v in pairs):
             found.append(LinearMap(n, n, tuple(tuple(map(exact.__getitem__, row)) for row in rows)))
     return found

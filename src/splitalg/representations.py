@@ -87,20 +87,24 @@ class LDendModule:
             _check_family(getattr(self, name), self.base.dim, self.vdim, name)
 
 
-def _left_operators(table: Table) -> tuple[LinearMap, ...]:
-    """L(e_i) e_j = e_i * e_j under ``table``."""
-    n = len(table)
-    return tuple(LinearMap(n, n, tuple(zip(*plane))) for plane in table)
+def _actions(family: Sequence[LinearMap]) -> Table:
+    """The action table of a matrix family: [a][w] = family[a] f_w."""
+    return tuple(tuple(zip(*m.entries)) for m in family)
+
+
+def _family(acts: Table) -> tuple[LinearMap, ...]:
+    """The matrix family of an action table, inverse of :func:`_actions`."""
+    return tuple(LinearMap(len(plane), len(plane), tuple(zip(*plane))) for plane in acts)
 
 
 def left_family(alg: Algebra, op: str) -> tuple[LinearMap, ...]:
     """Left multiplication operators L(e_i) of the named operation."""
-    return _left_operators(alg.op(op))
+    return _family(alg.op(op))
 
 
 def right_family(alg: Algebra, op: str) -> tuple[LinearMap, ...]:
     """Right multiplication operators R(e_i):  R(e_i) e_j = e_j * e_i."""
-    return _left_operators(derive({op: alg.op(op)}, ((1, op, True),)))
+    return _family(derive({op: alg.op(op)}, ((1, op, True),)))
 
 
 def regular_prelie_module(alg: Algebra) -> PreLieModule:
@@ -124,19 +128,18 @@ def regular_ldend_module(alg: Algebra) -> LDendModule:
 # semidirect sums and the module identities
 
 def _block_fill(table: Table, left, right, zero) -> Table:
-    """The table of A + V from a base table and a (left, right) action pair
-    given as row tuples:  e_i f_j = left[i] f_j,  f_j e_i = right[i] f_j,
-    and V.V = 0.  Base coordinates first; ``zero`` fills the other blocks."""
+    """The table of A + V from a base table and a (left, right) pair of
+    action tables:  e_i f_j = left[i][j],  f_j e_i = right[i][j],  and
+    V.V = 0.  Base coordinates first; ``zero`` fills the other blocks."""
     n, v = len(table), len(left[0])
     pad_v, pad_n = (zero,) * v, (zero,) * n
     module_block = ((zero,) * (n + v),) * v
     top = tuple(
-        tuple(vec + pad_v for vec in plane) + tuple(pad_n + col for col in zip(*left[i]))
+        tuple(vec + pad_v for vec in plane) + tuple(pad_n + col for col in left[i])
         for i, plane in enumerate(table)
     )
     bottom = tuple(
-        tuple(pad_n + tuple(row[j] for row in right[i]) for i in range(n)) + module_block
-        for j in range(v)
+        tuple(pad_n + right[i][j] for i in range(n)) + module_block for j in range(v)
     )
     return top + bottom
 
@@ -145,8 +148,7 @@ def _semidirect(m, blocks, name: str) -> Algebra:
     """The semidirect sum of module ``m`` whose operation ``op`` extends the
     base table by the action pair ``blocks[op]``."""
     ops = {
-        op: _block_fill(m.base.op(op), *(tuple(a.entries for a in fam) for fam in pair),
-                        Fraction(0))
+        op: _block_fill(m.base.op(op), *map(_actions, pair), Fraction(0))
         for op, pair in blocks.items()
     }
     tag = m.base.class_tag
@@ -160,7 +162,8 @@ def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
     (i, j) is the v x v matrix whose column w is sign times the module part
     of the class residual (the base part vanishes), flattened row-major."""
     n, v = m.base.dim, m.vdim
-    d, scaled = clear_denominators(*((m.base.op(op), *pair) for op, pair in blocks.items()))
+    d, scaled = clear_denominators(
+        *((m.base.op(op), *map(_actions, pair)) for op, pair in blocks.items()))
     ops = {op: _block_fill(*grids, 0) for op, grids in zip(blocks, scaled)}
     bounds = {op: max_abs(table) for op, table in ops.items()}
     compiled = {ident: _compile(terms, ops, n + v, bounds)
@@ -214,11 +217,11 @@ def check_prelie_module(m: PreLieModule) -> CheckReport:
 
 def _dual_family(m, *terms) -> tuple[LinearMap, ...]:
     """e_a -> (sum of sign * family[a])^T over the (sign, family name)
-    ``terms`` of module m: the signed sum by :func:`derive`, whose rows
-    [a][j] are row j of matrix a, then one transpose per matrix."""
-    families = {name: tuple(a.entries for a in getattr(m, name)) for _, name in terms}
-    total = derive(families, [(sign, name, False) for sign, name in terms])
-    return tuple(LinearMap(m.vdim, m.vdim, tuple(zip(*rows))) for rows in total)
+    ``terms`` of module m: plane a of the signed sum of the action tables
+    by :func:`derive`, whose rows [a][w] are column w of matrix a."""
+    acts = {name: _actions(getattr(m, name)) for _, name in terms}
+    total = derive(acts, [(sign, name, False) for sign, name in terms])
+    return tuple(LinearMap(m.vdim, m.vdim, plane) for plane in total)
 
 
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:

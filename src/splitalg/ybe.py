@@ -52,10 +52,8 @@ from .representations import (
     PreLieModule,
     dual_ldend_module,
     dual_prelie_module,
-    left_family,
     regular_ldend_module,
     regular_prelie_module,
-    right_family,
     semidirect_ldend,
     semidirect_prelie,
 )
@@ -287,19 +285,15 @@ class LDEquivalenceReport:
         return self.aux_a.is_zero or not self.aux_b.is_zero
 
 
-def _dual_prelie_modules(alg: Algebra) -> tuple[PreLieModule, PreLieModule]:
-    """The duals of the pre-Lie modules (L_r, -L_l) over the vertical and
-    (L_r, R_l) over the horizontal algebra of an L-dendriform algebra."""
-    n = alg.dim
-    lr = left_family(alg, "tri_r")
-    ll = left_family(alg, "tri_l")
-    rl = right_family(alg, "tri_l")
+def _prelie_modules(reg: LDendModule) -> tuple[PreLieModule, PreLieModule]:
+    """The pre-Lie modules (L_r, -L_l) over the vertical and (L_r, R_l) over
+    the horizontal algebra of an L-dendriform algebra, from its regular
+    module; the identity map is an O-operator of both."""
+    alg, n = reg.base, reg.vdim
     vert = vertical_prelie(alg)
     hor = rename_ops(horizontal_prelie(alg), {"bullet": "circ"})
-    return (
-        dual_prelie_module(PreLieModule(vert, n, lr, tuple(-m for m in ll))),
-        dual_prelie_module(PreLieModule(hor, n, lr, rl)),
-    )
+    return (PreLieModule(vert, n, reg.l_r, tuple(-m for m in reg.l_l)),
+            PreLieModule(hor, n, reg.l_r, reg.r_l))
 
 
 def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
@@ -307,10 +301,11 @@ def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
     T = tensor_to_map(r)
-    m_vert, m_hor = _dual_prelie_modules(alg)
+    reg = regular_ldend_module(alg)
+    m_vert, m_hor = map(dual_prelie_module, _prelie_modules(reg))
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
-        operator_ldend=check_o_ldend(T, dual_ldend_module(regular_ldend_module(alg))),
+        operator_ldend=check_o_ldend(T, dual_ldend_module(reg)),
         operator_vertical=check_o_prelie(T, m_vert),
         operator_horizontal=check_o_prelie(T, m_hor),
         aux_a=ld_residual(alg, r, "eq-4.9"),
@@ -357,14 +352,11 @@ def canonical_double_solution(alg: Algebra) -> tuple[Algebra, Algebra, Tensor2]:
     """For an L-dendriform algebra of dimension n, both 2n-dimensional
     semidirect pre-Lie algebras (vertical and horizontal, each with its dual
     regular-action module) in which the canonical symmetric tensor
-    sum_i (e_i (x) e_i* + e_i* (x) e_i)  solves the S-equation."""
-    n = alg.dim
-    hat_vert, hat_hor = map(semidirect_prelie, _dual_prelie_modules(alg))
-    r = tensor2(
-        2 * n,
-        [(i + 1, n + i + 1, 1) for i in range(n)]
-        + [(n + i + 1, i + 1, 1) for i in range(n)],
-    )
+    sum_i (e_i (x) e_i* + e_i* (x) e_i)  solves the S-equation: the
+    solutions that :func:`build_s_solution` builds from the identity map."""
+    identity = LinearMap.identity(alg.dim)
+    modules = _prelie_modules(regular_ldend_module(alg))
+    (hat_vert, r), (hat_hor, _) = (build_s_solution(m, identity) for m in modules)
     return hat_vert, hat_hor, r
 
 

@@ -22,16 +22,28 @@ from splitalg.core import (
     BilinearForm,
     DimensionMismatch,
     LinearMap,
+    PreconditionFailed,
     Table,
     UnknownOperation,
     Vector,
     basis_vector,
+    derive,
     family_contract,
+    rename_ops,
     table_apply,
+    tensor2,
     vec_add,
     vec_sub,
 )
-from splitalg.operators import _require_shape
+from splitalg.functors import SUB_ADJACENT, horizontal_prelie, vertical_prelie
+from splitalg.operators import _gate, _require_shape
+from splitalg.representations import (
+    PreLieModule,
+    dual_prelie_module,
+    left_family,
+    right_family,
+    semidirect_prelie,
+)
 
 
 def is_zero_vector(x: Vector) -> bool:
@@ -443,3 +455,65 @@ def _check_companion_identity(alg: Algebra, B) -> CheckReport:
         return (lhs - rhs,)
 
     return _run([("eq-4.15", 3, eq_4_15)], n)
+
+
+# ---------------------------------------------------------------------------
+# the special constructions as they were written out by hand, before the
+# package built them through the general O-operator constructions
+
+def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
+    """Compatible L-dendriform structure from a nondegenerate symmetric
+    2-cocycle:  B(x|>y, z) = -B(y, [x,z])  and  B(x<|y, z) = -B(y, z o x).
+
+    With G the Gram matrix and M_a the matrix whose row z is [e_a, e_z]
+    (resp. e_z o e_a), the products e_a |> e_b (resp. e_a <| e_b) are the
+    columns of -(G^T)^-1 M_a G^T."""
+    circ = alg.op("circ")
+    n = alg.dim
+    if B.dim != n:
+        raise DimensionMismatch("form dimension does not match the algebra")
+    if not B.is_symmetric and not force:
+        raise PreconditionFailed("the 2-cocycle must be symmetric")
+    gram_t = LinearMap(n, n, B.gram).transpose()
+    inv = gram_t.try_inverse()
+    if inv is None:
+        raise PreconditionFailed("the 2-cocycle must be nondegenerate")
+    _gate(check_prelie_cocycle(alg, B), force, "2-cocycle candidate")
+    solver = -inv
+
+    def products(rows):
+        return tuple((solver @ LinearMap(n, n, m) @ gram_t).transpose().entries for m in rows)
+
+    ops = {"tri_r": products(derive({"circ": circ}, SUB_ADJACENT)),
+           "tri_l": products(tuple(zip(*circ)))}
+    return Algebra(n, ops, "ldend_from_2cocycle")
+
+
+def _dual_prelie_modules(alg: Algebra) -> tuple[PreLieModule, PreLieModule]:
+    """The duals of the pre-Lie modules (L_r, -L_l) over the vertical and
+    (L_r, R_l) over the horizontal algebra of an L-dendriform algebra."""
+    n = alg.dim
+    lr = left_family(alg, "tri_r")
+    ll = left_family(alg, "tri_l")
+    rl = right_family(alg, "tri_l")
+    vert = vertical_prelie(alg)
+    hor = rename_ops(horizontal_prelie(alg), {"bullet": "circ"})
+    return (
+        dual_prelie_module(PreLieModule(vert, n, lr, tuple(-m for m in ll))),
+        dual_prelie_module(PreLieModule(hor, n, lr, rl)),
+    )
+
+
+def canonical_double_solution(alg: Algebra):
+    """For an L-dendriform algebra of dimension n, both 2n-dimensional
+    semidirect pre-Lie algebras (vertical and horizontal, each with its dual
+    regular-action module) in which the canonical symmetric tensor
+    sum_i (e_i (x) e_i* + e_i* (x) e_i)  solves the S-equation."""
+    n = alg.dim
+    hat_vert, hat_hor = map(semidirect_prelie, _dual_prelie_modules(alg))
+    r = tensor2(
+        2 * n,
+        [(i + 1, n + i + 1, 1) for i in range(n)]
+        + [(n + i + 1, i + 1, 1) for i in range(n)],
+    )
+    return hat_vert, hat_hor, r

@@ -292,6 +292,15 @@ def test_row_list_longer_than_its_grid_is_a_usage_error(workdir, capsys):
     assert err == "error: rows.alg.json.ops.circ: more rows (20000) than the grid has entries (1)\n"
 
 
+def test_map_entries_not_a_list_is_a_usage_error(workdir, capsys):
+    write_fixture("P2", workdir)
+    capsys.readouterr()
+    (workdir / "e.map.json").write_text(json.dumps({"rows": 2, "cols": 2, "entries": 5}))
+    code, out, err = run(capsys, "rb-check", "--map", "e.map.json", "p2.alg.json")
+    assert (code, out) == (2, "")
+    assert err == "error: e.map.json.entries: expected a list\n"
+
+
 @pytest.mark.parametrize("data", [
     b"[" * 200_000,
     b'{"dim": 1, "ops": {"circ": [[1, 1, 1, "\xff"]]}}',

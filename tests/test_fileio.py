@@ -218,6 +218,21 @@ def test_tensor_entries_must_be_a_list(entries):
         fileio.tensor_from_doc({"dim": 2, "rank": 2, "entries": entries})
 
 
+@pytest.mark.parametrize("entries", [5, "ab", {"a": 1}, None])
+def test_map_entries_must_be_a_list(p2, entries):
+    sparse = {"rows": 2, "cols": 2, "entries": entries}
+    with pytest.raises(fileio.FileFormatError, match=re.escape("map.entries: expected a list")):
+        fileio.map_from_doc(sparse)
+    with pytest.raises(fileio.FileFormatError,
+                       match=re.escape("form.gram.entries: expected a list")):
+        fileio.form_from_doc({"gram": sparse})
+    doc = fileio.module_to_doc(regular_prelie_module(p2))
+    doc["r"][1] = sparse
+    with pytest.raises(fileio.FileFormatError,
+                       match=re.escape("module.r[1].entries: expected a list")):
+        fileio.module_from_doc(doc)
+
+
 def test_module_without_known_keys_rejected(p2):
     doc = {"base": fileio.algebra_to_doc(p2), "vdim": 2}
     with pytest.raises(fileio.FileFormatError):

@@ -1,16 +1,22 @@
 """Rota-Baxter and O-operator checks plus every induced construction."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg import catalog
+from splitalg.core import nest
 from splitalg.representations import (
     left_family,
     regular_ldend_module,
     regular_prelie_module,
 )
+
+import naive_checks as naive
 
 
 def neg(family):
@@ -69,6 +75,16 @@ def test_o_lie_identity_fails_on_nonabelian(l2):
     # pair (1,2): [e1,e2] = e2 but T(ad(e1)e2 - ad(e2)e1) = 2 e2
     assert report.failures[0].indices == (1, 2)
     assert report.failures[0].residual == (0, -1)
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (2, 3))],
+                         ids=["square-of-two-sizes", "rectangular"])
+def test_o_lie_rejects_a_malformed_representation(l2, shapes):
+    rho = tuple(sa.LinearMap.zero(rows, cols) for rows, cols in shapes)
+    with pytest.raises(sa.DimensionMismatch, match="family 'rho' matrices must be 2x2"):
+        sa.check_o_lie(sa.LinearMap.identity(2), l2, rho)
+    with pytest.raises(sa.DimensionMismatch, match="must match the Lie dimension"):
+        sa.check_o_lie(sa.LinearMap.identity(2), l2, rho[:1])
 
 
 def test_o_ldend_zero_map_passes(ld2):
@@ -265,6 +281,30 @@ def test_cocycle_lift_round_trip(ld2):
     assert sa.check_o_prelie(T, m_dual).passed
     via_operator = sa.compatible_ldend_from_invertible_o(T, m_dual)
     assert dict(via_operator.ops) == dict(lift.ops)
+
+
+_thirds = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+
+
+def _grid(data, n, rank):
+    return nest(data.draw(st.lists(_thirds, min_size=n ** rank, max_size=n ** rank)), n, rank)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "not-symmetric"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cocycle_lift_matches_hand_written_formula(symmetric, data):
+    """The lift through the O-operator construction against the columns of
+    -(G^T)^-1 M_a G^T, forced past the cocycle gate."""
+    n = data.draw(st.integers(1, 4))
+    alg = sa.Algebra(n, {"circ": _grid(data, n, 3)})
+    gram = _grid(data, n, 2)
+    if symmetric:
+        gram = tuple(tuple(gram[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    B = sa.BilinearForm(n, gram)
+    assume(B.is_nondegenerate and B.is_symmetric == symmetric)
+    lift = sa.ldend_from_2cocycle(alg, B, force=True)
+    assert repr(lift) == repr(naive.ldend_from_2cocycle(alg, B, force=True))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitalg as sa
+from splitalg.core import nest
 from splitalg.representations import regular_ldend_module, regular_prelie_module
 
+import naive_checks as naive
 from naive_tensor import naive_ld_residual, naive_s_residual
 
 
@@ -346,3 +350,18 @@ def test_form_criterion_preconditions(ld2):
         sa.form_criterion_check(ld2, sa.tensor2(2, [(1, 2, 1)]))          # not skew
     with pytest.raises(sa.PreconditionFailed):
         sa.form_criterion_check(ld2, sa.tensor2(2))                        # degenerate
+
+
+_thirds = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_double_matches_hand_built_tensor(data):
+    """build_s_solution with the identity map against the two dual modules
+    and the tensor sum_i e_i (x) e_i* + e_i* (x) e_i built by hand."""
+    n = data.draw(st.integers(1, 3))
+    cube = st.lists(_thirds, min_size=n ** 3, max_size=n ** 3)
+    ops = {op: nest(data.draw(cube), n, 3) for op in ("tri_r", "tri_l")}
+    alg = sa.Algebra(n, ops, data.draw(st.sampled_from((None, "", "LDX"))))
+    assert repr(sa.canonical_double_solution(alg)) == repr(naive.canonical_double_solution(alg))
