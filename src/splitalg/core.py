@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from operator import add, lshift, neg, sub
+from operator import add, eq, lshift, neg, sub
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -123,6 +123,21 @@ def nest(flat: Iterable, dim: int, rank: int) -> tuple:
     return tuple(flat)
 
 
+def _entrywise(op, rank: int, *grids) -> tuple:
+    """The grid whose entries are ``op`` of the corresponding entries of
+    ``grids``, each nested ``rank`` deep (iterables are read as grids)."""
+    if rank == 1:
+        return tuple(map(op, *grids))
+    return tuple(_entrywise(op, rank - 1, *rows) for rows in zip(*grids))
+
+
+def _is_symmetric(grid, skew: bool) -> bool:
+    """Whether a square grid equals its transpose, or its negated transpose
+    when ``skew``."""
+    flipped = _leaves(zip(*grid), 2)
+    return all(map(eq, _leaves(grid, 2), map(neg, flipped) if skew else flipped))
+
+
 def grid_nonzero(grid, shape: Sequence[int]):
     """An iterator over the 1-based (index, value) pairs of the nonzero
     entries of a grid of ``shape``, in lexicographic order."""
@@ -191,12 +206,9 @@ def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
-def vec_neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
-
-
-def vec_scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
+def _dot(x: Iterable, y: Iterable) -> Fraction:
+    """Exact  sum_k x_k y_k  as a Fraction, skipping zero factors."""
+    return sum((a * b for a, b in zip(x, y) if a and b), _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +361,6 @@ def multiply(alg: Algebra, op: str, x: Sequence, y: Sequence) -> Vector:
 # ---------------------------------------------------------------------------
 # linear maps
 
-def _rows_tuple(entries: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(rat(x) for x in row) for row in entries)
-
-
 @dataclass(frozen=True)
 class LinearMap:
     """Exact matrix between two based spaces; column j is the image of the
@@ -368,7 +376,7 @@ class LinearMap:
 
     @staticmethod
     def from_rows(entries: Iterable[Iterable]) -> "LinearMap":
-        grid = _rows_tuple(entries)
+        grid = _entrywise(rat, 2, entries)
         return LinearMap(len(grid), len(grid[0]) if grid else 0, grid)
 
     @staticmethod
@@ -389,22 +397,14 @@ class LinearMap:
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"map takes length {self.cols}, got {len(v)}")
-        return tuple(
-            sum((row[j] * v[j] for j in range(self.cols) if v[j]), _ZERO)
-            for row in self.entries
-        )
+        return tuple(_dot(row, v) for row in self.entries)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self @ other)."""
         if self.cols != other.rows:
             raise DimensionMismatch("composition shape mismatch")
-        entries = tuple(
-            tuple(
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), _ZERO)
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
+        columns = [other.column(j) for j in range(other.cols)]
+        entries = tuple(tuple(_dot(row, col) for col in columns) for row in self.entries)
         return LinearMap(self.rows, other.cols, entries)
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
@@ -419,22 +419,16 @@ class LinearMap:
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("addition shape mismatch")
-        return LinearMap(
-            self.rows, self.cols,
-            tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)),
-        )
+        return LinearMap(self.rows, self.cols, _entrywise(add, 2, self.entries, other.entries))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self + (-other)
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self.rows, self.cols, tuple(vec_neg(r) for r in self.entries))
+        return LinearMap(self.rows, self.cols, _entrywise(neg, 2, self.entries))
 
     def scale(self, c: int | str | Fraction) -> "LinearMap":
-        c = rat(c)
-        return LinearMap(
-            self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries)
-        )
+        return LinearMap(self.rows, self.cols, _entrywise(rat(c).__mul__, 2, self.entries))
 
     def rank(self) -> int:
         return _gauss_jordan([list(row) for row in self.entries], self.cols)
@@ -488,12 +482,17 @@ def family_contract(family: Sequence[LinearMap], coeffs: Sequence) -> LinearMap:
     """Extend a basis-indexed matrix family linearly:  sum_i c_i family[i]."""
     if len(family) != len(coeffs):
         raise DimensionMismatch("family length does not match coefficient vector")
-    out = LinearMap.zero(family[0].rows, family[0].cols)
-    for c, m in zip(coeffs, family):
-        c = rat(c)
+    shape = family[0].rows, family[0].cols
+    coefficients, grids = [], []
+    for c, m in zip(map(rat, coeffs), family):  # zero terms skip the shape check
         if c:
-            out = out + m.scale(c)
-    return out
+            if (m.rows, m.cols) != shape:
+                raise DimensionMismatch("addition shape mismatch")
+            coefficients.append(c)
+            grids.append(m.entries)
+    if not coefficients:
+        return LinearMap.zero(*shape)
+    return LinearMap(*shape, _entrywise(lambda *xs: _dot(coefficients, xs), 2, *grids))
 
 
 def dual_rep(family: Sequence[LinearMap]) -> tuple[LinearMap, ...]:
@@ -530,20 +529,16 @@ class _Tensor:
         """Yield 1-based (index, value) in lexicographic order."""
         return grid_nonzero(self.entries, (self.dim,) * self.rank)
 
-    def _map(self, op, *others):
-        grids = [_leaves(t.entries, self.rank) for t in (self, *others)]
-        return type(self)(self.dim, nest(map(op, *grids), self.dim, self.rank))
-
     def __add__(self, other):
         if self.dim != other.dim:
             raise DimensionMismatch("tensor dimensions differ")
-        return self._map(add, other)
+        return type(self)(self.dim, _entrywise(add, self.rank, self.entries, other.entries))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._map(neg)
+        return type(self)(self.dim, _entrywise(neg, self.rank, self.entries))
 
 
 @dataclass(frozen=True)
@@ -555,19 +550,11 @@ class Tensor2(_Tensor):
 
     @property
     def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        return _is_symmetric(self.entries, skew=False)
 
     @property
     def is_skew(self) -> bool:
-        return all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(self.dim)
-            for j in range(i, self.dim)
-        )
+        return _is_symmetric(self.entries, skew=True)
 
 
 def tensor2(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor2:
@@ -576,7 +563,7 @@ def tensor2(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor2:
 
 
 def tensor2_from_entries(entries: Iterable[Iterable]) -> Tensor2:
-    grid = _rows_tuple(entries)
+    grid = _entrywise(rat, 2, entries)
     return Tensor2(len(grid), grid)
 
 
@@ -592,7 +579,7 @@ class Tensor3(_Tensor):
 
 
 def tensor3_from_entries(entries) -> Tensor3:
-    grid = tuple(tuple(tuple(rat(x) for x in row) for row in plane) for plane in entries)
+    grid = _entrywise(rat, 3, entries)
     return Tensor3(len(grid), grid)
 
 
@@ -617,23 +604,15 @@ class BilinearForm:
     def evaluate(self, u: Sequence, v: Sequence) -> Fraction:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("vector length does not match form dimension")
-        total = _ZERO
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.gram[i]
-            for j, vj in enumerate(v):
-                if vj and row[j]:
-                    total += ui * vj * row[j]
-        return total
+        return _dot(u, [_dot(row, v) for row in self.gram])
 
     @property
     def is_symmetric(self) -> bool:
-        return Tensor2(self.dim, self.gram).is_symmetric
+        return _is_symmetric(self.gram, skew=False)
 
     @property
     def is_skew(self) -> bool:
-        return Tensor2(self.dim, self.gram).is_skew
+        return _is_symmetric(self.gram, skew=True)
 
     @property
     def is_nondegenerate(self) -> bool:
@@ -641,7 +620,7 @@ class BilinearForm:
 
 
 def bilinear_form(entries: Iterable[Iterable]) -> BilinearForm:
-    grid = _rows_tuple(entries)
+    grid = _entrywise(rat, 2, entries)
     return BilinearForm(len(grid), grid)
 
 

@@ -18,7 +18,10 @@ module    {"base": <algebra>, "vdim": m, "l": [<map>, ...], "r": [...]}        (
 
 from __future__ import annotations
 
+import io
 import json
+import math
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +61,15 @@ class FileFormatError(ValueError):
 #: grid is allocated, so a hostile header cannot exhaust memory
 MAX_DIM = 64
 
+#: most bits a document's least common denominator, or any numerator, may
+#: need.  Every check scales its inputs by that denominator and works on ints
+#: of that size: a dim-8 check takes 0.04 s at 256 bits and 5.9 s at 4,096.
+MAX_SCALAR_BITS = 256
+
+#: largest file a reader decodes (``json.loads`` peaks at about six times the
+#: text); a dense dim-64 table of one-digit scalars is about 6 MB
+MAX_FILE_BYTES = 1 << 24
+
 
 def _size(doc: dict, key: str, where: str) -> int:
     value = doc.get(key)
@@ -68,13 +80,26 @@ def _size(doc: dict, key: str, where: str) -> int:
     return value
 
 
-def _scalar(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise FileFormatError(f"{where}: bad rational {json.dumps(value)} (not a number)")
-    try:
-        return rat(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FileFormatError(f"{where}: bad rational {value!r} ({exc})") from None
+class _Scalars:
+    """Converts the scalars of one document, refusing the first whose
+    numerator, or the least common denominator of the scalars so far, needs
+    more than MAX_SCALAR_BITS bits."""
+
+    def __init__(self):
+        self.lcd = 1
+
+    def __call__(self, value, where: str) -> Fraction:
+        if isinstance(value, bool):
+            raise FileFormatError(f"{where}: bad rational {json.dumps(value)} (not a number)")
+        try:
+            x = rat(value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise FileFormatError(f"{where}: bad rational {value!r} ({exc})") from None
+        self.lcd = math.lcm(self.lcd, x.denominator)
+        for what, n in (("numerator", x.numerator), ("common denominator", self.lcd)):
+            _expect(n.bit_length() <= MAX_SCALAR_BITS,
+                    f"{where}: {what} needs {n.bit_length()} bits (at most {MAX_SCALAR_BITS})")
+        return x
 
 
 def _expect(cond: bool, message: str):
@@ -82,10 +107,11 @@ def _expect(cond: bool, message: str):
         raise FileFormatError(message)
 
 
-def _rows_from_doc(rows, dim: int, rank: int, where: str, expected: str) -> list:
+def _rows_from_doc(rows, dim: int, rank: int, where: str, expected: str,
+                   scalar: _Scalars) -> list:
     """The sparse ``(*index, Fraction)`` rows of a dim^rank grid's row list
-    ``where``.  A list longer than the grid is refused before any row is
-    converted."""
+    ``where``, converted by ``scalar``.  A list longer than the grid is
+    refused before any row is converted."""
     _expect(isinstance(rows, list), f"{where}: expected a list")
     size = dim ** rank
     _expect(len(rows) <= size,
@@ -99,7 +125,7 @@ def _rows_from_doc(rows, dim: int, rank: int, where: str, expected: str) -> list
             all(is_int(t) and 1 <= t <= dim for t in index),
             f"{where}[{idx}]: index outside 1..{dim}",
         )
-        sparse.append((*index, _scalar(value, f"{where}[{idx}]")))
+        sparse.append((*index, scalar(value, f"{where}[{idx}]")))
     return sparse
 
 
@@ -152,13 +178,18 @@ def algebra_to_doc(alg: Algebra) -> dict:
 
 
 def algebra_from_doc(doc, where: str = "algebra") -> Algebra:
+    return _algebra_from_doc(doc, where, _Scalars())
+
+
+def _algebra_from_doc(doc, where: str, scalar: _Scalars) -> Algebra:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     dim = _size(doc, "dim", where)
     _expect(isinstance(doc.get("ops"), dict), f"{where}: missing 'ops' object")
     sparse = {}
     for name, rows in doc["ops"].items():
         _expect(name in OP_NAMES, f"{where}: unknown operation name {name!r}")
-        sparse[name] = _rows_from_doc(rows, dim, 3, f"{where}.ops.{name}", "[i, j, k, scalar]")
+        sparse[name] = _rows_from_doc(rows, dim, 3, f"{where}.ops.{name}", "[i, j, k, scalar]",
+                                      scalar)
     tag = doc.get("class_tag")
     _expect(tag is None or isinstance(tag, str), f"{where}: bad 'class_tag'")
     try:
@@ -176,6 +207,10 @@ def map_to_doc(T: LinearMap) -> dict:
 
 
 def map_from_doc(doc, where: str = "map") -> LinearMap:
+    return _map_from_doc(doc, where, _Scalars())
+
+
+def _map_from_doc(doc, where: str, scalar: _Scalars) -> LinearMap:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     rows, cols = _size(doc, "rows", where), _size(doc, "cols", where)
     grid = [[Fraction(0)] * cols for _ in range(rows)]
@@ -196,7 +231,7 @@ def map_from_doc(doc, where: str = "map") -> LinearMap:
             mark_new(seen, (i, j), "entry")
         except ValueError as exc:
             raise FileFormatError(f"{where}.entries[{idx}]: {exc}") from None
-        grid[i - 1][j - 1] = _scalar(value, f"{where}.entries[{idx}]")
+        grid[i - 1][j - 1] = scalar(value, f"{where}.entries[{idx}]")
     return LinearMap(rows, cols, tuple(tuple(r) for r in grid))
 
 
@@ -212,7 +247,7 @@ def tensor_from_doc(doc, where: str = "tensor") -> Tensor2 | Tensor3:
     dim, rank = _size(doc, "dim", where), doc.get("rank")
     _expect(is_int(rank) and rank in (2, 3), f"{where}: 'rank' must be 2 or 3")
     sparse = _rows_from_doc(doc.get("entries", []), dim, rank, f"{where}.entries",
-                            f"{rank + 1} fields")
+                            f"{rank + 1} fields", _Scalars())
     try:
         return tensor2(dim, sparse) if rank == 2 else tensor3(dim, sparse)
     except ValueError as exc:
@@ -244,12 +279,12 @@ def _family_to_doc(family) -> list:
     return [map_to_doc(m) for m in family]
 
 
-def _family_from_doc(rows, vdim: int, base_dim: int, where: str):
+def _family_from_doc(rows, vdim: int, base_dim: int, where: str, scalar: _Scalars):
     _expect(isinstance(rows, list) and len(rows) == base_dim,
             f"{where}: expected one matrix per base basis element")
     family = []
     for idx, sub in enumerate(rows):
-        m = map_from_doc(sub, f"{where}[{idx}]")
+        m = _map_from_doc(sub, f"{where}[{idx}]", scalar)
         _expect(m.rows == vdim and m.cols == vdim, f"{where}[{idx}]: must be {vdim}x{vdim}")
         family.append(m)
     return tuple(family)
@@ -271,16 +306,19 @@ def module_from_doc(doc, where: str = "module"):
     pair for a Lie representation file, depending on the keys present."""
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     _expect("base" in doc, f"{where}: missing 'base'")
-    base = algebra_from_doc(doc["base"], f"{where}.base")
+    scalar = _Scalars()                         # one bound for the base and every family
+    base = _algebra_from_doc(doc["base"], f"{where}.base", scalar)
     vdim = _size(doc, "vdim", where)
+
+    def family(key):
+        return _family_from_doc(doc[key], vdim, base.dim, f"{where}.{key}", scalar)
+
     if all(k in doc for k in _LDEND_KEYS):
-        fams = {k: _family_from_doc(doc[k], vdim, base.dim, f"{where}.{k}") for k in _LDEND_KEYS}
-        return LDendModule(base, vdim, **fams)
+        return LDendModule(base, vdim, **{k: family(k) for k in _LDEND_KEYS})
     if all(k in doc for k in _PRELIE_KEYS):
-        fams = {k: _family_from_doc(doc[k], vdim, base.dim, f"{where}.{k}") for k in _PRELIE_KEYS}
-        return PreLieModule(base, vdim, **fams)
+        return PreLieModule(base, vdim, **{k: family(k) for k in _PRELIE_KEYS})
     if "rho" in doc:
-        return base, _family_from_doc(doc["rho"], vdim, base.dim, f"{where}.rho")
+        return base, family("rho")
     raise FileFormatError(
         f"{where}: need keys l/r (pre-Lie), l_r/r_r/l_l/r_l (L-dendriform) or rho (Lie)"
     )
@@ -291,8 +329,16 @@ def module_from_doc(doc, where: str = "module"):
 
 def _read_doc(path) -> dict:
     path = Path(path)
+    too_big = f"{path}: larger than {MAX_FILE_BYTES} bytes"
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open("rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            _expect(size <= MAX_FILE_BYTES, too_big)
+            # a pipe reports size 0: read it up to one byte past the cap
+            data = f.read((size or MAX_FILE_BYTES) + 1)
+        _expect(len(data) <= MAX_FILE_BYTES, too_big)
+        # decoded as Path.read_text decodes: UTF-8 with universal newlines
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     try:

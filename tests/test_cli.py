@@ -377,3 +377,132 @@ def test_derive_pipeline(workdir, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["dim"] == 2 and "bracket" in doc["ops"]
+
+
+# ---------------------------------------------------------------------------
+# branches the pipeline above does not reach
+
+@pytest.fixture()
+def module_files(workdir, capsys, p2, l2, ld2):
+    """LD2, P1, P2 and L2 algebra files, the regular pre-Lie and L-dendriform
+    modules, L2's adjoint representation as a rho module, and maps."""
+    from splitalg.operators import adjoint_family
+    from splitalg.representations import regular_ldend_module
+
+    for name in ("LD2", "P1", "P2", "L2", "RB2"):
+        write_fixture(name, workdir)
+    fileio.write_module(regular_prelie_module(p2), workdir / "reg.module.json")
+    fileio.write_module(regular_ldend_module(ld2), workdir / "ldreg.module.json")
+    rho = {"base": fileio.algebra_to_doc(l2), "vdim": 2,
+           "rho": [fileio.map_to_doc(m) for m in adjoint_family(l2)]}
+    (workdir / "rho.module.json").write_text(fileio.dump_doc(rho))
+    fileio.write_map(sa.LinearMap.identity(2), workdir / "id.map.json")
+    fileio.write_map(sa.LinearMap.zero(2, 2), workdir / "zero.map.json")
+    capsys.readouterr()
+    return workdir
+
+
+def test_cocycle_check_branches(module_files, capsys):
+    fileio.write_form(sa.bilinear_form([[0, 1], [-1, 0]]), module_files / "skew.form.json")
+    fileio.write_form(sa.bilinear_form([[1]]), module_files / "one.form.json")
+    assert run(capsys, "check", "--class", "ldend_cocycle", "--form", "skew.form.json",
+               "ld2.alg.json") == (1, "check ld2.alg.json [ldend_cocycle]: FAIL (2 failures)\n"
+                                      "  eq-4.16  (1,2,2)  residual [-2]\n"
+                                      "  eq-4.16  (2,2,1)  residual [-1]\n", "")
+    assert run(capsys, "check", "--class", "prelie_cocycle", "--form", "one.form.json",
+               "p1.alg.json") == (0, "check p1.alg.json [prelie_cocycle]: PASS\n", "")
+    for class_name in ("prelie_cocycle", "ldend_cocycle"):
+        assert run(capsys, "check", "--class", class_name, "ld2.alg.json") == (
+            2, "", "error: cocycle checks need --form\n")
+
+
+def test_oop_check_over_a_rho_module(module_files, capsys):
+    assert run(capsys, "oop-check", "--map", "rb2.map.json", "--module", "rho.module.json") == (
+        0, "oop-check rb2.map.json over rho.module.json [lie]: PASS\n", "")
+
+
+def test_build_solution_module_kinds(module_files, capsys):
+    code, out, _ = run(capsys, "build-solution", "--module", "ldreg.module.json",
+                       "--map", "zero.map.json", "--out", "ld")
+    assert (code, out) == (0, "wrote ld.alg.json\nwrote ld.tensor.json\n"
+                              "eq-4.8: nonzero=0 (solution)\n")
+    code, out, _ = run(capsys, "build-solution", "--module", "ldreg.module.json",
+                       "--map", "id.map.json", "--out", "ld")
+    assert (code, out) == (0, "wrote ld.alg.json\nwrote ld.tensor.json\neq-4.8: nonzero=5\n")
+    assert run(capsys, "build-solution", "--module", "rho.module.json",
+               "--map", "zero.map.json") == (
+        2, "", "error: build-solution expects a pre-Lie or L-dendriform module\n")
+
+
+def test_verify_eq_json(module_files, capsys):
+    fileio.write_tensor(sa.tensor2(2, [(1, 1, 1)]), module_files / "sol.tensor.json")
+    fileio.write_tensor(sa.tensor2(2, [(1, 2, 1), (2, 1, 1)]), module_files / "bad.tensor.json")
+    summary = {"type": "summary", "command": "verify-eq", "equation": "eq-2.9",
+               "input": "p2.alg.json"}
+    code, out, _ = run(capsys, "verify-eq", "--equation", "eq-2.9", "--json",
+                       "p2.alg.json", "sol.tensor.json")
+    assert (code, json.loads(out)) == (0, {**summary, "tensor": "sol.tensor.json", "nonzero": 0})
+    code, out, _ = run(capsys, "verify-eq", "--equation", "eq-2.9", "--json",
+                       "p2.alg.json", "bad.tensor.json")
+    assert code == 1
+    assert out == json.dumps({**summary, "tensor": "bad.tensor.json", "nonzero": 2,
+                              "first_index": [1, 2, 2], "first_value": "-2"}) + "\n"
+
+
+def test_search_rb_empty_entry_set(module_files, capsys):
+    assert run(capsys, "search-rb", "--entry-set=,", "p2.alg.json") == (
+        2, "", "error: --entry-set is empty\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--map", "id.map.json", "--module", "ldreg.module.json"],
+     "induce --module expects a pre-Lie module file"),
+    (["--map", "id.map.json", "--module", "rho.module.json"],
+     "induce --module expects a pre-Lie module file"),
+    (["--map", "id.map.json", "--map", "id.map.json", "--module", "reg.module.json"],
+     "induce --module takes exactly one --map"),
+    (["--map", "rb2.map.json", "--map", "rb2.map.json", "--map", "rb2.map.json", "l2.alg.json"],
+     "induce on a Lie algebra takes one or two --map"),
+    (["--map", "rb2.map.json", "--map", "rb2.map.json", "p2.alg.json"],
+     "induce on a pre-Lie algebra takes one --map"),
+    (["--map", "id.map.json", "ld2.alg.json"], "induce needs an algebra carrying circ or bracket"),
+    (["--map", "id.map.json"], "induce needs --module or an algebra file"),
+], ids=["ldend-module", "rho-module", "module-two-maps", "lie-three-maps", "prelie-two-maps",
+        "no-circ-or-bracket", "no-input"])
+def test_induce_usage_errors(module_files, capsys, argv, message):
+    assert run(capsys, "induce", *argv) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# files whose scalars or size would cost minutes or memory
+
+def test_long_denominators_are_refused_within_bounds(workdir, capsys):
+    """27 distinct 1000-digit denominators: checking this 27 KB file took
+    seconds before the bit cap; it is refused at its first scalar."""
+    rows = [[i, j, k, f"1/{10 ** 999 + 9 * i + 3 * j + k}"]
+            for i in range(1, 4) for j in range(1, 4) for k in range(1, 4)]
+    (workdir / "long.alg.json").write_text(json.dumps({"dim": 3, "ops": {"circ": rows}}))
+    assert (workdir / "long.alg.json").stat().st_size > 27_000
+    code, err = _within_bounds(capsys, "check", "--class", "pre_lie", "long.alg.json")
+    assert code == 2
+    assert err == (f"error: long.alg.json.ops.circ[0]: common denominator needs 3319 bits "
+                   f"(at most {fileio.MAX_SCALAR_BITS})\n")
+
+
+def test_long_integers_are_refused_quickly(workdir, capsys):
+    rows = [[i, j, k, str(10 ** 999 + i)] for i in range(1, 9)
+            for j in range(1, 9) for k in range(1, 9)]
+    (workdir / "ints.alg.json").write_text(json.dumps({"dim": 8, "ops": {"circ": rows}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--class", "pre_lie", "ints.alg.json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ints.alg.json.ops.circ[0]: numerator needs 3319 bits")
+
+
+def test_file_over_the_byte_cap_is_a_usage_error(workdir, capsys):
+    with open(workdir / "big.alg.json", "wb") as f:
+        f.truncate(fileio.MAX_FILE_BYTES + 1)
+    code, err = _within_bounds(capsys, "check", "--class", "pre_lie", "big.alg.json")
+    assert code == 2
+    assert err == f"error: big.alg.json: larger than {fileio.MAX_FILE_BYTES} bytes\n"

@@ -1,6 +1,7 @@
 """Core machinery: exact vectors, tables, maps, tensors, forms."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -547,3 +548,162 @@ def test_apply_shape_checked():
 def test_table_apply_contracts():
     table = sa.algebra(2, {"circ": [(1, 2, 1, "1/2")]}).op("circ")
     assert table_apply(table, (2, 0), (0, 3)) == (3, 0)
+
+
+# ---------------------------------------------------------------------------
+# value operations against sympy: exact values and entry types
+
+def _sympy_matrix(grid):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(int(x.numerator), int(x.denominator)) for x in row]
+                         for row in grid])
+
+
+def _fractions(matrix) -> tuple:
+    return tuple(tuple(Fraction(int(matrix[i, j].p), int(matrix[i, j].q))
+                       for j in range(matrix.cols)) for i in range(matrix.rows))
+
+
+def _types(grid) -> list:
+    return [type(x) for row in grid for x in row]
+
+
+def _sum_type(x, y):
+    """Entry type of x + y and x - y in a map: int when both are ints."""
+    return int if type(x) is int and type(y) is int else Fraction
+
+
+entries = st.one_of(st.integers(-3, 3), rationals)
+
+
+def _grid(draw, rows, cols) -> tuple:
+    return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+
+def _map(draw, rows, cols) -> sa.LinearMap:
+    return sa.LinearMap(rows, cols, _grid(draw, rows, cols))
+
+
+scale_factors = st.one_of(
+    st.integers(-3, 3), rationals, rationals.map(str), st.integers(-3, 3).map(str),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_map_operations_match_sympy(data):
+    draw = data.draw
+    rows, cols, more = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a, b, c = _map(draw, rows, cols), _map(draw, rows, cols), _map(draw, cols, more)
+    v = tuple(draw(entries) for _ in range(cols))
+    factor = draw(scale_factors)
+    A, B, C = _sympy_matrix(a.entries), _sympy_matrix(b.entries), _sympy_matrix(c.entries)
+    pairs = [_sum_type(x, y) for x, y in zip(chain(*a.entries), chain(*b.entries))]
+
+    assert (a + b).entries == _fractions(A + B) and _types((a + b).entries) == pairs
+    assert (a - b).entries == _fractions(A - B) and _types((a - b).entries) == pairs
+    assert (-a).entries == _fractions(-A) and _types((-a).entries) == _types(a.entries)
+    scaled = a.scale(factor)
+    assert scaled.entries == _fractions(A * _sympy_matrix([[sa.rat(factor)]])[0, 0])
+    assert set(_types(scaled.entries)) == {Fraction}
+    image = a.apply(v)
+    assert image == tuple(row[0] for row in _fractions(A * _sympy_matrix([[x] for x in v])))
+    assert all(type(x) is Fraction for x in image)
+    product = a @ c
+    assert product == a.compose(c)
+    assert product.entries == _fractions(A * C) and set(_types(product.entries)) == {Fraction}
+    assert (product.rows, product.cols) == (rows, more)
+    assert a.transpose().entries == _fractions(A.T)
+    assert _types(a.transpose().entries) == [type(x) for col in zip(*a.entries) for x in col]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_family_contract_matches_sympy(data):
+    """Members with a zero coefficient are skipped, so their shape may differ."""
+    draw = data.draw
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    family, coeffs = [_map(draw, rows, cols)], [draw(entries)]
+    for _ in range(draw(st.integers(0, 3))):
+        coeff = draw(st.one_of(st.just(0), st.just(Fraction(0)), entries))
+        shape = (rows, cols) if coeff else (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        family.append(_map(draw, *shape))
+        coeffs.append(coeff)
+    expected = _sympy_matrix(sa.LinearMap.zero(rows, cols).entries)
+    for coeff, m in zip(coeffs, family):
+        if coeff:
+            expected += _sympy_matrix([[coeff]])[0, 0] * _sympy_matrix(m.entries)
+    out = sa.family_contract(family, coeffs)
+    assert (out.rows, out.cols) == (rows, cols)
+    assert out.entries == _fractions(expected) and set(_types(out.entries)) == {Fraction}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluate_matches_sympy(data):
+    draw = data.draw
+    n = draw(st.integers(1, 4))
+    form = sa.BilinearForm(n, _grid(draw, n, n))
+    u, v = (tuple(draw(entries) for _ in range(n)) for _ in range(2))
+    expected = (_sympy_matrix([u]) * _sympy_matrix(form.gram) * _sympy_matrix([v]).T)[0, 0]
+    value = form.evaluate(u, v)
+    assert type(value) is Fraction
+    assert value == Fraction(int(expected.p), int(expected.q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_symmetry_tests_match_sympy(data):
+    draw = data.draw
+    n = draw(st.integers(1, 4))
+    grid = _grid(draw, n, n)
+    kind = draw(st.sampled_from(("random", "symmetric", "skew", "zero")))
+    if kind == "symmetric":
+        grid = tuple(tuple(grid[i][j] + grid[j][i] for j in range(n)) for i in range(n))
+    elif kind == "skew":
+        grid = tuple(tuple(grid[i][j] - grid[j][i] for j in range(n)) for i in range(n))
+    elif kind == "zero":
+        grid = tuple((0,) * n for _ in range(n))
+    M = _sympy_matrix(grid)
+    for value in (sa.Tensor2(n, grid), sa.BilinearForm(n, grid)):
+        assert value.is_symmetric == (M == M.T)
+        assert value.is_skew == (M == -M.T)
+
+
+def test_form_is_skew_examples():
+    assert sa.bilinear_form([[0, 1], [-1, 0]]).is_skew
+    assert not sa.bilinear_form([[1, 1], [-1, 0]]).is_skew        # nonzero diagonal
+    assert not sa.bilinear_form([[0, 1], [1, 0]]).is_skew
+    assert sa.bilinear_form([[0, 0], [0, 0]]).is_skew
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda: sa.LinearMap.identity(2) + sa.LinearMap.identity(3), "addition shape mismatch"),
+    (lambda: sa.LinearMap.identity(2) - sa.LinearMap.zero(2, 3), "addition shape mismatch"),
+    (lambda: sa.LinearMap.zero(2, 3) @ sa.LinearMap.identity(2), "composition shape mismatch"),
+    (lambda: sa.LinearMap.zero(2, 3).compose(sa.LinearMap.zero(2, 3)),
+     "composition shape mismatch"),
+    (lambda: sa.LinearMap.identity(2).apply((1, 2, 3)), "map takes length 2, got 3"),
+    (lambda: sa.tensor2(2) + sa.tensor2(3), "tensor dimensions differ"),
+    (lambda: sa.tensor3(2) - sa.tensor3(1), "tensor dimensions differ"),
+    (lambda: sa.bilinear_form([[1, 0], [0, 1]]).evaluate((1, 0), (1, 0, 0)),
+     "vector length does not match form dimension"),
+    (lambda: sa.bilinear_form([[1, 0], [0, 1]]).evaluate((1,), (1, 0)),
+     "vector length does not match form dimension"),
+    (lambda: sa.family_contract((sa.LinearMap.identity(2),), (1, 2)),
+     "family length does not match coefficient vector"),
+    (lambda: sa.family_contract((sa.LinearMap.identity(2), sa.LinearMap.identity(3)), (1, 1)),
+     "addition shape mismatch"),
+    (lambda: sa.family_contract((sa.LinearMap.identity(3), sa.LinearMap.identity(2)), (0, 1)),
+     "addition shape mismatch"),
+], ids=["add", "sub", "matmul", "compose", "apply", "tensor2-add", "tensor3-sub",
+        "evaluate-v", "evaluate-u", "family-length", "family-shape", "family-shape-after-zero"])
+def test_value_shape_mismatches(operation, message):
+    with pytest.raises(sa.DimensionMismatch, match=f"^{message}$"):
+        operation()
+
+
+def test_family_contract_skips_zero_coefficients_before_shape_checks():
+    I2, I3 = sa.LinearMap.identity(2), sa.LinearMap.identity(3)
+    assert sa.family_contract((I2, I3), [1, 0]) == I2
+    assert sa.family_contract((I2, I3), [0, 0]) == sa.LinearMap.zero(2, 2)

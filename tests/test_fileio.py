@@ -1,7 +1,9 @@
 """Canonical JSON formats: round trips, byte determinism, diagnostics."""
 
 import json
+import os
 import re
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -207,6 +209,14 @@ def test_duplicate_entry_rejected():
         fileio.algebra_from_doc(doc)
 
 
+def test_duplicate_structure_constant_is_located():
+    """At dim 2 the two rows fit the grid, so the duplicate itself is found."""
+    doc = {"dim": 2, "ops": {"circ": [[1, 1, 1, "1"], [1, 1, 1, "2"]]}}
+    with pytest.raises(fileio.FileFormatError) as excinfo:
+        fileio.algebra_from_doc(doc)
+    assert str(excinfo.value) == "algebra: duplicate structure constant at (1,1,1)"
+
+
 def test_bad_rank_rejected():
     with pytest.raises(fileio.FileFormatError):
         fileio.tensor_from_doc({"dim": 2, "rank": 4, "entries": []})
@@ -380,3 +390,105 @@ def test_undecodable_files_are_format_errors(tmp_path, data, what):
         with pytest.raises(fileio.FileFormatError, match=re.escape(str(path))) as info:
             reader(path)
         assert what in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# bounds on a document's scalars and a file's size
+
+CAP = fileio.MAX_SCALAR_BITS
+
+
+def _algebra_doc(*scalars):
+    return {"dim": 2, "ops": {"circ": [[1, 1, k + 1, x] for k, x in enumerate(scalars)]}}
+
+
+def test_scalars_at_the_bit_cap_are_read():
+    top = 2 ** CAP - 1                                       # CAP bits
+    alg = fileio.algebra_from_doc(_algebra_doc(f"{top}/{2 ** (CAP - 1)}", str(-top)))
+    assert alg.op("circ")[0][0] == (Fraction(top, 2 ** (CAP - 1)), -top)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_algebra_doc("1", str(2 ** CAP)),
+     f"algebra.ops.circ[1]: numerator needs {CAP + 1} bits (at most {CAP})"),
+    (_algebra_doc(f"-{2 ** CAP}/3"),
+     f"algebra.ops.circ[0]: numerator needs {CAP + 1} bits (at most {CAP})"),
+    (_algebra_doc(f"1/{2 ** (CAP - 1)}", "1/3"),
+     f"algebra.ops.circ[1]: common denominator needs {CAP + 1} bits (at most {CAP})"),
+    (_algebra_doc("1/" + "9" * 1000),
+     f"algebra.ops.circ[0]: common denominator needs 3322 bits (at most {CAP})"),
+])
+def test_scalars_over_the_bit_cap_are_refused(doc, message):
+    with pytest.raises(fileio.FileFormatError) as excinfo:
+        fileio.algebra_from_doc(doc)
+    assert str(excinfo.value) == message
+
+
+def test_a_module_document_has_one_common_denominator(p2):
+    """Each grid alone is within the cap; together they are not."""
+    module = regular_prelie_module(p2)
+    doc = fileio.module_to_doc(module)
+    doc["base"]["ops"]["circ"][0][-1] = f"1/{2 ** (CAP - 1)}"
+    doc["r"][1]["entries"][0][-1] = "1/3"
+    with pytest.raises(fileio.FileFormatError) as excinfo:
+        fileio.module_from_doc(doc)
+    assert str(excinfo.value) == (
+        f"module.r[1].entries[0]: common denominator needs {CAP + 1} bits (at most {CAP})")
+
+
+_TOO_LONG = [[1, 1, str(2 ** CAP)]]
+
+
+@pytest.mark.parametrize("reader, doc, where", [
+    (fileio.map_from_doc, {"rows": 1, "cols": 1, "entries": _TOO_LONG}, "map.entries[0]"),
+    (fileio.form_from_doc, {"gram": {"rows": 1, "cols": 1, "entries": _TOO_LONG}},
+     "form.gram.entries[0]"),
+    (fileio.tensor_from_doc, {"dim": 1, "rank": 2, "entries": _TOO_LONG}, "tensor.entries[0]"),
+])
+def test_every_reader_bounds_its_scalars(reader, doc, where):
+    with pytest.raises(fileio.FileFormatError) as excinfo:
+        reader(doc)
+    assert str(excinfo.value) == f"{where}: numerator needs {CAP + 1} bits (at most {CAP})"
+
+
+def test_file_over_the_byte_cap_is_refused_unread(tmp_path):
+    path = tmp_path / "sparse.json"
+    with open(path, "wb") as f:
+        f.truncate(fileio.MAX_FILE_BYTES + 1)               # sparse: no blocks written
+    tracemalloc.start()
+    try:
+        with pytest.raises(fileio.FileFormatError) as excinfo:
+            fileio.read_algebra(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == f"{path}: larger than {fileio.MAX_FILE_BYTES} bytes"
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("size, refused", [(64, False), (65, True), (100_000, True)])
+def test_a_pipe_is_read_to_one_byte_past_the_cap(tmp_path, monkeypatch, size, refused):
+    monkeypatch.setattr(fileio, "MAX_FILE_BYTES", 64)
+    text = json.dumps({"dim": 1, "ops": {}}).encode()
+    data = text + b" " * (size - len(text))
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+
+    def write():
+        try:
+            with open(path, "wb") as w:
+                w.write(data)
+        except BrokenPipeError:                             # the reader stopped at the cap
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        if refused:
+            with pytest.raises(fileio.FileFormatError, match="larger than 64 bytes"):
+                fileio.read_algebra(path)
+        else:
+            assert fileio.read_algebra(path).dim == 1
+    finally:
+        writer.join(timeout=10)
