@@ -97,7 +97,8 @@ class _Scalars:
             raise FileFormatError(f"{where}: bad rational {value!r} ({exc})") from None
         self.lcd = math.lcm(self.lcd, x.denominator)
         for what, n in (("numerator", x.numerator), ("common denominator", self.lcd)):
-            _expect(n.bit_length() <= MAX_SCALAR_BITS,
+            if n.bit_length() > MAX_SCALAR_BITS:
+                raise FileFormatError(
                     f"{where}: {what} needs {n.bit_length()} bits (at most {MAX_SCALAR_BITS})")
         return x
 

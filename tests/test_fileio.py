@@ -402,9 +402,11 @@ def _algebra_doc(*scalars):
     return {"dim": 2, "ops": {"circ": [[1, 1, k + 1, x] for k, x in enumerate(scalars)]}}
 
 
-def test_scalars_at_the_bit_cap_are_read():
+def test_scalars_at_the_bit_cap_are_read(tmp_path):
     top = 2 ** CAP - 1                                       # CAP bits
-    alg = fileio.algebra_from_doc(_algebra_doc(f"{top}/{2 ** (CAP - 1)}", str(-top)))
+    path = tmp_path / "cap.alg.json"
+    path.write_text(json.dumps(_algebra_doc(f"{top}/{2 ** (CAP - 1)}", str(-top))))
+    alg = fileio.read_algebra(path)
     assert alg.op("circ")[0][0] == (Fraction(top, 2 ** (CAP - 1)), -top)
 
 
