@@ -63,11 +63,11 @@ MAX_DIM = 64
 
 #: most bits a document's least common denominator, or any numerator, may
 #: need.  Every check scales its inputs by that denominator and works on ints
-#: of that size: a dim-8 check takes 0.04 s at 256 bits and 5.9 s at 4,096.
+#: of that size, so its cost grows with the scalars' length, not only the dim.
 MAX_SCALAR_BITS = 256
 
 #: largest file a reader decodes (``json.loads`` peaks at about six times the
-#: text); a dense dim-64 table of one-digit scalars is about 6 MB
+#: text); a dense dim-64 table of one-digit scalars is 6.4 MB
 MAX_FILE_BYTES = 1 << 24
 
 
