@@ -66,16 +66,35 @@ MAX_DIM = 64
 #: of that size, so its cost grows with the scalars' length, not only the dim.
 MAX_SCALAR_BITS = 256
 
+#: longest scalar string a reader parses: Python's default limit on int
+#: digits, since ``Fraction("0.<k digits>")`` computes 10**k before that
+#: limit refuses the string
+MAX_SCALAR_CHARS = 4300
+
 #: largest file a reader decodes (``json.loads`` peaks at about six times the
 #: text); a dense dim-64 table of one-digit scalars is 6.4 MB
 MAX_FILE_BYTES = 1 << 24
+
+#: bytes read at a time from a file whose size is unknown, such as a pipe
+_CHUNK_BYTES = 1 << 16
+
+#: most characters of a file value that a message quotes (a scalar at the
+#: bit cap has 78 digits)
+_QUOTE_CHARS = 80
+
+
+def _quote(text: str, limit: int = _QUOTE_CHARS) -> str:
+    """A file value's rendering as a message quotes it: cut after ``limit``
+    characters, so an error never echoes a whole file."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def _size(doc: dict, key: str, where: str) -> int:
     value = doc.get(key)
     _expect(
         is_int(value) and 1 <= value <= MAX_DIM,
-        f"{where}: bad {key!r} (expected an integer 1..{MAX_DIM}, got {json.dumps(value)})",
+        f"{where}: bad {key!r} (expected an integer 1..{MAX_DIM}, "
+        f"got {_quote(json.dumps(value))})",
     )
     return value
 
@@ -91,10 +110,15 @@ class _Scalars:
     def __call__(self, value, where: str) -> Fraction:
         if isinstance(value, bool):
             raise FileFormatError(f"{where}: bad rational {json.dumps(value)} (not a number)")
+        if isinstance(value, str) and len(value) > MAX_SCALAR_CHARS:
+            raise FileFormatError(
+                f"{where}: scalar of {len(value)} characters (at most {MAX_SCALAR_CHARS})")
         try:
             x = rat(value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise FileFormatError(f"{where}: bad rational {value!r} ({exc})") from None
+            reason = _quote(str(exc), 2 * _QUOTE_CHARS)     # it may quote the value too
+            raise FileFormatError(
+                f"{where}: bad rational {_quote(repr(value))} ({reason})") from None
         self.lcd = math.lcm(self.lcd, x.denominator)
         for what, n in (("numerator", x.numerator), ("common denominator", self.lcd)):
             if n.bit_length() > MAX_SCALAR_BITS:
@@ -188,7 +212,7 @@ def _algebra_from_doc(doc, where: str, scalar: _Scalars) -> Algebra:
     _expect(isinstance(doc.get("ops"), dict), f"{where}: missing 'ops' object")
     sparse = {}
     for name, rows in doc["ops"].items():
-        _expect(name in OP_NAMES, f"{where}: unknown operation name {name!r}")
+        _expect(name in OP_NAMES, f"{where}: unknown operation name {_quote(repr(name))}")
         sparse[name] = _rows_from_doc(rows, dim, 3, f"{where}.ops.{name}", "[i, j, k, scalar]",
                                       scalar)
     tag = doc.get("class_tag")
@@ -335,11 +359,17 @@ def _read_doc(path) -> dict:
         with path.open("rb") as f:
             size = os.fstat(f.fileno()).st_size
             _expect(size <= MAX_FILE_BYTES, too_big)
-            # a pipe reports size 0: read it up to one byte past the cap
-            data = f.read((size or MAX_FILE_BYTES) + 1)
-        _expect(len(data) <= MAX_FILE_BYTES, too_big)
+            # a pipe reports size 0: read it in chunks up to one byte past the cap
+            chunks, total, step = [], 0, size + 1 if size else _CHUNK_BYTES
+            while total <= MAX_FILE_BYTES:
+                want = min(step, MAX_FILE_BYTES + 1 - total)
+                chunks.append(f.read(want))
+                total += len(chunks[-1])
+                if len(chunks[-1]) < want:          # a short read ends the file
+                    break
+        _expect(total <= MAX_FILE_BYTES, too_big)
         # decoded as Path.read_text decodes: UTF-8 with universal newlines
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        text = io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     try:

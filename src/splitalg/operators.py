@@ -29,13 +29,13 @@ from .core import (
 )
 from .functors import _tag
 from .representations import (
+    _DUAL_PRELIE,
     LDendModule,
     PreLieModule,
     _actions,
     _check_family,
-    dual_prelie_module,
+    _dual_actions,
     left_family,
-    regular_prelie_module,
 )
 
 __all__ = [
@@ -110,27 +110,25 @@ def _o_packed(T, by_b, l_images, r_images, bits: int):
     return residual
 
 
-def _o_identity(T, table, l_images, r_images):
-    """The residual function of :func:`_o_packed` for :func:`axioms._run`:
-    the unpacked base vector, empty where the identity holds."""
-    n = len(T)
-    big = max(max_abs(T), max_abs(table), max_abs(l_images), max_abs(r_images))
-    bits, by_b = _packed_base(table, len(T[0]), big)
-    packed = _o_packed(T, by_b, l_images, r_images, bits)
+def _check_o(t, rows, vdim: int, d: int) -> CheckReport:
+    """The O-operator identities of the int map t (base x module rows), one
+    per (id, base table, l action table, r action table) row, on inputs
+    scaled by d: the :func:`_o_packed` residuals, unpacked."""
+    n = len(t)
 
-    def residual(u, v):
-        p = packed(u, v)
-        return unpack(p, n, bits) if p else ()
+    def residual_fn(table, l_images, r_images):
+        bits, by_b = _packed_base(table, vdim, max(map(max_abs, (t, table, l_images, r_images))))
+        packed = _o_packed(t, by_b, l_images, r_images, bits)
+        return lambda u, v: unpack(p, n, bits) if (p := packed(u, v)) else ()
 
-    return residual
+    return _run([(ident, 2, 3, residual_fn(*grids)) for ident, *grids in rows], vdim, d)
 
 
 def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
     d, (t, circ, l, r) = clear_denominators(T, m.base.op("circ"), _actions(m.l), _actions(m.r))
-    fn = _o_identity(t, circ, l, r)
-    return _run([("eq-2.10", 2, 3, fn)], m.vdim, d)
+    return _check_o(t, [("eq-2.10", circ, l, r)], m.vdim, d)
 
 
 def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
@@ -138,8 +136,7 @@ def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
     _require_shape(R, alg.dim, alg.dim, "Rota-Baxter operator")
     d, (r, circ) = clear_denominators(R, alg.op("circ"))
     # the regular module: l(e_a) e_v = e_a o e_v,  r(e_a) e_u = e_u o e_a
-    fn = _o_identity(r, circ, circ, tuple(zip(*circ)))
-    return _run([("eq-2.11", 2, 3, fn)], alg.dim, d)
+    return _check_o(r, [("eq-2.11", circ, circ, tuple(zip(*circ)))], alg.dim, d)
 
 
 def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckReport:
@@ -150,8 +147,8 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
     _check_family(rho, lie.dim, vdim, "rho")
     _require_shape(T, lie.dim, vdim, "O-operator")
     d, (t, bracket, acts) = clear_denominators(T, lie.op("bracket"), _actions(rho))
-    fn = _o_identity(t, bracket, acts, derive({"rho": acts}, ((-1, "rho", False),)))
-    return _run([("eq-3.13", 2, 3, fn)], vdim, d)
+    rows = [("eq-3.13", bracket, acts, derive({"rho": acts}, ((-1, "rho", False),)))]
+    return _check_o(t, rows, vdim, d)
 
 
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
@@ -160,14 +157,7 @@ def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     d, (t, tr, tl, lr, rr, ll, rl) = clear_denominators(
         T, m.base.op("tri_r"), m.base.op("tri_l"), *map(_actions, (m.l_r, m.r_r, m.l_l, m.r_l))
     )
-    return _run(
-        [
-            ("eq-4.7-tri_r", 2, 3, _o_identity(t, tr, lr, rr)),
-            ("eq-4.7-tri_l", 2, 3, _o_identity(t, tl, ll, rl)),
-        ],
-        m.vdim,
-        d,
-    )
+    return _check_o(t, [("eq-4.7-tri_r", tr, lr, rr), ("eq-4.7-tri_l", tl, ll, rl)], m.vdim, d)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +269,8 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
     With G the Gram matrix, T = (G^T)^-1 is an invertible O-operator of the
     dual regular module (l*, r*), and this is its compatible structure:
     x |> y = T(l*(x) G^T y),  x <| y = -T(r*(x) G^T y)."""
-    dual = dual_prelie_module(regular_prelie_module(alg))
+    circ = alg.op("circ")
+    l_star, r_star = _dual_actions({"l": circ, "r": tuple(zip(*circ))}, _DUAL_PRELIE)
     n = alg.dim
     if B.dim != n:
         raise DimensionMismatch("form dimension does not match the algebra")
@@ -290,7 +281,7 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
     if inv is None:
         raise PreconditionFailed("the 2-cocycle must be nondegenerate")
     _gate(check_prelie_cocycle(alg, B), force, "2-cocycle candidate")
-    ops = _o_structure(inv, _actions(dual.l), _actions(dual.r), gram_t)
+    ops = _o_structure(inv, l_star, r_star, gram_t)
     return Algebra(n, ops, "ldend_from_2cocycle")
 
 

@@ -112,16 +112,17 @@ def regular_prelie_module(alg: Algebra) -> PreLieModule:
     return PreLieModule(alg, alg.dim, left_family(alg, "circ"), right_family(alg, "circ"))
 
 
+def _regular_ldend_actions(tables) -> dict:
+    """The action tables of the regular module of an L-dendriform algebra with
+    ``tri_r`` and ``tri_l`` tables (Fraction or int): each product and its flip."""
+    tri_r, tri_l = tables["tri_r"], tables["tri_l"]
+    return {"l_r": tri_r, "r_r": tuple(zip(*tri_r)), "l_l": tri_l, "r_l": tuple(zip(*tri_l))}
+
+
 def regular_ldend_module(alg: Algebra) -> LDendModule:
     """The regular module (L_r, R_r, L_l, R_l, A) of an L-dendriform algebra."""
-    return LDendModule(
-        alg,
-        alg.dim,
-        left_family(alg, "tri_r"),
-        right_family(alg, "tri_r"),
-        left_family(alg, "tri_l"),
-        right_family(alg, "tri_l"),
-    )
+    acts = _regular_ldend_actions({"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")})
+    return LDendModule(alg, alg.dim, **{name: _family(table) for name, table in acts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,27 @@ _LDEND_MODULE_IDS = (
 
 
 # ---------------------------------------------------------------------------
+# dual modules
+
+#: the families of :func:`dual_prelie_module` and :func:`dual_ldend_module`
+#: as (sign, family) sums to transpose, since rho* = -rho^T
+_DUAL_PRELIE = (((1, "r"), (-1, "l")), ((1, "r"),))
+_DUAL_LDEND = (
+    ((1, "r_r"), (1, "r_l"), (-1, "l_r"), (-1, "l_l")),
+    ((-1, "r_r"),),
+    ((1, "l_l"), (-1, "r_r")),
+    ((1, "r_r"), (1, "r_l")),
+)
+
+
+def _dual_actions(acts, sums) -> tuple[Table, ...]:
+    """The dual module's action tables from the module's, ``acts`` (name ->
+    table, Fraction or int): each sum of ``sums`` with its planes transposed."""
+    totals = (derive(acts, [(s, name, False) for s, name in parts]) for parts in sums)
+    return tuple(tuple(tuple(zip(*plane)) for plane in total) for total in totals)
+
+
+# ---------------------------------------------------------------------------
 # pre-Lie modules
 
 def check_prelie_module(m: PreLieModule) -> CheckReport:
@@ -215,20 +237,11 @@ def check_prelie_module(m: PreLieModule) -> CheckReport:
     return _check_module(m, {"circ": (m.l, m.r)}, "pre_lie", _PRELIE_MODULE_IDS)
 
 
-def _dual_family(m, *terms) -> tuple[LinearMap, ...]:
-    """e_a -> (sum of sign * family[a])^T over the (sign, family name)
-    ``terms`` of module m: plane a of the signed sum of the action tables
-    by :func:`derive`, whose rows [a][w] are column w of matrix a."""
-    acts = {name: _actions(getattr(m, name)) for _, name in terms}
-    total = derive(acts, [(sign, name, False) for sign, name in terms])
-    return tuple(LinearMap(m.vdim, m.vdim, plane) for plane in total)
-
-
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:
     """The dual module (l* - r*, -r*, V*) with rho* = -rho^T, that is
     ((r - l)^T, r^T, V*)."""
-    l_star = _dual_family(m, (1, "r"), (-1, "l"))
-    return PreLieModule(m.base, m.vdim, l_star, _dual_family(m, (1, "r")))
+    acts = {"r": _actions(m.r), "l": _actions(m.l)}
+    return PreLieModule(m.base, m.vdim, *map(_family, _dual_actions(acts, _DUAL_PRELIE)))
 
 
 def semidirect_prelie(m: PreLieModule) -> Algebra:
@@ -256,14 +269,8 @@ def dual_ldend_module(m: LDendModule) -> LDendModule:
     """The dual module (l_r* + l_l* - r_r* - r_l*,  r_r*,  r_r* - l_l*,
     -(r_r* + r_l*),  V*) with rho* = -rho^T, that is
     ((r_r + r_l - l_r - l_l)^T, (-r_r)^T, (l_l - r_r)^T, (r_r + r_l)^T, V*)."""
-    return LDendModule(
-        m.base,
-        m.vdim,
-        _dual_family(m, (1, "r_r"), (1, "r_l"), (-1, "l_r"), (-1, "l_l")),
-        _dual_family(m, (-1, "r_r")),
-        _dual_family(m, (1, "l_l"), (-1, "r_r")),
-        _dual_family(m, (1, "r_r"), (1, "r_l")),
-    )
+    acts = {name: _actions(getattr(m, name)) for name in ("r_r", "r_l", "l_r", "l_l")}
+    return LDendModule(m.base, m.vdim, *map(_family, _dual_actions(acts, _DUAL_LDEND)))
 
 
 def semidirect_ldend(m: LDendModule) -> Algebra:

@@ -31,29 +31,26 @@ from .core import (
     SingularMap,
     Tensor2,
     Tensor3,
+    clear_denominators,
+    derive,
     exchange,
     form_from_invertible_map,
-    rename_ops,
     slot_sum,
     tensor2,
     tensor_to_map,
 )
-from .functors import (
-    HORIZONTAL,
-    SUB_ADJACENT,
-    VERTICAL,
-    commutator,
-    horizontal_prelie,
-    vertical_prelie,
-)
-from .operators import check_o_ldend, check_o_prelie
+from .functors import HORIZONTAL, SUB_ADJACENT, VERTICAL, _tag, commutator
+from .operators import _check_o
 from .representations import (
+    _DUAL_LDEND,
+    _DUAL_PRELIE,
     LDendModule,
     PreLieModule,
+    _dual_actions,
+    _family,
+    _regular_ldend_actions,
     dual_ldend_module,
     dual_prelie_module,
-    regular_ldend_module,
-    regular_prelie_module,
     semidirect_ldend,
     semidirect_prelie,
 )
@@ -208,11 +205,12 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
     if not r.is_symmetric:
         raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
     _check_dims(alg, r)
-    dual = dual_prelie_module(regular_prelie_module(alg))
+    d, (t, circ) = clear_denominators(tensor_to_map(r), alg.op("circ"))
+    dual = _dual_actions({"l": circ, "r": tuple(zip(*circ))}, _DUAL_PRELIE)
     return SEquivalenceReport(
         residual=s_residual(alg, r),
         alternate=_slot_sum({"circ": alg.op("circ")}, _S_DERIVED, r, _S_FORMS["alternate"]),
-        operator=check_o_prelie(tensor_to_map(r), dual),
+        operator=_check_o(t, [("eq-2.10", circ, *dual)], alg.dim, d),
     )
 
 
@@ -285,29 +283,30 @@ class LDEquivalenceReport:
         return self.aux_a.is_zero or not self.aux_b.is_zero
 
 
-def _prelie_modules(reg: LDendModule) -> tuple[PreLieModule, PreLieModule]:
-    """The pre-Lie modules (L_r, -L_l) over the vertical and (L_r, R_l) over
-    the horizontal algebra of an L-dendriform algebra, from its regular
-    module; the identity map is an O-operator of both."""
-    alg, n = reg.base, reg.vdim
-    vert = vertical_prelie(alg)
-    hor = rename_ops(horizontal_prelie(alg), {"bullet": "circ"})
-    return (PreLieModule(vert, n, reg.l_r, tuple(-m for m in reg.l_l)),
-            PreLieModule(hor, n, reg.l_r, reg.r_l))
+def _prelie_modules(tables) -> tuple[tuple, tuple]:
+    """The (base table, l, r) action tables of the pre-Lie modules (L_r, -L_l) over
+    the vertical and (L_r, R_l) over the horizontal product of the L-dendriform
+    ``tables``, Fraction or int; the identity map is an O-operator of both."""
+    acts = _regular_ldend_actions(tables)
+    return ((derive(tables, VERTICAL), acts["l_r"], derive(acts, ((-1, "l_l", False),))),
+            (derive(tables, HORIZONTAL), acts["l_r"], acts["r_l"]))
 
 
 def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
     if not r.is_skew:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
-    T = tensor_to_map(r)
-    reg = regular_ldend_module(alg)
-    m_vert, m_hor = map(dual_prelie_module, _prelie_modules(reg))
+    d, (t, tri_r, tri_l) = clear_denominators(tensor_to_map(r), alg.op("tri_r"), alg.op("tri_l"))
+    tables = {"tri_r": tri_r, "tri_l": tri_l}
+    l_r, r_r, l_l, r_l = _dual_actions(_regular_ldend_actions(tables), _DUAL_LDEND)
+    ldend = [("eq-4.7-tri_r", tri_r, l_r, r_r), ("eq-4.7-tri_l", tri_l, l_l, r_l)]
+    vert, hor = ([("eq-2.10", table, *_dual_actions({"l": left, "r": right}, _DUAL_PRELIE))]
+                 for table, left, right in _prelie_modules(tables))
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
-        operator_ldend=check_o_ldend(T, dual_ldend_module(reg)),
-        operator_vertical=check_o_prelie(T, m_vert),
-        operator_horizontal=check_o_prelie(T, m_hor),
+        operator_ldend=_check_o(t, ldend, alg.dim, d),
+        operator_vertical=_check_o(t, vert, alg.dim, d),
+        operator_horizontal=_check_o(t, hor, alg.dim, d),
         aux_a=ld_residual(alg, r, "eq-4.9"),
         aux_b=ld_residual(alg, r, "eq-4.10"),
     )
@@ -354,9 +353,12 @@ def canonical_double_solution(alg: Algebra) -> tuple[Algebra, Algebra, Tensor2]:
     regular-action module) in which the canonical symmetric tensor
     sum_i (e_i (x) e_i* + e_i* (x) e_i)  solves the S-equation: the
     solutions that :func:`build_s_solution` builds from the identity map."""
-    identity = LinearMap.identity(alg.dim)
-    modules = _prelie_modules(regular_ldend_module(alg))
-    (hat_vert, r), (hat_hor, _) = (build_s_solution(m, identity) for m in modules)
+    n = alg.dim
+    modules = _prelie_modules({"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")})
+    (hat_vert, r), (hat_hor, _) = (
+        build_s_solution(PreLieModule(Algebra(n, {"circ": table}, _tag(name, alg)), n,
+                                      _family(left), _family(right)), LinearMap.identity(n))
+        for name, (table, left, right) in zip(("vertical_prelie", "horizontal_prelie"), modules))
     return hat_vert, hat_hor, r
 
 

@@ -24,6 +24,7 @@ from splitalg.core import (
     LinearMap,
     PreconditionFailed,
     Table,
+    Tensor2,
     UnknownOperation,
     Vector,
     basis_vector,
@@ -32,17 +33,29 @@ from splitalg.core import (
     rename_ops,
     table_apply,
     tensor2,
+    tensor_to_map,
     vec_add,
     vec_sub,
 )
 from splitalg.functors import SUB_ADJACENT, horizontal_prelie, vertical_prelie
 from splitalg.operators import _gate, _require_shape
 from splitalg.representations import (
+    LDendModule,
     PreLieModule,
     dual_prelie_module,
     left_family,
     right_family,
     semidirect_prelie,
+)
+from splitalg.ybe import (
+    LDEquivalenceReport,
+    SEquivalenceReport,
+    _check_dims,
+    _S_DERIVED,
+    _S_FORMS,
+    _slot_sum,
+    ld_residual,
+    s_residual,
 )
 
 
@@ -517,3 +530,67 @@ def canonical_double_solution(alg: Algebra):
         + [(n + i + 1, i + 1, 1) for i in range(n)],
     )
     return hat_vert, hat_hor, r
+
+
+# ---------------------------------------------------------------------------
+# the equivalence reports as they were built through module values: the
+# regular modules as matrix families, their duals rho* = -rho^T written out
+# with LinearMap arithmetic, and each O-operator condition checked by the
+# Fraction references above.  The residual fields come from the package,
+# whose own oracle is naive_tensor.
+
+def _transposed(*terms) -> tuple[LinearMap, ...]:
+    """e_a -> (sum of sign * family[a])^T over (sign, family) ``terms``."""
+    out = []
+    for mats in zip(*(family for _, family in terms)):
+        total = None
+        for (sign, _), m in zip(terms, mats):
+            m = m if sign > 0 else -m
+            total = m if total is None else total + m
+        out.append(total.transpose())
+    return tuple(out)
+
+
+def _dual_prelie(m: PreLieModule) -> PreLieModule:
+    """((r - l)^T, r^T, V*)."""
+    return PreLieModule(m.base, m.vdim, _transposed((1, m.r), (-1, m.l)), _transposed((1, m.r)))
+
+
+def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
+    if not r.is_symmetric:
+        raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
+    _check_dims(alg, r)
+    dual = _dual_prelie(PreLieModule(alg, alg.dim, left_family(alg, "circ"),
+                                     right_family(alg, "circ")))
+    return SEquivalenceReport(
+        residual=s_residual(alg, r),
+        alternate=_slot_sum({"circ": alg.op("circ")}, _S_DERIVED, r, _S_FORMS["alternate"]),
+        operator=check_o_prelie(tensor_to_map(r), dual),
+    )
+
+
+def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
+    if not r.is_skew:
+        raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
+    _check_dims(alg, r)
+    T = tensor_to_map(r)
+    n = alg.dim
+    l_r, r_r = left_family(alg, "tri_r"), right_family(alg, "tri_r")
+    l_l, r_l = left_family(alg, "tri_l"), right_family(alg, "tri_l")
+    dual = LDendModule(
+        alg, n,
+        _transposed((1, r_r), (1, r_l), (-1, l_r), (-1, l_l)),
+        _transposed((-1, r_r)),
+        _transposed((1, l_l), (-1, r_r)),
+        _transposed((1, r_r), (1, r_l)),
+    )
+    vert = PreLieModule(vertical_prelie(alg), n, l_r, tuple(-m for m in l_l))
+    hor = PreLieModule(rename_ops(horizontal_prelie(alg), {"bullet": "circ"}), n, l_r, r_l)
+    return LDEquivalenceReport(
+        residual=ld_residual(alg, r, "eq-4.8"),
+        operator_ldend=check_o_ldend(T, dual),
+        operator_vertical=check_o_prelie(T, _dual_prelie(vert)),
+        operator_horizontal=check_o_prelie(T, _dual_prelie(hor)),
+        aux_a=ld_residual(alg, r, "eq-4.9"),
+        aux_b=ld_residual(alg, r, "eq-4.10"),
+    )

@@ -177,3 +177,9 @@ def test_report_json_shape(n2):
         "indices": [1, 2, 1],
         "residual": ["0", "1"],
     }
+
+
+def test_ldend_cocycle_needs_the_algebra_dimension(ld2):
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.check_ldend_cocycle(ld2, sa.bilinear_form([[1]]))
+    assert str(excinfo.value) == "form dimension does not match the algebra"

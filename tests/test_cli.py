@@ -506,3 +506,55 @@ def test_file_over_the_byte_cap_is_a_usage_error(workdir, capsys):
     code, err = _within_bounds(capsys, "check", "--class", "pre_lie", "big.alg.json")
     assert code == 2
     assert err == f"error: big.alg.json: larger than {fileio.MAX_FILE_BYTES} bytes\n"
+
+
+def test_a_long_decimal_is_refused_before_it_is_parsed(workdir, capsys):
+    """Fraction("0.<k digits>") computes 10**k before Python's digit limit
+    refuses the string: on this 4 MB scalar that alone takes seconds."""
+    value = "0." + "0" * 4_000_000 + "1"
+    doc = {"dim": 1, "ops": {"circ": [[1, 1, 1, value]]}}
+    (workdir / "decimal.alg.json").write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--class", "pre_lie", "decimal.alg.json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: decimal.alg.json.ops.circ[0]: scalar of {len(value)} characters "
+                   f"(at most {fileio.MAX_SCALAR_CHARS})\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": 1, "ops": {"circ": [[1, 1, 1, [0] * 500_000]]}},
+     "x.alg.json.ops.circ[0]: bad rational [" + "0, " * 26 + "0... (1500000 characters) "
+     "(not an exact rational: [" + "0, " * 45 + "0... (1500023 characters))"),
+    ({"dim": "9" * 100_000, "ops": {}},
+     "x.alg.json: bad 'dim' (expected an integer 1..64, got \"" + "9" * 79
+     + "... (100002 characters))"),
+    ({"dim": 1, "ops": {"x" * 100_000: []}},
+     "x.alg.json: unknown operation name '" + "x" * 79 + "... (100002 characters)"),
+], ids=["list-scalar", "dim", "op-name"])
+def test_a_long_value_is_quoted_shortened(workdir, capsys, doc, message):
+    (workdir / "x.alg.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--class", "pre_lie", "x.alg.json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 1024
+
+
+def test_a_padded_scalar_longer_than_the_digit_limit_is_refused(workdir, capsys):
+    value = "0" * fileio.MAX_SCALAR_CHARS + ".5"
+    (workdir / "pad.alg.json").write_text(json.dumps({"dim": 1, "ops": {"circ": [[1, 1, 1, value]]}}))
+    code, out, err = run(capsys, "check", "--class", "pre_lie", "pad.alg.json")
+    assert (code, out) == (2, "")
+    assert err == (f"error: pad.alg.json.ops.circ[0]: scalar of {fileio.MAX_SCALAR_CHARS + 2} "
+                   f"characters (at most {fileio.MAX_SCALAR_CHARS})\n")
+
+
+def test_search_rb_lists_operators_as_text(workdir, capsys):
+    write_fixture("P2", workdir)
+    capsys.readouterr()
+    assert run(capsys, "search-rb", "--entry-set=-1/2,0,1", "p2.alg.json") == (0, (
+        "search-rb p2.alg.json: 5 operator(s)\n"
+        "  [0] 0 -1/2; 0 0\n"
+        "  [1] 0 0; -1/2 0\n"
+        "  [2] 0 0; 0 0\n"
+        "  [3] 0 0; 1 0\n"
+        "  [4] 0 1; 0 0\n"), "")

@@ -707,3 +707,52 @@ def test_family_contract_skips_zero_coefficients_before_shape_checks():
     I2, I3 = sa.LinearMap.identity(2), sa.LinearMap.identity(3)
     assert sa.family_contract((I2, I3), [1, 0]) == I2
     assert sa.family_contract((I2, I3), [0, 0]) == sa.LinearMap.zero(2, 2)
+
+
+# ---------------------------------------------------------------------------
+# refusals no other test reaches
+
+def test_algebra_dimension_must_be_positive():
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.Algebra(0, {})
+    assert str(excinfo.value) == "dimension must be positive, got 0"
+
+
+def test_algebra_is_never_equal_to_a_non_algebra(p2):
+    assert p2.__eq__(5) is NotImplemented
+    assert p2 != 5
+
+
+def test_op_outside_the_vocabulary_is_unknown(p2):
+    with pytest.raises(sa.UnknownOperation) as excinfo:
+        p2.op("cup")
+    assert excinfo.value.args == ("cup",)
+
+
+def test_collapsing_rename_is_refused(ld2):
+    mapping = {"tri_r": "circ", "tri_l": "circ"}
+    with pytest.raises(ValueError) as excinfo:
+        sa.rename_ops(ld2, mapping)
+    assert str(excinfo.value) == f"renaming {mapping!r} collapses two operations"
+
+
+def test_merge_across_dimensions_is_refused(p1, p2):
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.merge_ops(p1, p2)
+    assert str(excinfo.value) == "cannot merge algebras of different dimensions"
+
+
+def test_non_square_maps_are_refused_as_tensors_and_forms():
+    T = sa.LinearMap.zero(2, 3)
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.map_to_tensor(T)
+    assert str(excinfo.value) == "only square maps identify with rank-2 tensors"
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.form_from_invertible_map(T)
+    assert str(excinfo.value) == "form requires a square map"
+
+
+def test_degenerate_form_has_no_map():
+    with pytest.raises(sa.SingularMap) as excinfo:
+        sa.map_from_form(sa.bilinear_form([[1, 1], [1, 1]]))
+    assert str(excinfo.value) == "form is degenerate"

@@ -503,3 +503,46 @@ def test_a_pipe_is_read_to_one_byte_past_the_cap(tmp_path, monkeypatch, size):
         read.set()
         writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+def _traced_peak(fn):
+    """The traced memory peak of fn(), which may raise a FileFormatError."""
+    tracemalloc.start()
+    try:
+        try:
+            fn()
+        except fileio.FileFormatError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_empty_file_is_read_without_a_cap_sized_buffer(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_bytes(b"")
+    with pytest.raises(fileio.FileFormatError, match="invalid JSON"):
+        fileio.read_algebra(path)
+    assert _traced_peak(lambda: fileio.read_algebra(path)) < 1 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_short_pipe_is_read_without_a_cap_sized_buffer(tmp_path):
+    text = json.dumps({"dim": 1, "ops": {}}).encode()
+    assert len(text) == 21
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(text,), daemon=True)
+    writer.start()
+    read = []
+    peak = _traced_peak(lambda: read.append(fileio.read_algebra(path)))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert read[0].dim == 1 and peak < 1 << 20
+
+
+def test_algebra_without_operations_is_written(tmp_path):
+    path = tmp_path / "bare.alg.json"
+    fileio.write_algebra(sa.Algebra(1, {}), path)
+    assert path.read_text(encoding="utf-8") == '{\n  "dim": 1,\n  "ops": {}\n}\n'
+    assert fileio.read_algebra(path) == sa.Algebra(1, {})

@@ -8,6 +8,8 @@ Inputs have denominators in {1, 2, 3, 6, 7}, each object with its own extra
 scale (so T over 1/5 meets tables over 1/3), and are sometimes all zero.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 import splitalg as sa
 from splitalg import catalog
 from splitalg.axioms import REQUIRED_OPS
-from splitalg.core import clear_denominators, field_width, pack, unpack
+from splitalg.core import clear_denominators, field_width, nest, pack, unpack
 from splitalg.ybe import _check_companion_identity
 
 import naive_checks as naive
@@ -29,6 +31,7 @@ from naive_tensor import (
     naive_slot_product,
     t3_combine,
 )
+from transport import random_frame, transport_algebra, transport_tensor
 
 DENOMINATORS = (1, 2, 3, 6, 7)
 SCALES = (1, 3, 5)
@@ -321,3 +324,90 @@ def test_ld_equation_matches_oracle(data):
     for alias, variant in ALIASES.items():
         assert sa.ld_residual(alg, r, alias) == sa.ld_residual(alg, r, variant)
 
+
+
+# ---------------------------------------------------------------------------
+# the equivalence reports against the module-value route
+
+_thirds = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def report_inputs(draw, names, sign, instances):
+    """An algebra with tables ``names`` and a tensor with r[j][i] = sign *
+    r[i][j]: random dim 1-4 tables over {1, 2, 3} (dense or half zero) with
+    a random, sparse or zero tensor, or one of the solution and
+    non-solution ``instances`` carried along a random frame."""
+    if draw(st.integers(0, 3)) == 0:
+        _, alg, r = draw(st.sampled_from(instances[0] + instances[1]))
+        frame = random_frame(random.Random(draw(st.integers(0, 2**32 - 1))), alg.dim,
+                             draw(st.sampled_from((1, 2))))
+        return transport_algebra(alg, frame), transport_tensor(r, frame)
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from((_thirds, st.one_of(st.just(Fraction(0)), _thirds))))
+    cube = st.lists(entry, min_size=n ** 3, max_size=n ** 3)
+    alg = sa.Algebra(n, {name: nest(draw(cube), n, 3) for name in names})
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    keep = draw(st.sampled_from(("all", "one", "none")))
+    if keep != "all":
+        chosen = draw(st.sampled_from(sorted(upper))) if keep == "one" else None
+        upper = {key: x if key == chosen else Fraction(0) for key, x in upper.items()}
+    entries = [[upper[i, j] if i <= j else sign * upper[j, i] for j in range(n)]
+               for i in range(n)]
+    if sign < 0:
+        entries = [[Fraction(0) if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(entries)]
+    return alg, sa.Tensor2(n, nest([x for row in entries for x in row], n, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_s_equivalence_report_matches_module_route(s_instances, data):
+    alg, r = data.draw(report_inputs(("circ",), 1, s_instances))
+    assert repr(sa.s_equivalence_check(alg, r)) == repr(naive.s_equivalence_check(alg, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ld_equivalence_report_matches_module_route(ld_instances, data):
+    alg, r = data.draw(report_inputs(("tri_r", "tri_l"), -1, ld_instances))
+    assert repr(sa.ld_equivalence_check(alg, r)) == repr(naive.ld_equivalence_check(alg, r))
+
+
+# ---------------------------------------------------------------------------
+# the checks evaluate on int tables and build no module values
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of Algebra, PreLieModule and LDendModule values built."""
+    counts = Counter()
+    for cls in (sa.Algebra, sa.PreLieModule, sa.LDendModule):
+        def counted(self, original=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_checks_build_no_module_values(constructions, p2, l2, ld2, rb2):
+    skew = sa.tensor2(2, [(1, 2, 1), (2, 1, -1)])
+    symmetric = sa.tensor2(2, [(1, 2, 1), (2, 1, 1)])
+    T = sa.linmap([[1, 2], [0, 1]])
+    prelie, ldend = sa.regular_prelie_module(p2), sa.regular_ldend_module(ld2)
+    ad = sa.adjoint_family(l2)
+    constructions.clear()
+    sa.ld_equivalence_check(ld2, skew)
+    sa.s_equivalence_check(p2, symmetric)
+    sa.check_o_prelie(T, prelie)
+    sa.check_rota_baxter_prelie(rb2, p2)
+    sa.check_o_lie(T, l2, ad)
+    sa.check_o_ldend(T, ldend)
+    assert constructions == {}
+
+
+def test_cocycle_lift_builds_only_its_result(constructions, p2):
+    B = sa.bilinear_form([[0, 1], [1, 0]])
+    constructions.clear()
+    sa.ldend_from_2cocycle(p2, B, force=True)
+    assert constructions == {"Algebra": 1}

@@ -359,3 +359,25 @@ def test_search_rb_matches_enumeration(name, entry_set):
 def test_search_rb_cap(p2):
     with pytest.raises(sa.SearchSpaceTooLarge):
         sa.search_rb(p2, [-1, 0, 1], cap=10)
+
+
+# ---------------------------------------------------------------------------
+# shape refusals
+
+def test_wrongly_shaped_o_operator_is_refused(p2):
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.check_o_prelie(sa.LinearMap.zero(2, 3), regular_prelie_module(p2))
+    assert str(excinfo.value) == "O-operator: expected a 2x2 map, got 2x3"
+
+
+def test_invertible_o_operator_needs_equal_dimensions(p2):
+    m = sa.PreLieModule(p2, 3, (sa.LinearMap.zero(3, 3),) * 2, (sa.LinearMap.zero(3, 3),) * 2)
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.compatible_ldend_from_invertible_o(sa.LinearMap.identity(3), m)
+    assert str(excinfo.value) == "invertible O-operator requires dim V = dim A"
+
+
+def test_cocycle_lift_needs_the_algebra_dimension(p2):
+    with pytest.raises(sa.DimensionMismatch) as excinfo:
+        sa.ldend_from_2cocycle(p2, sa.bilinear_form([[1]]))
+    assert str(excinfo.value) == "form dimension does not match the algebra"
