@@ -338,9 +338,15 @@ def module_from_doc(doc, where: str = "module"):
     def family(key):
         return _family_from_doc(doc[key], vdim, base.dim, f"{where}.{key}", scalar)
 
+    def needs(kind, *ops):                     # the module classes would raise UnknownOperation
+        for op in ops:
+            _expect(base.has_op(op), f"{where}.base.ops: missing {op!r}, which {kind} needs")
+
     if all(k in doc for k in _LDEND_KEYS):
+        needs("an L-dendriform module", "tri_r", "tri_l")
         return LDendModule(base, vdim, **{k: family(k) for k in _LDEND_KEYS})
     if all(k in doc for k in _PRELIE_KEYS):
+        needs("a pre-Lie module", "circ")
         return PreLieModule(base, vdim, **{k: family(k) for k in _PRELIE_KEYS})
     if "rho" in doc:
         return base, family("rho")

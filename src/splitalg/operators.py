@@ -288,11 +288,67 @@ def ldend_from_2cocycle(alg: Algebra, B, force: bool = False) -> Algebra:
 # ---------------------------------------------------------------------------
 # exhaustive fixture search
 
+def _hook_order(n: int) -> list[tuple[int, int]]:
+    """The entries (row, column) of an n x n map in the order the search
+    assigns them: column 0, the rest of row 0, the rest of column 1, the rest
+    of row 1, and so on, so that columns and rows complete early."""
+    order = []
+    for t in range(n):
+        order += [(i, t) for i in range(t, n)]
+        order += [(t, j) for j in range(t + 1, n)]
+    return order
+
+
+def _rb_schedule(order, n: int, bits: int, prune: bool) -> tuple[int, list[tuple]]:
+    """An offset, and for each position of ``order`` the residual components
+    that the entries assigned so far newly decide, as (u, v, mask, zero)
+    rows: the packed residual p at (u, v) has those components all zero
+    exactly when (p + offset) & mask == zero.  The offset lifts every field
+    of p to a nonnegative value, so no field borrows from the next.
+
+    Component k at (u, v) reads columns u and v and row k of the map, so it
+    is decided once those three are complete.  Without ``prune`` every
+    component waits for the last position: with one candidate per entry
+    there is nothing to cut, and one evaluation decides the map."""
+    fields = [((1 << bits) - 1) << k * bits for k in range(n)]
+    zeros = [(1 << (bits - 1)) << k * bits for k in range(n)]
+    offset = sum(zeros)
+    if not prune:
+        mask = sum(fields)
+        every = tuple((u, v, mask, offset) for u in range(n) for v in range(n))
+        return offset, [()] * (len(order) - 1) + [every]
+    left_in_col, left_in_row = [n] * n, [n] * n
+    cols, rows = [], []
+    schedule = []
+    for i, j in order:
+        left_in_col[j] -= 1
+        left_in_row[i] -= 1
+        decided = {}                            # (u, v) -> newly decided components
+        if not left_in_col[j]:
+            cols.append(j)
+            for w in cols:
+                decided[j, w], decided[w, j] = list(rows), list(rows)
+        if not left_in_row[i]:
+            rows.append(i)
+            for pair in itertools.product(cols, repeat=2):
+                decided.setdefault(pair, []).append(i)
+        schedule.append(tuple(
+            (u, v, sum(map(fields.__getitem__, ks)), sum(map(zeros.__getitem__, ks)))
+            for (u, v), ks in decided.items() if ks
+        ))
+    return offset, schedule
+
+
 def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[LinearMap]:
     """All square matrices with entries from ``entry_set`` that satisfy the
     weight-zero Rota-Baxter identity, in lexicographic (row-major) order of
     their entry tuples.  Exists to manufacture verified fixtures; exhaustive
-    by design."""
+    by design, with the cap counting every candidate.
+
+    Every candidate is decided, but not one at a time: the search fills the
+    map entry by entry and drops a partial map, with every completion of it,
+    as soon as a residual component that its assigned entries fully determine
+    is nonzero.  A complete map has all its components decided this way."""
     n = alg.dim
     values = sorted({rat(x) for x in entry_set})
     total = len(values) ** (n * n)
@@ -303,12 +359,31 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     _, (circ, ints) = clear_denominators(alg.op("circ"), values)
     bits, by_b = _packed_base(circ, n, max(max_abs(circ), max_abs(ints)))
     r_images = tuple(zip(*circ))               # the regular module, as in the check
-    pairs = tuple(itertools.product(range(n), repeat=2))
-    exact = dict(zip(ints, values))
+    order = _hook_order(n)
+    offset, schedule = _rb_schedule(order, n, bits, len(ints) > 1)
+    # unassigned entries keep stale values from ints: in range of the packing,
+    # and read by no decided component
+    grid = [[0] * n for _ in range(n)]
+    last = len(order) - 1
     found = []
-    for flat in itertools.product(ints, repeat=n * n):
-        rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        residual = _o_packed(rows, by_b, circ, r_images, bits)
-        if not any(residual(u, v) for u, v in pairs):
-            found.append(LinearMap(n, n, tuple(tuple(map(exact.__getitem__, row)) for row in rows)))
-    return found
+    stack = [iter(ints)]                        # stack[d]: the untried values at order[d]
+    while stack:
+        depth = len(stack) - 1
+        i, j = order[depth]
+        checks = schedule[depth]
+        for x in stack[-1]:
+            grid[i][j] = x
+            if checks:
+                residual = _o_packed(grid, by_b, circ, r_images, bits)
+                if any((residual(u, v) + offset) & mask != zero for u, v, mask, zero in checks):
+                    continue
+            if depth < last:
+                stack.append(iter(ints))
+                break
+            found.append(tuple(map(tuple, grid)))
+        else:
+            stack.pop()
+    found.sort()        # ints are the values scaled by d > 0, so int order is rational order
+    exact = dict(zip(ints, values))
+    return [LinearMap(n, n, tuple(tuple(map(exact.__getitem__, row)) for row in rows))
+            for rows in found]

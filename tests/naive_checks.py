@@ -30,6 +30,7 @@ from splitalg.core import (
     basis_vector,
     derive,
     family_contract,
+    rat,
     rename_ops,
     table_apply,
     tensor2,
@@ -408,6 +409,19 @@ def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
         return vec_sub(lhs, R.apply(arg))
 
     return _run([("eq-2.11", 2, eq_2_11)], n)
+
+
+def enumerate_rb(alg: Algebra, entry_set) -> list[LinearMap]:
+    """``search_rb`` as a plain enumeration in row-major lexicographic order:
+    one Rota-Baxter check per candidate."""
+    n = alg.dim
+    values = sorted({rat(x) for x in entry_set})
+    found = []
+    for flat in itertools.product(values, repeat=n * n):
+        R = LinearMap(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+        if check_rota_baxter_prelie(R, alg).passed:
+            found.append(R)
+    return found
 
 
 def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckReport:

@@ -3,6 +3,7 @@
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +247,16 @@ def test_search_rb_output(workdir, capsys):
     assert "cap" in err
 
 
+def test_search_rb_json_bytes_on_a_dim_3_algebra(workdir, capsys):
+    """99 of 19,683 candidates, with negative entries: the golden lines pin
+    the values and their row-major lexicographic order."""
+    fileio.write_algebra(sa.algebra(3, {"circ": [(1, 1, 2, 1), (1, 2, 3, 1)]}),
+                         workdir / "n3.alg.json")
+    golden = (Path(__file__).parent / "golden" / "search_rb_n3.jsonl").read_text()
+    assert run(capsys, "search-rb", "--json", "--entry-set=-1,0,1", "n3.alg.json") == (
+        0, golden, "")
+
+
 @pytest.mark.parametrize("bad", ["1/0", "1/2/3", "x"])
 def test_search_rb_bad_entry_is_a_usage_error(workdir, capsys, bad):
     write_fixture("P2", workdir)
@@ -447,6 +458,14 @@ def test_verify_eq_json(module_files, capsys):
     assert code == 1
     assert out == json.dumps({**summary, "tensor": "bad.tensor.json", "nonzero": 2,
                               "first_index": [1, 2, 2], "first_value": "-2"}) + "\n"
+
+
+def test_oop_check_module_base_without_circ_is_a_format_error(module_files, capsys):
+    one = {"rows": 1, "cols": 1, "entries": [[1, 1, 1]]}
+    (module_files / "bare.module.json").write_text(json.dumps(
+        {"base": {"dim": 1, "ops": {}}, "vdim": 1, "l": [one], "r": [one]}))
+    assert run(capsys, "oop-check", "--map", "id.map.json", "--module", "bare.module.json") == (
+        2, "", "error: bare.module.json.base.ops: missing 'circ', which a pre-Lie module needs\n")
 
 
 def test_search_rb_empty_entry_set(module_files, capsys):

@@ -249,6 +249,22 @@ def test_module_without_known_keys_rejected(p2):
         fileio.module_from_doc(doc)
 
 
+@pytest.mark.parametrize("ops, keys, message", [
+    ({}, ("l", "r"), "missing 'circ', which a pre-Lie module needs"),
+    ({"tri_r": []}, ("l", "r"), "missing 'circ', which a pre-Lie module needs"),
+    ({"circ": []}, ("l_r", "r_r", "l_l", "r_l"), "missing 'tri_r', which an L-dendriform module needs"),
+    ({"tri_r": []}, ("l_r", "r_r", "l_l", "r_l"), "missing 'tri_l', which an L-dendriform module needs"),
+], ids=["pre-lie-no-ops", "pre-lie-without-circ", "ldend-without-tri_r", "ldend-without-tri_l"])
+def test_module_base_without_the_op_its_kind_needs_names_the_field(tmp_path, ops, keys, message):
+    one = {"rows": 1, "cols": 1, "entries": [[1, 1, 1]]}
+    path = tmp_path / "m.module.json"
+    path.write_text(json.dumps({"base": {"dim": 1, "ops": ops}, "vdim": 1,
+                                **{key: [one] for key in keys}}))
+    with pytest.raises(fileio.FileFormatError) as excinfo:
+        fileio.read_module(path)
+    assert str(excinfo.value) == f"{path}.base.ops: {message}"
+
+
 def test_fractions_parse_in_reduced_and_unreduced_forms():
     doc = {"dim": 1, "ops": {"circ": [[1, 1, 1, "2/4"]]}}
     alg = fileio.algebra_from_doc(doc)

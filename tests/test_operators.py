@@ -1,6 +1,6 @@
 """Rota-Baxter and O-operator checks plus every induced construction."""
 
-import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import splitalg as sa
-from splitalg import catalog
+from splitalg import catalog, operators
 from splitalg.core import nest
 from splitalg.representations import (
     left_family,
@@ -332,18 +332,6 @@ def test_search_rb_lexicographic(p2, rb_operators_p2):
     assert flats == sorted(flats)
 
 
-def _enumerate_rb(alg, entry_set):
-    """The search as a plain enumeration: one Rota-Baxter check per candidate."""
-    n = alg.dim
-    values = sorted({sa.rat(x) for x in entry_set})
-    found = []
-    for flat in itertools.product(values, repeat=n * n):
-        R = sa.LinearMap(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        if sa.check_rota_baxter_prelie(R, alg).passed:
-            found.append(R)
-    return found
-
-
 @pytest.mark.parametrize("entry_set", [[-1, 0, 1], ["1/2", 0, -2], ["-1/3", 0, "1/2", 1]])
 @pytest.mark.parametrize("name", ["Z2", "P1", "P2", "N2", "LD2_VERT"])
 def test_search_rb_matches_enumeration(name, entry_set):
@@ -353,12 +341,75 @@ def test_search_rb_matches_enumeration(name, entry_set):
     for a in (alg, halved):
         found = sa.search_rb(a, entry_set)
         assert found
-        assert repr(found) == repr(_enumerate_rb(a, entry_set))
+        assert repr(found) == repr(naive.enumerate_rb(a, entry_set))
 
 
-def test_search_rb_cap(p2):
-    with pytest.raises(sa.SearchSpaceTooLarge):
-        sa.search_rb(p2, [-1, 0, 1], cap=10)
+_SPELLINGS = [(0, "0/3"), (1, "2/2", Fraction(1)), ("1/2", "2/4"), ("-3/2", "-6/4"), (-1, "-1/1")]
+_ENTRY_SETS = {
+    "signed-and-fractional": lambda size: st.lists(
+        st.sampled_from([-2, -1, 0, 1, 2, "-1/2", "1/2", "3/2", "-1/3"]),
+        min_size=1, max_size=size, unique=True),
+    "without-zero": lambda size: st.lists(
+        st.sampled_from([-2, -1, 1, 2, "-1/2", "1/2", "3/2", "-1/3"]),
+        min_size=1, max_size=size, unique=True),
+    "one-value": lambda size: st.lists(
+        st.sampled_from([-2, -1, 0, 1, "1/2", "-3/2"]), min_size=1, max_size=1),
+    "equal-rationals": lambda size: st.lists(
+        st.sampled_from(_SPELLINGS), min_size=1, max_size=size, unique=True,
+    ).map(lambda groups: [x for group in groups for x in group]).flatmap(st.permutations),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRY_SETS))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_search_rb_matches_enumeration_on_random_tables(kind, data):
+    """Any circ table, pre-Lie or not, with int or half-integer entries: the
+    search returns the enumeration's hits, values and order alike."""
+    n = data.draw(st.integers(1, 3))
+    denominator = data.draw(st.sampled_from([1, 2]))
+    entries = st.one_of(st.just(0), st.integers(-2, 2)).map(lambda x: Fraction(x, denominator))
+    circ = nest(data.draw(st.lists(entries, min_size=n ** 3, max_size=n ** 3)), n, 3)
+    alg = sa.Algebra(n, {"circ": circ})
+    entry_set = data.draw(_ENTRY_SETS[kind]({1: 5, 2: 4, 3: 2}[n]))
+    assert repr(sa.search_rb(alg, entry_set)) == repr(naive.enumerate_rb(alg, entry_set))
+
+
+def test_search_rb_one_value_at_dim_40_is_one_deep_search(monkeypatch):
+    """Depth 1,600 with one candidate: iterative, and decided by one
+    evaluation rather than one per completed row or column."""
+    n = 40
+    # e_i o e_j = e_(i+j): a truncated polynomial algebra, commutative and associative
+    alg = sa.algebra(n, {"circ": [(i, j, i + j, 1) for i in range(1, n) for j in range(1, n - i + 1)]})
+    evaluations = []
+    kernel = operators._o_packed
+    monkeypatch.setattr(operators, "_o_packed", lambda *args: evaluations.append(1) or kernel(*args))
+    start = time.perf_counter()
+    found = sa.search_rb(alg, [0])
+    assert time.perf_counter() - start < 0.5
+    assert found == [sa.LinearMap.zero(n, n)]
+    assert len(evaluations) == 1
+    ones = sa.LinearMap(n, n, ((1,) * n,) * n)
+    expected = [ones] if sa.check_rota_baxter_prelie(ones, alg).passed else []
+    assert sa.search_rb(alg, ["2/2"]) == expected
+
+
+def test_search_rb_empty_entry_set_finds_nothing(p2):
+    assert sa.search_rb(p2, []) == []
+
+
+def test_search_rb_cap(p2, monkeypatch):
+    """The cap counts every candidate and is applied before any evaluation."""
+    monkeypatch.setattr(operators, "_o_packed", lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(sa.SearchSpaceTooLarge) as excinfo:
+        sa.search_rb(p2, [-1, 0, 1], cap=80)
+    assert str(excinfo.value) == "81 candidates exceed the cap of 80"
+    big = sa.Algebra(40, {})                    # no circ: the cap comes before the table
+    with pytest.raises(sa.SearchSpaceTooLarge) as excinfo:
+        sa.search_rb(big, [0, 1])
+    assert str(excinfo.value) == f"{2 ** 1600} candidates exceed the cap of {10 ** 6}"
+    monkeypatch.undo()
+    assert len(sa.search_rb(p2, [-1, 0, 1], cap=81)) == 9
 
 
 # ---------------------------------------------------------------------------
