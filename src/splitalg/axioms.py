@@ -14,6 +14,7 @@ Identity ids are stable strings; indices in failures are 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,18 +85,6 @@ class CheckReport:
         }
 
 
-class _Exact(dict):
-    """int -> Fraction(int, scale), each value built once per identity."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, x: int) -> Fraction:
-        value = self[x] = Fraction(x, self.scale)
-        return value
-
-
 def _run(identities, dim: int, d: int) -> CheckReport:
     """Evaluate (id, arity, degree, residual_fn) rows over all basis tuples,
     in declaration order and lexicographic index order.
@@ -107,14 +96,14 @@ def _run(identities, dim: int, d: int) -> CheckReport:
     """
     failures = []
     for identity_id, arity, degree, fn in identities:
-        exact = _Exact(d ** degree)
+        exact = functools.cache(functools.partial(Fraction, denominator=d ** degree))
         for idx in itertools.product(range(dim), repeat=arity):
             residual = fn(*idx)
             if any(residual):
                 failures.append(Failure(
                     identity_id,
                     tuple(i + 1 for i in idx),
-                    tuple(map(exact.__getitem__, residual)),
+                    tuple(map(exact, residual)),
                 ))
     return CheckReport(tuple(failures))
 
@@ -153,23 +142,18 @@ def _compile(terms, ops, n: int, bounds):
         for _, shape, a, b, _ in terms
     )
     bits = field_width(bound)
-    packed = {}
 
+    @functools.cache
     def packed_table(name, sign, by_column=False):
         """ops[name] times sign, each vector packed; by_column regroups
         [i][j] as [j][i]."""
-        key = (name, sign, by_column)
-        if key not in packed:
-            if by_column:
-                packed[key] = tuple(zip(*packed_table(name, sign)))
-            elif sign < 0:
-                packed[key] = tuple(tuple(-p for p in plane) for plane in packed_table(name, 1))
-            else:
-                packed[key] = tuple(
-                    tuple(pack(vec, bits) if any(vec) else 0 for vec in plane)
-                    for plane in ops[name]
-                )
-        return packed[key]
+        if by_column:
+            return tuple(zip(*packed_table(name, sign)))
+        if sign < 0:
+            return tuple(tuple(-p for p in plane) for plane in packed_table(name, 1))
+        return tuple(
+            tuple(pack(vec, bits) if any(vec) else 0 for vec in plane) for plane in ops[name]
+        )
 
     if first[1] == PLAIN:
         rows = [(packed_table(a, sign), perm[0], perm[1]) for sign, _, a, _, perm in terms]

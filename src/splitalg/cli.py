@@ -111,6 +111,8 @@ def _emit_algebra(alg, out: str | None):
 # subcommand handlers
 
 def _cmd_check(args) -> int:
+    if args.form and args.class_name not in _COCYCLE_CLASSES:
+        raise ValueError(f"--form applies to cocycle checks only, not to --class {args.class_name}")
     alg = read_algebra(args.algebra)
     if args.class_name in _COCYCLE_CLASSES:
         if not args.form:
@@ -132,6 +134,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_oop_check(args) -> int:
+    if args.module and args.algebra:
+        raise ValueError("oop-check takes --module or a Lie algebra file, not both")
     T = read_map(args.map)
     if args.module:
         module = read_module(args.module)
@@ -170,6 +174,10 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    if args.module and args.algebra:
+        raise ValueError("induce takes --module or an algebra file, not both")
+    if args.compatible and not args.module:
+        raise ValueError("induce --compatible needs --module")
     maps = [read_map(path) for path in args.map]
     if args.module:
         module = read_module(args.module)

@@ -417,12 +417,14 @@ class LinearMap:
         )
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
+        if not isinstance(other, LinearMap):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("addition shape mismatch")
         return LinearMap(self.rows, self.cols, _entrywise(add, 2, self.entries, other.entries))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + (-other)
+        return self + (-other) if isinstance(other, LinearMap) else NotImplemented
 
     def __neg__(self) -> "LinearMap":
         return LinearMap(self.rows, self.cols, _entrywise(neg, 2, self.entries))
@@ -482,6 +484,8 @@ def family_contract(family: Sequence[LinearMap], coeffs: Sequence) -> LinearMap:
     """Extend a basis-indexed matrix family linearly:  sum_i c_i family[i]."""
     if len(family) != len(coeffs):
         raise DimensionMismatch("family length does not match coefficient vector")
+    if not family:
+        raise DimensionMismatch("an empty family has no map shape")
     shape = family[0].rows, family[0].cols
     coefficients, grids = [], []
     for c, m in zip(map(rat, coeffs), family):  # zero terms skip the shape check
@@ -530,12 +534,14 @@ class _Tensor:
         return grid_nonzero(self.entries, (self.dim,) * self.rank)
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatch("tensor dimensions differ")
         return type(self)(self.dim, _entrywise(add, self.rank, self.entries, other.entries))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if type(other) is type(self) else NotImplemented
 
     def __neg__(self):
         return type(self)(self.dim, _entrywise(neg, self.rank, self.entries))

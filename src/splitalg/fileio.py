@@ -316,13 +316,10 @@ def _family_from_doc(rows, vdim: int, base_dim: int, where: str, scalar: _Scalar
 
 
 def module_to_doc(m: PreLieModule | LDendModule) -> dict:
+    keys = _PRELIE_KEYS if isinstance(m, PreLieModule) else _LDEND_KEYS
     doc = {"base": algebra_to_doc(m.base), "vdim": m.vdim}
-    if isinstance(m, PreLieModule):
-        doc["l"] = _family_to_doc(m.l)
-        doc["r"] = _family_to_doc(m.r)
-    else:
-        for key in _LDEND_KEYS:
-            doc[key] = _family_to_doc(getattr(m, key))
+    for key in keys:
+        doc[key] = _family_to_doc(getattr(m, key))
     return doc
 
 

@@ -301,42 +301,27 @@ def _hook_order(n: int) -> list[tuple[int, int]]:
 
 def _rb_schedule(order, n: int, bits: int, prune: bool) -> tuple[int, list[tuple]]:
     """An offset, and for each position of ``order`` the residual components
-    that the entries assigned so far newly decide, as (u, v, mask, zero)
-    rows: the packed residual p at (u, v) has those components all zero
-    exactly when (p + offset) & mask == zero.  The offset lifts every field
-    of p to a nonnegative value, so no field borrows from the next.
+    checked there, as (u, v, mask, zero) rows: the packed residual p at
+    (u, v) has those components all zero exactly when (p + offset) & mask ==
+    zero.  The offset lifts every field of p to a nonnegative value, so no
+    field borrows from the next.
 
     Component k at (u, v) reads columns u and v and row k of the map, so it
-    is decided once those three are complete.  Without ``prune`` every
-    component waits for the last position: with one candidate per entry
-    there is nothing to cut, and one evaluation decides the map."""
-    fields = [((1 << bits) - 1) << k * bits for k in range(n)]
-    zeros = [(1 << (bits - 1)) << k * bits for k in range(n)]
-    offset = sum(zeros)
-    if not prune:
-        mask = sum(fields)
-        every = tuple((u, v, mask, offset) for u in range(n) for v in range(n))
-        return offset, [()] * (len(order) - 1) + [every]
-    left_in_col, left_in_row = [n] * n, [n] * n
-    cols, rows = [], []
-    schedule = []
-    for i, j in order:
-        left_in_col[j] -= 1
-        left_in_row[i] -= 1
-        decided = {}                            # (u, v) -> newly decided components
-        if not left_in_col[j]:
-            cols.append(j)
-            for w in cols:
-                decided[j, w], decided[w, j] = list(rows), list(rows)
-        if not left_in_row[i]:
-            rows.append(i)
-            for pair in itertools.product(cols, repeat=2):
-                decided.setdefault(pair, []).append(i)
-        schedule.append(tuple(
-            (u, v, sum(map(fields.__getitem__, ks)), sum(map(zeros.__getitem__, ks)))
-            for (u, v), ks in decided.items() if ks
-        ))
-    return offset, schedule
+    is checked at the position completing the last of those three.  Without
+    ``prune`` every component waits for the last position: with one
+    candidate per entry there is nothing to cut, and one evaluation decides
+    the map."""
+    last = len(order) - 1
+    col_done = {j: pos for pos, (_, j) in enumerate(order)}
+    row_done = {i: pos for pos, (i, _) in enumerate(order)}
+    field = (1 << bits) - 1
+    buckets = [{} for _ in order]       # [pos][u, v]: mask of the components checked at pos
+    for u, v, k in itertools.product(range(n), repeat=3):
+        pos = max(col_done[u], col_done[v], row_done[k]) if prune else last
+        buckets[pos][u, v] = buckets[pos].get((u, v), 0) | field << k * bits
+    offset = sum((1 << (bits - 1)) << k * bits for k in range(n))
+    return offset, [tuple((u, v, mask, offset & mask) for (u, v), mask in bucket.items())
+                    for bucket in buckets]
 
 
 def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[LinearMap]:
@@ -348,7 +333,10 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     Every candidate is decided, but not one at a time: the search fills the
     map entry by entry and drops a partial map, with every completion of it,
     as soon as a residual component that its assigned entries fully determine
-    is nonzero.  A complete map has all its components decided this way."""
+    is nonzero.  Component k at (u, v) reads columns u and v and row k of the
+    map, so it is checked once, where the last of those three is completed
+    (or, with one value per entry, at the last entry), and a complete map has
+    every component checked exactly once."""
     n = alg.dim
     values = sorted({rat(x) for x in entry_set})
     total = len(values) ** (n * n)

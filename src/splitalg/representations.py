@@ -29,6 +29,7 @@ from .core import (
     derive,
     max_abs,
 )
+from .functors import _tag
 
 __all__ = [
     "PreLieModule",
@@ -152,8 +153,7 @@ def _semidirect(m, blocks, name: str) -> Algebra:
         op: _block_fill(m.base.op(op), *map(_actions, pair), Fraction(0))
         for op, pair in blocks.items()
     }
-    tag = m.base.class_tag
-    return Algebra(m.base.dim + m.vdim, ops, f"{name}({tag})" if tag else name)
+    return Algebra(m.base.dim + m.vdim, ops, _tag(name, m.base))
 
 
 def _check_module(m, blocks, class_name: str, ids) -> CheckReport:

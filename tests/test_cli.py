@@ -486,10 +486,22 @@ def test_search_rb_empty_entry_set(module_files, capsys):
      "induce on a pre-Lie algebra takes one --map"),
     (["--map", "id.map.json", "ld2.alg.json"], "induce needs an algebra carrying circ or bracket"),
     (["--map", "id.map.json"], "induce needs --module or an algebra file"),
+    (["--compatible", "--map", "rb2.map.json", "p2.alg.json"], "induce --compatible needs --module"),
+    (["--map", "rb2.map.json", "--module", "reg.module.json", "p2.alg.json"],
+     "induce takes --module or an algebra file, not both"),
 ], ids=["ldend-module", "rho-module", "module-two-maps", "lie-three-maps", "prelie-two-maps",
-        "no-circ-or-bracket", "no-input"])
+        "no-circ-or-bracket", "no-input", "compatible-without-module", "module-and-algebra"])
 def test_induce_usage_errors(module_files, capsys, argv, message):
     assert run(capsys, "induce", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_arguments_a_verb_would_ignore_are_refused(module_files, capsys):
+    """An argument the verb would not read is an error, not silently dropped."""
+    assert run(capsys, "check", "--class", "pre_lie", "--form", "missing.json", "p2.alg.json") == (
+        2, "", "error: --form applies to cocycle checks only, not to --class pre_lie\n")
+    assert run(capsys, "oop-check", "--map", "rb2.map.json", "--module", "reg.module.json",
+               "l2.alg.json") == (
+        2, "", "error: oop-check takes --module or a Lie algebra file, not both\n")
 
 
 # ---------------------------------------------------------------------------

@@ -696,11 +696,27 @@ def test_form_is_skew_examples():
      "addition shape mismatch"),
     (lambda: sa.family_contract((sa.LinearMap.identity(3), sa.LinearMap.identity(2)), (0, 1)),
      "addition shape mismatch"),
+    (lambda: sa.family_contract((), ()), "an empty family has no map shape"),
 ], ids=["add", "sub", "matmul", "compose", "apply", "tensor2-add", "tensor3-sub",
-        "evaluate-v", "evaluate-u", "family-length", "family-shape", "family-shape-after-zero"])
+        "evaluate-v", "evaluate-u", "family-length", "family-shape", "family-shape-after-zero",
+        "family-empty"])
 def test_value_shape_mismatches(operation, message):
     with pytest.raises(sa.DimensionMismatch, match=f"^{message}$"):
         operation()
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda: sa.tensor2(2) + sa.tensor3(2), "+: 'Tensor2' and 'Tensor3'"),
+    (lambda: sa.tensor3(2) - sa.tensor2(2), "-: 'Tensor3' and 'Tensor2'"),
+    (lambda: sa.linmap([[1]]) + sa.tensor2(1), "+: 'LinearMap' and 'Tensor2'"),
+    (lambda: sa.tensor2(1) + sa.linmap([[1]]), "+: 'Tensor2' and 'LinearMap'"),
+    (lambda: sa.linmap([[1]]) - 1, "-: 'LinearMap' and 'int'"),
+], ids=["tensor2-tensor3", "tensor3-tensor2", "map-tensor", "tensor-map", "map-int"])
+def test_arithmetic_between_value_kinds_is_unsupported(operation, message):
+    """Python's own TypeError names both operand types."""
+    with pytest.raises(TypeError) as excinfo:
+        operation()
+    assert str(excinfo.value) == f"unsupported operand type(s) for {message}"
 
 
 def test_family_contract_skips_zero_coefficients_before_shape_checks():

@@ -394,6 +394,53 @@ def test_search_rb_one_value_at_dim_40_is_one_deep_search(monkeypatch):
     assert sa.search_rb(alg, ["2/2"]) == expected
 
 
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rb_schedule_checks_each_component_once_when_it_is_decided(n, prune):
+    """Component k at (u, v) is checked exactly once: where the last of
+    column u, column v and row k is completed, or at the last position
+    without pruning, and never before all three are assigned."""
+    bits = 5
+    field = (1 << bits) - 1
+    order = operators._hook_order(n)
+    assert sorted(order) == [(i, j) for i in range(n) for j in range(n)]
+    offset, schedule = operators._rb_schedule(order, n, bits, prune)
+    assert offset == sum(1 << (bits - 1) << k * bits for k in range(n))
+    assert len(schedule) == len(order)
+    checked = {}
+    for pos, checks in enumerate(schedule):
+        assert len({(u, v) for u, v, _, _ in checks}) == len(checks)
+        for u, v, mask, zero in checks:
+            assert mask and zero == offset & mask
+            ks = [k for k in range(n) if mask >> k * bits & field]
+            assert mask == sum(field << k * bits for k in ks)
+            for k in ks:
+                assert (u, v, k) not in checked
+                checked[u, v, k] = pos
+    assert len(checked) == n ** 3
+    for (u, v, k), pos in checked.items():
+        needed = {(i, u) for i in range(n)} | {(i, v) for i in range(n)} | {(k, j) for j in range(n)}
+        assert needed <= set(order[:pos + 1])
+        assert pos == (max(map(order.index, needed)) if prune else len(order) - 1)
+
+
+@pytest.mark.parametrize("dim, circ, entry_set, calls, hits", [
+    (2, [(1, 1, 1, 1), (1, 2, 2, 1)], [-2, -1, 0, 1, 2], 210, 17),
+    (3, [(1, 1, 1, 1), (2, 2, 2, 1), (2, 3, 3, 1)], [-1, 0, 1], 1380, 21),
+    (3, [(1, 1, 2, 1), (1, 2, 3, 1)], [-1, 0, 1], 2268, 99),
+    (2, [(1, 1, 2, 1), (1, 2, 1, 1)], ["1/2", 0, -1], 72, 3),
+], ids=["P2", "P1+P2", "e1e1=e2,e1e2=e3", "N2-fractional"])
+def test_search_rb_kernel_calls_are_pinned(monkeypatch, dim, circ, entry_set, calls, hits):
+    """The number of partial maps the search evaluates: a schedule that
+    checks components later than it could prunes less and fails here."""
+    alg = sa.algebra(dim, {"circ": circ})
+    evaluations = []
+    kernel = operators._o_packed
+    monkeypatch.setattr(operators, "_o_packed", lambda *args: evaluations.append(1) or kernel(*args))
+    found = sa.search_rb(alg, entry_set)
+    assert (len(evaluations), len(found)) == (calls, hits)
+
+
 def test_search_rb_empty_entry_set_finds_nothing(p2):
     assert sa.search_rb(p2, []) == []
 

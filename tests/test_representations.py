@@ -92,6 +92,13 @@ def test_semidirect_prelie_regular(p2):
     assert sa.check_class(out, "pre_lie").passed
 
 
+def test_semidirect_tag_names_the_base(p2, ld2):
+    assert sa.semidirect_prelie(regular_prelie_module(p2)).class_tag == "semidirect_prelie(P2)"
+    assert sa.semidirect_ldend(regular_ldend_module(ld2)).class_tag == "semidirect_ldend(LD2)"
+    untagged = sa.Algebra(2, {"circ": p2.op("circ")})
+    assert sa.semidirect_prelie(regular_prelie_module(untagged)).class_tag == "semidirect_prelie"
+
+
 def test_semidirect_prelie_dual_regular(p2):
     out = sa.semidirect_prelie(sa.dual_prelie_module(regular_prelie_module(p2)))
     assert sa.check_class(out, "pre_lie").passed
