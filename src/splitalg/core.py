@@ -61,6 +61,13 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_size(value, what: str):
+    """Refuse a dimension, row or column count that is not an int (a bool
+    included)."""
+    if not is_int(value):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 def _check_rationals(entries: Iterable, what: str):
     """Refuse ``entries`` unless each is a Fraction or an int that is not a
     bool: floats would round, and ``True`` is not the number 1 here."""
@@ -108,12 +115,23 @@ def _has_shape(grid, shape: Sequence[int]) -> bool:
     return not rest or all(len(row) == rest[0] for row in grid)
 
 
-def check_grid(grid, shape: Sequence[int], mismatch: str, what: str):
+def _tuples(grid, rank: int) -> tuple:
+    """``grid`` nested in tuples at every level: the grid itself when it
+    already is, else a copy, which later changes to a source list miss."""
+    if type(grid) is tuple and all(set(map(type, _leaves(grid, k))) <= {tuple}
+                                   for k in range(1, rank)):
+        return grid
+    return tuple(grid) if rank == 1 else tuple(_tuples(row, rank - 1) for row in grid)
+
+
+def check_grid(grid, shape: Sequence[int], mismatch: str, what: str) -> tuple:
     """Refuse ``grid`` unless it is nested to exactly ``shape``, raising
-    DimensionMismatch(``mismatch``), and each entry is an exact rational."""
+    DimensionMismatch(``mismatch``), and each entry is an exact rational;
+    return it nested in tuples."""
     if not _has_shape(grid, shape):
         raise DimensionMismatch(mismatch)
     _check_rationals(_leaves(grid, len(shape)), what)
+    return _tuples(grid, len(shape))
 
 
 def nest(flat: Iterable, dim: int, rank: int) -> tuple:
@@ -279,14 +297,16 @@ class Algebra:
     class_tag: str | None = None
 
     def __post_init__(self):
+        check_size(self.dim, "dimension")
         if self.dim < 1:
             raise DimensionMismatch(f"dimension must be positive, got {self.dim}")
+        ops = {}
         for name, table in self.ops.items():
             if name not in OP_NAMES:
                 raise UnknownOperation(name)
-            check_grid(table, (self.dim,) * 3, f"table {name!r} is not {self.dim}^3",
-                       f"table {name!r}")
-        object.__setattr__(self, "ops", MappingProxyType(dict(self.ops)))
+            ops[name] = check_grid(table, (self.dim,) * 3, f"table {name!r} is not {self.dim}^3",
+                                   f"table {name!r}")
+        object.__setattr__(self, "ops", MappingProxyType(ops))
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -337,6 +357,8 @@ def rename_ops(alg: Algebra, mapping: Mapping[str, str]) -> Algebra:
 
 def merge_ops(*algs: Algebra, class_tag: str | None = None) -> Algebra:
     """Combine the operations of several same-dimensional algebras."""
+    if not algs:
+        raise DimensionMismatch("merging no algebras gives no dimension")
     dim = algs[0].dim
     ops: dict[str, Table] = {}
     for a in algs:
@@ -371,8 +393,11 @@ class LinearMap:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        check_grid(self.entries, (self.rows, self.cols),
-                   "entry grid does not match rows x cols", "linear map")
+        check_size(self.rows, "rows")
+        check_size(self.cols, "cols")
+        object.__setattr__(self, "entries", check_grid(
+            self.entries, (self.rows, self.cols), "entry grid does not match rows x cols",
+            "linear map"))
 
     @staticmethod
     def from_rows(entries: Iterable[Iterable]) -> "LinearMap":
@@ -523,7 +548,9 @@ class _Tensor:
     _mismatch: ClassVar[str]
 
     def __post_init__(self):
-        check_grid(self.entries, (self.dim,) * self.rank, self._mismatch, "tensor")
+        check_size(self.dim, "dimension")
+        object.__setattr__(self, "entries", check_grid(
+            self.entries, (self.dim,) * self.rank, self._mismatch, "tensor"))
 
     @property
     def is_zero(self) -> bool:
@@ -605,7 +632,9 @@ class BilinearForm:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        check_grid(self.gram, (self.dim, self.dim), "gram matrix is not dim x dim", "gram matrix")
+        check_size(self.dim, "dimension")
+        object.__setattr__(self, "gram", check_grid(
+            self.gram, (self.dim, self.dim), "gram matrix is not dim x dim", "gram matrix"))
 
     def evaluate(self, u: Sequence, v: Sequence) -> Fraction:
         if len(u) != self.dim or len(v) != self.dim:
@@ -793,15 +822,15 @@ def _slot_layout(r_slots, s_slots, n: int) -> tuple[bool, bool, int, int, int]:
             stride[shared], stride[r_other], stride[s_other])
 
 
-def _by_shared(t: Tensor2, shared_first: bool) -> dict[int, list]:
-    """t's nonzero entries grouped by the component in the shared slot:
-    u -> [(other component, (numerator, denominator)), ...]."""
+def _by_shared(grid, shared_first: bool) -> dict[int, list]:
+    """The nonzero entries of a square grid grouped by the component in the
+    shared slot: u -> [(other component, entry), ...]."""
     groups: dict[int, list] = {}
-    for i, row in enumerate(t.entries):
+    for i, row in enumerate(grid):
         for j, c in enumerate(row):
             if c:
                 u, x = (i, j) if shared_first else (j, i)
-                groups.setdefault(u, []).append((x, c.as_integer_ratio()))
+                groups.setdefault(u, []).append((x, c))
     return groups
 
 
@@ -814,51 +843,35 @@ def slot_sum(
     a table in ``tables`` or a derived product in ``derived``, whose
     ``derived[op]`` holds the parts of :func:`derive`.
 
-    Only the nonzero entries of r and s are walked, and only the table rows
-    [u][v] they meet are derived, row by row: deriving whole tables would
-    cost O(n^3) on sparse tensors.  Those entries and rows are scaled by the
-    least common denominator d of their entries; every term has degree 2 in
-    the tensors and 1 in the tables, so the residual is the int sum / d**3.
+    The tables and the distinct tensors are scaled together by the least
+    common denominator d of their entries (:func:`clear_denominators`), and
+    each derived product the terms name is derived once, as a whole table,
+    on those ints.  Only the nonzero entries of r and s are walked.  Every
+    term has degree 2 in the tensors and 1 in the tables, so the residual is
+    the int sum / d**3.
     """
     n = len(next(iter(tables.values())))
-    plans = []
-    for sign, r, r_slots, s, s_slots, op in terms:
-        r_first, s_first, *strides = _slot_layout(r_slots, s_slots, n)
+    layouts, tensors = [], {}
+    for _, r, r_slots, s, s_slots, _ in terms:
+        layouts.append(_slot_layout(r_slots, s_slots, n))
         if r.dim != n or s.dim != n:
             raise DimensionMismatch("tensor dimensions do not match the algebra")
-        plans.append((sign, _by_shared(r, r_first), _by_shared(s, s_first), op, strides))
-
-    # the rows the entries meet, and the table rows they are derived from
-    rows = dict.fromkeys((op, u, v) for _, r_groups, s_groups, op, _ in plans
-                         for u in r_groups for v in s_groups)
-    base = {}                       # (name, a, b) -> table[a][b] as (numerator, denominator)
-    for op, u, v in rows:
-        for _, name, flipped in derived.get(op, ((1, op, False),)):
-            key = (name, v, u) if flipped else (name, u, v)
-            if key not in base:
-                base[key] = [x.as_integer_ratio() for x in tables[name][key[1]][key[2]]]
-    denominators = {b for vec in base.values() for _, b in vec}
-    for _, r_groups, s_groups, _, _ in plans:
-        for groups in (r_groups, s_groups):
-            denominators.update(b for entries in groups.values() for _, (_, b) in entries)
-    d = math.lcm(*denominators)
-
-    base = {key: [a * (d // b) for a, b in vec] for key, vec in base.items()}
-    for op, u, v in rows:
-        vec = [0] * n
-        for sign, name, flipped in derived.get(op, ((1, op, False),)):
-            row = base[(name, v, u) if flipped else (name, u, v)]
-            vec = list(map(add if sign > 0 else sub, vec, row))
-        rows[op, u, v] = [(k, w) for k, w in enumerate(vec) if w]
+        tensors[id(r)], tensors[id(s)] = r.entries, s.entries
+    d, grids = clear_denominators(*tables.values(), *tensors.values())
+    ints = dict(zip([*tables, *tensors], grids))    # table names and tensor ids
+    products = {op: derive(ints, derived[op]) if op in derived else ints[op]
+                for op in dict.fromkeys(term[5] for term in terms)}
 
     acc = [0] * n ** 3
-    for sign, r_groups, s_groups, op, (k_stride, x_stride, y_stride) in plans:
-        s_groups = [(v, [(y * y_stride, a * (d // b)) for y, (a, b) in entries])
-                    for v, entries in s_groups.items()]
-        for u, entries in r_groups.items():
-            r_entries = [(x * x_stride, sign * a * (d // b)) for x, (a, b) in entries]
+    for (sign, r, _, s, _, op), (r_first, s_first, *strides) in zip(terms, layouts):
+        k_stride, x_stride, y_stride = strides
+        table = products[op]
+        s_groups = [(v, [(y * y_stride, c) for y, c in entries])
+                    for v, entries in _by_shared(ints[id(s)], s_first).items()]
+        for u, entries in _by_shared(ints[id(r)], r_first).items():
+            r_entries = [(x * x_stride, sign * c) for x, c in entries]
             for v, s_entries in s_groups:
-                row = [(k * k_stride, w) for k, w in rows[op, u, v]]
+                row = [(k * k_stride, w) for k, w in enumerate(table[u][v]) if w]
                 if not row:
                     continue
                 for x_off, cr in r_entries:

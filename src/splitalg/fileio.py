@@ -257,7 +257,7 @@ def _map_from_doc(doc, where: str, scalar: _Scalars) -> LinearMap:
         except ValueError as exc:
             raise FileFormatError(f"{where}.entries[{idx}]: {exc}") from None
         grid[i - 1][j - 1] = scalar(value, f"{where}.entries[{idx}]")
-    return LinearMap(rows, cols, tuple(tuple(r) for r in grid))
+    return LinearMap(rows, cols, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     DimensionMismatch,
     LinearMap,
     Table,
+    check_size,
     clear_denominators,
     derive,
     max_abs,
@@ -55,6 +56,16 @@ def _check_family(family: Sequence[LinearMap], base_dim: int, vdim: int, name: s
             raise DimensionMismatch(f"family {name!r} matrices must be {vdim}x{vdim}")
 
 
+def _check_families(module, names: Sequence[str]):
+    """Refuse a module whose ``vdim`` is not an int or whose named families
+    do not fit, and store each family as a tuple."""
+    check_size(module.vdim, "vdim")
+    for name in names:
+        family = tuple(getattr(module, name))
+        _check_family(family, module.base.dim, module.vdim, name)
+        object.__setattr__(module, name, family)
+
+
 @dataclass(frozen=True)
 class PreLieModule:
     """Module data (l, r, V) over a pre-Lie algebra carried as op ``circ``."""
@@ -66,8 +77,7 @@ class PreLieModule:
 
     def __post_init__(self):
         self.base.op("circ")
-        _check_family(self.l, self.base.dim, self.vdim, "l")
-        _check_family(self.r, self.base.dim, self.vdim, "r")
+        _check_families(self, ("l", "r"))
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,7 @@ class LDendModule:
     def __post_init__(self):
         self.base.op("tri_r")
         self.base.op("tri_l")
-        for name in ("l_r", "r_r", "l_l", "r_l"):
-            _check_family(getattr(self, name), self.base.dim, self.vdim, name)
+        _check_families(self, ("l_r", "r_r", "l_l", "r_l"))
 
 
 def _actions(family: Sequence[LinearMap]) -> Table:

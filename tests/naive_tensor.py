@@ -9,9 +9,10 @@ dim x dim x dim list.
 The algorithm is a literal term expansion: r = sum of coef * (e_a (x) e_b)
 over its nonzero entries, one summand per nonzero entry; products of two such
 sums are accumulated term by term into a sparse dict and densified at the
-end.  The package's implementation works on ints with cleared denominators
-and reads derived products row by row from the base tables, so agreement
-between the two is a meaningful cross-check.
+end.  The package's implementation scales whole tables and tensors to ints
+with one common denominator, derives each product it needs as a whole table
+on those ints, and walks nonzero entries grouped by the shared slot, so
+agreement between the two is a meaningful cross-check.
 """
 
 from fractions import Fraction

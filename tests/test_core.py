@@ -190,6 +190,49 @@ def test_catalog_names_and_unknown_name():
         catalog.build("X9")
 
 
+@pytest.mark.parametrize("build, stored, rank", [
+    (lambda g: sa.Algebra(2, {"circ": g}), lambda v: v.ops["circ"], 3),
+    (lambda g: sa.LinearMap(2, 2, g), lambda v: v.entries, 2),
+    (lambda g: sa.Tensor2(2, g), lambda v: v.entries, 2),
+    (lambda g: sa.Tensor3(2, g), lambda v: v.entries, 3),
+    (lambda g: sa.BilinearForm(2, g), lambda v: v.gram, 2),
+], ids=["Algebra", "LinearMap", "Tensor2", "Tensor3", "BilinearForm"])
+def test_values_built_from_lists_are_values(build, stored, rank):
+    """A grid given as nested lists is stored as nested tuples: the value
+    equals and hashes like the tuple-built one, and changing the source list
+    afterwards does not reach it.  A tuple grid is kept as it is."""
+    grid = ((Fraction(1, 2), 0), (3, Fraction(-1)))
+    lists = [list(row) for row in grid]
+    if rank == 3:
+        grid = (grid, tuple(tuple(-x for x in row) for row in grid))
+        lists = [lists, [[-x for x in row] for row in grid[0]]]
+    from_lists, from_tuples = build(lists), build(grid)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    (lists[0][0] if rank == 3 else lists[0])[0] = Fraction(7)
+    lists.append(lists[0])
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert stored(from_tuples) is grid
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda n: sa.Algebra(n, {"circ": (((1,),),)}), "dimension must be an int, got {!r}"),
+    (lambda n: sa.LinearMap(n, 1, ((1,),)), "rows must be an int, got {!r}"),
+    (lambda n: sa.LinearMap(1, n, ((1,),)), "cols must be an int, got {!r}"),
+    (lambda n: sa.Tensor2(n, ((1,),)), "dimension must be an int, got {!r}"),
+    (lambda n: sa.Tensor3(n, (((1,),),)), "dimension must be an int, got {!r}"),
+    (lambda n: sa.BilinearForm(n, ((1,),)), "dimension must be an int, got {!r}"),
+], ids=["Algebra", "LinearMap-rows", "LinearMap-cols", "Tensor2", "Tensor3", "BilinearForm"])
+@pytest.mark.parametrize("size", [True, 1.0, "1", Fraction(1)], ids=repr)
+def test_sizes_must_be_ints(build, message, size):
+    """A size equal to 1 but not an int is refused before the grid is read,
+    so ``True`` is never written out as a dimension and ``1.0`` never
+    reaches the integer kernels."""
+    with pytest.raises(TypeError) as excinfo:
+        build(size)
+    assert str(excinfo.value) == message.format(size)
+    assert build(1) == build(1)
+
+
 def test_algebra_hash_agrees_with_equality(p2):
     again = catalog.build("P2")
     assert again == p2 and hash(again) == hash(p2)
@@ -697,9 +740,10 @@ def test_form_is_skew_examples():
     (lambda: sa.family_contract((sa.LinearMap.identity(3), sa.LinearMap.identity(2)), (0, 1)),
      "addition shape mismatch"),
     (lambda: sa.family_contract((), ()), "an empty family has no map shape"),
+    (lambda: sa.merge_ops(), "merging no algebras gives no dimension"),
 ], ids=["add", "sub", "matmul", "compose", "apply", "tensor2-add", "tensor3-sub",
         "evaluate-v", "evaluate-u", "family-length", "family-shape", "family-shape-after-zero",
-        "family-empty"])
+        "family-empty", "merge-empty"])
 def test_value_shape_mismatches(operation, message):
     with pytest.raises(sa.DimensionMismatch, match=f"^{message}$"):
         operation()

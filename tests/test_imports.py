@@ -8,9 +8,13 @@ listed in its ``__all__``.  The package ``__init__`` re-exports by import and
 is skipped.  Likewise every module-level private function, class or constant
 (a name with one leading underscore) must be referenced by some code in the
 package outside its own definition.
+
+The test oracle ``tests/naive_tensor.py`` must stay independent of the
+package it checks, so it may import the standard library only.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,29 @@ def test_no_dead_private_names():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in SOURCES + [SOURCES[0].parent / "__init__.py"]}
     assert dead_private_names(sources) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of the modules ``source`` imports, anywhere in it,
+    that are not in the standard library; a relative import counts."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or "").split(".")[0])
+    return [name for name in names if name not in sys.stdlib_module_names]
+
+
+def test_non_stdlib_imports_are_detected():
+    source = (
+        "from __future__ import annotations\nimport os.path\nfrom fractions import Fraction\n"
+        "import splitalg.core\nfrom splitalg import core\nfrom . import x\n"
+        "def f():\n    import naive_checks\n"
+    )
+    assert non_stdlib_imports(source) == ["splitalg", "splitalg", ".", "naive_checks"]
+
+
+def test_tensor_oracle_imports_only_the_standard_library():
+    oracle = Path(__file__).parent / "naive_tensor.py"
+    assert non_stdlib_imports(oracle.read_text(encoding="utf-8")) == []

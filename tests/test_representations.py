@@ -1,6 +1,7 @@
 """Module checks, duals and semidirect sums over pre-Lie and L-dendriform
 algebras, including both directions of the module/semidirect equivalences."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,30 @@ def test_module_iff_semidirect_l_dendriform(ld2):
     bad = sa.LDendModule(ld2, 2, bad_lr, good.r_r, good.l_l, good.r_l)
     assert not sa.check_ldend_module(bad).passed
     assert not sa.check_class(sa.semidirect_ldend(bad), "l_dendriform").passed
+
+
+def test_modules_built_from_lists_are_values(p2, ld2):
+    """Families given as lists are stored as tuples: the module equals and
+    hashes like the tuple-built one, and appending to a source list later
+    does not reach it.  Tuple families are kept as they are."""
+    for m in (regular_prelie_module(p2), regular_ldend_module(ld2)):
+        names = [f.name for f in fields(m)[2:]]
+        lists = [list(getattr(m, name)) for name in names]
+        again = type(m)(m.base, m.vdim, *lists)
+        assert again == m and hash(again) == hash(m)
+        lists[0].append(lists[0][0])
+        assert again == m and hash(again) == hash(m)
+        kept = type(m)(m.base, m.vdim, *(getattr(m, name) for name in names))
+        assert all(getattr(kept, name) is getattr(m, name) for name in names)
+
+
+@pytest.mark.parametrize("vdim", [True, 2.0, "2"], ids=repr)
+def test_module_vdim_must_be_an_int(p2, ld2, vdim):
+    for m in (regular_prelie_module(p2), regular_ldend_module(ld2)):
+        families = [getattr(m, f.name) for f in fields(m)[2:]]
+        with pytest.raises(TypeError) as excinfo:
+            type(m)(m.base, vdim, *families)
+        assert str(excinfo.value) == f"vdim must be an int, got {vdim!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitalg as sa
+from splitalg import core
 from splitalg.core import nest
+from splitalg.functors import HORIZONTAL, SUB_ADJACENT, VERTICAL, commutator
 from splitalg.representations import regular_ldend_module, regular_prelie_module
 
 import naive_checks as naive
@@ -170,6 +172,28 @@ def test_ld_residual_aliases(ld2):
     assert sa.ld_residual(ld2, r, "main") == sa.ld_residual(ld2, r, "eq-4.8")
     assert sa.ld_residual(ld2, r, "aux-b") == sa.ld_residual(ld2, r, "eq-4.10")
     assert sa.ld_residual(ld2, r, "p4") == sa.ld_residual(ld2, r, "eq-4.14")
+
+
+def test_tensor_equations_derive_only_the_products_their_terms_name(p2, ld2, monkeypatch):
+    """slot_sum derives each derived product its terms name once, as a whole
+    table, and no product its terms leave out."""
+    calls, derive = [], core.derive
+
+    def counting_derive(tables, parts):
+        calls.append(parts)
+        return derive(tables, parts)
+
+    monkeypatch.setattr(core, "derive", counting_derive)
+    r = sa.tensor2(2, [(1, 2, 1), (2, 1, -1), (2, 2, Fraction(1, 2))])
+    for run, derived in [
+        (lambda: sa.ld_residual(ld2, r, "eq-4.8"), [VERTICAL, HORIZONTAL]),
+        (lambda: sa.ld_residual(ld2, r, "eq-4.9"), [commutator(VERTICAL)]),
+        (lambda: sa.s_residual(p2, r), [SUB_ADJACENT]),
+        (lambda: sa.slot_product(r, (1, 2), r, (2, 3), p2, "circ"), []),
+    ]:
+        calls.clear()
+        run()
+        assert calls == derived
 
 
 def test_ld_residual_unknown_variant(ld2):
