@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from operator import add, eq, lshift, neg, sub
+from operator import add, attrgetter, eq, lshift, neg, sub
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -106,39 +106,44 @@ def _leaves(grid, rank: int) -> Iterable:
     return grid
 
 
-def _has_shape(grid, shape: Sequence[int]) -> bool:
+def _reshape(flat: Iterable, shape: Sequence[int]) -> tuple:
+    """The grid of ``shape`` whose row-major entries are ``flat`` (an axis of
+    size 0 gives empty rows)."""
+    for axis in range(len(shape) - 1, 0, -1):
+        size = shape[axis]
+        flat = zip(*[iter(flat)] * size) if size else repeat((), math.prod(shape[:axis]))
+    return tuple(flat)
+
+
+def _has_shape(grid, shape: Sequence[int], kinds: set) -> bool:
+    """Whether ``grid`` is nested to exactly ``shape``; the types of its rows
+    at every level above the entries are added to ``kinds``."""
     n, *rest = shape
     if len(grid) != n:
         return False
+    if not rest:
+        return True
+    kinds.update(map(type, grid))
     if len(rest) > 1:
-        return all(_has_shape(sub, rest) for sub in grid)
-    return not rest or all(len(row) == rest[0] for row in grid)
-
-
-def _tuples(grid, rank: int) -> tuple:
-    """``grid`` nested in tuples at every level: the grid itself when it
-    already is, else a copy, which later changes to a source list miss."""
-    if type(grid) is tuple and all(set(map(type, _leaves(grid, k))) <= {tuple}
-                                   for k in range(1, rank)):
-        return grid
-    return tuple(grid) if rank == 1 else tuple(_tuples(row, rank - 1) for row in grid)
+        return all(_has_shape(sub, rest, kinds) for sub in grid)
+    return all(len(row) == rest[0] for row in grid)
 
 
 def check_grid(grid, shape: Sequence[int], mismatch: str, what: str) -> tuple:
     """Refuse ``grid`` unless it is nested to exactly ``shape``, raising
     DimensionMismatch(``mismatch``), and each entry is an exact rational;
-    return it nested in tuples."""
-    if not _has_shape(grid, shape):
+    return it nested in tuples: the grid itself when it already is, else a
+    copy, which later changes to a source list miss."""
+    kinds = {type(grid)}
+    if not _has_shape(grid, shape, kinds):
         raise DimensionMismatch(mismatch)
     _check_rationals(_leaves(grid, len(shape)), what)
-    return _tuples(grid, len(shape))
+    return grid if kinds == {tuple} else _reshape(_leaves(grid, len(shape)), shape)
 
 
 def nest(flat: Iterable, dim: int, rank: int) -> tuple:
     """The dim^rank grid whose row-major entries are ``flat``."""
-    for _ in range(rank - 1):
-        flat = zip(*[iter(flat)] * dim)
-    return tuple(flat)
+    return _reshape(flat, (dim,) * rank)
 
 
 def _entrywise(op, rank: int, *grids) -> tuple:
@@ -722,34 +727,28 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # The identity checks evaluate on Python ints: all inputs of one check are
 # scaled to a common denominator d once, and since every identity is
 # homogeneous of some degree k in those inputs, the true residual is the int
-# residual divided by d**k.  Vectors are packed into one int (Kronecker
-# substitution), so a linear combination of vectors costs one big-int
-# multiply-add per vector instead of one per entry.
+# residual divided by d**k.  The scaling is one flat pass per grid, as in the
+# dense-grid layer: each grid is rectangular, so it is flattened at C speed,
+# scaled as one list and nested again.  Vectors are packed into one int
+# (Kronecker substitution), so a linear combination of vectors costs one
+# big-int multiply-add per vector instead of one per entry.
 
-def _rows(grid):
-    return grid.entries if isinstance(grid, LinearMap) else grid
-
-
-def _is_leaf_row(row) -> bool:
-    return not row or not isinstance(row[0], (tuple, list, LinearMap))
-
-
-def _denominators(grid, out: set):
-    grid = _rows(grid)
-    if _is_leaf_row(grid):
-        out.update(x.denominator for x in grid)
-    else:
-        for sub in grid:
-            _denominators(sub, out)
-
-
-def _scaled(grid, d: int):
-    grid = _rows(grid)
-    if _is_leaf_row(grid):
-        if d == 1:
-            return tuple(x.numerator for x in grid)
-        return tuple(x.numerator * (d // x.denominator) for x in grid)
-    return tuple(_scaled(sub, d) for sub in grid)
+def _flat(grid) -> tuple[list[int], list]:
+    """The shape of a grid, read from the first element at each level (a map
+    stands for its entries), and its entries; refused unless they match."""
+    if isinstance(grid, LinearMap):
+        grid = grid.entries
+    shape, flat = [len(grid)], grid
+    while grid and isinstance(grid[0], (tuple, list, LinearMap)):
+        grid = grid[0]
+        if isinstance(grid, LinearMap):
+            flat, grid = map(attrgetter("entries"), flat), grid.entries
+        flat = chain.from_iterable(flat)
+        shape.append(len(grid))
+    flat = list(flat)
+    if len(flat) != math.prod(shape):
+        raise DimensionMismatch(f"a grid of {len(flat)} entries is not {shape}")
+    return shape, flat
 
 
 def clear_denominators(*grids) -> tuple[int, tuple]:
@@ -758,20 +757,19 @@ def clear_denominators(*grids) -> tuple[int, tuple]:
 
     Returns ``(d, copies)``: each copy keeps its grid's nesting, with maps
     replaced by their row tuples and every entry replaced by the int d * x.
-    Entries may be Fractions or ints.
+    Entries may be Fractions or ints.  Each grid must be rectangular: it is
+    flattened, scaled and reshaped in one pass, and a grid whose entry count
+    does not match the shape of its first elements raises DimensionMismatch.
     """
-    denominators = set()
-    for grid in grids:
-        _denominators(grid, denominators)
-    d = math.lcm(*denominators)
-    return d, tuple(_scaled(grid, d) for grid in grids)
+    flats = list(map(_flat, grids))
+    d = math.lcm(*set(map(attrgetter("denominator"), chain.from_iterable(f for _, f in flats))))
+    return d, tuple(_reshape([x.numerator * (d // x.denominator) for x in flat] if d > 1 else
+                             [x.numerator for x in flat], shape) for shape, flat in flats)
 
 
 def max_abs(grid) -> int:
-    """Largest absolute entry of a nested grid of ints (0 when empty)."""
-    if _is_leaf_row(grid):
-        return max(map(abs, grid), default=0)
-    return max((max_abs(sub) for sub in grid), default=0)
+    """Largest absolute entry of a rectangular grid of ints (0 when empty)."""
+    return max(map(abs, _flat(grid)[1]), default=0)
 
 
 def field_width(bound: int) -> int:

@@ -44,15 +44,14 @@ SUB_ADJACENT = commutator(((1, "circ", False),))
 #: x * y = x > y + x < y, the associative sum of a dendriform algebra
 DENDRIFORM_STAR = ((1, "succ", False), (1, "prec", False))
 
-_STAR = ((1, "se", False), (1, "ne", False), (1, "nw", False), (1, "sw", False))
-
-#: the ten derived operations of a quadri-algebra
+#: the ten derived operations of a quadri-algebra; a product may name one
+#: listed before it, which :func:`quadri_derive` derives first
 QUADRI_DERIVED = {
     "succ": ((1, "ne", False), (1, "se", False)),
     "prec": ((1, "nw", False), (1, "sw", False)),
     "vee": ((1, "se", False), (1, "sw", False)),
     "wedge": ((1, "ne", False), (1, "nw", False)),
-    "star": _STAR,
+    "star": ((1, "se", False), (1, "ne", False), (1, "nw", False), (1, "sw", False)),
     # x |> y = x se y - y nw x,  x <| y = x ne y - y sw x
     "tri_r": ((1, "se", False), (-1, "nw", True)),
     "tri_l": ((1, "ne", False), (-1, "sw", True)),
@@ -60,7 +59,8 @@ QUADRI_DERIVED = {
     "circ": ((1, "se", False), (1, "sw", False), (-1, "nw", True), (-1, "ne", True)),
     # x . y = x se y + x ne y - y nw x - y sw x
     "bullet": ((1, "se", False), (1, "ne", False), (-1, "nw", True), (-1, "sw", True)),
-    "bracket": commutator(_STAR),
+    # [x, y] = x * y - y * x
+    "bracket": commutator(((1, "star", False),)),
 }
 
 _LD = ("tri_r", "tri_l")
@@ -70,10 +70,13 @@ def _tag(name: str, alg: Algebra) -> str:
     return f"{name}({alg.class_tag})" if alg.class_tag else name
 
 
-def _derived(alg: Algebra, name: str, needs: tuple[str, ...], products) -> Algebra:
+def _derived(alg: Algebra, name: str, needs: tuple[str, ...], products, via=()) -> Algebra:
     """The algebra of the derived ``products`` (op -> parts) of the tables
-    ``needs`` of ``alg``, looked up in that order."""
+    ``needs`` of ``alg``, looked up in that order, which may name the
+    products ``via`` ((op, parts) pairs, derived first and not kept)."""
     tables = {op: alg.op(op) for op in needs}
+    for op, parts in via:
+        tables[op] = derive(tables, parts)
     ops = {op: derive(tables, parts) for op, parts in products.items()}
     return Algebra(alg.dim, ops, _tag(name, alg))
 
@@ -111,5 +114,6 @@ def quadri_derive(alg: Algebra, which: str) -> Algebra:
         raise ValueError(
             f"unknown derived operation {which!r} (choose from {sorted(QUADRI_DERIVED)})"
         )
-    return _derived(alg, f"quadri_derive[{which}]", ("se", "ne", "nw", "sw"),
-                    {which: QUADRI_DERIVED[which]})
+    parts = QUADRI_DERIVED[which]
+    via = {op: QUADRI_DERIVED[op] for _, op, _ in parts if op in QUADRI_DERIVED}.items()
+    return _derived(alg, f"quadri_derive[{which}]", ("se", "ne", "nw", "sw"), {which: parts}, via)

@@ -173,8 +173,8 @@ def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
     of the class residual (the base part vanishes), flattened row-major."""
     n, v = m.base.dim, m.vdim
     d, scaled = clear_denominators(
-        *((m.base.op(op), *map(_actions, pair)) for op, pair in blocks.items()))
-    ops = {op: _block_fill(*grids, 0) for op, grids in zip(blocks, scaled)}
+        *(grid for op, pair in blocks.items() for grid in (m.base.op(op), *map(_actions, pair))))
+    ops = {op: _block_fill(*grids, 0) for op, grids in zip(blocks, zip(*[iter(scaled)] * 3))}
     bounds = {op: max_abs(table) for op, table in ops.items()}
     compiled = {ident: _compile(terms, ops, n + v, bounds)
                 for ident, _, terms in _CLASS_SYSTEMS[class_name][1]}

@@ -214,6 +214,29 @@ def test_values_built_from_lists_are_values(build, stored, rank):
     assert stored(from_tuples) is grid
 
 
+def _levels(grid, rank):
+    """The types of a grid and of its rows at every level above the entries."""
+    kinds, level = {type(grid)}, [grid]
+    for _ in range(rank - 1):
+        level = list(chain.from_iterable(level))
+        kinds.update(map(type, level))
+    return kinds
+
+
+@pytest.mark.parametrize("grid, shape", [
+    (([1, 2], (3, 4)), (2, 2)),
+    ((((1,), (2,)), ((3,), [4])), (2, 2, 1)),
+    ((((1, 2),), [(3, 4)]), (2, 1, 2)),
+    (([], []), (2, 0)),
+], ids=["list-row", "deep-list-row", "list-plane", "empty-list-rows"])
+def test_grids_with_a_list_below_the_top_are_copied(grid, shape):
+    """A list at any level, not only the top one, makes the stored grid a
+    copy nested in tuples throughout."""
+    stored = sa.core.check_grid(grid, shape, "mismatch", "grid")
+    assert stored is not grid and stored == sa.core._entrywise(lambda x: x, len(shape), grid)
+    assert _levels(stored, len(shape)) == {tuple}
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda n: sa.Algebra(n, {"circ": (((1,),),)}), "dimension must be an int, got {!r}"),
     (lambda n: sa.LinearMap(n, 1, ((1,),)), "rows must be an int, got {!r}"),

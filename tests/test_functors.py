@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitalg as sa
+from splitalg import catalog
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -216,6 +217,42 @@ def test_quadri_star_splits(alg):
     vee = sa.quadri_derive(alg, "vee").op("vee")
     wedge = sa.quadri_derive(alg, "wedge").op("wedge")
     assert star == table_add(succ, prec) == table_add(vee, wedge)
+
+
+_EIGHT_PART_BRACKET = sa.functors.commutator(tuple((1, op, False) for op in ("se", "ne", "nw", "sw")))
+
+
+def _same_bracket(alg):
+    """The bracket derived as the commutator of star equals, entry for entry
+    and type for type, the eight-part commutator of the four tables, and it
+    is the only operation of its algebra."""
+    derived = sa.quadri_derive(alg, "bracket")
+    expected = sa.core.derive(alg.ops, _EIGHT_PART_BRACKET)
+    assert repr(derived.op("bracket")) == repr(expected)
+    assert set(derived.ops) == {"bracket"}
+    tag = "quadri_derive[bracket]"
+    assert derived.class_tag == (f"{tag}({alg.class_tag})" if alg.class_tag else tag)
+
+
+@settings(max_examples=80)
+@given(raw_quadri(), st.booleans())
+def test_quadri_bracket_is_the_eight_part_commutator(alg, ints):
+    if ints:
+        alg = sa.Algebra(alg.dim, {op: tuple(tuple(tuple(int(3 * x) for x in row) for row in plane)
+                                             for plane in table) for op, table in alg.ops.items()})
+    _same_bracket(alg)
+
+
+@pytest.mark.parametrize("name", [name for name in catalog.CATALOG_NAMES
+                                  if isinstance(catalog.build(name), sa.Algebra)])
+def test_quadri_bracket_matches_on_catalog_tables(name):
+    # the catalog algebra's tables, in turn, as the four quadri tables
+    fixture = catalog.build(name)
+    tables = list(fixture.ops.values())
+    quadri = ("se", "ne", "nw", "sw")
+    _same_bracket(sa.Algebra(fixture.dim, {op: tables[k % len(tables)] for k, op in enumerate(quadri)},
+                             "quadri"))
+    _same_bracket(sa.Algebra(fixture.dim, dict(zip(quadri, [tables[0]] + [tables[-1]] * 3))))
 
 
 def test_quadri_derived_structures_pass_their_classes():

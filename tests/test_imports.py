@@ -9,8 +9,9 @@ is skipped.  Likewise every module-level private function, class or constant
 (a name with one leading underscore) must be referenced by some code in the
 package outside its own definition.
 
-The test oracle ``tests/naive_tensor.py`` must stay independent of the
-package it checks, so it may import the standard library only.
+The test oracles ``tests/naive_tensor.py`` and ``tests/naive_kernel.py``
+must stay independent of the package they check, so they may import the
+standard library only.
 """
 
 import ast
@@ -140,4 +141,9 @@ def test_non_stdlib_imports_are_detected():
 
 def test_tensor_oracle_imports_only_the_standard_library():
     oracle = Path(__file__).parent / "naive_tensor.py"
+    assert non_stdlib_imports(oracle.read_text(encoding="utf-8")) == []
+
+
+def test_kernel_oracle_imports_only_the_standard_library():
+    oracle = Path(__file__).parent / "naive_kernel.py"
     assert non_stdlib_imports(oracle.read_text(encoding="utf-8")) == []

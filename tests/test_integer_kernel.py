@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 import splitalg as sa
 from splitalg import catalog
 from splitalg.axioms import REQUIRED_OPS
-from splitalg.core import clear_denominators, field_width, nest, pack, unpack
+from splitalg.core import clear_denominators, field_width, max_abs, nest, pack, unpack
 from splitalg.ybe import _check_companion_identity
 
 import naive_checks as naive
+from naive_kernel import naive_clear_denominators, naive_max_abs
 from naive_tensor import (
     commutator_table,
     naive_ld_residual,
@@ -117,6 +118,114 @@ def test_clear_denominators_scales_every_object():
     assert m == ((12,), (30,))
     assert f == (((15,),),)
     assert clear_denominators(((0, 0), (0, 0)))[0] == 1
+
+
+def _build(entries, shape):
+    """The nested tuple grid of ``shape`` taking its entries from the
+    iterator ``entries`` (sizes may be 0)."""
+    if len(shape) == 1:
+        return tuple(next(entries) for _ in range(shape[0]))
+    return tuple(_build(entries, shape[1:]) for _ in range(shape[0]))
+
+
+@st.composite
+def kernel_grids(draw, kind):
+    """A rectangular grid of rank 1-4 with Fraction, int or mixed entries
+    (``kind``), sizes 0-3, where a rank-2 grid may be a map, a rank-3 grid a
+    family of maps and a rank-4 grid a tuple of families; sometimes a list."""
+    rank = draw(st.integers(1, 4))
+    shape = draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank))
+    size = prod(shape)
+    dens = draw(st.sampled_from([(1,), DENOMINATORS]))
+    ints = st.integers(-7, 7)
+    fractions = st.builds(Fraction, ints, st.sampled_from(dens))
+    entry = {"int": ints, "fraction": fractions, "mixed": ints | fractions}[kind]
+    grid = _build(iter(draw(st.lists(entry, min_size=size, max_size=size))), shape)
+    maps = draw(st.booleans())
+    if rank == 2 and maps:
+        return sa.LinearMap(*shape, grid)
+    if rank == 3 and maps:
+        return tuple(sa.LinearMap(*shape[1:], plane) for plane in grid)
+    if rank == 4 and maps:
+        return tuple(tuple(sa.LinearMap(*shape[2:], plane) for plane in cube) for cube in grid)
+    return list(grid) if draw(st.booleans()) else grid
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "mixed"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_clear_denominators_and_max_abs_match_the_recursive_walk(kind, data):
+    grids = data.draw(st.lists(kernel_grids(kind), min_size=1, max_size=3))
+    d, copies = clear_denominators(*grids)
+    assert repr((d, copies)) == repr(naive_clear_denominators(*grids))
+    for copy in copies:
+        assert max_abs(copy) == naive_max_abs(copy)
+
+
+_EMPTY_MAP = sa.LinearMap(0, 0, ())
+
+
+@pytest.mark.parametrize("grids, expected", [
+    ((sa.LinearMap(2, 0, ((), ())),), (((), ()),)),
+    (((),), ((),)),
+    ((sa.LinearMap(0, 3, ()),), ((),)),
+    (((_EMPTY_MAP, _EMPTY_MAP), (((Fraction(1, 2),),),)), (((), ()), (((1,),),))),
+    ((((), ()), ((), ())), (((), ()), ((), ()))),
+    (((((),), ((),)),), ((((),), ((),)),)),
+], ids=["map-2x0", "empty", "map-0x3", "vdim0-family", "actions-vdim0", "rank3-last-0"])
+def test_zero_size_axes_keep_their_nesting(grids, expected):
+    d, copies = clear_denominators(*grids)
+    assert copies == expected
+    assert (d, copies) == naive_clear_denominators(*grids)
+    assert [max_abs(c) for c in copies] == [naive_max_abs(c) for c in copies]
+
+
+@pytest.mark.parametrize("grid", [
+    ((1, 2), (3,)),
+    ((), (1,)),
+    (((1, 2), (3, 4)), ((5, 6),)),
+], ids=["short-row", "empty-first-row", "short-plane"])
+def test_ragged_grids_are_refused(grid):
+    with pytest.raises(sa.DimensionMismatch, match="entries is not"):
+        clear_denominators(grid)
+    with pytest.raises(sa.DimensionMismatch, match="entries is not"):
+        max_abs(grid)
+
+
+@pytest.mark.parametrize("grid", [
+    ((1, 2), ((3,), (4,))),
+    ((1,), 2),
+    (sa.linmap([[1]]), ((1,),)),
+    (((1,),), sa.linmap([[1]])),
+], ids=["row-of-rows", "entry-for-row", "row-for-map", "map-for-row"])
+def test_grids_of_mixed_depth_are_refused(grid):
+    """A row deeper or shallower than the first one at its level is never
+    read as entries: a row where an entry belongs has no denominator, and
+    an entry or a map where a row belongs has no items."""
+    with pytest.raises((AttributeError, TypeError)):
+        clear_denominators(grid)
+
+
+def test_a_module_block_passed_as_one_grid_is_refused(p2):
+    # an action table beside its base table is ragged unless vdim = dim
+    acts = tuple(((Fraction(1),),) for _ in range(p2.dim))
+    with pytest.raises(sa.DimensionMismatch):
+        clear_denominators((p2.op("circ"), acts, acts))
+
+
+@pytest.mark.parametrize("base", ["P2", "N2", "LD2"])
+def test_checks_over_a_zero_module_pass(base):
+    alg = catalog.build(base)
+    family = (_EMPTY_MAP,) * alg.dim
+    T = sa.LinearMap(alg.dim, 0, ((),) * alg.dim)
+    if alg.has_op("circ"):
+        module = sa.PreLieModule(alg, 0, family, family)
+        assert sa.check_prelie_module(module) == sa.CheckReport(())
+        assert sa.check_o_prelie(T, module) == sa.CheckReport(())
+    if alg.has_op("tri_r"):
+        module = sa.LDendModule(alg, 0, *[family] * 4)
+        assert sa.check_ldend_module(module) == sa.CheckReport(())
+        assert sa.check_o_ldend(T, module) == sa.CheckReport(())
 
 
 # ---------------------------------------------------------------------------
