@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from types import MappingProxyType
 
 from .core import (
     Algebra,
@@ -26,7 +27,6 @@ from .core import (
     DimensionMismatch,
     UnknownOperation,
     clear_denominators,
-    derive,
     field_width,
     max_abs,
     pack,
@@ -85,18 +85,18 @@ class CheckReport:
         }
 
 
-def _run(identities, dim: int, d: int) -> CheckReport:
-    """Evaluate (id, arity, degree, residual_fn) rows over all basis tuples,
-    in declaration order and lexicographic index order.
+def _run(identities, dim: int) -> CheckReport:
+    """Evaluate (id, arity, denominator, residual_fn) rows over all basis
+    tuples, in declaration order and lexicographic index order.
 
-    ``residual_fn(*idx)`` returns the int residual on inputs scaled by d
-    (empty or all zero when the identity holds there); the identity is
-    homogeneous of ``degree`` in those inputs, so the exact residual is the
-    int one divided by d**degree.
+    ``residual_fn(*idx)`` returns the int residual on inputs scaled to ints
+    (empty or all zero when the identity holds there); the exact residual is
+    the int one divided by ``denominator``, the product of the scales of the
+    factors each term multiplies.
     """
     failures = []
-    for identity_id, arity, degree, fn in identities:
-        exact = functools.cache(functools.partial(Fraction, denominator=d ** degree))
+    for identity_id, arity, denominator, fn in identities:
+        exact = functools.cache(functools.partial(Fraction, denominator=denominator))
         for idx in itertools.product(range(dim), repeat=arity):
             residual = fn(*idx)
             if any(residual):
@@ -123,9 +123,6 @@ def _run(identities, dim: int, d: int) -> CheckReport:
 LEFT, RIGHT, PLAIN = "(xAy)Bz", "xA(yBz)", "xAy"
 XY, YX = (0, 1), (1, 0)
 XYZ, YXZ, XZY, YZX, ZXY = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
-
-#: degree of a term of each shape in the tables it multiplies
-_DEGREE = {LEFT: 2, RIGHT: 2, PLAIN: 1}
 
 
 def _compile(terms, ops, n: int, bounds):
@@ -178,25 +175,32 @@ def _compile(terms, ops, n: int, bounds):
     return residual
 
 
-def _check_system(system, dim: int, tables, form: BilinearForm | None = None,
-                  derived=None) -> CheckReport:
-    """Evaluate identity rows (id, arity, terms) on the named Fraction
-    tables, an optional form (the table "B") and derived tables (name ->
-    parts, see :func:`splitalg.core.derive`)."""
-    grids = list(tables.values()) + ([] if form is None else [form.gram])
-    d, scaled = clear_denominators(*grids)
-    ops = dict(zip(tables, scaled))
+def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None,
+                  derived=MappingProxyType({})) -> CheckReport:
+    """Evaluate identity rows (id, arity, terms) on the algebra's tables
+    ``names``, its derived tables (name -> parts, see
+    :func:`splitalg.core.derive`) and an optional form (the table "B").
+
+    The tables come from the algebra's int form, scaled by its d_A
+    (:meth:`splitalg.core.Algebra.scaled`); only the form is scaled here, by
+    its own d_B.  A term multiplies two of these tables (one when PLAIN), so
+    an identity's exact residual is its int residual divided by their
+    denominators' product: d_A**2, d_A * d_B or d_B."""
+    d_a, tables = alg.scaled(*names, *derived.values())
+    ops = dict(zip([*names, *derived], tables))
+    scale = dict.fromkeys(ops, d_a)
     if form is not None:
-        ops["B"] = tuple(tuple((x,) for x in row) for row in scaled[-1])
-    for name, parts in (derived or {}).items():
-        ops[name] = derive(ops, parts)
+        if form.dim != alg.dim:
+            raise DimensionMismatch("form dimension does not match the algebra")
+        scale["B"], (gram,) = clear_denominators(form.gram)
+        ops["B"] = tuple(tuple((x,) for x in row) for row in gram)
     bounds = {name: max_abs(table) for name, table in ops.items()}
-    return _run(
-        [(ident, arity, _DEGREE[terms[0][1]], _compile(terms, ops, dim, bounds))
-         for ident, arity, terms in system],
-        dim,
-        d,
-    )
+    rows = []
+    for ident, arity, terms in system:
+        _, shape, a, b, _ = terms[0]
+        denominator = scale[a] if shape == PLAIN else scale[a] * scale[b]
+        rows.append((ident, arity, denominator, _compile(terms, ops, alg.dim, bounds)))
+    return _run(rows, alg.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +285,7 @@ def check_class(alg: Algebra, class_name: str) -> CheckReport:
                 f"class {class_name!r} needs operation {op_name!r}"
             )
     derived, system = _CLASS_SYSTEMS[class_name]
-    tables = {name: alg.op(name) for name in REQUIRED_OPS[class_name]}
-    return _check_system(system, alg.dim, tables, derived=derived)
+    return _check_system(system, alg, REQUIRED_OPS[class_name], derived=derived)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +310,10 @@ _LDEND_COCYCLE = (
 
 def check_prelie_cocycle(alg: Algebra, B: BilinearForm) -> CheckReport:
     """2-cocycle identity  B(x.y, z) - B(x, y.z) = B(y.x, z) - B(y, x.z)."""
-    t = alg.op("circ")
-    if B.dim != alg.dim:
-        raise DimensionMismatch("form dimension does not match the algebra")
-    return _check_system(_PRELIE_COCYCLE, alg.dim, {"circ": t}, B)
+    return _check_system(_PRELIE_COCYCLE, alg, ("circ",), B)
 
 
 def check_ldend_cocycle(alg: Algebra, B: BilinearForm) -> CheckReport:
     """Skew-symmetry plus  B(x<|y, z) = -B(y, z o x) + B(x, z * y)  where
     o and * are the vertical and horizontal products of the tables."""
-    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
-    if B.dim != alg.dim:
-        raise DimensionMismatch("form dimension does not match the algebra")
-    return _check_system(_LDEND_COCYCLE, alg.dim, tables, B, {"bullet": HORIZONTAL})
+    return _check_system(_LDEND_COCYCLE, alg, ("tri_r", "tri_l"), B, {"bullet": HORIZONTAL})

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, product, repeat
 from operator import add, attrgetter, eq, lshift, neg, sub
 from types import MappingProxyType
@@ -334,6 +335,40 @@ class Algebra:
 
     def has_op(self, name: str) -> bool:
         return name in self.ops
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the fields, without the int form."""
+        return Algebra, (self.dim, dict(self.ops), self.class_tag)
+
+    @cached_property
+    def _int_form(self) -> tuple[int, dict, dict]:
+        """d_A, the least common denominator of all the tables, the tables
+        scaled by it to ints (key -> table, see :meth:`scaled`), and the
+        vectors of those tables (vector -> itself), so that equal vectors are
+        one tuple."""
+        d, tables = clear_denominators(*self.ops.values())
+        vectors: dict = {}
+        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors
+
+    def scaled(self, *keys) -> tuple[int, tuple[Table, ...]]:
+        """d_A and the int tables d_A * t named by ``keys``: op names, or the
+        ``(sign, name, flipped)`` parts of derived products of the ops (see
+        :func:`derive`).  Each is built on first use and kept with the value,
+        so the tables are scaled once and a derived product is summed once
+        per algebra, however many checks read them."""
+        d, tables, vectors = self._int_form
+        for key in keys:
+            if key not in tables:
+                for name in [key] if isinstance(key, str) else [name for _, name, _ in key]:
+                    self.op(name)
+                tables[key] = _shared(derive(tables, key), vectors)
+        return d, tuple(map(tables.__getitem__, keys))
+
+
+def _shared(table: Table, vectors: dict) -> Table:
+    """``table`` with each vector replaced by the equal one in ``vectors``,
+    where it is added when new."""
+    return tuple(tuple(vectors.setdefault(vec, vec) for vec in plane) for plane in table)
 
 
 def algebra(
@@ -689,7 +724,7 @@ def slot_product(
     corresponding tensor's remaining component.  For instance slots (1,2) and
     (1,3) give  sum a_i*a_j (x) b_i (x) b_j.
     """
-    return slot_sum(((1, r, r_slots, s, s_slots, op),), {op: alg.op(op)})
+    return slot_sum(((1, r, r_slots, s, s_slots, op),), alg)
 
 
 def tensor_to_map(r: Tensor2) -> LinearMap:
@@ -724,14 +759,21 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # ---------------------------------------------------------------------------
 # integer kernel
 #
-# The identity checks evaluate on Python ints: all inputs of one check are
-# scaled to a common denominator d once, and since every identity is
-# homogeneous of some degree k in those inputs, the true residual is the int
-# residual divided by d**k.  The scaling is one flat pass per grid, as in the
-# dense-grid layer: each grid is rectangular, so it is flattened at C speed,
-# scaled as one list and nested again.  Vectors are packed into one int
-# (Kronecker substitution), so a linear combination of vectors costs one
-# big-int multiply-add per vector instead of one per entry.
+# The identity checks and tensor equations evaluate on Python ints.  Those
+# that read an algebra take its tables from its int form, scaled by d_A once
+# per value with every derived table summed once from them
+# (:meth:`Algebra.scaled`), and scale only their other inputs (a form, a map,
+# a tensor) by their own denominator.  Every identity is homogeneous in each
+# kind of factor, so the true residual is the int residual divided by the
+# product of its factors' denominators: d_A**2 for a class identity,
+# d_A * d_B for a form identity, d_A * d_t**2 for a tensor equation.  The
+# module checks, the public O-operator checks and the Rota-Baxter search
+# scale all their inputs by one d instead, so theirs is d**2 or d**3.  The
+# scaling is one flat pass per grid, as in the dense-grid layer: each grid
+# is rectangular, so it is flattened at C speed, scaled as one list and
+# nested again.  Vectors are packed into one int (Kronecker substitution),
+# so a linear combination of vectors costs one big-int multiply-add per
+# vector instead of one per entry.
 
 def _flat(grid) -> tuple[list[int], list]:
     """The shape of a grid, read from the first element at each level (a map
@@ -833,32 +875,33 @@ def _by_shared(grid, shared_first: bool) -> dict[int, list]:
 
 
 def slot_sum(
-    terms, tables: Mapping[str, Table], derived: Mapping[str, Sequence] = MappingProxyType({})
+    terms, alg: Algebra, derived: Mapping[str, Sequence] = MappingProxyType({})
 ) -> Tensor3:
     """Signed sum of slot products (see :func:`slot_product`), evaluated on ints.
 
     ``terms`` are ``(sign, r, r_slots, s, s_slots, op)`` rows.  ``op`` names
-    a table in ``tables`` or a derived product in ``derived``, whose
+    a table of ``alg`` or a derived product in ``derived``, whose
     ``derived[op]`` holds the parts of :func:`derive`.
 
-    The tables and the distinct tensors are scaled together by the least
-    common denominator d of their entries (:func:`clear_denominators`), and
-    each derived product the terms name is derived once, as a whole table,
-    on those ints.  Only the nonzero entries of r and s are walked.  Every
-    term has degree 2 in the tensors and 1 in the tables, so the residual is
-    the int sum / d**3.
+    The products come from the algebra's int form, scaled by its d_A and
+    derived once per value (:meth:`Algebra.scaled`); only the distinct
+    tensors are scaled here, by the least common denominator d_t of their
+    entries.  Only the nonzero entries of r and s are walked.  Every term
+    has degree 1 in the tables and 2 in the tensors, so the residual is the
+    int sum / (d_A * d_t**2).
     """
-    n = len(next(iter(tables.values())))
+    ops = dict.fromkeys(term[5] for term in terms)
+    d_a, tables = alg.scaled(*(derived.get(op, op) for op in ops))
+    products = dict(zip(ops, tables))
+    n = alg.dim
     layouts, tensors = [], {}
     for _, r, r_slots, s, s_slots, _ in terms:
         layouts.append(_slot_layout(r_slots, s_slots, n))
         if r.dim != n or s.dim != n:
             raise DimensionMismatch("tensor dimensions do not match the algebra")
         tensors[id(r)], tensors[id(s)] = r.entries, s.entries
-    d, grids = clear_denominators(*tables.values(), *tensors.values())
-    ints = dict(zip([*tables, *tensors], grids))    # table names and tensor ids
-    products = {op: derive(ints, derived[op]) if op in derived else ints[op]
-                for op in dict.fromkeys(term[5] for term in terms)}
+    d_t, grids = clear_denominators(*tensors.values())
+    ints = dict(zip(tensors, grids))
 
     acc = [0] * n ** 3
     for (sign, r, _, s, _, op), (r_first, s_first, *strides) in zip(terms, layouts):
@@ -878,5 +921,5 @@ def slot_sum(
                         for off, cw in scaled_row:
                             acc[off + y_off] += cs * cw
 
-    scale = d ** 3
+    scale = d_a * d_t ** 2
     return Tensor3(n, nest((Fraction(x, scale) if x else _ZERO for x in acc), n, 3))

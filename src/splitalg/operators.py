@@ -110,10 +110,13 @@ def _o_packed(T, by_b, l_images, r_images, bits: int):
     return residual
 
 
-def _check_o(t, rows, vdim: int, d: int) -> CheckReport:
+def _check_o(t, rows, vdim: int, denominator: int) -> CheckReport:
     """The O-operator identities of the int map t (base x module rows), one
-    per (id, base table, l action table, r action table) row, on inputs
-    scaled by d: the :func:`_o_packed` residuals, unpacked."""
+    per (id, base table, l action table, r action table) row: the
+    :func:`_o_packed` residuals, unpacked, each divided by ``denominator``.
+    Every term is quadratic in the map and linear in a table, so that is
+    d**3 for inputs scaled by one d, and d_t**2 * d_A when the map and the
+    tables have their own."""
     n = len(t)
 
     def residual_fn(table, l_images, r_images):
@@ -121,14 +124,14 @@ def _check_o(t, rows, vdim: int, d: int) -> CheckReport:
         packed = _o_packed(t, by_b, l_images, r_images, bits)
         return lambda u, v: unpack(p, n, bits) if (p := packed(u, v)) else ()
 
-    return _run([(ident, 2, 3, residual_fn(*grids)) for ident, *grids in rows], vdim, d)
+    return _run([(ident, 2, denominator, residual_fn(*grids)) for ident, *grids in rows], vdim)
 
 
 def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
     d, (t, circ, l, r) = clear_denominators(T, m.base.op("circ"), _actions(m.l), _actions(m.r))
-    return _check_o(t, [("eq-2.10", circ, l, r)], m.vdim, d)
+    return _check_o(t, [("eq-2.10", circ, l, r)], m.vdim, d ** 3)
 
 
 def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
@@ -136,7 +139,7 @@ def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
     _require_shape(R, alg.dim, alg.dim, "Rota-Baxter operator")
     d, (r, circ) = clear_denominators(R, alg.op("circ"))
     # the regular module: l(e_a) e_v = e_a o e_v,  r(e_a) e_u = e_u o e_a
-    return _check_o(r, [("eq-2.11", circ, circ, tuple(zip(*circ)))], alg.dim, d)
+    return _check_o(r, [("eq-2.11", circ, circ, tuple(zip(*circ)))], alg.dim, d ** 3)
 
 
 def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckReport:
@@ -148,7 +151,7 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
     _require_shape(T, lie.dim, vdim, "O-operator")
     d, (t, bracket, acts) = clear_denominators(T, lie.op("bracket"), _actions(rho))
     rows = [("eq-3.13", bracket, acts, derive({"rho": acts}, ((-1, "rho", False),)))]
-    return _check_o(t, rows, vdim, d)
+    return _check_o(t, rows, vdim, d ** 3)
 
 
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
@@ -157,7 +160,8 @@ def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     d, (t, tr, tl, lr, rr, ll, rl) = clear_denominators(
         T, m.base.op("tri_r"), m.base.op("tri_l"), *map(_actions, (m.l_r, m.r_r, m.l_l, m.r_l))
     )
-    return _check_o(t, [("eq-4.7-tri_r", tr, lr, rr), ("eq-4.7-tri_l", tl, ll, rl)], m.vdim, d)
+    rows = [("eq-4.7-tri_r", tr, lr, rr), ("eq-4.7-tri_l", tl, ll, rl)]
+    return _check_o(t, rows, m.vdim, d ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,9 @@ def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
 
         return residual
 
-    rows = [(ident, 2, 2, module_residual(compiled[cls], slot, sign))
+    rows = [(ident, 2, d ** 2, module_residual(compiled[cls], slot, sign))
             for ident, cls, slot, sign in ids]
-    return _run(rows, n, d)
+    return _run(rows, n)
 
 
 #: argument slots of a class identity

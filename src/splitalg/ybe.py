@@ -4,8 +4,9 @@ O-operator conditions, and solution builders.
 
 Residuals are the exact left-hand side of the cited equation, assembled from
 slot products; the sub-adjacent bracket and the horizontal/vertical products
-are always recomputed from the supplied tables and never trusted from a
-class tag, so residuals stay meaningful on invalid inputs.
+are always derived from the supplied tables (once per algebra value) and
+never trusted from a class tag, so residuals stay meaningful on invalid
+inputs.
 """
 
 from __future__ import annotations
@@ -72,9 +73,13 @@ __all__ = [
 ]
 
 
-def _check_dims(alg: Algebra, r: Tensor2):
+def _check_dims(alg: Algebra, r: Tensor2, *ops: str):
+    """Refuse a tensor of another dimension than the algebra, then an algebra
+    without one of ``ops``."""
     if r.dim != alg.dim:
         raise DimensionMismatch("tensor dimension does not match the algebra")
+    for op in ops:
+        alg.op(op)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +158,11 @@ _S_DERIVED = {"bracket": SUB_ADJACENT}
 _LD_DERIVED = {"circ": VERTICAL, "bullet": HORIZONTAL, "bracket": commutator(VERTICAL)}
 
 
-def _slot_sum(tables, derived, r: Tensor2, summands) -> Tensor3:
+def _slot_sum(alg: Algebra, derived, r: Tensor2, summands) -> Tensor3:
     """The signed sum of slot products of r with itself, one per
     (sign, left_slots, right_slots, op) summand."""
     terms = [(sign, r, left, r, right, op) for sign, left, right, op in summands]
-    return slot_sum(terms, tables, derived)
+    return slot_sum(terms, alg, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +172,7 @@ def s_residual(alg: Algebra, r: Tensor2) -> Tensor3:
     """-r12 o r13 + r12 o r23 + [r13, r23], the bracket taken in the
     sub-adjacent Lie algebra of the circ table."""
     _check_dims(alg, r)
-    return _slot_sum({"circ": alg.op("circ")}, _S_DERIVED, r, _S_FORMS["eq-2.9"])
+    return _slot_sum(alg, _S_DERIVED, r, _S_FORMS["eq-2.9"])
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,13 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
     if not r.is_symmetric:
         raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
     _check_dims(alg, r)
-    d, (t, circ) = clear_denominators(tensor_to_map(r), alg.op("circ"))
+    d_t, (t,) = clear_denominators(tensor_to_map(r))
+    d_a, (circ,) = alg.scaled("circ")
     dual = _dual_actions({"l": circ, "r": tuple(zip(*circ))}, _DUAL_PRELIE)
     return SEquivalenceReport(
         residual=s_residual(alg, r),
-        alternate=_slot_sum({"circ": alg.op("circ")}, _S_DERIVED, r, _S_FORMS["alternate"]),
-        operator=_check_o(t, [("eq-2.10", circ, *dual)], alg.dim, d),
+        alternate=_slot_sum(alg, _S_DERIVED, r, _S_FORMS["alternate"]),
+        operator=_check_o(t, [("eq-2.10", circ, *dual)], alg.dim, d_t ** 2 * d_a),
     )
 
 
@@ -224,9 +230,8 @@ def ld_residual(alg: Algebra, r: Tensor2, variant: str = "eq-4.8") -> Tensor3:
     if key not in LD_VARIANTS:
         known = sorted(LD_VARIANTS) + sorted(_VARIANT_ALIASES)
         raise ValueError(f"unknown LD-equation variant {variant!r} (choose from {known})")
-    _check_dims(alg, r)
-    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
-    return _slot_sum(tables, _LD_DERIVED, r, LD_VARIANTS[key])
+    _check_dims(alg, r, "tri_r", "tri_l")
+    return _slot_sum(alg, _LD_DERIVED, r, LD_VARIANTS[key])
 
 
 @dataclass(frozen=True)
@@ -296,17 +301,19 @@ def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
     if not r.is_skew:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
-    d, (t, tri_r, tri_l) = clear_denominators(tensor_to_map(r), alg.op("tri_r"), alg.op("tri_l"))
+    d_t, (t,) = clear_denominators(tensor_to_map(r))
+    d_a, (tri_r, tri_l) = alg.scaled("tri_r", "tri_l")
     tables = {"tri_r": tri_r, "tri_l": tri_l}
+    denominator = d_t ** 2 * d_a
     l_r, r_r, l_l, r_l = _dual_actions(_regular_ldend_actions(tables), _DUAL_LDEND)
     ldend = [("eq-4.7-tri_r", tri_r, l_r, r_r), ("eq-4.7-tri_l", tri_l, l_l, r_l)]
     vert, hor = ([("eq-2.10", table, *_dual_actions({"l": left, "r": right}, _DUAL_PRELIE))]
                  for table, left, right in _prelie_modules(tables))
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
-        operator_ldend=_check_o(t, ldend, alg.dim, d),
-        operator_vertical=_check_o(t, vert, alg.dim, d),
-        operator_horizontal=_check_o(t, hor, alg.dim, d),
+        operator_ldend=_check_o(t, ldend, alg.dim, denominator),
+        operator_vertical=_check_o(t, vert, alg.dim, denominator),
+        operator_horizontal=_check_o(t, hor, alg.dim, denominator),
         aux_a=ld_residual(alg, r, "eq-4.9"),
         aux_b=ld_residual(alg, r, "eq-4.10"),
     )
@@ -410,8 +417,7 @@ _COMPANION = (
 def _check_companion_identity(alg: Algebra, B) -> CheckReport:
     """B(x |> y, z) = -B(y, [x, z]) - B(x, z |> y)  over all basis triples,
     the bracket being that of the horizontal product *."""
-    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
-    return _check_system(_COMPANION, alg.dim, tables, B, {"bullet": HORIZONTAL})
+    return _check_system(_COMPANION, alg, ("tri_r", "tri_l"), B, {"bullet": HORIZONTAL})
 
 
 def form_criterion_check(alg: Algebra, r: Tensor2) -> FormCriterionReport:

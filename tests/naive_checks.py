@@ -34,6 +34,7 @@ from splitalg.core import (
     rename_ops,
     table_apply,
     tensor2,
+    tensor3_from_entries,
     tensor_to_map,
     vec_add,
     vec_sub,
@@ -52,12 +53,11 @@ from splitalg.ybe import (
     LDEquivalenceReport,
     SEquivalenceReport,
     _check_dims,
-    _S_DERIVED,
-    _S_FORMS,
-    _slot_sum,
     ld_residual,
     s_residual,
 )
+
+from naive_tensor import naive_s_alternate
 
 
 def is_zero_vector(x: Vector) -> bool:
@@ -550,8 +550,9 @@ def canonical_double_solution(alg: Algebra):
 # the equivalence reports as they were built through module values: the
 # regular modules as matrix families, their duals rho* = -rho^T written out
 # with LinearMap arithmetic, and each O-operator condition checked by the
-# Fraction references above.  The residual fields come from the package,
-# whose own oracle is naive_tensor.
+# Fraction references above.  The S-report's alternate form is naive_tensor's
+# term expansion; the other residual fields come from the package, whose own
+# oracle is naive_tensor.
 
 def _transposed(*terms) -> tuple[LinearMap, ...]:
     """e_a -> (sum of sign * family[a])^T over (sign, family) ``terms``."""
@@ -578,7 +579,7 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
                                      right_family(alg, "circ")))
     return SEquivalenceReport(
         residual=s_residual(alg, r),
-        alternate=_slot_sum({"circ": alg.op("circ")}, _S_DERIVED, r, _S_FORMS["alternate"]),
+        alternate=tensor3_from_entries(naive_s_alternate(alg.op("circ"), r.entries)),
         operator=check_o_prelie(tensor_to_map(r), dual),
     )
 

@@ -122,6 +122,17 @@ def naive_s_residual(circ_table, r_entries):
     return t3_combine([(Fraction(-1), t1), (Fraction(1), t2), (Fraction(1), t3)])
 
 
+def naive_s_alternate(circ_table, r_entries):
+    """r13 o r23 + [r12, r23] - r13 o r12, the S-equation's alternate
+    displayed form, every piece via the naive path."""
+    bracket = commutator_table(circ_table)
+    r = r_entries
+    t1 = naive_slot_product(r, (1, 3), r, (2, 3), circ_table)
+    t2 = naive_slot_product(r, (1, 2), r, (2, 3), bracket)
+    t3 = naive_slot_product(r, (1, 3), r, (1, 2), circ_table)
+    return t3_combine([(Fraction(1), t1), (Fraction(1), t2), (Fraction(-1), t3)])
+
+
 def naive_ld_residual(tri_r, tri_l, r_entries, variant):
     """LD-equation residuals, recomputed naively, keyed by the equation ids
     eq-4.8 .. eq-4.14."""

@@ -17,7 +17,7 @@ from splitalg.representations import (
 
 from conftest import search_symmetric_cocycles
 from naive_checks import table_add
-from naive_tensor import naive_ld_residual, naive_s_residual, naive_slot_product, t3_combine, commutator_table
+from naive_tensor import naive_ld_residual, naive_s_alternate, naive_s_residual
 
 
 def report(cid, text):
@@ -282,14 +282,7 @@ def test_c12_oracle_agreement(s_instances, ld_instances, ldend_fixtures, p2,
         assert as_lists3(ours) == naive_s_residual(table_lists(alg, "circ"), as_lists2(r))
         # the alternate displayed form, assembled naively term by term
         # (every tensor here is symmetric by construction)
-        circ = table_lists(alg, "circ")
-        bracket = commutator_table(circ)
-        rl = as_lists2(r)
-        alternate = t3_combine([
-            (Fraction(1), naive_slot_product(rl, (1, 3), rl, (2, 3), circ)),
-            (Fraction(1), naive_slot_product(rl, (1, 2), rl, (2, 3), bracket)),
-            (Fraction(-1), naive_slot_product(rl, (1, 3), rl, (1, 2), circ)),
-        ])
+        alternate = naive_s_alternate(table_lists(alg, "circ"), as_lists2(r))
         assert as_lists3(sa.s_equivalence_check(alg, r).alternate) == alternate
         tensors_checked += 2
 

@@ -1,0 +1,194 @@
+"""An algebra's int form: its tables scaled to ints and its derived tables,
+built once per value and kept with it (``Algebra.scaled``).
+
+Every check and tensor equation that reads the form must give the same
+report on a value whose form earlier calls have filled as on a fresh copy,
+and the form must never show through the value: equality, hashing, repr,
+copies, pickles and ``dataclasses.replace`` see the fields only.
+"""
+
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import splitalg as sa
+from splitalg.axioms import CLASS_NAMES
+from splitalg.core import nest
+
+#: denominator sets of one object; drawn per object, so tables and tensors
+#: often have denominators that do not divide each other
+DENOMINATORS = ((1,), (2,), (3,), (2, 3), (5, 7))
+OPS = ("circ", "tri_r", "tri_l")
+SLOT_PAIRS = (((1, 2), (1, 3)), ((1, 3), (2, 3)), ((2, 3), (1, 2)))
+
+
+@st.composite
+def entries(draw, size):
+    """``size`` Fractions over one drawn denominator set, ints, or zeros."""
+    kind = draw(st.sampled_from(("zero", "int", "fraction", "fraction")))
+    if kind == "zero":
+        return [Fraction(0)] * size
+    dens = (1,) if kind == "int" else draw(st.sampled_from(DENOMINATORS))
+    nums = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return [Fraction(a, draw(st.sampled_from(dens))) for a in nums]
+
+
+@st.composite
+def cases(draw):
+    """An algebra with a nonempty subset of circ, tri_r and tri_l, a tensor,
+    its symmetric and skew parts, and a form, each with its own
+    denominators."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=3, unique=True))
+    alg = sa.Algebra(n, {name: nest(draw(entries(n ** 3)), n, 3) for name in names})
+    grid = nest(draw(entries(n * n)), n, 2)
+    r = sa.Tensor2(n, grid)
+    sym = sa.Tensor2(n, tuple(tuple(grid[i][j] + grid[j][i] for j in range(n)) for i in range(n)))
+    skew = sa.Tensor2(n, tuple(tuple(grid[i][j] - grid[j][i] for j in range(n)) for i in range(n)))
+    form = sa.BilinearForm(n, nest(draw(entries(n * n)), n, 2))
+    return alg, r, sym, skew, form
+
+
+def calls(r, sym, skew, form):
+    """(label, call on an algebra) for every check and equation reading the
+    int form."""
+    out = [("s_residual", lambda a: sa.s_residual(a, r))]
+    out += [(v, lambda a, v=v: sa.ld_residual(a, r, v)) for v in sa.LD_VARIANTS]
+    out += [(f"slot_product {op} {pair}", lambda a, op=op, pair=pair:
+             sa.slot_product(r, pair[0], sym, pair[1], a, op))
+            for op in OPS for pair in SLOT_PAIRS]
+    out += [
+        ("s_equivalence_check", lambda a: sa.s_equivalence_check(a, sym)),
+        ("ld_equivalence_check", lambda a: sa.ld_equivalence_check(a, skew)),
+        ("form_criterion_check", lambda a: sa.form_criterion_check(a, skew)),
+        ("check_prelie_cocycle", lambda a: sa.check_prelie_cocycle(a, form)),
+        ("check_ldend_cocycle", lambda a: sa.check_ldend_cocycle(a, form)),
+    ]
+    out += [(c, lambda a, c=c: sa.check_class(a, c)) for c in CLASS_NAMES]
+    return out
+
+
+def outcome(call, alg) -> str:
+    """The repr of the call's result, or its exception's type and message."""
+    try:
+        return repr(call(alg))
+    except (ArithmeticError, KeyError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def fresh(alg):
+    return sa.Algebra(alg.dim, dict(alg.ops))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.data())
+def test_a_reused_algebra_answers_as_a_fresh_one(case, data):
+    """Every call on one value, in a drawn order, against the same call on a
+    freshly built copy; failing calls included."""
+    alg, *inputs = case
+    for label, call in data.draw(st.permutations(calls(*inputs))):
+        assert outcome(call, alg) == outcome(call, fresh(alg)), label
+
+
+def _filled(alg):
+    """``alg`` after calls that fill its int form with tables and products."""
+    sa.check_class(alg, "l_dendriform")
+    sa.ld_residual(alg, sa.tensor2(alg.dim, [(1, 2, 1), (2, 1, -1)]), "eq-4.9")
+    sa.s_residual(alg, sa.tensor2(alg.dim, [(1, 1, Fraction(1, 5))]))
+    assert "_int_form" in vars(alg)
+    return alg
+
+
+def _algebra():
+    tables = {name: nest([Fraction(i % 5 - 2, 1 + i % 3) for i in range(k, k + 8)], 2, 3)
+              for k, name in enumerate(OPS)}
+    return sa.Algebra(2, tables, "sample")
+
+
+def test_an_algebra_stays_a_value_once_its_int_form_is_filled():
+    alg = _algebra()
+    twin = fresh(alg)
+    text, key = repr(alg), hash(alg)
+    _filled(alg)
+    assert repr(alg) == text and hash(alg) == key
+    assert alg == twin and twin == alg and hash(twin) == key
+    assert alg != dataclasses.replace(alg, ops={"circ": alg.op("circ")})
+
+    for other in (copy.copy(alg), copy.deepcopy(alg), pickle.loads(pickle.dumps(alg))):
+        assert other == alg and repr(other) == text and hash(other) == key
+        assert "_int_form" not in vars(other)
+        assert other.class_tag == "sample"
+
+    tagged = dataclasses.replace(alg, class_tag="other")
+    assert tagged == alg and hash(tagged) == key and "_int_form" not in vars(tagged)
+
+
+def test_replace_with_new_tables_answers_for_the_new_tables():
+    """A replaced algebra with other tables builds its own int form."""
+    alg = _filled(_algebra())
+    r = sa.tensor2(2, [(1, 2, 1), (2, 1, -1), (2, 2, Fraction(1, 2))])
+    doubled = {name: tuple(tuple(tuple(2 * x for x in vec) for vec in plane) for plane in table)
+               for name, table in alg.ops.items()}
+    other = dataclasses.replace(alg, ops=doubled)
+    for label, call in calls(r, r + sa.exchange(r), r - sa.exchange(r), sa.bilinear_form(
+            [[1, Fraction(1, 3)], [0, 2]])):
+        assert outcome(call, other) == outcome(call, fresh(other)), label
+
+
+def test_equal_vectors_of_the_int_form_are_one_tuple():
+    alg = _algebra()
+    _, (tri_r, tri_l, vertical) = alg.scaled("tri_r", "tri_l", ((1, "tri_r", False),
+                                                                (-1, "tri_l", True)))
+    vectors = [vec for table in (tri_r, tri_l, vertical) for plane in table for vec in plane]
+    assert len({id(vec) for vec in vectors}) == len(set(vectors))
+
+
+def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
+    """Threads filling one value's int form at once, with a short switch
+    interval; each answer must match a fresh copy's."""
+    base = sa.Algebra(3, {name: nest([Fraction((i * 7 + k) % 5 - 2, 1 + (i + k) % 3)
+                                      for i in range(27)], 3, 3)
+                          for k, name in enumerate(OPS)})
+    r = sa.tensor2(3, [(1, 2, Fraction(1, 2)), (2, 1, -1), (3, 3, Fraction(2, 5))])
+    work = calls(r, r + sa.exchange(r), r - sa.exchange(r), sa.bilinear_form(
+        [[1, 0, Fraction(1, 3)], [0, 2, 0], [Fraction(1, 7), 0, 1]]))
+    expected = [outcome(call, fresh(base)) for _, call in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = fresh(base)
+            results = {}
+
+            def worker(k, shared=shared, results=results):
+                order = work[k:] + work[:k]
+                results[k] = {label: outcome(call, shared) for label, call in order}
+
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == len(threads)
+            for got in results.values():
+                assert [got[label] for label, _ in work] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_int_form_scales_every_table_by_the_lcm_of_all_their_denominators():
+    alg = _algebra()
+    d, tables = alg.scaled(*alg.ops)
+    entries = [x for table in alg.ops.values() for plane in table for vec in plane for x in vec]
+    assert d == lcm(*(x.denominator for x in entries)) > 1
+    assert [x * d for x in entries] == [x for t in tables for plane in t for vec in plane
+                                        for x in vec]
+    assert all(type(x) is int for t in tables for plane in t for vec in plane for x in vec)

@@ -26,11 +26,10 @@ from splitalg.ybe import _check_companion_identity
 import naive_checks as naive
 from naive_kernel import naive_clear_denominators, naive_max_abs
 from naive_tensor import (
-    commutator_table,
     naive_ld_residual,
+    naive_s_alternate,
     naive_s_residual,
     naive_slot_product,
-    t3_combine,
 )
 from transport import random_frame, transport_algebra, transport_tensor
 
@@ -406,14 +405,8 @@ def test_s_equation_matches_oracle(data):
                               for i in range(n)))
     report = sa.s_equivalence_check(alg, sym)
     rs = lists(sym.entries)
-    # r13 o r23 + [r12, r23] - r13 o r12
-    alternate = t3_combine([
-        (Fraction(1), naive_slot_product(rs, (1, 3), rs, (2, 3), circ)),
-        (Fraction(1), naive_slot_product(rs, (1, 2), rs, (2, 3), commutator_table(circ))),
-        (Fraction(-1), naive_slot_product(rs, (1, 3), rs, (1, 2), circ)),
-    ])
     assert report.residual == sa.tensor3_from_entries(naive_s_residual(circ, rs))
-    assert report.alternate == sa.tensor3_from_entries(alternate)
+    assert report.alternate == sa.tensor3_from_entries(naive_s_alternate(circ, rs))
 
 
 @settings(max_examples=40, deadline=None)

@@ -175,8 +175,11 @@ def test_ld_residual_aliases(ld2):
 
 
 def test_tensor_equations_derive_only_the_products_their_terms_name(p2, ld2, monkeypatch):
-    """slot_sum derives each derived product its terms name once, as a whole
-    table, and no product its terms leave out."""
+    """An algebra value derives each product the terms of a call name once,
+    as a whole table, and keeps it: a second call on the same value derives
+    nothing, and no product the terms leave out is ever derived.  The
+    algebras are fresh copies, since the session fixtures may already hold
+    their products."""
     calls, derive = [], core.derive
 
     def counting_derive(tables, parts):
@@ -185,15 +188,17 @@ def test_tensor_equations_derive_only_the_products_their_terms_name(p2, ld2, mon
 
     monkeypatch.setattr(core, "derive", counting_derive)
     r = sa.tensor2(2, [(1, 2, 1), (2, 1, -1), (2, 2, Fraction(1, 2))])
+    ld, p = (sa.Algebra(alg.dim, dict(alg.ops)) for alg in (ld2, p2))
     for run, derived in [
-        (lambda: sa.ld_residual(ld2, r, "eq-4.8"), [VERTICAL, HORIZONTAL]),
-        (lambda: sa.ld_residual(ld2, r, "eq-4.9"), [commutator(VERTICAL)]),
-        (lambda: sa.s_residual(p2, r), [SUB_ADJACENT]),
-        (lambda: sa.slot_product(r, (1, 2), r, (2, 3), p2, "circ"), []),
+        (lambda: sa.ld_residual(ld, r, "eq-4.8"), [VERTICAL, HORIZONTAL]),
+        (lambda: sa.ld_residual(ld, r, "eq-4.9"), [commutator(VERTICAL)]),
+        (lambda: sa.s_residual(p, r), [SUB_ADJACENT]),
+        (lambda: sa.slot_product(r, (1, 2), r, (2, 3), p, "circ"), []),
     ]:
-        calls.clear()
-        run()
-        assert calls == derived
+        for expected in (derived, []):
+            calls.clear()
+            run()
+            assert calls == expected
 
 
 def test_ld_residual_unknown_variant(ld2):
