@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress, product, repeat
-from operator import add, attrgetter, eq, lshift, neg, sub
+from functools import cache, cached_property
+from itertools import chain, compress, groupby, product, repeat
+from operator import add, attrgetter, eq, itemgetter, lshift, neg, sub
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -341,14 +341,15 @@ class Algebra:
         return Algebra, (self.dim, dict(self.ops), self.class_tag)
 
     @cached_property
-    def _int_form(self) -> tuple[int, dict, dict]:
+    def _int_form(self) -> tuple[int, dict, dict, dict]:
         """d_A, the least common denominator of all the tables, the tables
-        scaled by it to ints (key -> table, see :meth:`scaled`), and the
-        vectors of those tables (vector -> itself), so that equal vectors are
-        one tuple."""
+        scaled by it to ints (key -> table, see :meth:`scaled`), the vectors
+        of those tables (vector -> itself), so that equal vectors are one
+        tuple, and the largest absolute entry of each table found so far
+        (key -> int, see :meth:`entry_bound`)."""
         d, tables = clear_denominators(*self.ops.values())
         vectors: dict = {}
-        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors
+        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors, {}
 
     def scaled(self, *keys) -> tuple[int, tuple[Table, ...]]:
         """d_A and the int tables d_A * t named by ``keys``: op names, or the
@@ -356,13 +357,25 @@ class Algebra:
         :func:`derive`).  Each is built on first use and kept with the value,
         so the tables are scaled once and a derived product is summed once
         per algebra, however many checks read them."""
-        d, tables, vectors = self._int_form
+        d, tables, vectors, _ = self._int_form
         for key in keys:
             if key not in tables:
                 for name in [key] if isinstance(key, str) else [name for _, name, _ in key]:
                     self.op(name)
                 tables[key] = _shared(derive(tables, key), vectors)
         return d, tuple(map(tables.__getitem__, keys))
+
+    def entry_bound(self, *keys) -> int:
+        """The largest absolute entry of the int tables named by ``keys`` (see
+        :meth:`scaled`), 0 for none.  Each table's is found once per value
+        and kept under the table's own key, not under the op name a caller
+        gives it: two callers may give one name to different tables."""
+        _, tables = self.scaled(*keys)
+        bounds = self._int_form[3]
+        for key, table in zip(keys, tables):
+            if key not in bounds:
+                bounds[key] = max_abs(table)
+        return max(map(bounds.__getitem__, keys), default=0)
 
 
 def _shared(table: Table, vectors: dict) -> Table:
@@ -592,6 +605,15 @@ class _Tensor:
         object.__setattr__(self, "entries", check_grid(
             self.entries, (self.dim,) * self.rank, self._mismatch, "tensor"))
 
+    @classmethod
+    def _built(cls, dim: int, entries: tuple):
+        """The tensor of a grid a kernel has built: already nested in tuples
+        to dim^rank and holding only Fractions, so it is not checked again."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "dim", dim)
+        object.__setattr__(tensor, "entries", entries)
+        return tensor
+
     @property
     def is_zero(self) -> bool:
         return not any(_leaves(self.entries, self.rank))
@@ -773,7 +795,13 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # is rectangular, so it is flattened at C speed, scaled as one list and
 # nested again.  Vectors are packed into one int (Kronecker substitution),
 # so a linear combination of vectors costs one big-int multiply-add per
-# vector instead of one per entry.
+# vector instead of one per entry.  Two vectors packed at strides 1 and n
+# multiply to their outer product, packed as an n x n plane in row-major
+# order: the slot products keep one such plane per slot-1 component, and a
+# block of a term costs one big-int multiply-add (see :func:`slot_sum`).
+# Each packing is exact while every field of the result stays below
+# 2**(width - 1) in absolute value; :func:`field_width` gives the width for
+# a bound on the result's fields, found from the factors' largest entries.
 
 def _flat(grid) -> tuple[list[int], list]:
     """The shape of a grid, read from the first element at each level (a map
@@ -862,18 +890,6 @@ def _slot_layout(r_slots, s_slots, n: int) -> tuple[bool, bool, int, int, int]:
             stride[shared], stride[r_other], stride[s_other])
 
 
-def _by_shared(grid, shared_first: bool) -> dict[int, list]:
-    """The nonzero entries of a square grid grouped by the component in the
-    shared slot: u -> [(other component, entry), ...]."""
-    groups: dict[int, list] = {}
-    for i, row in enumerate(grid):
-        for j, c in enumerate(row):
-            if c:
-                u, x = (i, j) if shared_first else (j, i)
-                groups.setdefault(u, []).append((x, c))
-    return groups
-
-
 def slot_sum(
     terms, alg: Algebra, derived: Mapping[str, Sequence] = MappingProxyType({})
 ) -> Tensor3:
@@ -886,12 +902,25 @@ def slot_sum(
     The products come from the algebra's int form, scaled by its d_A and
     derived once per value (:meth:`Algebra.scaled`); only the distinct
     tensors are scaled here, by the least common denominator d_t of their
-    entries.  Only the nonzero entries of r and s are walked.  Every term
-    has degree 1 in the tables and 2 in the tensors, so the residual is the
-    int sum / (d_A * d_t**2).
+    entries.  Every term has degree 1 in the tables and 2 in the tensors, so
+    the residual is the int sum / (d_A * d_t**2).
+
+    The sum is kept as one packed int per slot-1 component i, holding the
+    plane [i][j][k] at field j*n + k.  A term is a sum over the shared-slot
+    components (u, v) of r's row R_u, s's row S_v and the product vector
+    T_uv = table[u][v], placed in their slots; the two of them not in slot 1
+    are packed at their slot's stride, so their big-int product is their
+    outer product in the plane.  By the role in slot 1 a term adds
+      r's other slot:  acc[x] += R_u[x] * sum_v S_v (x) T_uv,
+      s's other slot:  acc[y] += S_v[y] * sum_u R_u (x) T_uv,
+      the shared slot: acc[k] += T_uv[k] * (R_u (x) S_v),
+    one multiply-add per block, not one per entry.  No field of the sum
+    exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
+    maxima taken over the int tables and tensors (:func:`field_width`).
     """
     ops = dict.fromkeys(term[5] for term in terms)
-    d_a, tables = alg.scaled(*(derived.get(op, op) for op in ops))
+    keys = [derived.get(op, op) for op in ops]
+    d_a, tables = alg.scaled(*keys)
     products = dict(zip(ops, tables))
     n = alg.dim
     layouts, tensors = [], {}
@@ -902,24 +931,53 @@ def slot_sum(
         tensors[id(r)], tensors[id(s)] = r.entries, s.entries
     d_t, grids = clear_denominators(*tensors.values())
     ints = dict(zip(tensors, grids))
+    weight = sum(abs(term[0]) for term in terms) * n * n
+    bits = field_width(weight * alg.entry_bound(*keys) * max(map(max_abs, grids), default=0) ** 2)
 
-    acc = [0] * n ** 3
+    @cache
+    def rows(key, first: bool, stride: int | None = None) -> tuple:
+        """Tensor ``key``'s int rows by its shared-slot component, each
+        packed at ``stride`` fields when one is given."""
+        grid = ints[key] if first else tuple(zip(*ints[key]))
+        if stride is None:
+            return grid
+        return tuple(pack(row, stride * bits) if any(row) else 0 for row in grid)
+
+    @cache
+    def support(key, first: bool) -> tuple:
+        """The shared-slot components of tensor ``key``'s nonzero rows."""
+        return tuple(u for u, row in enumerate(rows(key, first)) if any(row))
+
+    acc = [0] * n
     for (sign, r, _, s, _, op), (r_first, s_first, *strides) in zip(terms, layouts):
-        k_stride, x_stride, y_stride = strides
-        table = products[op]
-        s_groups = [(v, [(y * y_stride, c) for y, c in entries])
-                    for v, entries in _by_shared(ints[id(s)], s_first).items()]
-        for u, entries in _by_shared(ints[id(r)], r_first).items():
-            r_entries = [(x * x_stride, sign * c) for x, c in entries]
-            for v, s_entries in s_groups:
-                row = [(k * k_stride, w) for k, w in enumerate(table[u][v]) if w]
-                if not row:
-                    continue
-                for x_off, cr in r_entries:
-                    scaled_row = [(x_off + k_off, cr * w) for k_off, w in row]
-                    for y_off, cs in s_entries:
-                        for off, cw in scaled_row:
-                            acc[off + y_off] += cs * cw
+        (k_stride, r_stride, s_stride), table = strides, products[op]
+        r_key, s_key = (id(r), r_first), (id(s), s_first)
+        if s_stride == n * n:       # s's other slot is slot 1: r's layout, roles swapped
+            r_key, s_key, r_stride, s_stride = s_key, r_key, s_stride, r_stride
+            table = tuple(zip(*table))
+        vs = support(*s_key)
+        blocks = [(u, v, vec) for u in support(*r_key)
+                  for v, vec in zip(vs, map(table[u].__getitem__, vs)) if any(vec)]
+        if k_stride == n * n:       # acc[k] += T_uv[k] * (R_u (x) S_v)
+            r_packed, s_packed = rows(*r_key, r_stride), rows(*s_key, s_stride)
+            addends = [(vec, r_packed[u] * s_packed[v]) for u, v, vec in blocks]
+        else:                       # acc[x] += R_u[x] * sum_v S_v (x) T_uv
+            r_rows, s_packed, width = rows(*r_key), rows(*s_key, s_stride), k_stride * bits
+            addends = [(r_rows[u], sum([s_packed[v] * pack(vec, width) for _, v, vec in group]))
+                       for u, group in groupby(blocks, itemgetter(0))]
+        for outer, inner in addends:
+            if inner:
+                for i in compress(range(n), outer):
+                    acc[i] += sign * outer[i] * inner
 
     scale = d_a * d_t ** 2
-    return Tensor3(n, nest((Fraction(x, scale) if x else _ZERO for x in acc), n, 3))
+    zero_row = (_ZERO,) * n
+    zero_plane = (zero_row,) * n
+
+    def unpacked(plane: int) -> tuple:
+        """The rows of a nonzero packed plane: split into packed rows first,
+        so that only the nonzero rows are split into entries."""
+        return tuple(tuple(Fraction(x, scale) if x else _ZERO for x in unpack(row, n, bits))
+                     if row else zero_row for row in unpack(plane, n, n * bits))
+
+    return Tensor3._built(n, tuple(unpacked(p) if p else zero_plane for p in acc))

@@ -11,8 +11,9 @@ over its nonzero entries, one summand per nonzero entry; products of two such
 sums are accumulated term by term into a sparse dict and densified at the
 end.  The package's implementation scales whole tables and tensors to ints
 with one common denominator, derives each product it needs as a whole table
-on those ints, and walks nonzero entries grouped by the shared slot, so
-agreement between the two is a meaningful cross-check.
+on those ints, and adds whole blocks at once as big-int products of packed
+vectors (Kronecker substitution), so agreement between the two is a
+meaningful cross-check.
 """
 
 from fractions import Fraction

@@ -1,5 +1,6 @@
 """Core machinery: exact vectors, tables, maps, tensors, forms."""
 
+import pickle
 from fractions import Fraction
 from itertools import chain
 
@@ -356,6 +357,29 @@ def test_slot_product_errors(p2):
         sa.slot_product(r, (1, 1), r, (1, 3), p2, "circ")
     with pytest.raises(sa.DimensionMismatch):
         sa.slot_product(sa.tensor2(3), (1, 2), sa.tensor2(3), (1, 3), p2, "circ")
+
+
+def test_kernel_built_tensors_equal_checked_ones(p2, monkeypatch):
+    """slot_sum builds its result without the constructor's checks; the value
+    is the one Tensor3 builds from the same grid, and the public constructor
+    still refuses inexact entries."""
+    r = sa.tensor2(2, [(1, 2, 1), (2, 1, Fraction(1, 3)), (2, 2, -2)])
+    zero = sa.tensor2(2)
+    expected = [sa.slot_product(r, (1, 2), r, (1, 3), p2, "circ"),
+                sa.slot_product(zero, (2, 3), r, (1, 2), p2, "circ")]
+    monkeypatch.setattr(sa.core, "check_grid", None)
+    built = [sa.slot_product(r, (1, 2), r, (1, 3), p2, "circ"),
+             sa.slot_product(zero, (2, 3), r, (1, 2), p2, "circ")]
+    monkeypatch.undo()
+    assert not built[0].is_zero and built[1].is_zero
+    for ours, old in zip(built, expected):
+        checked = sa.Tensor3(ours.dim, ours.entries)
+        assert ours == checked and checked == ours and ours == old
+        assert hash(ours) == hash(checked) and repr(ours) == repr(checked)
+        assert pickle.loads(pickle.dumps(ours)) == checked
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            sa.Tensor3(1, (((bad,),),))
 
 
 _SLOT_PAIRS = [

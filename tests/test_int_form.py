@@ -15,6 +15,7 @@ import threading
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,32 @@ def test_a_reused_algebra_answers_as_a_fresh_one(case, data):
     alg, *inputs = case
     for label, call in data.draw(st.permutations(calls(*inputs))):
         assert outcome(call, alg) == outcome(call, fresh(alg)), label
+
+
+@pytest.mark.parametrize("ld_first", [False, True], ids=["s-first", "ld-first"])
+def test_colliding_derived_names_answer_as_on_a_fresh_value(ld_first):
+    """The S-equation's "bracket" is the sub-adjacent bracket of circ; the
+    LD-equation's "circ" and "bracket" are the vertical product and its
+    commutator.  On one value the S-residual, every LD variant and the
+    S-equivalence report each answer as on a fresh value, the S-calls first
+    or last.  circ is large and tri_r, tri_l are small, so a table or entry
+    bound found under the other equation's name would give a wrong tensor."""
+    n = 3
+    alg = sa.Algebra(n, {
+        "circ": nest([Fraction((i * 7) % 11 - 5, 3) * 10 ** 6 for i in range(n ** 3)], n, 3),
+        "tri_r": nest([Fraction((i * 5) % 3 - 1, 2) for i in range(n ** 3)], n, 3),
+        "tri_l": nest([Fraction((i * 4) % 3 - 1, 7) for i in range(n ** 3)], n, 3),
+    })
+    r = sa.tensor2(n, [(i, j, Fraction(i * j + 1, 1 + (i + j) % 2)) for i in range(1, n + 1)
+                       for j in range(1, n + 1)])
+    sym = r + sa.exchange(r)
+    s_calls = [("s_residual", lambda a: sa.s_residual(a, r)),
+               ("s_equivalence_check", lambda a: sa.s_equivalence_check(a, sym))]
+    ld_calls = [(v, lambda a, v=v: sa.ld_residual(a, r, v)) for v in sa.LD_VARIANTS]
+    work = ld_calls + s_calls if ld_first else s_calls[:1] + ld_calls + s_calls[1:]
+    for label, call in work:
+        got, expected = call(alg), call(fresh(alg))
+        assert got == expected and repr(got) == repr(expected), label
 
 
 def _filled(alg):

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import splitalg as sa
 from splitalg import catalog
 from splitalg.axioms import REQUIRED_OPS
-from splitalg.core import clear_denominators, field_width, max_abs, nest, pack, unpack
+from splitalg.core import clear_denominators, field_width, max_abs, nest, pack, slot_sum, unpack
+from splitalg.functors import VERTICAL
 from splitalg.ybe import _check_companion_identity
 
 import naive_checks as naive
@@ -30,6 +31,8 @@ from naive_tensor import (
     naive_s_alternate,
     naive_s_residual,
     naive_slot_product,
+    t3_combine,
+    vertical_table,
 )
 from transport import random_frame, transport_algebra, transport_tensor
 
@@ -425,6 +428,65 @@ def test_ld_equation_matches_oracle(data):
         assert sa.ld_residual(alg, r, variant) == sa.tensor3_from_entries(naive_entries), variant
     for alias, variant in ALIASES.items():
         assert sa.ld_residual(alg, r, alias) == sa.ld_residual(alg, r, variant)
+
+
+def oracle_sum(terms, tables):
+    """The naive sum of ``(sign, r, r_slots, s, s_slots, op)`` slot products,
+    each op read from ``tables`` (name -> nested tuples)."""
+    return sa.tensor3_from_entries(t3_combine([
+        (Fraction(sign), naive_slot_product(lists(r.entries), r_slots, lists(s.entries), s_slots,
+                                            lists(tables[op])))
+        for sign, r, r_slots, s, s_slots, op in terms]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slot_sums_match_the_sum_of_oracle_products(data):
+    """Signed sums with a term for each of the six slot pairs, so all three
+    packed layouts, plus drawn extra terms, on two distinct tensors; in half
+    the examples a term is cancelled by its negation.  The op "circ" is the
+    vertical product, derived from tri_r and tri_l."""
+    n = data.draw(st.integers(1, 5))
+    tables = {name: data.draw(grids((n, n, n))) for name in ("tri_r", "tri_l")}
+    alg = sa.Algebra(n, tables)
+    tables["circ"] = vertical_table(lists(tables["tri_r"]), lists(tables["tri_l"]))
+    r, s = data.draw(tensors(n)), data.draw(tensors(n))
+    signs, ops = st.sampled_from((1, -1)), st.sampled_from(tuple(tables))
+    pool = st.sampled_from((r, s))
+    terms = [(data.draw(signs), r, r_slots, s, s_slots, data.draw(ops))
+             for r_slots, s_slots in SLOT_PAIRS]
+    for _ in range(data.draw(st.integers(0, 3))):
+        r_slots, s_slots = data.draw(st.sampled_from(SLOT_PAIRS))
+        terms.append((data.draw(signs), data.draw(pool), r_slots, data.draw(pool), s_slots,
+                      data.draw(ops)))
+    if data.draw(st.booleans()):
+        sign, *rest = data.draw(st.sampled_from(terms))
+        terms.append((-sign, *rest))
+    order = data.draw(st.permutations(terms))
+    assert slot_sum(order, alg, {"circ": VERTICAL}) == oracle_sum(order, tables)
+
+
+@pytest.mark.parametrize("m", [2 ** 40, Fraction(2 ** 40, 3)], ids=["int", "fraction"])
+@pytest.mark.parametrize("r_slots, s_slots", SLOT_PAIRS)
+def test_slot_sum_fields_reach_the_width_bound(m, r_slots, s_slots):
+    """Every entry of r, s and the table is +-m: r[i][j] = m a_i a_j,
+    s[i][j] = m c_i c_j and table[u][v][k] = m a_u c_v g_k.  So each of the
+    two terms (the second negates both its sign and s) adds n**2 m**3 a_x c_y
+    g_k at every field, and the sum reaches the kernel's bound
+    2 * n**2 * M**3, M = 2**40 the int that m scales to, exactly and in both
+    signs.  A field one bit too narrow reads one of them wrongly."""
+    n = 3
+    a, c, g = (1, -1, 1), (1, 1, -1), (-1, 1, 1)
+    r = sa.Tensor2(n, nest([m * a[i] * a[j] for i in range(n) for j in range(n)], n, 2))
+    s = sa.Tensor2(n, nest([m * c[i] * c[j] for i in range(n) for j in range(n)], n, 2))
+    table = nest([m * a[u] * c[v] * g[k] for u in range(n) for v in range(n) for k in range(n)],
+                 n, 3)
+    alg = sa.Algebra(n, {"tri_l": table})
+    terms = [(1, r, r_slots, s, s_slots, "tri_l"), (-1, r, r_slots, -s, s_slots, "tri_l")]
+    out = slot_sum(terms, alg)
+    assert out == oracle_sum(terms, {"tri_l": table})
+    values = {x for _, x in out.nonzero_entries()}
+    assert values == {2 * n * n * m ** 3, -2 * n * n * m ** 3}
 
 
 
