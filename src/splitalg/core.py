@@ -341,15 +341,27 @@ class Algebra:
         return Algebra, (self.dim, dict(self.ops), self.class_tag)
 
     @cached_property
-    def _int_form(self) -> tuple[int, dict, dict, dict]:
+    def _int_form(self) -> tuple[int, dict, dict]:
         """d_A, the least common denominator of all the tables, the tables
-        scaled by it to ints (key -> table, see :meth:`scaled`), the vectors
-        of those tables (vector -> itself), so that equal vectors are one
-        tuple, and the largest absolute entry of each table found so far
-        (key -> int, see :meth:`entry_bound`)."""
+        scaled by it to ints, each with its largest absolute entry (key ->
+        (table, bound), see :meth:`scaled`), and the vectors of those tables
+        (vector -> itself), so that equal vectors are one tuple."""
         d, tables = clear_denominators(*self.ops.values())
         vectors: dict = {}
-        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors, {}
+        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors
+
+    def _entries(self, keys) -> list[tuple[Table, int]]:
+        """The int tables named by ``keys`` with their bounds, each derived
+        on first use and kept with the value under its own key."""
+        _, tables, vectors = self._int_form
+        for key in keys:
+            if key not in tables:
+                names = [key] if isinstance(key, str) else [name for _, name, _ in key]
+                for name in names:
+                    self.op(name)
+                tables[key] = _shared(derive({name: tables[name][0] for name in names}, key),
+                                      vectors)
+        return list(map(tables.__getitem__, keys))
 
     def scaled(self, *keys) -> tuple[int, tuple[Table, ...]]:
         """d_A and the int tables d_A * t named by ``keys``: op names, or the
@@ -357,31 +369,21 @@ class Algebra:
         :func:`derive`).  Each is built on first use and kept with the value,
         so the tables are scaled once and a derived product is summed once
         per algebra, however many checks read them."""
-        d, tables, vectors, _ = self._int_form
-        for key in keys:
-            if key not in tables:
-                for name in [key] if isinstance(key, str) else [name for _, name, _ in key]:
-                    self.op(name)
-                tables[key] = _shared(derive(tables, key), vectors)
-        return d, tuple(map(tables.__getitem__, keys))
+        return self._int_form[0], tuple(table for table, _ in self._entries(keys))
 
     def entry_bound(self, *keys) -> int:
         """The largest absolute entry of the int tables named by ``keys`` (see
-        :meth:`scaled`), 0 for none.  Each table's is found once per value
-        and kept under the table's own key, not under the op name a caller
-        gives it: two callers may give one name to different tables."""
-        _, tables = self.scaled(*keys)
-        bounds = self._int_form[3]
-        for key, table in zip(keys, tables):
-            if key not in bounds:
-                bounds[key] = max_abs(table)
-        return max(map(bounds.__getitem__, keys), default=0)
+        :meth:`scaled`), 0 for none.  It is kept with each table under the
+        table's own key, not under the op name a caller gives it: two callers
+        may give one name to different tables."""
+        return max((bound for _, bound in self._entries(keys)), default=0)
 
 
-def _shared(table: Table, vectors: dict) -> Table:
+def _shared(table: Table, vectors: dict) -> tuple[Table, int]:
     """``table`` with each vector replaced by the equal one in ``vectors``,
-    where it is added when new."""
-    return tuple(tuple(vectors.setdefault(vec, vec) for vec in plane) for plane in table)
+    where it is added when new, and its largest absolute entry."""
+    table = tuple(tuple(vectors.setdefault(vec, vec) for vec in plane) for plane in table)
+    return table, max_abs(table)
 
 
 def algebra(
@@ -914,7 +916,9 @@ def slot_sum(
       r's other slot:  acc[x] += R_u[x] * sum_v S_v (x) T_uv,
       s's other slot:  acc[y] += S_v[y] * sum_u R_u (x) T_uv,
       the shared slot: acc[k] += T_uv[k] * (R_u (x) S_v),
-    one multiply-add per block, not one per entry.  No field of the sum
+    one multiply-add per block, not one per entry.  The second is the first
+    with r and s swapped and the table's inputs swapped, a table the int form
+    derives once per value like the others.  No field of the sum
     exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
     maxima taken over the int tables and tensors (:func:`field_width`).
     """
@@ -944,6 +948,13 @@ def slot_sum(
         return tuple(pack(row, stride * bits) if any(row) else 0 for row in grid)
 
     @cache
+    def transposed(op) -> Table:
+        """Table ``op`` with its two inputs swapped, kept in the int form."""
+        key = derived.get(op, op)
+        parts = ((1, key, False),) if isinstance(key, str) else key
+        return alg.scaled(tuple((sign, name, not flipped) for sign, name, flipped in parts))[1][0]
+
+    @cache
     def support(key, first: bool) -> tuple:
         """The shared-slot components of tensor ``key``'s nonzero rows."""
         return tuple(u for u, row in enumerate(rows(key, first)) if any(row))
@@ -954,7 +965,7 @@ def slot_sum(
         r_key, s_key = (id(r), r_first), (id(s), s_first)
         if s_stride == n * n:       # s's other slot is slot 1: r's layout, roles swapped
             r_key, s_key, r_stride, s_stride = s_key, r_key, s_stride, r_stride
-            table = tuple(zip(*table))
+            table = transposed(op)
         vs = support(*s_key)
         blocks = [(u, v, vec) for u in support(*r_key)
                   for v, vec in zip(vs, map(table[u].__getitem__, vs)) if any(vec)]

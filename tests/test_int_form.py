@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg.axioms import CLASS_NAMES
-from splitalg.core import nest
+from splitalg.core import nest, slot_sum
 
 #: denominator sets of one object; drawn per object, so tables and tensors
 #: often have denominators that do not divide each other
@@ -175,6 +175,21 @@ def test_equal_vectors_of_the_int_form_are_one_tuple():
                                                                 (-1, "tri_l", True)))
     vectors = [vec for table in (tri_r, tri_l, vertical) for plane in table for vec in plane]
     assert len({id(vec) for vec in vectors}) == len(set(vectors))
+
+
+def test_a_term_with_s_in_slot_1_reads_the_transposed_table_once_per_value():
+    """Such a term swaps the table's inputs; the swapped table is a derived
+    table of the int form, built by the first call and kept for the next."""
+    alg = _algebra()
+    r = sa.tensor2(2, [(1, 2, 1), (2, 1, Fraction(-1, 3))])
+    terms = [(1, r, (2, 3), r, (1, 2), "circ")]
+    first = slot_sum(terms, alg)
+    form = alg._int_form[1]
+    swapped = form[((1, "circ", True),)]
+    assert swapped == (tuple(zip(*alg.scaled("circ")[1][0])), alg.entry_bound("circ"))
+    keys = set(form)
+    assert slot_sum(terms, alg) == first == slot_sum(terms, fresh(alg))
+    assert set(form) == keys and form[((1, "circ", True),)] is swapped
 
 
 def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
