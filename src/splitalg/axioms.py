@@ -192,7 +192,7 @@ def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None,
     if form is not None:
         if form.dim != alg.dim:
             raise DimensionMismatch("form dimension does not match the algebra")
-        scale["B"], (gram,) = clear_denominators(form.gram)
+        scale["B"], gram = clear_denominators(form.gram)
         ops["B"] = tuple(tuple((x,) for x in row) for row in gram)
     bounds = {name: max_abs(table) for name, table in ops.items()}
     rows = []

@@ -346,7 +346,7 @@ class Algebra:
         scaled by it to ints, each with its largest absolute entry (key ->
         (table, bound), see :meth:`scaled`), and the vectors of those tables
         (vector -> itself), so that equal vectors are one tuple."""
-        d, tables = clear_denominators(*self.ops.values())
+        d, tables = clear_denominators(tuple(self.ops.values()))
         vectors: dict = {}
         return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors
 
@@ -790,31 +790,28 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # a tensor) by their own denominator.  Every identity is homogeneous in each
 # kind of factor, so the true residual is the int residual divided by the
 # product of its factors' denominators: d_A**2 for a class identity,
-# d_A * d_B for a form identity, d_A * d_t**2 for a tensor equation.  The
-# module checks, the public O-operator checks and the Rota-Baxter search
-# scale all their inputs by one d instead, so theirs is d**2 or d**3.  The
-# scaling is one flat pass per grid, as in the dense-grid layer: each grid
-# is rectangular, so it is flattened at C speed, scaled as one list and
-# nested again.  Vectors are packed into one int (Kronecker substitution),
-# so a linear combination of vectors costs one big-int multiply-add per
-# vector instead of one per entry.  Two vectors packed at strides 1 and n
-# multiply to their outer product, packed as an n x n plane in row-major
-# order: the slot products keep one such plane per slot-1 component, and a
-# block of a term costs one big-int multiply-add (see :func:`slot_sum`).
-# Each packing is exact while every field of the result stays below
-# 2**(width - 1) in absolute value; :func:`field_width` gives the width for
-# a bound on the result's fields, found from the factors' largest entries.
+# d_A * d_B for a form identity, d_A * d_t**2 for a tensor equation.  A
+# module's action tables are scaled by the lcm d of their denominators and
+# d_A, and the base tables rescaled by d / d_A when that is not 1, so a module
+# identity divides by d**2 and an O-operator identity by d_t**2 * d.  The
+# scaling is one flat pass per grid, as in the dense-grid layer: each grid is
+# rectangular, so it is flattened at C speed, scaled as one list and nested
+# again.  Vectors are packed into one int (Kronecker substitution), so a
+# linear combination of vectors costs one big-int multiply-add per vector
+# instead of one per entry.  Two vectors packed at strides 1 and n multiply
+# to their outer product, packed as an n x n plane in row-major order: the
+# slot products keep one such plane per slot-1 component, and a block of a
+# term costs one big-int multiply-add (see :func:`slot_sum`).  Each packing
+# is exact while every field of the result stays below 2**(width - 1) in
+# absolute value; :func:`field_width` gives the width for a bound on the
+# result's fields, found from the factors' largest entries.
 
 def _flat(grid) -> tuple[list[int], list]:
-    """The shape of a grid, read from the first element at each level (a map
-    stands for its entries), and its entries; refused unless they match."""
-    if isinstance(grid, LinearMap):
-        grid = grid.entries
+    """The shape of a grid of tuples or lists, read from the first element at
+    each level, and its entries; refused unless they match."""
     shape, flat = [len(grid)], grid
-    while grid and isinstance(grid[0], (tuple, list, LinearMap)):
+    while grid and isinstance(grid[0], (tuple, list)):
         grid = grid[0]
-        if isinstance(grid, LinearMap):
-            flat, grid = map(attrgetter("entries"), flat), grid.entries
         flat = chain.from_iterable(flat)
         shape.append(len(grid))
     flat = list(flat)
@@ -823,20 +820,20 @@ def _flat(grid) -> tuple[list[int], list]:
     return shape, flat
 
 
-def clear_denominators(*grids) -> tuple[int, tuple]:
-    """Scale all ``grids`` (tables, Gram matrices, maps, matrix families,
-    any nesting of them) by the least common denominator d of their entries.
+def clear_denominators(grid, d: int = 1) -> tuple[int, tuple]:
+    """Scale a grid of tuples or lists by the least common multiple of ``d``
+    and the denominators of its entries.
 
-    Returns ``(d, copies)``: each copy keeps its grid's nesting, with maps
-    replaced by their row tuples and every entry replaced by the int d * x.
-    Entries may be Fractions or ints.  Each grid must be rectangular: it is
-    flattened, scaled and reshaped in one pass, and a grid whose entry count
-    does not match the shape of its first elements raises DimensionMismatch.
+    Returns that multiple and a copy of the grid, nested in tuples, with
+    every entry x (a Fraction or an int) replaced by the int multiple * x.
+    The grid must be rectangular: it is flattened, scaled and reshaped in one
+    pass, and one whose entry count does not match the shape of its first
+    elements raises DimensionMismatch.
     """
-    flats = list(map(_flat, grids))
-    d = math.lcm(*set(map(attrgetter("denominator"), chain.from_iterable(f for _, f in flats))))
-    return d, tuple(_reshape([x.numerator * (d // x.denominator) for x in flat] if d > 1 else
-                             [x.numerator for x in flat], shape) for shape, flat in flats)
+    shape, flat = _flat(grid)
+    d = math.lcm(d, *set(map(attrgetter("denominator"), flat)))
+    return d, _reshape([x.numerator * (d // x.denominator) for x in flat] if d > 1 else
+                       [x.numerator for x in flat], shape)
 
 
 def max_abs(grid) -> int:
@@ -933,7 +930,7 @@ def slot_sum(
         if r.dim != n or s.dim != n:
             raise DimensionMismatch("tensor dimensions do not match the algebra")
         tensors[id(r)], tensors[id(s)] = r.entries, s.entries
-    d_t, grids = clear_denominators(*tensors.values())
+    d_t, grids = clear_denominators(tuple(tensors.values()))
     ints = dict(zip(tensors, grids))
     weight = sum(abs(term[0]) for term in terms) * n * n
     bits = field_width(weight * alg.entry_bound(*keys) * max(map(max_abs, grids), default=0) ** 2)

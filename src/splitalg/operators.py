@@ -35,6 +35,7 @@ from .representations import (
     _actions,
     _check_family,
     _dual_actions,
+    _module_ints,
     left_family,
 )
 
@@ -110,13 +111,12 @@ def _o_packed(T, by_b, l_images, r_images, bits: int):
     return residual
 
 
-def _check_o(t, rows, vdim: int, denominator: int) -> CheckReport:
-    """The O-operator identities of the int map t (base x module rows), one
-    per (id, base table, l action table, r action table) row: the
-    :func:`_o_packed` residuals, unpacked, each divided by ``denominator``.
-    Every term is quadratic in the map and linear in a table, so that is
-    d**3 for inputs scaled by one d, and d_t**2 * d_A when the map and the
-    tables have their own."""
+def _check_o(scaled_map, rows, vdim: int, d: int) -> CheckReport:
+    """The O-operator identities of a map given as (d_t, d_t * its rows), one
+    per (id, base table, l action table, r action table) row of int tables
+    scaled by d: the :func:`_o_packed` residuals, unpacked.  Every term is
+    quadratic in the map and linear in a table, so each is divided by d_t**2 * d."""
+    d_t, t = scaled_map
     n = len(t)
 
     def residual_fn(table, l_images, r_images):
@@ -124,22 +124,25 @@ def _check_o(t, rows, vdim: int, denominator: int) -> CheckReport:
         packed = _o_packed(t, by_b, l_images, r_images, bits)
         return lambda u, v: unpack(p, n, bits) if (p := packed(u, v)) else ()
 
-    return _run([(ident, 2, denominator, residual_fn(*grids)) for ident, *grids in rows], vdim)
+    return _run([(ident, 2, d_t ** 2 * d, residual_fn(*grids)) for ident, *grids in rows], vdim)
+
+
+#: the regular module's right action r(e_a) e_u = e_u o e_a; its left one is circ
+_FLIPPED_CIRC = ((1, "circ", True),)
 
 
 def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    d, (t, circ, l, r) = clear_denominators(T, m.base.op("circ"), _actions(m.l), _actions(m.r))
-    return _check_o(t, [("eq-2.10", circ, l, r)], m.vdim, d ** 3)
+    d, (circ,), (l, r) = _module_ints(m.base, ("circ",), (m.l, m.r))
+    return _check_o(clear_denominators(T.entries), [("eq-2.10", circ, l, r)], m.vdim, d)
 
 
 def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
     """Weight-zero Rota-Baxter identity R(x) o R(y) = R(R(x) o y + x o R(y))."""
     _require_shape(R, alg.dim, alg.dim, "Rota-Baxter operator")
-    d, (r, circ) = clear_denominators(R, alg.op("circ"))
-    # the regular module: l(e_a) e_v = e_a o e_v,  r(e_a) e_u = e_u o e_a
-    return _check_o(r, [("eq-2.11", circ, circ, tuple(zip(*circ)))], alg.dim, d ** 3)
+    d_a, (circ, flip) = alg.scaled("circ", _FLIPPED_CIRC)
+    return _check_o(clear_denominators(R.entries), [("eq-2.11", circ, circ, flip)], alg.dim, d_a)
 
 
 def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckReport:
@@ -149,19 +152,18 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
         raise DimensionMismatch("representation family must match the Lie dimension")
     _check_family(rho, lie.dim, vdim, "rho")
     _require_shape(T, lie.dim, vdim, "O-operator")
-    d, (t, bracket, acts) = clear_denominators(T, lie.op("bracket"), _actions(rho))
+    d, (bracket,), (acts,) = _module_ints(lie, ("bracket",), (rho,))
     rows = [("eq-3.13", bracket, acts, derive({"rho": acts}, ((-1, "rho", False),)))]
-    return _check_o(t, rows, vdim, d ** 3)
+    return _check_o(clear_denominators(T.entries), rows, vdim, d)
 
 
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     """Both displayed O-operator identities of an L-dendriform module."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    d, (t, tr, tl, lr, rr, ll, rl) = clear_denominators(
-        T, m.base.op("tri_r"), m.base.op("tri_l"), *map(_actions, (m.l_r, m.r_r, m.l_l, m.r_l))
-    )
+    d, (tr, tl), (lr, rr, ll, rl) = _module_ints(m.base, ("tri_r", "tri_l"),
+                                                 (m.l_r, m.r_r, m.l_l, m.r_l))
     rows = [("eq-4.7-tri_r", tr, lr, rr), ("eq-4.7-tri_l", tl, ll, rl)]
-    return _check_o(t, rows, m.vdim, d ** 3)
+    return _check_o(clear_denominators(T.entries), rows, m.vdim, d)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +349,10 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")
     # The identity is homogeneous in R and in the table, so pass/fail does not
-    # depend on the common denominator: scale and pack once per search.
-    _, (circ, ints) = clear_denominators(alg.op("circ"), values)
-    bits, by_b = _packed_base(circ, n, max(max_abs(circ), max_abs(ints)))
-    r_images = tuple(zip(*circ))               # the regular module, as in the check
+    # depend on their scales: the int form's table, the values scaled once.
+    _, (circ, r_images) = alg.scaled("circ", _FLIPPED_CIRC)     # the regular module
+    _, ints = clear_denominators(values)
+    bits, by_b = _packed_base(circ, n, max(alg.entry_bound("circ"), max_abs(ints)))
     order = _hook_order(n)
     offset, schedule = _rb_schedule(order, n, bits, len(ints) > 1)
     # unassigned entries keep stale values from ints: in range of the packing,

@@ -25,6 +25,7 @@ from .core import (
     DimensionMismatch,
     LinearMap,
     Table,
+    _entrywise,
     check_size,
     clear_denominators,
     derive,
@@ -102,6 +103,18 @@ def _actions(family: Sequence[LinearMap]) -> Table:
     return tuple(tuple(zip(*m.entries)) for m in family)
 
 
+def _module_ints(base: Algebra, ops, families) -> tuple[int, tuple, tuple]:
+    """d, the base tables ``ops`` and the action tables of ``families``, as
+    ints scaled by d, the lcm of the base's d_A and the actions' denominators.
+    The base tables come from the int form, rescaled only when d != d_A:
+    never for a regular or dual module, whose actions are sums of base entries."""
+    d_a, tables = base.scaled(*ops)
+    d, acts = clear_denominators(tuple(map(_actions, families)), d_a)
+    if d != d_a:
+        tables = tuple(_entrywise((d // d_a).__mul__, 3, table) for table in tables)
+    return d, tables, acts
+
+
 def _family(acts: Table) -> tuple[LinearMap, ...]:
     """The matrix family of an action table, inverse of :func:`_actions`."""
     return tuple(LinearMap(len(plane), len(plane), tuple(zip(*plane))) for plane in acts)
@@ -172,9 +185,8 @@ def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
     (i, j) is the v x v matrix whose column w is sign times the module part
     of the class residual (the base part vanishes), flattened row-major."""
     n, v = m.base.dim, m.vdim
-    d, scaled = clear_denominators(
-        *(grid for op, pair in blocks.items() for grid in (m.base.op(op), *map(_actions, pair))))
-    ops = {op: _block_fill(*grids, 0) for op, grids in zip(blocks, zip(*[iter(scaled)] * 3))}
+    d, tables, acts = _module_ints(m.base, blocks, [f for pair in blocks.values() for f in pair])
+    ops = {op: _block_fill(t, l, r, 0) for op, t, l, r in zip(blocks, tables, *[iter(acts)] * 2)}
     bounds = {op: max_abs(table) for op, table in ops.items()}
     compiled = {ident: _compile(terms, ops, n + v, bounds)
                 for ident, _, terms in _CLASS_SYSTEMS[class_name][1]}

@@ -36,6 +36,7 @@ from .core import (
     derive,
     exchange,
     form_from_invertible_map,
+    grid_nonzero,
     slot_sum,
     tensor2,
     tensor_to_map,
@@ -210,13 +211,13 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
     if not r.is_symmetric:
         raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
     _check_dims(alg, r)
-    d_t, (t,) = clear_denominators(tensor_to_map(r))
+    t = clear_denominators(tensor_to_map(r).entries)
     d_a, (circ,) = alg.scaled("circ")
     dual = _dual_actions({"l": circ, "r": tuple(zip(*circ))}, _DUAL_PRELIE)
     return SEquivalenceReport(
         residual=s_residual(alg, r),
         alternate=_slot_sum(alg, _S_DERIVED, r, _S_FORMS["alternate"]),
-        operator=_check_o(t, [("eq-2.10", circ, *dual)], alg.dim, d_t ** 2 * d_a),
+        operator=_check_o(t, [("eq-2.10", circ, *dual)], alg.dim, d_a),
     )
 
 
@@ -264,23 +265,17 @@ class LDEquivalenceReport:
         return self.operator_horizontal.passed
 
     @property
+    def _flags(self) -> tuple[bool, ...]:
+        return (self.residual_zero, self.operator_ldend_zero, self.operator_vertical_zero,
+                self.operator_horizontal_zero)
+
+    @property
     def all_vanish(self) -> bool:
-        return (
-            self.residual_zero
-            and self.operator_ldend_zero
-            and self.operator_vertical_zero
-            and self.operator_horizontal_zero
-        )
+        return all(self._flags)
 
     @property
     def consistent(self) -> bool:
-        flags = (
-            self.residual_zero,
-            self.operator_ldend_zero,
-            self.operator_vertical_zero,
-            self.operator_horizontal_zero,
-        )
-        return len(set(flags)) == 1
+        return len(set(self._flags)) == 1
 
     @property
     def aux_implication(self) -> bool:
@@ -301,19 +296,18 @@ def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
     if not r.is_skew:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
-    d_t, (t,) = clear_denominators(tensor_to_map(r))
+    t = clear_denominators(tensor_to_map(r).entries)
     d_a, (tri_r, tri_l) = alg.scaled("tri_r", "tri_l")
     tables = {"tri_r": tri_r, "tri_l": tri_l}
-    denominator = d_t ** 2 * d_a
     l_r, r_r, l_l, r_l = _dual_actions(_regular_ldend_actions(tables), _DUAL_LDEND)
     ldend = [("eq-4.7-tri_r", tri_r, l_r, r_r), ("eq-4.7-tri_l", tri_l, l_l, r_l)]
     vert, hor = ([("eq-2.10", table, *_dual_actions({"l": left, "r": right}, _DUAL_PRELIE))]
                  for table, left, right in _prelie_modules(tables))
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
-        operator_ldend=_check_o(t, ldend, alg.dim, denominator),
-        operator_vertical=_check_o(t, vert, alg.dim, denominator),
-        operator_horizontal=_check_o(t, hor, alg.dim, denominator),
+        operator_ldend=_check_o(t, ldend, alg.dim, d_a),
+        operator_vertical=_check_o(t, vert, alg.dim, d_a),
+        operator_horizontal=_check_o(t, hor, alg.dim, d_a),
         aux_a=ld_residual(alg, r, "eq-4.9"),
         aux_b=ld_residual(alg, r, "eq-4.10"),
     )
@@ -325,13 +319,8 @@ def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
 def embed_operator(T: LinearMap) -> Tensor2:
     """Identify T in Hom(V, A) with  sum_i T(v_i) (x) v_i*  inside the
     (rows+cols)^2 tensor square: an upper-right block equal to T's matrix."""
-    dim = T.rows + T.cols
-    sparse = []
-    for a in range(T.rows):
-        for i in range(T.cols):
-            if T.entries[a][i]:
-                sparse.append((a + 1, T.rows + i + 1, T.entries[a][i]))
-    return tensor2(dim, sparse)
+    nonzero = grid_nonzero(T.entries, (T.rows, T.cols))
+    return tensor2(T.rows + T.cols, [(a, T.rows + i, x) for (a, i), x in nonzero])
 
 
 def build_s_solution(m: PreLieModule, T: LinearMap) -> tuple[Algebra, Tensor2]:

@@ -1,7 +1,7 @@
 """Table-level constructions between the algebra classes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import splitalg as sa
@@ -99,7 +99,7 @@ def test_transpose_zero():
     assert sa.transpose(zero) == zero
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw_ldend())
 def test_transpose_swaps_horizontal_and_vertical(alg):
     t = sa.transpose(alg)

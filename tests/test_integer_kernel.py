@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitalg as sa
-from splitalg import catalog
+from splitalg import axioms, catalog, core, operators, representations, ybe
 from splitalg.axioms import REQUIRED_OPS
 from splitalg.core import clear_denominators, field_width, max_abs, nest, pack, slot_sum, unpack
 from splitalg.functors import VERTICAL
+from splitalg.representations import _actions, _module_ints
 from splitalg.ybe import _check_companion_identity
 
 import naive_checks as naive
@@ -111,15 +112,18 @@ def test_packed_linear_combination(x, y, c):
 
 
 def test_clear_denominators_scales_every_object():
-    table = (((Fraction(1, 3), Fraction(0)),),)
-    T = sa.linmap([[Fraction(2, 5)], [1]])
-    family = (sa.linmap([["1/2"]]),)
-    d, (t, m, f) = clear_denominators(table, T, family)
-    assert d == 30
-    assert t == (((10, 0),),)
-    assert m == ((12,), (30,))
-    assert f == (((15,),),)
+    assert clear_denominators((((Fraction(1, 3), Fraction(0)),),)) == (3, (((1, 0),),))
+    # a given multiple joins the denominators, and a list grid comes back as tuples
+    assert clear_denominators([[Fraction(2, 5)], [1]], 6) == (30, ((12,), (30,)))
+    assert clear_denominators(((Fraction(1, 2),),), 4) == (4, ((2,),))
     assert clear_denominators(((0, 0), (0, 0)))[0] == 1
+
+
+def naive_scaling(grid, d=1):
+    """The oracle's ``(multiple, copy)`` for ``grid`` and a given multiple d:
+    a second grid holding 1/d adds d to the denominators."""
+    multiple, copies = naive_clear_denominators(grid, (Fraction(1, d),))
+    return multiple, copies[0]
 
 
 def _build(entries, shape):
@@ -133,8 +137,7 @@ def _build(entries, shape):
 @st.composite
 def kernel_grids(draw, kind):
     """A rectangular grid of rank 1-4 with Fraction, int or mixed entries
-    (``kind``), sizes 0-3, where a rank-2 grid may be a map, a rank-3 grid a
-    family of maps and a rank-4 grid a tuple of families; sometimes a list."""
+    (``kind``), sizes 0-3, of tuples or sometimes a list."""
     rank = draw(st.integers(1, 4))
     shape = draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank))
     size = prod(shape)
@@ -143,13 +146,6 @@ def kernel_grids(draw, kind):
     fractions = st.builds(Fraction, ints, st.sampled_from(dens))
     entry = {"int": ints, "fraction": fractions, "mixed": ints | fractions}[kind]
     grid = _build(iter(draw(st.lists(entry, min_size=size, max_size=size))), shape)
-    maps = draw(st.booleans())
-    if rank == 2 and maps:
-        return sa.LinearMap(*shape, grid)
-    if rank == 3 and maps:
-        return tuple(sa.LinearMap(*shape[1:], plane) for plane in grid)
-    if rank == 4 and maps:
-        return tuple(tuple(sa.LinearMap(*shape[2:], plane) for plane in cube) for cube in grid)
     return list(grid) if draw(st.booleans()) else grid
 
 
@@ -157,29 +153,28 @@ def kernel_grids(draw, kind):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_clear_denominators_and_max_abs_match_the_recursive_walk(kind, data):
-    grids = data.draw(st.lists(kernel_grids(kind), min_size=1, max_size=3))
-    d, copies = clear_denominators(*grids)
-    assert repr((d, copies)) == repr(naive_clear_denominators(*grids))
-    for copy in copies:
-        assert max_abs(copy) == naive_max_abs(copy)
+    grid = data.draw(kernel_grids(kind))
+    multiple = data.draw(st.sampled_from((1, 2, 5, 6)))
+    d, copy = clear_denominators(grid, multiple)
+    assert repr((d, copy)) == repr(naive_scaling(grid, multiple))
+    assert max_abs(copy) == naive_max_abs(copy)
 
 
 _EMPTY_MAP = sa.LinearMap(0, 0, ())
 
 
-@pytest.mark.parametrize("grids, expected", [
-    ((sa.LinearMap(2, 0, ((), ())),), (((), ()),)),
-    (((),), ((),)),
-    ((sa.LinearMap(0, 3, ()),), ((),)),
-    (((_EMPTY_MAP, _EMPTY_MAP), (((Fraction(1, 2),),),)), (((), ()), (((1,),),))),
-    ((((), ()), ((), ())), (((), ()), ((), ()))),
-    (((((),), ((),)),), ((((),), ((),)),)),
+@pytest.mark.parametrize("grid, d, expected", [
+    (sa.LinearMap(2, 0, ((), ())).entries, 1, ((), ())),
+    ((), 1, ()),
+    (sa.LinearMap(0, 3, ()).entries, 1, ()),
+    (_actions((_EMPTY_MAP, _EMPTY_MAP)), 2, ((), ())),
+    ((((), ()), ((), ())), 1, (((), ()), ((), ()))),
+    ((((),), ((),)), 1, (((),), ((),))),
 ], ids=["map-2x0", "empty", "map-0x3", "vdim0-family", "actions-vdim0", "rank3-last-0"])
-def test_zero_size_axes_keep_their_nesting(grids, expected):
-    d, copies = clear_denominators(*grids)
-    assert copies == expected
-    assert (d, copies) == naive_clear_denominators(*grids)
-    assert [max_abs(c) for c in copies] == [naive_max_abs(c) for c in copies]
+def test_zero_size_axes_keep_their_nesting(grid, d, expected):
+    assert clear_denominators(grid, d) == (d, expected)
+    assert (d, expected) == naive_scaling(grid, d)
+    assert max_abs(expected) == naive_max_abs(expected)
 
 
 @pytest.mark.parametrize("grid", [
@@ -575,3 +570,85 @@ def test_cocycle_lift_builds_only_its_result(constructions, p2):
     constructions.clear()
     sa.ldend_from_2cocycle(p2, B, force=True)
     assert constructions == {"Algebra": 1}
+
+
+# ---------------------------------------------------------------------------
+# an algebra's tables reach ints only through its int form
+
+def _holds(grid, ids) -> bool:
+    """Whether ``grid`` or a row of it at any nesting is one of the objects
+    ``ids``."""
+    return id(grid) in ids or (isinstance(grid, (tuple, list))
+                               and any(_holds(row, ids) for row in grid))
+
+
+def test_checks_scale_no_algebra_table(monkeypatch, p2, l2, ld2, rb2):
+    """The checks scale their own maps, tensors and action tables; no call
+    to clear_denominators receives an op table or an int-form table."""
+    algebras = (p2, l2, ld2)
+    for alg in algebras:
+        alg.scaled()                    # the int forms, built before the spy
+    calls = []
+
+    def spy(*args, original=core.clear_denominators):
+        calls.append(args)
+        return original(*args)
+
+    for module in (core, axioms, representations, operators, ybe):
+        if hasattr(module, "clear_denominators"):
+            monkeypatch.setattr(module, "clear_denominators", spy)
+    T = sa.linmap([["1/2", 2], [0, 1]])
+    prelie, ldend = sa.regular_prelie_module(p2), sa.regular_ldend_module(ld2)
+    sa.check_prelie_module(prelie)
+    sa.check_ldend_module(ldend)
+    sa.check_o_prelie(T, prelie)
+    sa.check_o_lie(T, l2, sa.adjoint_family(l2))
+    sa.check_o_ldend(T, ldend)
+    sa.check_rota_baxter_prelie(rb2, p2)
+    sa.search_rb(p2, [-1, 0, 1])
+    sa.s_equivalence_check(p2, sa.tensor2(2, [(1, 2, 1), (2, 1, 1)]))
+    sa.ld_equivalence_check(ld2, sa.tensor2(2, [(1, 2, 1), (2, 1, -1)]))
+    forbidden = {id(table) for alg in algebras for table in alg.ops.values()}
+    forbidden |= {id(table) for alg in algebras for table, _ in alg._int_form[1].values()}
+    assert len(calls) >= 9
+    assert [args for args in calls if _holds(args, forbidden)] == []
+
+
+def _thirds_maps(count, rows, cols, seed):
+    """``count`` fixed rows x cols maps with entries in {-2/3, ..., 2/3}."""
+    return tuple(sa.LinearMap(rows, cols, tuple(
+        tuple(Fraction((seed + 7 * a + 3 * i + j) % 5 - 2, 3) for j in range(cols))
+        for i in range(rows))) for a in range(count))
+
+
+def test_a_base_over_halves_is_rescaled_for_families_over_thirds(p2, ld2):
+    base = sa.merge_ops(scaled(p2, Fraction(1, 2)), scaled(ld2, Fraction(-1, 2)))
+    pm = sa.PreLieModule(base, 3, _thirds_maps(2, 3, 3, 0), _thirds_maps(2, 3, 3, 1))
+    lm = sa.LDendModule(base, 3, *(_thirds_maps(2, 3, 3, seed) for seed in range(2, 6)))
+    d_a, (circ,) = base.scaled("circ")
+    d, (rescaled,), _ = _module_ints(base, ("circ",), (pm.l, pm.r))
+    assert (d_a, d) == (2, 6)
+    assert rescaled == tuple(tuple(tuple(3 * x for x in vec) for vec in plane) for plane in circ)
+    T = _thirds_maps(1, 2, 3, 4)[0].scale(Fraction(3, 5))
+    assert same_report("check_prelie_module", pm) != []
+    same_report("check_ldend_module", lm)
+    same_report("check_o_prelie", T, pm)
+    same_report("check_o_ldend", T, lm)
+    same_report("check_o_lie", T, sa.sub_adjacent_lie(base), _thirds_maps(2, 3, 3, 6))
+
+
+def test_regular_and_dual_modules_keep_the_base_ints(p2, ld2):
+    base = sa.merge_ops(scaled(p2, Fraction(1, 2)), scaled(ld2, Fraction(1, 3)))
+    T = sa.linmap([["1/5", 1], [2, "-1/2"]])
+    regular = sa.regular_prelie_module(base), sa.regular_ldend_module(base)
+    for m in (*regular, sa.dual_prelie_module(regular[0]), sa.dual_ldend_module(regular[1])):
+        if isinstance(m, sa.PreLieModule):
+            ops, families, kind = ("circ",), (m.l, m.r), "prelie"
+        else:
+            ops, families, kind = ("tri_r", "tri_l"), (m.l_r, m.r_r, m.l_l, m.r_l), "ldend"
+        d_a, tables = base.scaled(*ops)
+        d, ints, _ = _module_ints(base, ops, families)
+        assert d == d_a == 6
+        assert all(a is b for a, b in zip(ints, tables))
+        same_report(f"check_{kind}_module", m)
+        same_report(f"check_o_{kind}", T, m)
