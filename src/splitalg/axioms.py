@@ -86,23 +86,25 @@ class CheckReport:
 
 
 def _run(identities, dim: int) -> CheckReport:
-    """Evaluate (id, arity, denominator, residual_fn) rows over all basis
-    tuples, in declaration order and lexicographic index order.
+    """Evaluate (id, arity, denominator, line) rows over all basis tuples,
+    in declaration order and lexicographic index order, one line at a time.
 
-    ``residual_fn(*idx)`` returns the int residual on inputs scaled to ints
-    (empty or all zero when the identity holds there); the exact residual is
-    the int one divided by ``denominator``, the product of the scales of the
-    factors each term multiplies.
+    For each of the dim**(arity-1) prefixes of all but the last index, in
+    lexicographic order, ``line(*prefix)`` gives (last index, int residual)
+    for the tuples of that line whose int residual is nonzero, by increasing
+    last index: the nonzero rows of a packed plane (see :func:`_compile`),
+    each unpacked.  The residuals are on inputs scaled to ints; the exact
+    residual is the int one divided by ``denominator``, the product of the
+    scales of the factors each term multiplies.
     """
     failures = []
-    for identity_id, arity, denominator, fn in identities:
+    for identity_id, arity, denominator, line in identities:
         exact = functools.cache(functools.partial(Fraction, denominator=denominator))
-        for idx in itertools.product(range(dim), repeat=arity):
-            residual = fn(*idx)
-            if any(residual):
+        for prefix in itertools.product(range(dim), repeat=arity - 1):
+            for last, residual in line(*prefix):
                 failures.append(Failure(
                     identity_id,
-                    tuple(i + 1 for i in idx),
+                    tuple(i + 1 for i in (*prefix, last)),
                     tuple(map(exact, residual)),
                 ))
     return CheckReport(tuple(failures))
@@ -125,12 +127,22 @@ XY, YX = (0, 1), (1, 0)
 XYZ, YXZ, XZY, YZX, ZXY = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
 
 
-def _compile(terms, ops, n: int, bounds):
-    """Residual function of one identity over the int tables ``ops``, whose
-    largest absolute entries are ``bounds`` (name -> int).
-
-    Each output vector is packed into one int, so a term costs one
-    multiply-add per inner index: (x A y) B z  =  sum_m A[x][y][m] * B[m][z].
+def _compile(terms, ops, n: int, bounds, packings: dict, free: int, rows: range):
+    """Plane function of one identity over the int tables ``ops`` of
+    dimension n with largest entries ``bounds``, its slot ``free`` free over
+    the basis indices ``rows``: ``plane(*idx)``, given the other slots'
+    indices, is the int residual at every f in ``rows`` as one packed plane,
+    row f - rows.start at field (f - rows.start) * width.  A term costs one
+    big-int multiply-add per inner index m per line, not per tuple: when z
+    is free, a scalar row times a table's plane,
+      (x A y) B z  =  sum_m A[x][y][m] * (B[m][z] over all z),
+    else a column of the free role's table packed at the row stride times
+    the other table's vector, their outer product (see
+    :func:`splitalg.core.slot_sum`).  Identities compiled with one
+    ``packings`` dict share their packings, and negative terms are summed
+    apart, so no negated copy is kept.  Returns ``plane`` and ``split``,
+    which lists (f - rows.start, entries) for the nonzero rows of a plane,
+    without the first ``skip`` entries of each when they are known zero.
     """
     first = terms[0]
     width = len(ops[first[3] if first[1] == LEFT else first[2]][0][0])
@@ -139,68 +151,85 @@ def _compile(terms, ops, n: int, bounds):
         for _, shape, a, b, _ in terms
     )
     bits = field_width(bound)
+    stride, lo, hi = width * bits, rows.start, rows.stop
 
-    @functools.cache
-    def packed_table(name, sign, by_column=False):
-        """ops[name] times sign, each vector packed; by_column regroups
-        [i][j] as [j][i]."""
-        if by_column:
-            return tuple(zip(*packed_table(name, sign)))
-        if sign < 0:
-            return tuple(tuple(-p for p in plane) for plane in packed_table(name, 1))
-        return tuple(
-            tuple(pack(vec, bits) if any(vec) else 0 for vec in plane) for plane in ops[name]
-        )
+    def packed(name, layout, swapped=False):
+        """ops[name] (its inputs swapped when ``swapped``) by its first input a:
+        as [a][b] -> vector packed ("vec"), [a] -> the vectors [a][f] in one
+        plane ("plane") or [a][m] -> the entries [a][f][m] in one ("col")."""
+        key = (name, layout, swapped, bits, stride)
+        if key not in packings:
+            table = tuple(zip(*ops[name])) if swapped else ops[name]
+            packings[key] = tuple(
+                tuple(pack(vec, bits) if any(vec) else 0 for vec in plane) if layout == "vec" else
+                pack([pack(vec, bits) for vec in plane[lo:hi]], stride) if layout == "plane" else
+                tuple(pack(col, stride) for col in zip(*plane[lo:hi])) for plane in table)
+        return packings[key]
 
-    if first[1] == PLAIN:
-        rows = [(packed_table(a, sign), perm[0], perm[1]) for sign, _, a, _, perm in terms]
-
-        def residual(*idx):
-            p = sum([t[idx[a]][idx[b]] for t, a, b in rows])
-            return unpack(p, width, bits) if p else ()
-
-        return residual
-
-    rows = []
+    one = len(first[4]) - 1     # position of the 0 appended to the given indices
+    pos, neg = [], []
     for sign, shape, a, b, perm in terms:
-        if shape == LEFT:       # sum_m A[x][y][m] * B[m][z]: B regrouped by z
-            rows.append((ops[a], perm[0], perm[1], packed_table(b, sign, True), perm[2]))
+        role = perm.index(free)
+        x, y, z = [slot - (slot > free) for slot in perm] + [one] * (3 - len(perm))
+        if shape == PLAIN:      # 1 * A[x][f] or A[f][y] over all f
+            row = ((((1,),),), one, one, tuple((p,) for p in packed(a, "plane", role == 0)),
+                   y if role == 0 else x)
+        elif shape == LEFT:     # sum_m A[x][y][m] * B[m][z]
+            row = ((ops[a], x, y, (packed(b, "plane"),), one) if role == 2 else
+                   ((packed(a, "col", role == 0),), one, y if role == 0 else x,
+                    packed(b, "vec", True), z))
         else:                   # sum_m B[y][z][m] * A[x][m]
-            rows.append((ops[b], perm[1], perm[2], packed_table(a, sign), perm[0]))
+            row = ((ops[b], y, z, (packed(a, "plane", True),), one) if role == 0 else
+                   ((packed(b, "col", role == 1),), one, z if role == 1 else y,
+                    packed(a, "vec"), x))
+        (pos if sign > 0 else neg).append(row)
 
-    def residual(*idx):
-        p = sum([sum(map(mul, t[idx[a]][idx[b]], w[idx[c]])) for t, a, b, w, c in rows])
-        return unpack(p, width, bits) if p else ()
+    def plane(*given):
+        idx = (*given, 0)
+        return (sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in pos])
+                - sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in neg]))
 
-    return residual
+    def split(p, skip=0):
+        return [(f, unpack(row >> skip * bits, width - skip, bits))
+                for f, row in enumerate(unpack(p, len(rows), stride)) if row] if p else ()
+
+    return plane, split
 
 
 def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None,
                   derived=MappingProxyType({})) -> CheckReport:
     """Evaluate identity rows (id, arity, terms) on the algebra's tables
     ``names``, its derived tables (name -> parts, see
-    :func:`splitalg.core.derive`) and an optional form (the table "B").
+    :func:`splitalg.core.derive`) and an optional form (the table "B"),
+    each identity compiled with its last slot free.  Without a form the
+    compiled lines are kept with the algebra's int form; a form is a second
+    value, so a form's identities are compiled on every call.
 
     The tables come from the algebra's int form, scaled by its d_A
     (:meth:`splitalg.core.Algebra.scaled`); only the form is scaled here, by
     its own d_B.  A term multiplies two of these tables (one when PLAIN), so
     an identity's exact residual is its int residual divided by their
     denominators' product: d_A**2, d_A * d_B or d_B."""
-    d_a, tables = alg.scaled(*names, *derived.values())
-    ops = dict(zip([*names, *derived], tables))
-    scale = dict.fromkeys(ops, d_a)
-    if form is not None:
-        if form.dim != alg.dim:
-            raise DimensionMismatch("form dimension does not match the algebra")
-        scale["B"], gram = clear_denominators(form.gram)
-        ops["B"] = tuple(tuple((x,) for x in row) for row in gram)
-    bounds = {name: max_abs(table) for name, table in ops.items()}
-    rows = []
-    for ident, arity, terms in system:
-        _, shape, a, b, _ = terms[0]
-        denominator = scale[a] if shape == PLAIN else scale[a] * scale[b]
-        rows.append((ident, arity, denominator, _compile(terms, ops, alg.dim, bounds)))
-    return _run(rows, alg.dim)
+    def compiled():
+        d_a, tables = alg.scaled(*names, *derived.values())
+        ops = dict(zip([*names, *derived], tables))
+        scale = dict.fromkeys(ops, d_a)
+        if form is not None:
+            if form.dim != alg.dim:
+                raise DimensionMismatch("form dimension does not match the algebra")
+            scale["B"], gram = clear_denominators(form.gram)
+            ops["B"] = tuple(tuple((x,) for x in row) for row in gram)
+        bounds = {name: max_abs(table) for name, table in ops.items()}
+        lines, packings = [], {}
+        for ident, arity, terms in system:
+            _, shape, a, b, _ = terms[0]
+            plane, split = _compile(terms, ops, alg.dim, bounds, packings, arity - 1,
+                                    range(alg.dim))
+            lines.append((ident, arity, scale[a] if shape == PLAIN else scale[a] * scale[b],
+                          lambda *idx, plane=plane, split=split: split(plane(*idx))))
+        return lines
+
+    return _run(compiled() if form is not None else alg.compiled(system, compiled), alg.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +304,9 @@ _CLASS_SYSTEMS = {
 def check_class(alg: Algebra, class_name: str) -> CheckReport:
     """Decide membership of ``alg`` in the named algebra class.
 
-    The class tag on the algebra is ignored; only the tables matter.
+    The class tag on the algebra is ignored; only the tables matter.  The
+    compiled identities are kept with the algebra's int form, so a second
+    check of the same value compiles nothing.
     """
     if class_name not in _CLASS_SYSTEMS:
         raise ValueError(f"unknown class {class_name!r} (choose from {CLASS_NAMES})")

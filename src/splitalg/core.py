@@ -341,19 +341,20 @@ class Algebra:
         return Algebra, (self.dim, dict(self.ops), self.class_tag)
 
     @cached_property
-    def _int_form(self) -> tuple[int, dict, dict]:
+    def _int_form(self) -> tuple[int, dict, dict, dict]:
         """d_A, the least common denominator of all the tables, the tables
         scaled by it to ints, each with its largest absolute entry (key ->
-        (table, bound), see :meth:`scaled`), and the vectors of those tables
-        (vector -> itself), so that equal vectors are one tuple."""
+        (table, bound), see :meth:`scaled`), the vectors of those tables
+        (vector -> itself), so that equal vectors are one tuple, and what
+        checks compiled from them (see :meth:`compiled`)."""
         d, tables = clear_denominators(tuple(self.ops.values()))
         vectors: dict = {}
-        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors
+        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors, {}
 
     def _entries(self, keys) -> list[tuple[Table, int]]:
         """The int tables named by ``keys`` with their bounds, each derived
         on first use and kept with the value under its own key."""
-        _, tables, vectors = self._int_form
+        _, tables, vectors, _ = self._int_form
         for key in keys:
             if key not in tables:
                 names = [key] if isinstance(key, str) else [name for _, name, _ in key]
@@ -370,6 +371,14 @@ class Algebra:
         so the tables are scaled once and a derived product is summed once
         per algebra, however many checks read them."""
         return self._int_form[0], tuple(table for table, _ in self._entries(keys))
+
+    def compiled(self, key, build):
+        """``build()``, called on first use and kept with the int form under
+        ``key``: the identities a class check compiled from the int tables."""
+        kept = self._int_form[3]
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
 
     def entry_bound(self, *keys) -> int:
         """The largest absolute entry of the int tables named by ``keys`` (see
@@ -801,7 +810,10 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # instead of one per entry.  Two vectors packed at strides 1 and n multiply
 # to their outer product, packed as an n x n plane in row-major order: the
 # slot products keep one such plane per slot-1 component, and a block of a
-# term costs one big-int multiply-add (see :func:`slot_sum`).  Each packing
+# term costs one big-int multiply-add (see :func:`slot_sum`).  An identity
+# check packs the residuals of a line of basis tuples, all values of one free
+# slot, into one such plane (:func:`splitalg.axioms._compile`), compiled once
+# per algebra or module value (:meth:`Algebra.compiled`).  Each packing
 # is exact while every field of the result stays below 2**(width - 1) in
 # absolute value; :func:`field_width` gives the width for a bound on the
 # result's fields, found from the factors' largest entries.

@@ -114,17 +114,18 @@ def _o_packed(T, by_b, l_images, r_images, bits: int):
 def _check_o(scaled_map, rows, vdim: int, d: int) -> CheckReport:
     """The O-operator identities of a map given as (d_t, d_t * its rows), one
     per (id, base table, l action table, r action table) row of int tables
-    scaled by d: the :func:`_o_packed` residuals, unpacked.  Every term is
+    scaled by d: the :func:`_o_packed` residuals, one :func:`_run` line per
+    u with its nonzero residuals unpacked.  Every term is
     quadratic in the map and linear in a table, so each is divided by d_t**2 * d."""
     d_t, t = scaled_map
     n = len(t)
 
-    def residual_fn(table, l_images, r_images):
+    def line_fn(table, l_images, r_images):
         bits, by_b = _packed_base(table, vdim, max(map(max_abs, (t, table, l_images, r_images))))
         packed = _o_packed(t, by_b, l_images, r_images, bits)
-        return lambda u, v: unpack(p, n, bits) if (p := packed(u, v)) else ()
+        return lambda u: [(v, unpack(p, n, bits)) for v in range(vdim) if (p := packed(u, v))]
 
-    return _run([(ident, 2, d_t ** 2 * d, residual_fn(*grids)) for ident, *grids in rows], vdim)
+    return _run([(ident, 2, d_t ** 2 * d, line_fn(*grids)) for ident, *grids in rows], vdim)
 
 
 #: the regular module's right action r(e_a) e_u = e_u o e_a; its left one is circ

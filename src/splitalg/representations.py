@@ -15,7 +15,7 @@ fail.  Each module identity is one class identity with f_w in a fixed slot
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,8 +67,16 @@ def _check_families(module, names: Sequence[str]):
         object.__setattr__(module, name, family)
 
 
+class _Module:
+    """Copies and pickles of a module are rebuilt from its fields, without
+    the compiled identities a check keeps with the value."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class PreLieModule:
+class PreLieModule(_Module):
     """Module data (l, r, V) over a pre-Lie algebra carried as op ``circ``."""
 
     base: Algebra
@@ -82,7 +90,7 @@ class PreLieModule:
 
 
 @dataclass(frozen=True)
-class LDendModule:
+class LDendModule(_Module):
     """Module data (l_r, r_r, l_l, r_l, V) over an L-dendriform algebra."""
 
     base: Algebra
@@ -183,30 +191,33 @@ def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
     of f_w, sign), as class identities of the semidirect sum: the base
     indices (i, j) fill the other two slots in order, and the residual at
     (i, j) is the v x v matrix whose column w is sign times the module part
-    of the class residual (the base part vanishes), flattened row-major."""
+    of the class residual (the base part vanishes), flattened row-major.
+    The slot of f_w is the free slot of the compiled identity, so one plane
+    per (i, j) holds every column; the compiled lines are kept with the
+    module value, so a second check of it compiles nothing."""
     n, v = m.base.dim, m.vdim
-    d, tables, acts = _module_ints(m.base, blocks, [f for pair in blocks.values() for f in pair])
-    ops = {op: _block_fill(t, l, r, 0) for op, t, l, r in zip(blocks, tables, *[iter(acts)] * 2)}
-    bounds = {op: max_abs(table) for op, table in ops.items()}
-    compiled = {ident: _compile(terms, ops, n + v, bounds)
-                for ident, _, terms in _CLASS_SYSTEMS[class_name][1]}
+    lines = vars(m).get("_lines")
+    if lines is None:
+        d, tables, acts = _module_ints(m.base, blocks, [f for pair in blocks.values() for f in pair])
+        ops = {op: _block_fill(t, l, r, 0) for op, t, l, r in zip(blocks, tables, *[iter(acts)] * 2)}
+        bounds = {op: max_abs(table) for op, table in ops.items()}
+        terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[class_name][1]}
+        packings = {}
 
-    def module_residual(fn, slot, sign):
-        def residual(i, j):
-            out = [0] * (v * v)
-            for w in range(v):
-                idx = [i, j]
-                idx.insert(slot, n + w)
-                column = fn(*idx)
-                if column:
-                    out[w::v] = [sign * x for x in column[n:]]
-            return out
+        def module_line(cls, slot, sign):
+            plane, split = _compile(terms[cls], ops, n + v, bounds, packings, slot, range(n, n + v))
 
-        return residual
+            def line(i):
+                for j in range(n):
+                    if cols := dict(split(plane(i, j), n)):
+                        yield j, [sign * cols[w][r] if w in cols else 0
+                                  for r in range(v) for w in range(v)]
 
-    rows = [(ident, 2, d ** 2, module_residual(compiled[cls], slot, sign))
-            for ident, cls, slot, sign in ids]
-    return _run(rows, n)
+            return line
+
+        lines = vars(m)["_lines"] = [(ident, 2, d ** 2, module_line(cls, slot, sign))
+                                     for ident, cls, slot, sign in ids]
+    return _run(lines, n)
 
 
 #: argument slots of a class identity

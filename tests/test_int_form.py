@@ -234,3 +234,76 @@ def test_the_int_form_scales_every_table_by_the_lcm_of_all_their_denominators():
     assert [x * d for x in entries] == [x for t in tables for plane in t for vec in plane
                                         for x in vec]
     assert all(type(x) is int for t in tables for plane in t for vec in plane for x in vec)
+
+
+# ---------------------------------------------------------------------------
+# compiled identities: kept with the value they were compiled from
+
+@st.composite
+def module_cases(draw):
+    """A base with circ, tri_r and tri_l, its regular and dual modules, a
+    random-family module of each kind with vdim != n and their duals, and a
+    form."""
+    n = draw(st.integers(1, 3))
+    v = draw(st.integers(1, 3).filter(lambda v: v != n))
+    alg = sa.Algebra(n, {name: nest(draw(entries(n ** 3)), n, 3) for name in OPS})
+
+    def family():
+        return tuple(sa.LinearMap(v, v, nest(draw(entries(v * v)), v, 2)) for _ in range(n))
+
+    prelie = [sa.regular_prelie_module(alg), sa.PreLieModule(alg, v, family(), family())]
+    ldend = [sa.regular_ldend_module(alg), sa.LDendModule(alg, v, *(family() for _ in range(4)))]
+    modules = prelie + [sa.dual_prelie_module(m) for m in prelie]
+    modules += ldend + [sa.dual_ldend_module(m) for m in ldend]
+    return alg, modules, sa.BilinearForm(n, nest(draw(entries(n * n)), n, 2))
+
+
+def fresh_module(m):
+    return type(m)(fresh(m.base), *(getattr(m, f.name) for f in dataclasses.fields(m)[1:]))
+
+
+def module_check(m):
+    return sa.check_prelie_module if isinstance(m, sa.PreLieModule) else sa.check_ldend_module
+
+
+@settings(max_examples=40, deadline=None)
+@given(module_cases(), st.data())
+def test_a_reused_module_answers_as_a_fresh_one(case, data):
+    """Every module checked twice, interleaved with class and cocycle checks
+    of its base in a drawn order, against the same call on freshly built
+    copies of the module and its base."""
+    alg, modules, form = case
+    work = [(f"module {k}", lambda m=m: module_check(m)(m), lambda m=m: module_check(m)(
+        fresh_module(m))) for k, m in enumerate(modules)] * 2
+    work += [(c, lambda c=c: sa.check_class(alg, c), lambda c=c: sa.check_class(fresh(alg), c))
+             for c in ("pre_lie", "associative", "l_dendriform")]
+    work += [(check.__name__, lambda check=check: check(alg, form),
+              lambda check=check: check(fresh(alg), form))
+             for check in (sa.check_prelie_cocycle, sa.check_ldend_cocycle)]
+    for label, call, on_fresh in data.draw(st.permutations(work)):
+        assert repr(call()) == repr(on_fresh()), label
+
+
+def test_checked_algebras_and_modules_stay_values():
+    """Checks keep compiled identities with the algebra's int form and with
+    the module; copies, pickles and ``dataclasses.replace`` are rebuilt from
+    the fields and carry none of it, yet compare equal, hash alike and
+    answer alike."""
+    alg = _algebra()
+    maps = [sa.LinearMap(3, 3, nest([Fraction((a + 5 * i) % 7 - 3, 1 + i % 2) for i in range(9)],
+                                    3, 2)) for a in range(8)]
+    pm = sa.PreLieModule(alg, 3, maps[0:2], maps[2:4])
+    lm = sa.LDendModule(alg, 3, maps[0:2], maps[2:4], maps[4:6], maps[6:8])
+    checks = {alg: lambda a: [sa.check_class(a, c) for c in ("pre_lie", "l_dendriform")],
+              pm: sa.check_prelie_module, lm: sa.check_ldend_module}
+    answers = {value: repr(check(value)) for value, check in checks.items()}
+    assert set(vars(alg)) == {"dim", "ops", "class_tag", "_int_form"} and alg._int_form[3]
+    assert "_lines" in vars(pm) and "_lines" in vars(lm)
+    for value, check in checks.items():
+        names = {f.name for f in dataclasses.fields(value)}
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                      dataclasses.replace(value)):
+            assert type(other) is type(value) and other is not value
+            assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
+            assert set(vars(other)) == names
+            assert repr(check(other)) == answers[value]

@@ -8,6 +8,7 @@ Inputs have denominators in {1, 2, 3, 6, 7}, each object with its own extra
 scale (so T over 1/5 meets tables over 1/3), and are sometimes all zero.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -237,6 +238,16 @@ def test_class_checks_match_oracle(class_name, data):
     same_report("check_class", alg, class_name)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("class_name", sa.CLASS_NAMES)
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_class_checks_match_oracle_at_desk_dims(class_name, n, data):
+    """At these dimensions a plane spans several machine words."""
+    alg = algebras(data.draw, n, REQUIRED_OPS[class_name])
+    same_report("check_class", alg, class_name)
+
+
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 5), Fraction(-7, 3)])
 @pytest.mark.parametrize("name", ["Z2", "P1", "P2", "N2", "L2", "LD2", "D1",
                                   "LD2_VERT", "LD2_HOR", "LD2_LIE"])
@@ -254,6 +265,60 @@ def test_scaled_members_pass(p2, ld2, l2, d1):
     for alg, class_name in ((p2, "pre_lie"), (ld2, "l_dendriform"), (l2, "lie"),
                             (d1, "dendriform")):
         assert same_report("check_class", scaled(alg, c), class_name) == []
+
+
+# ---------------------------------------------------------------------------
+# the plane kernel
+
+def _checkerboard(c, n):
+    return nest([c * (-1) ** (i + j + k) for i in range(n) for j in range(n) for k in range(n)],
+                n, 3)
+
+
+def _term(shape, a, b, x, y, z=None):
+    """A term's output vector at basis indices (x, y, z), summed directly."""
+    n = len(a)
+    if shape == axioms.PLAIN:
+        return list(a[x][y])
+    if shape == axioms.LEFT:
+        return [sum(a[x][y][m] * b[m][z][k] for m in range(n)) for k in range(n)]
+    return [sum(b[y][z][m] * a[x][m][k] for m in range(n)) for k in range(n)]
+
+
+@pytest.mark.parametrize("lo", [0, 1], ids=["all-rows", "rows-from-1"])
+@pytest.mark.parametrize("shape, free", [
+    (axioms.LEFT, 0), (axioms.LEFT, 1), (axioms.LEFT, 2),
+    (axioms.RIGHT, 0), (axioms.RIGHT, 1), (axioms.RIGHT, 2),
+    (axioms.PLAIN, 0), (axioms.PLAIN, 1),
+])
+def test_plane_fields_reach_the_width_bound(shape, free, lo):
+    """The identity +t(A, B) - t(C, B) of one term shape t, with the slot
+    ``free`` free over the rows lo..n-1.  Every table is a checkerboard
+    c * (-1)**(i + j + k): A with c = a, C with c = -c', B with c = 1.  So
+    every field of the residual is +-n * (a + c') (+-(a + c') when PLAIN),
+    the bound the kernel sizes its fields for, here 2**40 - 1, and the
+    sign flips from each field to the next, also across a row boundary.
+    A carry or borrow into a neighbouring row reads as a wrong residual."""
+    n, top = 3, 2 ** 40 - 1
+    total = top if shape == axioms.PLAIN else top // n
+    ops = {"A": _checkerboard(total - 2 ** 20, n), "C": _checkerboard(-(2 ** 20), n),
+           "B": _checkerboard(1, n)}
+    perm = axioms.XY if shape == axioms.PLAIN else axioms.XYZ
+    terms = ((1, shape, "A", "B", perm), (-1, shape, "C", "B", perm))
+    bounds = {name: max_abs(table) for name, table in ops.items()}
+    plane, split = axioms._compile(terms, ops, n, bounds, {}, free, range(lo, n))
+    bits = field_width(top)
+    assert bits == 41
+    for prefix in itertools.product(range(n), repeat=len(perm) - 1):
+        packed = plane(*prefix)
+        assert [f for f, _ in split(packed)] == list(range(n - lo))
+        for f, row in enumerate(unpack(packed, n - lo, n * bits), lo):
+            idx = list(prefix)
+            idx.insert(free, f)
+            expected = [p - q for p, q in zip(_term(shape, ops["A"], ops["B"], *idx),
+                                               _term(shape, ops["C"], ops["B"], *idx))]
+            assert unpack(row, n, bits) == expected == split(packed)[f - lo][1]
+            assert {abs(x) for x in expected} == {top}
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +352,20 @@ def test_symmetric_cocycle_of_scaled_algebra_passes(p2):
 @given(st.data())
 def test_module_checks_match_oracle(data):
     n, v = data.draw(small_dims), data.draw(small_dims)
+    base = algebras(data.draw, n, ("circ", "tri_r", "tri_l"))
+    pm = sa.PreLieModule(base, v, families(data.draw, n, v), families(data.draw, n, v))
+    lm = sa.LDendModule(base, v, *(families(data.draw, n, v) for _ in range(4)))
+    same_report("check_prelie_module", pm)
+    same_report("check_ldend_module", lm)
+    same_report("check_prelie_module", sa.dual_prelie_module(pm))
+    same_report("check_ldend_module", sa.dual_ldend_module(lm))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_module_checks_match_oracle_at_desk_dims(n, data):
+    v = data.draw(st.integers(2, 6).filter(lambda v: v != n))
     base = algebras(data.draw, n, ("circ", "tri_r", "tri_l"))
     pm = sa.PreLieModule(base, v, families(data.draw, n, v), families(data.draw, n, v))
     lm = sa.LDendModule(base, v, *(families(data.draw, n, v) for _ in range(4)))
@@ -612,6 +691,47 @@ def test_checks_scale_no_algebra_table(monkeypatch, p2, l2, ld2, rb2):
     forbidden |= {id(table) for alg in algebras for table, _ in alg._int_form[1].values()}
     assert len(calls) >= 9
     assert [args for args in calls if _holds(args, forbidden)] == []
+
+
+def test_checks_compile_once_per_value(monkeypatch, p2, l2, ld2, d1):
+    """A second check of the same algebra or module value compiles nothing;
+    a form check compiles on every call, since it reads a second value.
+    (The O-operator kernel compiles nothing here; its call counts in
+    search_rb are pinned in test_operators.)"""
+    compiles = []
+
+    def spy(*args, original=axioms._compile):
+        compiles.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(axioms, "_compile", spy)
+    monkeypatch.setattr(representations, "_compile", spy)
+
+    def count(call, *args):
+        compiles.clear()
+        call(*args)
+        return len(compiles)
+
+    quadri = sa.zero_algebra(2, ("se", "ne", "nw", "sw"))
+    for alg, class_name in ((p2, "pre_lie"), (p2, "associative"), (l2, "lie"), (d1, "dendriform"),
+                            (ld2, "l_dendriform"), (quadri, "quadri")):
+        alg = sa.Algebra(alg.dim, dict(alg.ops))
+        system = axioms._CLASS_SYSTEMS[class_name][1]
+        assert count(sa.check_class, alg, class_name) == len(system), class_name
+        assert count(sa.check_class, alg, class_name) == 0, class_name
+    base = sa.Algebra(2, {**p2.ops, **ld2.ops})
+    modules = [sa.regular_prelie_module(base), sa.regular_ldend_module(base)]
+    modules += [sa.dual_prelie_module(modules[0]), sa.dual_ldend_module(modules[1])]
+    for m, check, ids in zip(modules, [sa.check_prelie_module, sa.check_ldend_module] * 2,
+                             [representations._PRELIE_MODULE_IDS,
+                              representations._LDEND_MODULE_IDS] * 2):
+        assert count(check, m) == len(ids)
+        assert count(check, m) == 0
+    B = sa.bilinear_form([[1, 2], [-2, 0]])
+    for _ in range(2):
+        assert count(sa.check_prelie_cocycle, base, B) == 1
+        assert count(sa.check_ldend_cocycle, base, B) == 2
+        assert count(_check_companion_identity, base, B) == 1
 
 
 def _thirds_maps(count, rows, cols, seed):
