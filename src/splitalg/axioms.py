@@ -7,7 +7,10 @@ everything needed to reproduce a violation by hand.
 
 Identities are data: signed terms ``(x A y) B z`` or ``x A (y B z)`` over a
 permutation of the basis tuple, evaluated on integers after clearing
-denominators (see the integer kernel in :mod:`splitalg.core`).
+denominators (see the integer kernel in :mod:`splitalg.core`).  A term names
+each table by its key in the algebra's int form: an op name, or the
+``(sign, name, flipped)`` parts of a derived product (see
+:mod:`splitalg.functors`), so one key is one table in every identity.
 
 Identity ids are stable strings; indices in failures are 1-based.
 """
@@ -19,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from types import MappingProxyType
 
 from .core import (
     Algebra,
@@ -118,18 +120,21 @@ def _run(identities, dim: int) -> CheckReport:
 #   RIGHT  x A (y B z)
 #   PLAIN  x A y          (arity 2, no B)
 # and the term's variables x, y, z are the basis indices idx[perm[0]],
-# idx[perm[1]], idx[perm[2]] of the tuple being checked.  A and B name int
-# tables ([i][j] -> output vector); a bilinear form enters as the table "B"
-# with one-entry outputs, so B(x A y, z) is the term (x A y) B z.
+# idx[perm[1]], idx[perm[2]] of the tuple being checked.  A and B are keys of
+# int tables ([i][j] -> output vector): an op name or a derived product's
+# parts, as the algebra's int form keeps them (:meth:`Algebra.scaled`); a
+# bilinear form enters as the table "B" with one-entry outputs, so
+# B(x A y, z) is the term (x A y) B z.
 
 LEFT, RIGHT, PLAIN = "(xAy)Bz", "xA(yBz)", "xAy"
 XY, YX = (0, 1), (1, 0)
 XYZ, YXZ, XZY, YZX, ZXY = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
 
 
-def _compile(terms, ops, n: int, bounds, packings: dict, free: int, rows: range):
-    """Plane function of one identity over the int tables ``ops`` of
-    dimension n with largest entries ``bounds``, its slot ``free`` free over
+def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
+    """Plane function of one identity over the int tables ``ops``, by the
+    keys its terms name, with largest entries ``bounds``: n, the dimension of
+    the tables' inputs, is read from them.  Its slot ``free`` is free over
     the basis indices ``rows``: ``plane(*idx)``, given the other slots'
     indices, is the int residual at every f in ``rows`` as one packed plane,
     row f - rows.start at field (f - rows.start) * width.  A term costs one
@@ -145,7 +150,7 @@ def _compile(terms, ops, n: int, bounds, packings: dict, free: int, rows: range)
     without the first ``skip`` entries of each when they are known zero.
     """
     first = terms[0]
-    width = len(ops[first[3] if first[1] == LEFT else first[2]][0][0])
+    n, width = len(ops[first[2]]), len(ops[first[3] if first[1] == LEFT else first[2]][0][0])
     bound = sum(
         bounds[a] if shape == PLAIN else n * bounds[a] * bounds[b]
         for _, shape, a, b, _ in terms
@@ -196,35 +201,36 @@ def _compile(terms, ops, n: int, bounds, packings: dict, free: int, rows: range)
     return plane, split
 
 
-def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None,
-                  derived=MappingProxyType({})) -> CheckReport:
-    """Evaluate identity rows (id, arity, terms) on the algebra's tables
-    ``names``, its derived tables (name -> parts, see
-    :func:`splitalg.core.derive`) and an optional form (the table "B"),
-    each identity compiled with its last slot free.  Without a form the
-    compiled lines are kept with the algebra's int form; a form is a second
-    value, so a form's identities are compiled on every call.
+def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None) -> CheckReport:
+    """Evaluate identity rows (id, arity, terms) on the algebra's int tables
+    its terms name by key, an op name or a derived product's parts, the ops
+    ``names`` looked up first, and an optional form (the table "B"), each
+    identity compiled with its last slot free.  Without a form the compiled
+    lines are kept with the algebra's int form; a form is a second value, so
+    a form's identities are compiled on every call.
 
-    The tables come from the algebra's int form, scaled by its d_A
-    (:meth:`splitalg.core.Algebra.scaled`); only the form is scaled here, by
-    its own d_B.  A term multiplies two of these tables (one when PLAIN), so
-    an identity's exact residual is its int residual divided by their
-    denominators' product: d_A**2, d_A * d_B or d_B."""
+    The tables and their largest entries come from the algebra's int form,
+    scaled by its d_A (:meth:`splitalg.core.Algebra.scaled`); only the form
+    is scaled here, by its own d_B.  A term multiplies two of these tables
+    (one when PLAIN), so an identity's exact residual is its int residual
+    divided by their denominators' product: d_A**2, d_A * d_B or d_B."""
     def compiled():
-        d_a, tables = alg.scaled(*names, *derived.values())
-        ops = dict(zip([*names, *derived], tables))
+        keys = dict.fromkeys((*names, *(key for _, _, terms in system for term in terms
+                                        for key in term[2:4] if key not in (None, "B"))))
+        d_a, tables = alg.scaled(*keys)
+        ops = dict(zip(keys, tables))
+        bounds = {key: alg.entry_bound(key) for key in keys}
         scale = dict.fromkeys(ops, d_a)
         if form is not None:
             if form.dim != alg.dim:
                 raise DimensionMismatch("form dimension does not match the algebra")
             scale["B"], gram = clear_denominators(form.gram)
             ops["B"] = tuple(tuple((x,) for x in row) for row in gram)
-        bounds = {name: max_abs(table) for name, table in ops.items()}
+            bounds["B"] = max_abs(gram)
         lines, packings = [], {}
         for ident, arity, terms in system:
             _, shape, a, b, _ = terms[0]
-            plane, split = _compile(terms, ops, alg.dim, bounds, packings, arity - 1,
-                                    range(alg.dim))
+            plane, split = _compile(terms, ops, bounds, packings, arity - 1, range(alg.dim))
             lines.append((ident, arity, scale[a] if shape == PLAIN else scale[a] * scale[b],
                           lambda *idx, plane=plane, split=split: split(plane(*idx))))
         return lines
@@ -233,7 +239,7 @@ def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None,
 
 
 # ---------------------------------------------------------------------------
-# the class identity systems: (derived tables, identity rows)
+# the class identity systems: identity rows per class
 
 def _assoc(a, b, perm=XYZ, sign=1):
     """sign * ((x a y) b z - x b (y a z)), the associator-shaped pair."""
@@ -246,26 +252,27 @@ def _pair(out_left, mid_left, out_right, mid_right):
 
 
 _CLASS_SYSTEMS = {
-    "pre_lie": ({}, (
+    "pre_lie": (
         ("eq-2.2", 3, _assoc("circ", "circ") + _assoc("circ", "circ", YXZ, -1)),
-    )),
-    "lie": ({}, (
+    ),
+    "lie": (
         ("lie-antisym", 2, ((1, PLAIN, "bracket", None, XY), (1, PLAIN, "bracket", None, YX))),
         ("lie-jacobi", 3, (
             (1, RIGHT, "bracket", "bracket", XYZ),
             (1, RIGHT, "bracket", "bracket", YZX),
             (1, RIGHT, "bracket", "bracket", ZXY),
         )),
-    )),
-    "associative": ({}, (
+    ),
+    "associative": (
         ("associativity", 3, _assoc("circ", "circ")),
-    )),
-    "dendriform": ({"star": DENDRIFORM_STAR}, (
-        ("eq-1.1-left", 3, ((1, LEFT, "prec", "prec", XYZ), (-1, RIGHT, "prec", "star", XYZ))),
-        ("eq-1.1-mid", 3, ((1, LEFT, "succ", "prec", XYZ), (-1, RIGHT, "succ", "prec", XYZ))),
-        ("eq-1.1-right", 3, ((1, RIGHT, "succ", "succ", XYZ), (-1, LEFT, "star", "succ", XYZ))),
-    )),
-    "l_dendriform": ({}, (
+    ),
+    "dendriform": (
+        ("eq-1.1-left", 3, _pair("prec", "prec", "prec", DENDRIFORM_STAR)),
+        ("eq-1.1-mid", 3, _pair("prec", "succ", "succ", "prec")),
+        ("eq-1.1-right", 3, ((1, RIGHT, "succ", "succ", XYZ),
+                             (-1, LEFT, DENDRIFORM_STAR, "succ", XYZ))),
+    ),
+    "l_dendriform": (
         # x|>(y|>z) - (x|>y)|>z - (x<|y)|>z - y|>(x|>z) + (y<|x)|>z + (y|>x)|>z
         ("eq-3.1", 3, (
             (1, RIGHT, "tri_r", "tri_r", XYZ),
@@ -283,20 +290,17 @@ _CLASS_SYSTEMS = {
             (-1, RIGHT, "tri_l", "tri_l", YXZ),
             (1, LEFT, "tri_l", "tri_l", YXZ),
         )),
-    )),
+    ),
     "quadri": (
-        {name: QUADRI_DERIVED[name] for name in ("succ", "prec", "vee", "wedge", "star")},
-        (
-            ("eq-3.17-left", 3, _pair("nw", "nw", "nw", "star")),
-            ("eq-3.17-mid", 3, _pair("nw", "ne", "ne", "prec")),
-            ("eq-3.17-right", 3, _pair("ne", "wedge", "ne", "succ")),
-            ("eq-3.18-left", 3, _pair("nw", "sw", "sw", "wedge")),
-            ("eq-3.18-mid", 3, _pair("nw", "se", "se", "nw")),
-            ("eq-3.18-right", 3, _pair("ne", "vee", "se", "ne")),
-            ("eq-3.19-left", 3, _pair("sw", "prec", "sw", "vee")),
-            ("eq-3.19-mid", 3, _pair("sw", "succ", "se", "sw")),
-            ("eq-3.19-right", 3, _pair("se", "star", "se", "se")),
-        ),
+        ("eq-3.17-left", 3, _pair("nw", "nw", "nw", QUADRI_DERIVED["star"])),
+        ("eq-3.17-mid", 3, _pair("nw", "ne", "ne", QUADRI_DERIVED["prec"])),
+        ("eq-3.17-right", 3, _pair("ne", QUADRI_DERIVED["wedge"], "ne", QUADRI_DERIVED["succ"])),
+        ("eq-3.18-left", 3, _pair("nw", "sw", "sw", QUADRI_DERIVED["wedge"])),
+        ("eq-3.18-mid", 3, _pair("nw", "se", "se", "nw")),
+        ("eq-3.18-right", 3, _pair("ne", QUADRI_DERIVED["vee"], "se", "ne")),
+        ("eq-3.19-left", 3, _pair("sw", QUADRI_DERIVED["prec"], "sw", QUADRI_DERIVED["vee"])),
+        ("eq-3.19-mid", 3, _pair("sw", QUADRI_DERIVED["succ"], "se", "sw")),
+        ("eq-3.19-right", 3, _pair("se", QUADRI_DERIVED["star"], "se", "se")),
     ),
 }
 
@@ -315,8 +319,7 @@ def check_class(alg: Algebra, class_name: str) -> CheckReport:
             raise UnknownOperation(
                 f"class {class_name!r} needs operation {op_name!r}"
             )
-    derived, system = _CLASS_SYSTEMS[class_name]
-    return _check_system(system, alg, REQUIRED_OPS[class_name], derived=derived)
+    return _check_system(_CLASS_SYSTEMS[class_name], alg, REQUIRED_OPS[class_name])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +337,7 @@ _LDEND_COCYCLE = (
         (1, LEFT, "tri_l", "B", XYZ),
         (1, RIGHT, "B", "tri_r", YZX),
         (-1, RIGHT, "B", "tri_l", YXZ),
-        (-1, RIGHT, "B", "bullet", XZY),
+        (-1, RIGHT, "B", HORIZONTAL, XZY),
     )),
 )
 
@@ -347,4 +350,4 @@ def check_prelie_cocycle(alg: Algebra, B: BilinearForm) -> CheckReport:
 def check_ldend_cocycle(alg: Algebra, B: BilinearForm) -> CheckReport:
     """Skew-symmetry plus  B(x<|y, z) = -B(y, z o x) + B(x, z * y)  where
     o and * are the vertical and horizontal products of the tables."""
-    return _check_system(_LDEND_COCYCLE, alg, ("tri_r", "tri_l"), B, {"bullet": HORIZONTAL})
+    return _check_system(_LDEND_COCYCLE, alg, ("tri_r", "tri_l"), B)

@@ -382,9 +382,7 @@ class Algebra:
 
     def entry_bound(self, *keys) -> int:
         """The largest absolute entry of the int tables named by ``keys`` (see
-        :meth:`scaled`), 0 for none.  It is kept with each table under the
-        table's own key, not under the op name a caller gives it: two callers
-        may give one name to different tables."""
+        :meth:`scaled`), 0 for none, kept with each table under its key."""
         return max((bound for _, bound in self._entries(keys)), default=0)
 
 
@@ -901,14 +899,12 @@ def _slot_layout(r_slots, s_slots, n: int) -> tuple[bool, bool, int, int, int]:
             stride[shared], stride[r_other], stride[s_other])
 
 
-def slot_sum(
-    terms, alg: Algebra, derived: Mapping[str, Sequence] = MappingProxyType({})
-) -> Tensor3:
+def slot_sum(terms, alg: Algebra) -> Tensor3:
     """Signed sum of slot products (see :func:`slot_product`), evaluated on ints.
 
-    ``terms`` are ``(sign, r, r_slots, s, s_slots, op)`` rows.  ``op`` names
-    a table of ``alg`` or a derived product in ``derived``, whose
-    ``derived[op]`` holds the parts of :func:`derive`.
+    ``terms`` are ``(sign, r, r_slots, s, s_slots, key)`` rows.  ``key``
+    names a table by its key in the algebra's int form: an op name, or the
+    ``(sign, name, flipped)`` parts of a derived product (see :func:`derive`).
 
     The products come from the algebra's int form, scaled by its d_A and
     derived once per value (:meth:`Algebra.scaled`); only the distinct
@@ -931,10 +927,9 @@ def slot_sum(
     exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
     maxima taken over the int tables and tensors (:func:`field_width`).
     """
-    ops = dict.fromkeys(term[5] for term in terms)
-    keys = [derived.get(op, op) for op in ops]
+    keys = dict.fromkeys(term[5] for term in terms)
     d_a, tables = alg.scaled(*keys)
-    products = dict(zip(ops, tables))
+    products = dict(zip(keys, tables))
     n = alg.dim
     layouts, tensors = [], {}
     for _, r, r_slots, s, s_slots, _ in terms:
@@ -957,9 +952,8 @@ def slot_sum(
         return tuple(pack(row, stride * bits) if any(row) else 0 for row in grid)
 
     @cache
-    def transposed(op) -> Table:
-        """Table ``op`` with its two inputs swapped, kept in the int form."""
-        key = derived.get(op, op)
+    def transposed(key) -> Table:
+        """Table ``key`` with its two inputs swapped, kept in the int form."""
         parts = ((1, key, False),) if isinstance(key, str) else key
         return alg.scaled(tuple((sign, name, not flipped) for sign, name, flipped in parts))[1][0]
 
@@ -969,12 +963,12 @@ def slot_sum(
         return tuple(u for u, row in enumerate(rows(key, first)) if any(row))
 
     acc = [0] * n
-    for (sign, r, _, s, _, op), (r_first, s_first, *strides) in zip(terms, layouts):
-        (k_stride, r_stride, s_stride), table = strides, products[op]
+    for (sign, r, _, s, _, key), (r_first, s_first, *strides) in zip(terms, layouts):
+        (k_stride, r_stride, s_stride), table = strides, products[key]
         r_key, s_key = (id(r), r_first), (id(s), s_first)
         if s_stride == n * n:       # s's other slot is slot 1: r's layout, roles swapped
             r_key, s_key, r_stride, s_stride = s_key, r_key, s_stride, r_stride
-            table = transposed(op)
+            table = transposed(key)
         vs = support(*s_key)
         blocks = [(u, v, vec) for u in support(*r_key)
                   for v, vec in zip(vs, map(table[u].__getitem__, vs)) if any(vec)]

@@ -201,11 +201,11 @@ def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
         d, tables, acts = _module_ints(m.base, blocks, [f for pair in blocks.values() for f in pair])
         ops = {op: _block_fill(t, l, r, 0) for op, t, l, r in zip(blocks, tables, *[iter(acts)] * 2)}
         bounds = {op: max_abs(table) for op, table in ops.items()}
-        terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[class_name][1]}
+        terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[class_name]}
         packings = {}
 
         def module_line(cls, slot, sign):
-            plane, split = _compile(terms[cls], ops, n + v, bounds, packings, slot, range(n, n + v))
+            plane, split = _compile(terms[cls], ops, bounds, packings, slot, range(n, n + v))
 
             def line(i):
                 for j in range(n):

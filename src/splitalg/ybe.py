@@ -42,7 +42,7 @@ from .core import (
     tensor_to_map,
 )
 from .functors import HORIZONTAL, SUB_ADJACENT, VERTICAL, _tag, commutator
-from .operators import _check_o
+from .operators import _FLIPPED_CIRC, _check_o
 from .representations import (
     _DUAL_LDEND,
     _DUAL_PRELIE,
@@ -87,18 +87,18 @@ def _check_dims(alg: Algebra, r: Tensor2, *ops: str):
 # the tensor equations as signed slot-product rows
 
 #: eq-2.9 and its alternate displayed form, as (sign, left_slots,
-#: right_slots, op) summands
+#: right_slots, key) summands, the bracket the sub-adjacent one of circ
 _S_FORMS = {
     # -r12 o r13 + r12 o r23 + [r13, r23]
     "eq-2.9": (
         (-1, (1, 2), (1, 3), "circ"),
         (1, (1, 2), (2, 3), "circ"),
-        (1, (1, 3), (2, 3), "bracket"),
+        (1, (1, 3), (2, 3), SUB_ADJACENT),
     ),
     # r13 o r23 + [r12, r23] - r13 o r12
     "alternate": (
         (1, (1, 3), (2, 3), "circ"),
-        (1, (1, 2), (2, 3), "bracket"),
+        (1, (1, 2), (2, 3), SUB_ADJACENT),
         (-1, (1, 3), (1, 2), "circ"),
     ),
 }
@@ -152,18 +152,18 @@ _VARIANT_ALIASES = {
     "p4": "eq-4.14",
 }
 
+#: LD_VARIANTS with each op resolved to its int-form key: circ and bullet
+#: are the vertical and horizontal products, bracket the vertical commutator
+_LD_KEYS = {"circ": VERTICAL, "bullet": HORIZONTAL, "bracket": commutator(VERTICAL)}
+_LD_TERMS = {eq: tuple((sign, left, right, _LD_KEYS.get(op, op)) for sign, left, right, op in rows)
+             for eq, rows in LD_VARIANTS.items()}
 
-#: the derived products of each equation: the S-equation's bracket is the
-#: sub-adjacent one, the LD-equation's is that of the vertical product
-_S_DERIVED = {"bracket": SUB_ADJACENT}
-_LD_DERIVED = {"circ": VERTICAL, "bullet": HORIZONTAL, "bracket": commutator(VERTICAL)}
 
-
-def _slot_sum(alg: Algebra, derived, r: Tensor2, summands) -> Tensor3:
+def _slot_sum(alg: Algebra, r: Tensor2, summands) -> Tensor3:
     """The signed sum of slot products of r with itself, one per
-    (sign, left_slots, right_slots, op) summand."""
-    terms = [(sign, r, left, r, right, op) for sign, left, right, op in summands]
-    return slot_sum(terms, alg, derived)
+    (sign, left_slots, right_slots, key) summand, the key an op name or a
+    derived product's parts (see :func:`splitalg.core.slot_sum`)."""
+    return slot_sum([(sign, r, left, r, right, key) for sign, left, right, key in summands], alg)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def s_residual(alg: Algebra, r: Tensor2) -> Tensor3:
     """-r12 o r13 + r12 o r23 + [r13, r23], the bracket taken in the
     sub-adjacent Lie algebra of the circ table."""
     _check_dims(alg, r)
-    return _slot_sum(alg, _S_DERIVED, r, _S_FORMS["eq-2.9"])
+    return _slot_sum(alg, r, _S_FORMS["eq-2.9"])
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,11 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
         raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
     _check_dims(alg, r)
     t = clear_denominators(tensor_to_map(r).entries)
-    d_a, (circ,) = alg.scaled("circ")
-    dual = _dual_actions({"l": circ, "r": tuple(zip(*circ))}, _DUAL_PRELIE)
+    d_a, (circ, flip) = alg.scaled("circ", _FLIPPED_CIRC)
+    dual = _dual_actions({"l": circ, "r": flip}, _DUAL_PRELIE)
     return SEquivalenceReport(
         residual=s_residual(alg, r),
-        alternate=_slot_sum(alg, _S_DERIVED, r, _S_FORMS["alternate"]),
+        alternate=_slot_sum(alg, r, _S_FORMS["alternate"]),
         operator=_check_o(t, [("eq-2.10", circ, *dual)], alg.dim, d_a),
     )
 
@@ -232,7 +232,7 @@ def ld_residual(alg: Algebra, r: Tensor2, variant: str = "eq-4.8") -> Tensor3:
         known = sorted(LD_VARIANTS) + sorted(_VARIANT_ALIASES)
         raise ValueError(f"unknown LD-equation variant {variant!r} (choose from {known})")
     _check_dims(alg, r, "tri_r", "tri_l")
-    return _slot_sum(alg, _LD_DERIVED, r, LD_VARIANTS[key])
+    return _slot_sum(alg, r, _LD_TERMS[key])
 
 
 @dataclass(frozen=True)
@@ -283,13 +283,14 @@ class LDEquivalenceReport:
         return self.aux_a.is_zero or not self.aux_b.is_zero
 
 
-def _prelie_modules(tables) -> tuple[tuple, tuple]:
+def _prelie_modules(tables, vertical, horizontal) -> tuple[tuple, tuple]:
     """The (base table, l, r) action tables of the pre-Lie modules (L_r, -L_l) over
-    the vertical and (L_r, R_l) over the horizontal product of the L-dendriform
-    ``tables``, Fraction or int; the identity map is an O-operator of both."""
+    the ``vertical`` and (L_r, R_l) over the ``horizontal`` product of the
+    L-dendriform ``tables``, Fraction or int; the identity map is an O-operator
+    of both."""
     acts = _regular_ldend_actions(tables)
-    return ((derive(tables, VERTICAL), acts["l_r"], derive(acts, ((-1, "l_l", False),))),
-            (derive(tables, HORIZONTAL), acts["l_r"], acts["r_l"]))
+    return ((vertical, acts["l_r"], derive(acts, ((-1, "l_l", False),))),
+            (horizontal, acts["l_r"], acts["r_l"]))
 
 
 def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
@@ -297,12 +298,12 @@ def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
     t = clear_denominators(tensor_to_map(r).entries)
-    d_a, (tri_r, tri_l) = alg.scaled("tri_r", "tri_l")
+    d_a, (tri_r, tri_l, vertical, horizontal) = alg.scaled("tri_r", "tri_l", VERTICAL, HORIZONTAL)
     tables = {"tri_r": tri_r, "tri_l": tri_l}
     l_r, r_r, l_l, r_l = _dual_actions(_regular_ldend_actions(tables), _DUAL_LDEND)
     ldend = [("eq-4.7-tri_r", tri_r, l_r, r_r), ("eq-4.7-tri_l", tri_l, l_l, r_l)]
     vert, hor = ([("eq-2.10", table, *_dual_actions({"l": left, "r": right}, _DUAL_PRELIE))]
-                 for table, left, right in _prelie_modules(tables))
+                 for table, left, right in _prelie_modules(tables, vertical, horizontal))
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
         operator_ldend=_check_o(t, ldend, alg.dim, d_a),
@@ -350,7 +351,8 @@ def canonical_double_solution(alg: Algebra) -> tuple[Algebra, Algebra, Tensor2]:
     sum_i (e_i (x) e_i* + e_i* (x) e_i)  solves the S-equation: the
     solutions that :func:`build_s_solution` builds from the identity map."""
     n = alg.dim
-    modules = _prelie_modules({"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")})
+    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
+    modules = _prelie_modules(tables, derive(tables, VERTICAL), derive(tables, HORIZONTAL))
     (hat_vert, r), (hat_hor, _) = (
         build_s_solution(PreLieModule(Algebra(n, {"circ": table}, _tag(name, alg)), n,
                                       _family(left), _family(right)), LinearMap.identity(n))
@@ -396,8 +398,8 @@ _COMPANION = (
     # B(x |> y, z) + B(y, x * z) - B(y, z * x) + B(x, z |> y)
     ("eq-4.15", 3, (
         (1, LEFT, "tri_r", "B", XYZ),
-        (1, RIGHT, "B", "bullet", YXZ),
-        (-1, RIGHT, "B", "bullet", YZX),
+        (1, RIGHT, "B", HORIZONTAL, YXZ),
+        (-1, RIGHT, "B", HORIZONTAL, YZX),
         (1, RIGHT, "B", "tri_r", XZY),
     )),
 )
@@ -406,7 +408,7 @@ _COMPANION = (
 def _check_companion_identity(alg: Algebra, B) -> CheckReport:
     """B(x |> y, z) = -B(y, [x, z]) - B(x, z |> y)  over all basis triples,
     the bracket being that of the horizontal product *."""
-    return _check_system(_COMPANION, alg, ("tri_r", "tri_l"), B, {"bullet": HORIZONTAL})
+    return _check_system(_COMPANION, alg, ("tri_r", "tri_l"), B)
 
 
 def form_criterion_check(alg: Algebra, r: Tensor2) -> FormCriterionReport:

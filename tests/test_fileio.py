@@ -1,5 +1,6 @@
 """Canonical JSON formats: round trips, byte determinism, diagnostics."""
 
+import copy
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitalg as sa
-from splitalg import fileio
+from splitalg import catalog, fileio
 from splitalg.representations import regular_ldend_module, regular_prelie_module
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -562,3 +563,106 @@ def test_algebra_without_operations_is_written(tmp_path):
     fileio.write_algebra(sa.Algebra(1, {}), path)
     assert path.read_text(encoding="utf-8") == '{\n  "dim": 1,\n  "ops": {}\n}\n'
     assert fileio.read_algebra(path) == sa.Algebra(1, {})
+
+
+# ---------------------------------------------------------------------------
+# mutated documents: a reader returns a value or refuses with a located error
+
+def _module_doc(value) -> dict:
+    """The document of a module, or of a Lie representation (base, rho)."""
+    if isinstance(value, tuple):
+        base, rho = value
+        return {"base": fileio.algebra_to_doc(base), "vdim": rho[0].rows,
+                "rho": [fileio.map_to_doc(m) for m in rho]}
+    return fileio.module_to_doc(value)
+
+
+def _valid_documents() -> list:
+    """(reader, writer, document) for valid documents of every kind."""
+    objects = [catalog.build(name) for name in catalog.CATALOG_NAMES]
+    p2, l2, ld2 = catalog.p2(), catalog.l2(), catalog.ld2()
+    out = [(fileio.algebra_from_doc, fileio.algebra_to_doc, obj)
+           for obj in objects if isinstance(obj, sa.Algebra)]
+    out += [(fileio.map_from_doc, fileio.map_to_doc, T)
+            for T in (catalog.rb2(), sa.linmap([[1, 2, 3], [0, "1/2", 0]]))]
+    out += [(fileio.tensor_from_doc, fileio.tensor_to_doc, t)
+            for t in (catalog.build("LD2_CANONICAL_R"), sa.tensor2(2, [(1, 2, "-1/3")]),
+                      sa.tensor3(2, [(1, 2, 1, "1/2"), (2, 2, 2, -1)]))]
+    out += [(fileio.form_from_doc, fileio.form_to_doc, sa.bilinear_form([[1, "1/2"], [-1, 0]]))]
+    out += [(fileio.module_from_doc, _module_doc, m)
+            for m in (regular_prelie_module(p2), regular_ldend_module(ld2),
+                      (l2, sa.adjoint_family(l2)))]
+    return [(reader, writer, writer(obj)) for reader, writer, obj in out]
+
+
+_DOCUMENTS = _valid_documents()
+
+#: what a mutation puts into a document: every JSON type, numbers at and past
+#: the bounds, and strings that are and are not rationals or op names
+_ATOMS = (0, 1, 2, -1, 65, 2 ** 300, 1.5, True, False, None, "", "x", "1/0", "2/3", "1e9",
+          "tri_r", [], {})
+
+
+def _nodes(node, path=()):
+    """The path of every node of a document, the node's own first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _mutate(data, doc):
+    """``doc`` after one drawn mutation: a node replaced by an atom or by a
+    copy of another node, a key deleted, or a list element duplicated or
+    inserted.  The document is the only element of a holder list, so that
+    the whole document can be replaced too."""
+    holder = [doc]
+    nodes = list(_nodes(holder))
+    parents = dict(nodes)
+    kinds = {
+        "atom": [path for path, _ in nodes if path],
+        "copy": [path for path, _ in nodes if path],
+        "delete": [path for path, _ in nodes if len(path) > 1
+                   and isinstance(parents[path[:-1]], dict)],
+        "duplicate": [path for path, _ in nodes if len(path) > 1
+                      and isinstance(parents[path[:-1]], list)],
+        "insert": [path for path, node in nodes if path and isinstance(node, list)],
+    }
+    kind = data.draw(st.sampled_from([k for k, paths in kinds.items() if paths]))
+    path = data.draw(st.sampled_from(kinds[kind]))
+    parent, key, node = parents[path[:-1]], path[-1], parents[path]
+    if kind == "atom":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ATOMS)))
+    elif kind == "copy":
+        parent[key] = copy.deepcopy(parents[data.draw(st.sampled_from(kinds["copy"]))])
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "duplicate":
+        parent.insert(key, copy.deepcopy(node))
+    else:
+        node.insert(data.draw(st.integers(0, len(node))),
+                    copy.deepcopy(data.draw(st.sampled_from(_ATOMS))))
+    return holder[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_documents_read_as_values_or_located_errors(data):
+    """Every valid document of every kind, after 1-3 drawn mutations, either
+    reads as a value whose written document reads back equal, or is refused
+    with a FileFormatError whose message starts with the document's name and
+    stays under 1 KB."""
+    where = "mutated.json"
+    for reader, writer, doc in _DOCUMENTS:
+        doc = copy.deepcopy(doc)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(data, doc)
+        try:
+            value = reader(doc, where)
+        except fileio.FileFormatError as exc:
+            message = str(exc)
+            assert message.startswith(where), message
+            assert len(message.encode()) < 1024, message[:200]
+        else:
+            assert reader(writer(value), where) == value

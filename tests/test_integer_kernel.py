@@ -306,7 +306,7 @@ def test_plane_fields_reach_the_width_bound(shape, free, lo):
     perm = axioms.XY if shape == axioms.PLAIN else axioms.XYZ
     terms = ((1, shape, "A", "B", perm), (-1, shape, "C", "B", perm))
     bounds = {name: max_abs(table) for name, table in ops.items()}
-    plane, split = axioms._compile(terms, ops, n, bounds, {}, free, range(lo, n))
+    plane, split = axioms._compile(terms, ops, bounds, {}, free, range(lo, n))
     bits = field_width(top)
     assert bits == 41
     for prefix in itertools.product(range(n), repeat=len(perm) - 1):
@@ -518,12 +518,12 @@ def oracle_sum(terms, tables):
 def test_slot_sums_match_the_sum_of_oracle_products(data):
     """Signed sums with a term for each of the six slot pairs, so all three
     packed layouts, plus drawn extra terms, on two distinct tensors; in half
-    the examples a term is cancelled by its negation.  The op "circ" is the
-    vertical product, derived from tri_r and tri_l."""
+    the examples a term is cancelled by its negation.  The third table is the
+    vertical product, derived from tri_r and tri_l and named by its parts."""
     n = data.draw(st.integers(1, 5))
     tables = {name: data.draw(grids((n, n, n))) for name in ("tri_r", "tri_l")}
     alg = sa.Algebra(n, tables)
-    tables["circ"] = vertical_table(lists(tables["tri_r"]), lists(tables["tri_l"]))
+    tables[VERTICAL] = vertical_table(lists(tables["tri_r"]), lists(tables["tri_l"]))
     r, s = data.draw(tensors(n)), data.draw(tensors(n))
     signs, ops = st.sampled_from((1, -1)), st.sampled_from(tuple(tables))
     pool = st.sampled_from((r, s))
@@ -537,7 +537,7 @@ def test_slot_sums_match_the_sum_of_oracle_products(data):
         sign, *rest = data.draw(st.sampled_from(terms))
         terms.append((-sign, *rest))
     order = data.draw(st.permutations(terms))
-    assert slot_sum(order, alg, {"circ": VERTICAL}) == oracle_sum(order, tables)
+    assert slot_sum(order, alg) == oracle_sum(order, tables)
 
 
 @pytest.mark.parametrize("m", [2 ** 40, Fraction(2 ** 40, 3)], ids=["int", "fraction"])
@@ -716,7 +716,7 @@ def test_checks_compile_once_per_value(monkeypatch, p2, l2, ld2, d1):
     for alg, class_name in ((p2, "pre_lie"), (p2, "associative"), (l2, "lie"), (d1, "dendriform"),
                             (ld2, "l_dendriform"), (quadri, "quadri")):
         alg = sa.Algebra(alg.dim, dict(alg.ops))
-        system = axioms._CLASS_SYSTEMS[class_name][1]
+        system = axioms._CLASS_SYSTEMS[class_name]
         assert count(sa.check_class, alg, class_name) == len(system), class_name
         assert count(sa.check_class, alg, class_name) == 0, class_name
     base = sa.Algebra(2, {**p2.ops, **ld2.ops})
