@@ -346,7 +346,7 @@ class Algebra:
         scaled by it to ints, each with its largest absolute entry (key ->
         (table, bound), see :meth:`scaled`), the vectors of those tables
         (vector -> itself), so that equal vectors are one tuple, and what
-        checks compiled from them (see :meth:`compiled`)."""
+        checks compiled or built from them (see :meth:`compiled`)."""
         d, tables = clear_denominators(tuple(self.ops.values()))
         vectors: dict = {}
         return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors, {}
@@ -374,7 +374,8 @@ class Algebra:
 
     def compiled(self, key, build):
         """``build()``, called on first use and kept with the int form under
-        ``key``: the identities a class check compiled from the int tables."""
+        ``key``: the identities a class check compiled from the int tables,
+        or the O-operator rows of the modules an equivalence report checks."""
         kept = self._int_form[3]
         if key not in kept:
             kept[key] = build()

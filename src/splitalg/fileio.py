@@ -296,10 +296,6 @@ def form_from_doc(doc, where: str = "form") -> BilinearForm:
 # ---------------------------------------------------------------------------
 # modules
 
-_PRELIE_KEYS = ("l", "r")
-_LDEND_KEYS = ("l_r", "r_r", "l_l", "r_l")
-
-
 def _family_to_doc(family) -> list:
     return [map_to_doc(m) for m in family]
 
@@ -316,9 +312,8 @@ def _family_from_doc(rows, vdim: int, base_dim: int, where: str, scalar: _Scalar
 
 
 def module_to_doc(m: PreLieModule | LDendModule) -> dict:
-    keys = _PRELIE_KEYS if isinstance(m, PreLieModule) else _LDEND_KEYS
     doc = {"base": algebra_to_doc(m.base), "vdim": m.vdim}
-    for key in keys:
+    for key in m._families():
         doc[key] = _family_to_doc(getattr(m, key))
     return doc
 
@@ -335,16 +330,11 @@ def module_from_doc(doc, where: str = "module"):
     def family(key):
         return _family_from_doc(doc[key], vdim, base.dim, f"{where}.{key}", scalar)
 
-    def needs(kind, *ops):                     # the module classes would raise UnknownOperation
-        for op in ops:
-            _expect(base.has_op(op), f"{where}.base.ops: missing {op!r}, which {kind} needs")
-
-    if all(k in doc for k in _LDEND_KEYS):
-        needs("an L-dendriform module", "tri_r", "tri_l")
-        return LDendModule(base, vdim, **{k: family(k) for k in _LDEND_KEYS})
-    if all(k in doc for k in _PRELIE_KEYS):
-        needs("a pre-Lie module", "circ")
-        return PreLieModule(base, vdim, **{k: family(k) for k in _PRELIE_KEYS})
+    for cls, kind in ((LDendModule, "an L-dendriform module"), (PreLieModule, "a pre-Lie module")):
+        if all(k in doc for k in cls._families()):
+            for op, *_ in cls._blocks:         # the module classes would raise UnknownOperation
+                _expect(base.has_op(op), f"{where}.base.ops: missing {op!r}, which {kind} needs")
+            return cls(base, vdim, *map(family, cls._families()))
     if "rho" in doc:
         return base, family("rho")
     raise FileFormatError(

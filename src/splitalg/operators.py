@@ -135,8 +135,7 @@ _FLIPPED_CIRC = ((1, "circ", True),)
 def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    d, (circ,), (l, r) = _module_ints(m.base, ("circ",), (m.l, m.r))
-    return _check_o(clear_denominators(T.entries), [("eq-2.10", circ, l, r)], m.vdim, d)
+    return _check_o(clear_denominators(T.entries), *m._o_rows)
 
 
 def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
@@ -161,10 +160,7 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     """Both displayed O-operator identities of an L-dendriform module."""
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    d, (tr, tl), (lr, rr, ll, rl) = _module_ints(m.base, ("tri_r", "tri_l"),
-                                                 (m.l_r, m.r_r, m.l_l, m.r_l))
-    rows = [("eq-4.7-tri_r", tr, lr, rr), ("eq-4.7-tri_l", tl, ll, rl)]
-    return _check_o(clear_denominators(T.entries), rows, m.vdim, d)
+    return _check_o(clear_denominators(T.entries), *m._o_rows)
 
 
 # ---------------------------------------------------------------------------

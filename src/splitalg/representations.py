@@ -6,6 +6,13 @@ algebra's basis, so linearity in the algebra argument is automatic.
 Semidirect sums place base coordinates first and module coordinates second,
 which fixes the block layout in file output.
 
+A module kind is declared once, as its blocks: each a base op extended by a
+(left, right) pair of families, with the id of its O-operator identity.
+The constructors, the semidirect sums, the module and O-operator checks
+and the file format all read that declaration.  A module value keeps its
+int form (base tables and action tables as ints) and its O-operator rows,
+built on first use.
+
 A module is checked as the class identities of its semidirect sum: the
 family data is a module exactly when A + V lies in the class, and since
 V.V = 0 only the basis tuples holding exactly one module vector f_w can
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .axioms import _CLASS_SYSTEMS, CheckReport, _compile, _run
@@ -30,8 +38,9 @@ from .core import (
     clear_denominators,
     derive,
     max_abs,
+    rename_ops,
 )
-from .functors import _tag
+from .functors import _tag, horizontal_prelie, vertical_prelie
 
 __all__ = [
     "PreLieModule",
@@ -57,22 +66,46 @@ def _check_family(family: Sequence[LinearMap], base_dim: int, vdim: int, name: s
             raise DimensionMismatch(f"family {name!r} matrices must be {vdim}x{vdim}")
 
 
-def _check_families(module, names: Sequence[str]):
-    """Refuse a module whose ``vdim`` is not an int or whose named families
-    do not fit, and store each family as a tuple."""
-    check_size(module.vdim, "vdim")
-    for name in names:
-        family = tuple(getattr(module, name))
-        _check_family(family, module.base.dim, module.vdim, name)
-        object.__setattr__(module, name, family)
-
-
 class _Module:
-    """Copies and pickles of a module are rebuilt from its fields, without
-    the compiled identities a check keeps with the value."""
+    """A module kind with its blocks ``_blocks``: (base op, left family
+    field, right family field, O-operator identity id), the families being
+    the fields after ``base`` and ``vdim`` in block order.  Copies and
+    pickles are rebuilt from the fields, without what checks keep with the
+    value: the int form, the O-operator rows and the compiled identities."""
+
+    def __post_init__(self):
+        """Refuse a base without a block op, a ``vdim`` that is not an int,
+        then each family in field order that does not fit; store each
+        family as a tuple."""
+        for op, *_ in self._blocks:
+            self.base.op(op)
+        check_size(self.vdim, "vdim")
+        for name in self._families():
+            family = tuple(getattr(self, name))
+            _check_family(family, self.base.dim, self.vdim, name)
+            object.__setattr__(self, name, family)
+
+    @classmethod
+    def _families(cls) -> tuple[str, ...]:
+        return tuple(name for _, left, right, _ in cls._blocks for name in (left, right))
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @cached_property
+    def _ints(self) -> tuple[int, list]:
+        """d and each block's (base table, l, r action tables) as ints
+        scaled by d (see :func:`_module_ints`), built once per value."""
+        d, tables, acts = _module_ints(self.base, [op for op, *_ in self._blocks],
+                                       [getattr(self, name) for name in self._families()])
+        return d, list(zip(tables, acts[::2], acts[1::2]))
+
+    @cached_property
+    def _o_rows(self) -> tuple[list, int, int]:
+        """The O-operator rows (id, base table, l, r) of the int form, vdim
+        and d: the arguments after the map of ``operators._check_o``."""
+        d, blocks = self._ints
+        return [(ident, *grids) for (*_, ident), grids in zip(self._blocks, blocks)], self.vdim, d
 
 
 @dataclass(frozen=True)
@@ -84,9 +117,7 @@ class PreLieModule(_Module):
     l: tuple[LinearMap, ...]
     r: tuple[LinearMap, ...]
 
-    def __post_init__(self):
-        self.base.op("circ")
-        _check_families(self, ("l", "r"))
+    _blocks = (("circ", "l", "r", "eq-2.10"),)
 
 
 @dataclass(frozen=True)
@@ -100,10 +131,7 @@ class LDendModule(_Module):
     l_l: tuple[LinearMap, ...]
     r_l: tuple[LinearMap, ...]
 
-    def __post_init__(self):
-        self.base.op("tri_r")
-        self.base.op("tri_l")
-        _check_families(self, ("l_r", "r_r", "l_l", "r_l"))
+    _blocks = (("tri_r", "l_r", "r_r", "eq-4.7-tri_r"), ("tri_l", "l_l", "r_l", "eq-4.7-tri_l"))
 
 
 def _actions(family: Sequence[LinearMap]) -> Table:
@@ -143,17 +171,20 @@ def regular_prelie_module(alg: Algebra) -> PreLieModule:
     return PreLieModule(alg, alg.dim, left_family(alg, "circ"), right_family(alg, "circ"))
 
 
-def _regular_ldend_actions(tables) -> dict:
-    """The action tables of the regular module of an L-dendriform algebra with
-    ``tri_r`` and ``tri_l`` tables (Fraction or int): each product and its flip."""
-    tri_r, tri_l = tables["tri_r"], tables["tri_l"]
-    return {"l_r": tri_r, "r_r": tuple(zip(*tri_r)), "l_l": tri_l, "r_l": tuple(zip(*tri_l))}
-
-
 def regular_ldend_module(alg: Algebra) -> LDendModule:
     """The regular module (L_r, R_r, L_l, R_l, A) of an L-dendriform algebra."""
-    acts = _regular_ldend_actions({"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")})
-    return LDendModule(alg, alg.dim, **{name: _family(table) for name, table in acts.items()})
+    return LDendModule(alg, alg.dim, *(family(alg, op) for op in ("tri_r", "tri_l")
+                                       for family in (left_family, right_family)))
+
+
+def _prelie_modules(alg: Algebra) -> tuple[PreLieModule, PreLieModule]:
+    """The pre-Lie modules (L_r, -L_l) over the vertical and (L_r, R_l) over
+    the horizontal product of an L-dendriform algebra, the latter renamed
+    circ; the identity map is an O-operator of both."""
+    l_r, l_l = left_family(alg, "tri_r"), left_family(alg, "tri_l")
+    return (PreLieModule(vertical_prelie(alg), alg.dim, l_r, tuple(-m for m in l_l)),
+            PreLieModule(rename_ops(horizontal_prelie(alg), {"bullet": "circ"}), alg.dim, l_r,
+                         right_family(alg, "tri_l")))
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +207,32 @@ def _block_fill(table: Table, left, right, zero) -> Table:
     return top + bottom
 
 
-def _semidirect(m, blocks, name: str) -> Algebra:
-    """The semidirect sum of module ``m`` whose operation ``op`` extends the
-    base table by the action pair ``blocks[op]``."""
+def _semidirect(m, name: str) -> Algebra:
+    """The semidirect sum of module ``m``, each block op extending the base
+    table by the block's pair of action tables."""
     ops = {
-        op: _block_fill(m.base.op(op), *map(_actions, pair), Fraction(0))
-        for op, pair in blocks.items()
+        op: _block_fill(m.base.op(op), _actions(getattr(m, left)), _actions(getattr(m, right)),
+                        Fraction(0))
+        for op, left, right, _ in m._blocks
     }
     return Algebra(m.base.dim + m.vdim, ops, _tag(name, m.base))
 
 
-def _check_module(m, blocks, class_name: str, ids) -> CheckReport:
+def _check_module(m, class_name: str, ids) -> CheckReport:
     """The module identities ``ids``, rows (module id, class identity, slot
     of f_w, sign), as class identities of the semidirect sum: the base
     indices (i, j) fill the other two slots in order, and the residual at
     (i, j) is the v x v matrix whose column w is sign times the module part
     of the class residual (the base part vanishes), flattened row-major.
     The slot of f_w is the free slot of the compiled identity, so one plane
-    per (i, j) holds every column; the compiled lines are kept with the
-    module value, so a second check of it compiles nothing."""
+    per (i, j) holds every column.  The tables are the module's int form,
+    and the compiled lines are kept with the module value too, so a second
+    check of it derives and compiles nothing."""
     n, v = m.base.dim, m.vdim
     lines = vars(m).get("_lines")
     if lines is None:
-        d, tables, acts = _module_ints(m.base, blocks, [f for pair in blocks.values() for f in pair])
-        ops = {op: _block_fill(t, l, r, 0) for op, t, l, r in zip(blocks, tables, *[iter(acts)] * 2)}
+        d, blocks = m._ints
+        ops = {op: _block_fill(*grids, 0) for (op, *_), grids in zip(m._blocks, blocks)}
         bounds = {op: max_abs(table) for op, table in ops.items()}
         terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[class_name]}
         packings = {}
@@ -253,7 +286,7 @@ _DUAL_LDEND = (
 
 def _dual_actions(acts, sums) -> tuple[Table, ...]:
     """The dual module's action tables from the module's, ``acts`` (name ->
-    table, Fraction or int): each sum of ``sums`` with its planes transposed."""
+    Fraction table): each sum of ``sums`` with its planes transposed."""
     totals = (derive(acts, [(s, name, False) for s, name in parts]) for parts in sums)
     return tuple(tuple(tuple(zip(*plane)) for plane in total) for total in totals)
 
@@ -266,7 +299,7 @@ def check_prelie_module(m: PreLieModule) -> CheckReport:
 
     Residuals are the matrix difference of the two sides, flattened row-major.
     """
-    return _check_module(m, {"circ": (m.l, m.r)}, "pre_lie", _PRELIE_MODULE_IDS)
+    return _check_module(m, "pre_lie", _PRELIE_MODULE_IDS)
 
 
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:
@@ -281,20 +314,16 @@ def semidirect_prelie(m: PreLieModule) -> Algebra:
 
     Base coordinates come first, module coordinates second; V.V = 0.
     """
-    return _semidirect(m, {"circ": (m.l, m.r)}, "semidirect_prelie")
+    return _semidirect(m, "semidirect_prelie")
 
 
 # ---------------------------------------------------------------------------
 # L-dendriform modules
 
-def _ldend_blocks(m: LDendModule):
-    return {"tri_r": (m.l_r, m.r_r), "tri_l": (m.l_l, m.r_l)}
-
-
 def check_ldend_module(m: LDendModule) -> CheckReport:
     """The five module identities over all basis pairs, with the vertical,
     horizontal and bracket products recomputed from the base tables."""
-    return _check_module(m, _ldend_blocks(m), "l_dendriform", _LDEND_MODULE_IDS)
+    return _check_module(m, "l_dendriform", _LDEND_MODULE_IDS)
 
 
 def dual_ldend_module(m: LDendModule) -> LDendModule:
@@ -307,4 +336,4 @@ def dual_ldend_module(m: LDendModule) -> LDendModule:
 
 def semidirect_ldend(m: LDendModule) -> Algebra:
     """L-dendriform structure on A + V from the four action families."""
-    return _semidirect(m, _ldend_blocks(m), "semidirect_ldend")
+    return _semidirect(m, "semidirect_ldend")

@@ -33,7 +33,6 @@ from .core import (
     Tensor2,
     Tensor3,
     clear_denominators,
-    derive,
     exchange,
     form_from_invertible_map,
     grid_nonzero,
@@ -41,18 +40,16 @@ from .core import (
     tensor2,
     tensor_to_map,
 )
-from .functors import HORIZONTAL, SUB_ADJACENT, VERTICAL, _tag, commutator
-from .operators import _FLIPPED_CIRC, _check_o
+from .functors import HORIZONTAL, SUB_ADJACENT, VERTICAL, commutator
+from .operators import _check_o
 from .representations import (
-    _DUAL_LDEND,
-    _DUAL_PRELIE,
     LDendModule,
     PreLieModule,
-    _dual_actions,
-    _family,
-    _regular_ldend_actions,
+    _prelie_modules,
     dual_ldend_module,
     dual_prelie_module,
+    regular_ldend_module,
+    regular_prelie_module,
     semidirect_ldend,
     semidirect_prelie,
 )
@@ -208,16 +205,16 @@ class SEquivalenceReport:
 
 
 def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
+    """eq-2.9 for r against eq-2.10 for r's map and the dual regular module."""
     if not r.is_symmetric:
         raise PreconditionFailed("the S-equation equivalence needs a symmetric tensor")
     _check_dims(alg, r)
-    t = clear_denominators(tensor_to_map(r).entries)
-    d_a, (circ, flip) = alg.scaled("circ", _FLIPPED_CIRC)
-    dual = _dual_actions({"l": circ, "r": flip}, _DUAL_PRELIE)
+    rows = alg.compiled(s_equivalence_check,
+                        lambda: dual_prelie_module(regular_prelie_module(alg))._o_rows)
     return SEquivalenceReport(
         residual=s_residual(alg, r),
         alternate=_slot_sum(alg, r, _S_FORMS["alternate"]),
-        operator=_check_o(t, [("eq-2.10", circ, *dual)], alg.dim, d_a),
+        operator=_check_o(clear_denominators(tensor_to_map(r).entries), *rows),
     )
 
 
@@ -283,32 +280,21 @@ class LDEquivalenceReport:
         return self.aux_a.is_zero or not self.aux_b.is_zero
 
 
-def _prelie_modules(tables, vertical, horizontal) -> tuple[tuple, tuple]:
-    """The (base table, l, r) action tables of the pre-Lie modules (L_r, -L_l) over
-    the ``vertical`` and (L_r, R_l) over the ``horizontal`` product of the
-    L-dendriform ``tables``, Fraction or int; the identity map is an O-operator
-    of both."""
-    acts = _regular_ldend_actions(tables)
-    return ((vertical, acts["l_r"], derive(acts, ((-1, "l_l", False),))),
-            (horizontal, acts["l_r"], acts["r_l"]))
-
-
 def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
+    """eq-4.8 for r against the O-operator identities of r's map for the
+    duals of the regular module and of both pre-Lie modules."""
     if not r.is_skew:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
+    ldend, vertical, horizontal = alg.compiled(ld_equivalence_check, lambda: [
+        m._o_rows for m in (dual_ldend_module(regular_ldend_module(alg)),
+                            *map(dual_prelie_module, _prelie_modules(alg)))])
     t = clear_denominators(tensor_to_map(r).entries)
-    d_a, (tri_r, tri_l, vertical, horizontal) = alg.scaled("tri_r", "tri_l", VERTICAL, HORIZONTAL)
-    tables = {"tri_r": tri_r, "tri_l": tri_l}
-    l_r, r_r, l_l, r_l = _dual_actions(_regular_ldend_actions(tables), _DUAL_LDEND)
-    ldend = [("eq-4.7-tri_r", tri_r, l_r, r_r), ("eq-4.7-tri_l", tri_l, l_l, r_l)]
-    vert, hor = ([("eq-2.10", table, *_dual_actions({"l": left, "r": right}, _DUAL_PRELIE))]
-                 for table, left, right in _prelie_modules(tables, vertical, horizontal))
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
-        operator_ldend=_check_o(t, ldend, alg.dim, d_a),
-        operator_vertical=_check_o(t, vert, alg.dim, d_a),
-        operator_horizontal=_check_o(t, hor, alg.dim, d_a),
+        operator_ldend=_check_o(t, *ldend),
+        operator_vertical=_check_o(t, *vertical),
+        operator_horizontal=_check_o(t, *horizontal),
         aux_a=ld_residual(alg, r, "eq-4.9"),
         aux_b=ld_residual(alg, r, "eq-4.10"),
     )
@@ -350,13 +336,8 @@ def canonical_double_solution(alg: Algebra) -> tuple[Algebra, Algebra, Tensor2]:
     regular-action module) in which the canonical symmetric tensor
     sum_i (e_i (x) e_i* + e_i* (x) e_i)  solves the S-equation: the
     solutions that :func:`build_s_solution` builds from the identity map."""
-    n = alg.dim
-    tables = {"tri_r": alg.op("tri_r"), "tri_l": alg.op("tri_l")}
-    modules = _prelie_modules(tables, derive(tables, VERTICAL), derive(tables, HORIZONTAL))
-    (hat_vert, r), (hat_hor, _) = (
-        build_s_solution(PreLieModule(Algebra(n, {"circ": table}, _tag(name, alg)), n,
-                                      _family(left), _family(right)), LinearMap.identity(n))
-        for name, (table, left, right) in zip(("vertical_prelie", "horizontal_prelie"), modules))
+    (hat_vert, r), (hat_hor, _) = (build_s_solution(m, LinearMap.identity(alg.dim))
+                                   for m in _prelie_modules(alg))
     return hat_vert, hat_hor, r
 
 

@@ -1,16 +1,23 @@
 """CLI behaviour: exit codes, deterministic output, pipeline composition."""
 
+import contextlib
+import copy
+import io
 import json
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitalg as sa
-from splitalg import fileio
+from splitalg import catalog, fileio
 from splitalg.cli import main
-from splitalg.representations import regular_prelie_module
+from splitalg.representations import regular_ldend_module, regular_prelie_module
+
+from test_fileio import _module_doc, _mutate
 
 
 @pytest.fixture()
@@ -589,3 +596,76 @@ def test_search_rb_lists_operators_as_text(workdir, capsys):
         "  [2] 0 0; 0 0\n"
         "  [3] 0 0; 1 0\n"
         "  [4] 0 1; 0 0\n"), "")
+
+
+# ---------------------------------------------------------------------------
+# every verb on mutated input files: an exit code, never an escaped exception
+
+def _cli_documents() -> dict:
+    """A valid document for each input file the verb forms below name."""
+    p2, ld2, l2 = catalog.p2(), catalog.ld2(), catalog.l2()
+    return {
+        "p2.alg.json": fileio.algebra_to_doc(p2),
+        "ld2.alg.json": fileio.algebra_to_doc(ld2),
+        "l2.alg.json": fileio.algebra_to_doc(l2),
+        "form.json": fileio.form_to_doc(sa.bilinear_form([[0, 1], [1, "1/2"]])),
+        "rb.map.json": fileio.map_to_doc(catalog.rb2()),
+        "t.map.json": fileio.map_to_doc(sa.linmap([[1, 2], [0, "1/2"]])),
+        "r.tensor.json": fileio.tensor_to_doc(sa.tensor2(2, [(1, 2, 1), (2, 1, -1)])),
+        "prelie.mod.json": fileio.module_to_doc(regular_prelie_module(p2)),
+        "ldend.mod.json": fileio.module_to_doc(regular_ldend_module(ld2)),
+        "rho.mod.json": _module_doc((l2, sa.adjoint_family(l2))),
+    }
+
+
+_CLI_DOCUMENTS = _cli_documents()
+
+#: one argument list per verb form; the arguments naming a document are files
+_VERB_FORMS = (
+    ("check", "--class", "pre_lie", "p2.alg.json"),
+    ("check", "--class", "prelie_cocycle", "--form", "form.json", "p2.alg.json"),
+    ("check", "--class", "ldend_cocycle", "--form", "form.json", "ld2.alg.json"),
+    ("derive", "--functor", "vertical_prelie", "ld2.alg.json"),
+    ("oop-check", "--map", "t.map.json", "--module", "ldend.mod.json"),
+    ("oop-check", "--map", "t.map.json", "--module", "rho.mod.json"),
+    ("rb-check", "--map", "rb.map.json", "p2.alg.json"),
+    ("lift", "--form", "form.json", "p2.alg.json"),
+    ("induce", "--map", "rb.map.json", "p2.alg.json"),
+    ("induce", "--map", "t.map.json", "--module", "prelie.mod.json"),
+    ("induce", "--map", "rb.map.json", "l2.alg.json"),
+    ("search-rb", "--entry-set", "0,1,-1", "p2.alg.json"),
+    ("verify-eq", "--equation", "eq-2.9", "p2.alg.json", "r.tensor.json"),
+    ("verify-eq", "--equation", "eq-4.8", "ld2.alg.json", "r.tensor.json"),
+    ("build-solution", "--module", "prelie.mod.json", "--map", "t.map.json", "--out", "sol"),
+)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory holding every valid document of ``_CLI_DOCUMENTS``."""
+    directory = tmp_path_factory.mktemp("cli-mutations")
+    for name, doc in _CLI_DOCUMENTS.items():
+        (directory / name).write_text(fileio.dump_doc(doc))
+    return directory
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_every_verb_on_mutated_files_exits_with_a_code(cli_files, data):
+    """Each verb form, with one of its input documents mutated 1-3 times as
+    in the file-format tests, exits 0, 1 or 2 through ``main``: no exception
+    escapes, and what it writes to stderr stays under 1 KB."""
+    for form in _VERB_FORMS:
+        inputs = [arg for arg in form if arg in _CLI_DOCUMENTS]
+        target = data.draw(st.sampled_from(inputs))
+        doc = copy.deepcopy(_CLI_DOCUMENTS[target])
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(data, doc)
+        (cli_files / f"mutated-{target}").write_text(json.dumps(doc))
+        argv = [str(cli_files / (f"mutated-{arg}" if arg == target else arg))
+                if arg in _CLI_DOCUMENTS or arg == "sol" else arg for arg in form]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (form, target, doc)
+        assert len(err.getvalue().encode()) < 1024, (form, target, err.getvalue()[:200])

@@ -284,21 +284,56 @@ def test_a_reused_module_answers_as_a_fresh_one(case, data):
         assert repr(call()) == repr(on_fresh()), label
 
 
+@st.composite
+def report_cases(draw):
+    """An algebra with circ, tri_r and tri_l, and two tensors."""
+    n = draw(st.integers(1, 3))
+    alg = sa.Algebra(n, {name: nest(draw(entries(n ** 3)), n, 3) for name in OPS})
+    return alg, [sa.Tensor2(n, nest(draw(entries(n * n)), n, 2)) for _ in range(2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(report_cases(), st.data())
+def test_reports_on_a_reused_algebra_answer_as_on_a_fresh_one(case, data):
+    """Both equivalence reports, each asked twice of the symmetric and skew
+    parts of two tensors, interleaved with class checks and the canonical
+    double of one algebra in a drawn order, against the same call on a
+    freshly built copy."""
+    alg, tensors = case
+    work = [(f"S {k}", lambda a, r=r: sa.s_equivalence_check(a, r + sa.exchange(r)))
+            for k, r in enumerate(tensors)]
+    work += [(f"LD {k}", lambda a, r=r: sa.ld_equivalence_check(a, r - sa.exchange(r)))
+             for k, r in enumerate(tensors)]
+    work *= 2
+    work += [(c, lambda a, c=c: sa.check_class(a, c))
+             for c in ("pre_lie", "associative", "l_dendriform")]
+    work += [("canonical_double_solution", sa.canonical_double_solution)]
+    for label, call in data.draw(st.permutations(work)):
+        assert outcome(call, alg) == outcome(call, fresh(alg)), label
+
+
 def test_checked_algebras_and_modules_stay_values():
     """Checks keep compiled identities with the algebra's int form and with
-    the module; copies, pickles and ``dataclasses.replace`` are rebuilt from
-    the fields and carry none of it, yet compare equal, hash alike and
-    answer alike."""
+    the module, the reports their modules' O-operator rows with the int
+    form, and the O-operator checks a module's int form with the module;
+    copies, pickles and ``dataclasses.replace`` are rebuilt from the fields
+    and carry none of it, yet compare equal, hash alike and answer alike."""
     alg = _algebra()
     maps = [sa.LinearMap(3, 3, nest([Fraction((a + 5 * i) % 7 - 3, 1 + i % 2) for i in range(9)],
                                     3, 2)) for a in range(8)]
     pm = sa.PreLieModule(alg, 3, maps[0:2], maps[2:4])
     lm = sa.LDendModule(alg, 3, maps[0:2], maps[2:4], maps[4:6], maps[6:8])
-    checks = {alg: lambda a: [sa.check_class(a, c) for c in ("pre_lie", "l_dendriform")],
-              pm: sa.check_prelie_module, lm: sa.check_ldend_module}
+    T = sa.LinearMap(2, 3, ((1, Fraction(1, 2), 0), (0, -1, Fraction(2, 3))))
+    r = sa.tensor2(2, [(1, 2, Fraction(1, 3)), (2, 2, 1)])
+    checks = {alg: lambda a: [sa.check_class(a, c) for c in ("pre_lie", "l_dendriform")]
+              + [sa.s_equivalence_check(a, r + sa.exchange(r)),
+                 sa.ld_equivalence_check(a, r - sa.exchange(r))],
+              pm: lambda m: [sa.check_prelie_module(m), sa.check_o_prelie(T, m)],
+              lm: lambda m: [sa.check_ldend_module(m), sa.check_o_ldend(T, m)]}
     answers = {value: repr(check(value)) for value, check in checks.items()}
-    assert set(vars(alg)) == {"dim", "ops", "class_tag", "_int_form"} and alg._int_form[3]
-    assert "_lines" in vars(pm) and "_lines" in vars(lm)
+    assert set(vars(alg)) == {"dim", "ops", "class_tag", "_int_form"}
+    assert {sa.s_equivalence_check, sa.ld_equivalence_check} <= set(alg._int_form[3])
+    assert all({"_lines", "_ints", "_o_rows"} <= set(vars(m)) for m in (pm, lm))
     for value, check in checks.items():
         names = {f.name for f in dataclasses.fields(value)}
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),

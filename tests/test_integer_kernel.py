@@ -8,6 +8,7 @@ Inputs have denominators in {1, 2, 3, 6, 7}, each object with its own extra
 scale (so T over 1/5 meets tables over 1/3), and are sometimes all zero.
 """
 
+import copy
 import itertools
 import random
 from collections import Counter
@@ -629,19 +630,80 @@ def constructions(monkeypatch):
 
 
 def test_checks_build_no_module_values(constructions, p2, l2, ld2, rb2):
+    """The four O-operator checks build no values, nor does a report asked
+    of an algebra it has been asked of before: it reads the O-operator rows
+    its first call kept with the int form (see the next test)."""
     skew = sa.tensor2(2, [(1, 2, 1), (2, 1, -1)])
     symmetric = sa.tensor2(2, [(1, 2, 1), (2, 1, 1)])
     T = sa.linmap([[1, 2], [0, 1]])
     prelie, ldend = sa.regular_prelie_module(p2), sa.regular_ldend_module(ld2)
     ad = sa.adjoint_family(l2)
+    first = sa.ld_equivalence_check(ld2, skew), sa.s_equivalence_check(p2, symmetric)
     constructions.clear()
-    sa.ld_equivalence_check(ld2, skew)
-    sa.s_equivalence_check(p2, symmetric)
+    assert (sa.ld_equivalence_check(ld2, skew), sa.s_equivalence_check(p2, symmetric)) == first
     sa.check_o_prelie(T, prelie)
     sa.check_rota_baxter_prelie(rb2, p2)
     sa.check_o_lie(T, l2, ad)
     sa.check_o_ldend(T, ldend)
     assert constructions == {}
+
+
+def _ints_only(node) -> bool:
+    """Whether ``node`` is an int or a str, or a tuple or list of such."""
+    if isinstance(node, (tuple, list)):
+        return all(map(_ints_only, node))
+    return isinstance(node, (int, str))
+
+
+@pytest.mark.parametrize("kind", ["s", "ld"])
+def test_a_report_builds_the_papers_modules_once_per_algebra(constructions, kind):
+    """The first S-report call on a fresh algebra builds the regular module
+    and its dual; the first LD-report call builds the regular L-dendriform
+    module and its dual, the vertical and horizontal pre-Lie algebras (the
+    latter renamed circ), the two pre-Lie modules over them and their duals.
+    Only the duals' int O-operator rows are kept, with the algebra's int
+    form, so a second call builds nothing and reads the same rows."""
+    if kind == "s":
+        alg = sa.Algebra(2, dict(catalog.p2().ops))
+        report, r = sa.s_equivalence_check, sa.tensor2(2, [(1, 2, 1), (2, 1, 1)])
+        built = {"PreLieModule": 2}
+        expected = [sa.dual_prelie_module(sa.regular_prelie_module(alg))._o_rows]
+    else:
+        alg = sa.Algebra(2, dict(catalog.ld2().ops))
+        report, r = sa.ld_equivalence_check, sa.tensor2(2, [(1, 2, 1), (2, 1, -1)])
+        built = {"LDendModule": 2, "PreLieModule": 4, "Algebra": 3}
+        expected = [sa.dual_ldend_module(sa.regular_ldend_module(alg))._o_rows]
+        expected += [sa.dual_prelie_module(m)._o_rows for m in representations._prelie_modules(alg)]
+    constructions.clear()
+    first = report(alg, r)
+    assert constructions == built
+    constructions.clear()
+    assert report(alg, r) == first and constructions == {}
+    kept = alg._int_form[3][report]
+    assert (kept if kind == "ld" else [kept]) == expected and _ints_only(kept)
+
+
+def test_a_module_keeps_its_int_form(monkeypatch, p2, ld2):
+    """A second O-operator or module check of the same module value derives
+    no int tables; a copy of the value derives them again."""
+    calls = []
+
+    def spy(*args, original=representations._module_ints):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(representations, "_module_ints", spy)
+    T = sa.linmap([[1, "1/2"], [0, 1]])
+    for check, module_check, m in (
+            (sa.check_o_prelie, sa.check_prelie_module, sa.regular_prelie_module(p2)),
+            (sa.check_o_ldend, sa.check_ldend_module, sa.regular_ldend_module(ld2))):
+        calls.clear()
+        first = check(T, m)
+        assert len(calls) == 1
+        assert check(T, m) == first and module_check(m).passed and len(calls) == 1
+        other = copy.copy(m)
+        assert "_ints" not in vars(other)
+        assert check(T, other) == first and len(calls) == 2
 
 
 def test_cocycle_lift_builds_only_its_result(constructions, p2):

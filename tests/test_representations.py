@@ -232,6 +232,52 @@ def test_module_vdim_must_be_an_int(p2, ld2, vdim):
         assert str(excinfo.value) == f"vdim must be an int, got {vdim!r}"
 
 
+#: module kind -> (class, base, its block ops, family fields in field order)
+_MODULE_KINDS = {
+    "pre_lie": (sa.PreLieModule, "P2", ("circ",), ("l", "r")),
+    "l_dendriform": (sa.LDendModule, "LD2", ("tri_r", "tri_l"), ("l_r", "r_r", "l_l", "r_l")),
+}
+
+
+def _refusal(make, base, vdim, families):
+    """The exception type and message of ``make(base, vdim, *families)``."""
+    with pytest.raises(Exception) as excinfo:
+        make(base, vdim, *families)
+    exc = excinfo.value
+    return type(exc), exc.args[0] if isinstance(exc, KeyError) else str(exc)
+
+
+@pytest.mark.parametrize("kind", sorted(_MODULE_KINDS))
+def test_module_refusals_keep_their_type_message_and_order(kind):
+    """Each refusal of a module constructor, by exact type and message, in
+    order: a base without a block op first (whatever else is wrong), then a
+    vdim that is not an int, then the first family in field order of the
+    wrong length or with a matrix of the wrong shape."""
+    make, name, ops, names = _MODULE_KINDS[kind]
+    base = catalog.build(name)
+    good = zeros(2, 2)
+    short, wide = good[:1], zeros(3, 2)
+    for op in ops:
+        without = sa.Algebra(2, {k: t for k, t in base.ops.items() if k != op})
+        have = ", ".join(sorted(without.ops)) or "none"
+        expected = (sa.UnknownOperation, f"algebra has no operation {op!r} (has: {have})")
+        for vdim in (2, "2", 2.0):
+            assert _refusal(make, without, vdim, [short] * len(names)) == expected
+    for vdim in (True, 2.0, "2", None):
+        expected = (TypeError, f"vdim must be an int, got {vdim!r}")
+        assert _refusal(make, base, vdim, [wide] * len(names)) == expected
+    flat = (sa.LinearMap.zero(2, 3),) * 2
+    for k, field in enumerate(names):
+        before, after = [good] * k, len(names) - k - 1
+        count = (sa.DimensionMismatch, f"family {field!r} must have one matrix per basis element")
+        shape = (sa.DimensionMismatch, f"family {field!r} matrices must be 2x2")
+        assert _refusal(make, base, 2, before + [short] + [wide] * after) == count
+        assert _refusal(make, base, 2, before + [good + short] + [wide] * after) == count
+        assert _refusal(make, base, 2, before + [wide] + [short] * after) == shape
+        assert _refusal(make, base, 2, before + [short + wide[:1]] + [short] * after) == shape
+        assert _refusal(make, base, 2, before + [flat] + [flat] * after) == shape
+
+
 # ---------------------------------------------------------------------------
 # the two pre-Lie modules carried by any L-dendriform algebra
 
