@@ -169,36 +169,33 @@ def grid_nonzero(grid, shape: Sequence[int]):
     return compress(zip(indices, _leaves(grid, len(shape))), _leaves(grid, len(shape)))
 
 
-def check_index(index: tuple, dim: int):
-    """Refuse a sparse row's 1-based index unless every part is an int in
-    1..dim."""
-    if not all(map(is_int, index)):
-        raise TypeError(f"index ({','.join(map(repr, index))}) must be ints")
-    if not all(1 <= t <= dim for t in index):
-        raise DimensionMismatch(f"index ({','.join(map(str, index))}) outside 1..{dim}")
-
-
-def mark_new(seen: set, index: tuple, what: str):
-    """Record a sparse row's index, refusing one given twice."""
-    if index in seen:
-        raise ValueError(f"duplicate {what} at ({','.join(map(str, index))})")
-    seen.add(index)
+def grid_from_values(values: Mapping[tuple, Fraction], shape: Sequence[int]) -> tuple:
+    """The grid of ``shape`` holding ``values`` (1-based index -> entry) and
+    zero at every other index."""
+    indices = product(*(range(1, n + 1) for n in shape))
+    return _reshape(map(values.get, indices, repeat(_ZERO)), shape)
 
 
 def grid_from_rows(dim: int, rank: int, rows: Iterable[Sequence], what: str) -> tuple:
-    """The dense dim^rank grid of sparse 1-based ``(*index, value)`` rows;
-    an index given twice is refused as a duplicate ``what``."""
+    """The dense dim^rank grid of sparse 1-based ``(*index, value)`` rows, as
+    the API constructors take them (:mod:`splitalg.fileio` reads a file's
+    rows itself, naming each refused row by its position).  A row of the
+    wrong length or an index given twice, as a duplicate ``what``, is a
+    ValueError; an index part that is not an int a TypeError, and one
+    outside 1..dim a DimensionMismatch."""
     values = {}
-    seen = set()
     for row in rows:
         if len(row) != rank + 1:
             raise ValueError(f"{what} row has {len(row)} fields, not {rank + 1}")
         index = tuple(row[:rank])
-        check_index(index, dim)
-        mark_new(seen, index, what)
+        if not all(map(is_int, index)):
+            raise TypeError(f"index ({','.join(map(repr, index))}) must be ints")
+        if not all(1 <= t <= dim for t in index):
+            raise DimensionMismatch(f"index ({','.join(map(str, index))}) outside 1..{dim}")
+        if index in values:
+            raise ValueError(f"duplicate {what} at ({','.join(map(str, index))})")
         values[index] = rat(row[rank])
-    indices = product(range(1, dim + 1), repeat=rank)
-    return nest(map(values.get, indices, repeat(_ZERO)), dim, rank)
+    return grid_from_values(values, (dim,) * rank)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +241,6 @@ Table = tuple[tuple[Vector, ...], ...]
 
 def zero_table(dim: int) -> Table:
     return tuple(tuple(zero_vector(dim) for _ in range(dim)) for _ in range(dim))
-
-
-def table_from_triples(dim: int, triples: Iterable[Sequence]) -> Table:
-    """Build a dense table from sparse 1-based ``(i, j, k, value)`` rows."""
-    return grid_from_rows(dim, 3, triples, "structure constant")
 
 
 def derive(tables: Mapping[str, Table], parts: Sequence) -> Table:
@@ -399,8 +391,14 @@ def algebra(
     sparse_ops: Mapping[str, Iterable[Sequence]],
     class_tag: str | None = None,
 ) -> Algebra:
-    """Build an algebra from sparse 1-based ``(i, j, k, value)`` tables."""
-    tables = {name: table_from_triples(dim, rows) for name, rows in sparse_ops.items()}
+    """Build an algebra from sparse 1-based ``(i, j, k, value)`` tables (see
+    :func:`grid_from_rows`); a refused row is refused with its op named."""
+    tables = {}
+    for name, rows in sparse_ops.items():
+        try:
+            tables[name] = grid_from_rows(dim, 3, rows, "structure constant")
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise type(exc)(f"table {name!r}: {exc}") from None
     return Algebra(dim, tables, class_tag)
 
 

@@ -32,13 +32,10 @@ from .core import (
     OP_NAMES,
     Tensor2,
     Tensor3,
-    algebra,
+    grid_from_values,
     grid_nonzero,
     is_int,
-    mark_new,
     rat,
-    tensor2,
-    tensor3,
 )
 from .representations import LDendModule, PreLieModule
 
@@ -107,23 +104,25 @@ class _Scalars:
     def __init__(self):
         self.lcd = 1
 
-    def __call__(self, value, where: str) -> Fraction:
+    def __call__(self, value, where: str, idx: int) -> Fraction:
+        """The scalar of row ``idx`` of the row list ``where``."""
         if isinstance(value, bool):
-            raise FileFormatError(f"{where}: bad rational {json.dumps(value)} (not a number)")
+            raise FileFormatError(
+                f"{where}[{idx}]: bad rational {json.dumps(value)} (not a number)")
         if isinstance(value, str) and len(value) > MAX_SCALAR_CHARS:
             raise FileFormatError(
-                f"{where}: scalar of {len(value)} characters (at most {MAX_SCALAR_CHARS})")
+                f"{where}[{idx}]: scalar of {len(value)} characters (at most {MAX_SCALAR_CHARS})")
         try:
             x = rat(value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             reason = _quote(str(exc), 2 * _QUOTE_CHARS)     # it may quote the value too
             raise FileFormatError(
-                f"{where}: bad rational {_quote(repr(value))} ({reason})") from None
+                f"{where}[{idx}]: bad rational {_quote(repr(value))} ({reason})") from None
         self.lcd = math.lcm(self.lcd, x.denominator)
         for what, n in (("numerator", x.numerator), ("common denominator", self.lcd)):
             if n.bit_length() > MAX_SCALAR_BITS:
-                raise FileFormatError(
-                    f"{where}: {what} needs {n.bit_length()} bits (at most {MAX_SCALAR_BITS})")
+                raise FileFormatError(f"{where}[{idx}]: {what} needs {n.bit_length()} bits "
+                                      f"(at most {MAX_SCALAR_BITS})")
         return x
 
 
@@ -132,26 +131,33 @@ def _expect(cond: bool, message: str):
         raise FileFormatError(message)
 
 
-def _rows_from_doc(rows, dim: int, rank: int, where: str, expected: str,
-                   scalar: _Scalars) -> list:
-    """The sparse ``(*index, Fraction)`` rows of a dim^rank grid's row list
-    ``where``, converted by ``scalar``.  A list longer than the grid is
-    refused before any row is converted."""
+def _grid_from_doc(rows, shape: tuple, where: str, expected: str, scalar: _Scalars) -> tuple:
+    """The dense grid of ``shape`` given by the sparse 1-based row list
+    ``where`` (rows ``[*index, scalar]``), its scalars converted by
+    ``scalar``: one reader for every table, map, Gram matrix, family matrix
+    and tensor in a file.  A list longer than the grid is refused before
+    any row is converted; a malformed, out-of-range or repeated row is
+    refused by its position, ``where[idx]``.  A message is formatted only
+    for the row refused."""
     _expect(isinstance(rows, list), f"{where}: expected a list")
-    size = dim ** rank
+    size = math.prod(shape)
     _expect(len(rows) <= size,
             f"{where}: more rows ({len(rows)}) than the grid has entries ({size})")
-    sparse = []
+    rank = len(shape)
+    values = {}
     for idx, row in enumerate(rows):
-        _expect(isinstance(row, list) and len(row) == rank + 1,
-                f"{where}[{idx}]: expected {expected}")
-        *index, value = row
-        _expect(
-            all(is_int(t) and 1 <= t <= dim for t in index),
-            f"{where}[{idx}]: index outside 1..{dim}",
-        )
-        sparse.append((*index, scalar(value, f"{where}[{idx}]")))
-    return sparse
+        if not (isinstance(row, list) and len(row) == rank + 1):
+            raise FileFormatError(f"{where}[{idx}]: expected {expected}")
+        index = tuple(row[:rank])
+        if not all(is_int(t) and 1 <= t <= n for t, n in zip(index, shape)):
+            ranges = f"1..{shape[0]}" if len(set(shape)) == 1 else \
+                " x ".join(f"1..{n}" for n in shape)
+            raise FileFormatError(f"{where}[{idx}]: index outside {ranges}")
+        if index in values:
+            raise FileFormatError(
+                f"{where}[{idx}]: duplicate entry at ({','.join(map(str, index))})")
+        values[index] = scalar(row[rank], where, idx)
+    return grid_from_values(values, shape)
 
 
 def _sparse(nonzero) -> list:
@@ -210,17 +216,14 @@ def _algebra_from_doc(doc, where: str, scalar: _Scalars) -> Algebra:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     dim = _size(doc, "dim", where)
     _expect(isinstance(doc.get("ops"), dict), f"{where}: missing 'ops' object")
-    sparse = {}
+    tables = {}
     for name, rows in doc["ops"].items():
         _expect(name in OP_NAMES, f"{where}: unknown operation name {_quote(repr(name))}")
-        sparse[name] = _rows_from_doc(rows, dim, 3, f"{where}.ops.{name}", "[i, j, k, scalar]",
-                                      scalar)
+        tables[name] = _grid_from_doc(rows, (dim,) * 3, f"{where}.ops.{name}",
+                                      "[i, j, k, scalar]", scalar)
     tag = doc.get("class_tag")
     _expect(tag is None or isinstance(tag, str), f"{where}: bad 'class_tag'")
-    try:
-        return algebra(dim, sparse, tag)
-    except ValueError as exc:
-        raise FileFormatError(f"{where}: {exc}") from None
+    return Algebra(dim, tables, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +241,8 @@ def map_from_doc(doc, where: str = "map") -> LinearMap:
 def _map_from_doc(doc, where: str, scalar: _Scalars) -> LinearMap:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     rows, cols = _size(doc, "rows", where), _size(doc, "cols", where)
-    grid = [[Fraction(0)] * cols for _ in range(rows)]
-    entries = doc.get("entries", [])
-    _expect(isinstance(entries, list), f"{where}.entries: expected a list")
-    seen = set()
-    for idx, row in enumerate(entries):
-        _expect(
-            isinstance(row, list) and len(row) == 3,
-            f"{where}.entries[{idx}]: expected [i, j, scalar]",
-        )
-        i, j, value = row
-        _expect(
-            is_int(i) and 1 <= i <= rows and is_int(j) and 1 <= j <= cols,
-            f"{where}.entries[{idx}]: index outside the grid",
-        )
-        try:
-            mark_new(seen, (i, j), "entry")
-        except ValueError as exc:
-            raise FileFormatError(f"{where}.entries[{idx}]: {exc}") from None
-        grid[i - 1][j - 1] = scalar(value, f"{where}.entries[{idx}]")
-    return LinearMap(rows, cols, grid)
+    return LinearMap(rows, cols, _grid_from_doc(doc.get("entries", []), (rows, cols),
+                                                f"{where}.entries", "[i, j, scalar]", scalar))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +256,9 @@ def tensor_from_doc(doc, where: str = "tensor") -> Tensor2 | Tensor3:
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     dim, rank = _size(doc, "dim", where), doc.get("rank")
     _expect(is_int(rank) and rank in (2, 3), f"{where}: 'rank' must be 2 or 3")
-    sparse = _rows_from_doc(doc.get("entries", []), dim, rank, f"{where}.entries",
-                            f"{rank + 1} fields", _Scalars())
-    try:
-        return tensor2(dim, sparse) if rank == 2 else tensor3(dim, sparse)
-    except ValueError as exc:
-        raise FileFormatError(f"{where}: {exc}") from None
+    grid = _grid_from_doc(doc.get("entries", []), (dim,) * rank, f"{where}.entries",
+                          f"{rank + 1} fields", _Scalars())
+    return (Tensor2 if rank == 2 else Tensor3)(dim, grid)
 
 
 # ---------------------------------------------------------------------------

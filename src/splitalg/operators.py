@@ -36,6 +36,7 @@ from .representations import (
     _check_family,
     _dual_actions,
     _module_ints,
+    _require_kind,
     left_family,
 )
 
@@ -134,6 +135,7 @@ _FLIPPED_CIRC = ((1, "circ", True),)
 
 def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
+    _require_kind(m, PreLieModule)
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
     return _check_o(clear_denominators(T.entries), *m._o_rows)
 
@@ -159,6 +161,7 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
 
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     """Both displayed O-operator identities of an L-dendriform module."""
+    _require_kind(m, LDendModule)
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
     return _check_o(clear_denominators(T.entries), *m._o_rows)
 

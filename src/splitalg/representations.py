@@ -7,11 +7,13 @@ Semidirect sums place base coordinates first and module coordinates second,
 which fixes the block layout in file output.
 
 A module kind is declared once, as its blocks: each a base op extended by a
-(left, right) pair of families, with the id of its O-operator identity.
-The constructors, the semidirect sums, the module and O-operator checks
-and the file format all read that declaration.  A module value keeps its
-int form (base tables and action tables as ints) and its O-operator rows,
-built on first use.
+(left, right) pair of families, with the id of its O-operator identity,
+and as its module check: a class system and module-identity rows.  The
+constructors, the semidirect sums, the module and O-operator checks and
+the file format all read that declaration, and each check refuses a
+module of the other kind.  A module value keeps its int form (base tables
+and action tables as ints), its O-operator rows and its compiled module
+identities, built on first use.
 
 A module is checked as the class identities of its semidirect sum: the
 family data is a module exactly when A + V lies in the class, and since
@@ -66,12 +68,31 @@ def _check_family(family: Sequence[LinearMap], base_dim: int, vdim: int, name: s
             raise DimensionMismatch(f"family {name!r} matrices must be {vdim}x{vdim}")
 
 
+#: argument slots of a class identity
+X, Y, Z = 0, 1, 2
+
+#: module id -> (class identity of the semidirect sum, slot of f_w, sign)
+_PRELIE_MODULE_IDS = (
+    ("eq-2.5", "eq-2.2", Z, -1),    # l(x)l(y) - l(x.y) - l(y)l(x) + l(y.x)
+    ("eq-2.6", "eq-2.2", X, 1),     # l(x)r(y) - r(y)l(x) - r(x.y) + r(y)r(x)
+)
+_LDEND_MODULE_IDS = (
+    ("eq-4.1", "eq-3.1", Z, 1),     # [l_r(x), l_r(y)] - l_r([x, y])
+    ("eq-4.2", "eq-3.2", Z, 1),     # [l_r(x), l_l(y)] - l_l(x o y) - l_l(y)l_l(x)
+    ("eq-4.3", "eq-3.1", X, 1),     # r_r(x |> y) + r_r(y)(l_r + l_l - r_r - r_l)(x) - l_r(x)r_r(y)
+    ("eq-4.4", "eq-3.2", X, 1),     # r_r(x <| y) + r_l(y)(l_l - r_r)(x) - l_l(x)(r_r + r_l)(y)
+    ("eq-4.5", "eq-3.2", Y, 1),     # [l_r(x), r_l(y)] - r_l(x * y) + r_l(y)r_l(x)
+)
+
+
 class _Module:
     """A module kind with its blocks ``_blocks``: (base op, left family
     field, right family field, O-operator identity id), the families being
-    the fields after ``base`` and ``vdim`` in block order.  Copies and
-    pickles are rebuilt from the fields, without what checks keep with the
-    value: the int form, the O-operator rows and the compiled identities."""
+    the fields after ``base`` and ``vdim`` in block order, and its module
+    check: the class ``_system`` of its semidirect sum and its module
+    identities ``_ids`` (see :attr:`_lines`).  Copies and pickles are
+    rebuilt from the fields, without what checks keep with the value: the
+    int form, the O-operator rows and the compiled identities."""
 
     def __post_init__(self):
         """Refuse a base without a block op, a ``vdim`` that is not an int,
@@ -107,6 +128,37 @@ class _Module:
         d, blocks = self._ints
         return [(ident, *grids) for (*_, ident), grids in zip(self._blocks, blocks)], self.vdim, d
 
+    @cached_property
+    def _lines(self) -> list:
+        """The module identities ``_ids``, rows (module id, class identity of
+        ``_system``, slot of f_w, sign), as :func:`axioms._run` lines of class
+        identities of the semidirect sum, compiled once per value from the
+        int form.  The base indices (i, j) fill the other two slots in
+        order, and the residual at (i, j) is the v x v matrix whose column w
+        is sign times the module part of the class residual (the base part
+        vanishes), flattened row-major.  The slot of f_w is the free slot of
+        the compiled identity, so one plane per (i, j) holds every column."""
+        n, v = self.base.dim, self.vdim
+        d, blocks = self._ints
+        ops = {op: _block_fill(*grids, 0) for (op, *_), grids in zip(self._blocks, blocks)}
+        bounds = {op: max_abs(table) for op, table in ops.items()}
+        terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[self._system]}
+        packings = {}
+
+        def module_line(cls, slot, sign):
+            plane, split = _compile(terms[cls], ops, bounds, packings, slot, range(n, n + v))
+
+            def line(i):
+                for j in range(n):
+                    if cols := dict(split(plane(i, j), n)):
+                        yield j, [sign * cols[w][r] if w in cols else 0
+                                  for r in range(v) for w in range(v)]
+
+            return line
+
+        return [(ident, 2, d ** 2, module_line(cls, slot, sign))
+                for ident, cls, slot, sign in self._ids]
+
 
 @dataclass(frozen=True)
 class PreLieModule(_Module):
@@ -118,6 +170,7 @@ class PreLieModule(_Module):
     r: tuple[LinearMap, ...]
 
     _blocks = (("circ", "l", "r", "eq-2.10"),)
+    _system, _ids = "pre_lie", _PRELIE_MODULE_IDS
 
 
 @dataclass(frozen=True)
@@ -132,6 +185,14 @@ class LDendModule(_Module):
     r_l: tuple[LinearMap, ...]
 
     _blocks = (("tri_r", "l_r", "r_r", "eq-4.7-tri_r"), ("tri_l", "l_l", "r_l", "eq-4.7-tri_l"))
+    _system, _ids = "l_dendriform", _LDEND_MODULE_IDS
+
+
+def _require_kind(m, kind: type):
+    """Refuse ``m`` with a TypeError unless it is a module of ``kind``, so
+    that a check never reads the other kind's families as its own."""
+    if not isinstance(m, kind):
+        raise TypeError(f"{kind.__name__} required, got {type(m).__name__}")
 
 
 def _actions(family: Sequence[LinearMap]) -> Table:
@@ -188,7 +249,7 @@ def _prelie_modules(alg: Algebra) -> tuple[PreLieModule, PreLieModule]:
 
 
 # ---------------------------------------------------------------------------
-# semidirect sums and the module identities
+# semidirect sums
 
 def _block_fill(table: Table, left, right, zero) -> Table:
     """The table of A + V from a base table and a (left, right) pair of
@@ -216,58 +277,6 @@ def _semidirect(m, name: str) -> Algebra:
         for op, left, right, _ in m._blocks
     }
     return Algebra(m.base.dim + m.vdim, ops, _tag(name, m.base))
-
-
-def _check_module(m, class_name: str, ids) -> CheckReport:
-    """The module identities ``ids``, rows (module id, class identity, slot
-    of f_w, sign), as class identities of the semidirect sum: the base
-    indices (i, j) fill the other two slots in order, and the residual at
-    (i, j) is the v x v matrix whose column w is sign times the module part
-    of the class residual (the base part vanishes), flattened row-major.
-    The slot of f_w is the free slot of the compiled identity, so one plane
-    per (i, j) holds every column.  The tables are the module's int form,
-    and the compiled lines are kept with the module value too, so a second
-    check of it derives and compiles nothing."""
-    n, v = m.base.dim, m.vdim
-    lines = vars(m).get("_lines")
-    if lines is None:
-        d, blocks = m._ints
-        ops = {op: _block_fill(*grids, 0) for (op, *_), grids in zip(m._blocks, blocks)}
-        bounds = {op: max_abs(table) for op, table in ops.items()}
-        terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[class_name]}
-        packings = {}
-
-        def module_line(cls, slot, sign):
-            plane, split = _compile(terms[cls], ops, bounds, packings, slot, range(n, n + v))
-
-            def line(i):
-                for j in range(n):
-                    if cols := dict(split(plane(i, j), n)):
-                        yield j, [sign * cols[w][r] if w in cols else 0
-                                  for r in range(v) for w in range(v)]
-
-            return line
-
-        lines = vars(m)["_lines"] = [(ident, 2, d ** 2, module_line(cls, slot, sign))
-                                     for ident, cls, slot, sign in ids]
-    return _run(lines, n)
-
-
-#: argument slots of a class identity
-X, Y, Z = 0, 1, 2
-
-#: module id -> (class identity of the semidirect sum, slot of f_w, sign)
-_PRELIE_MODULE_IDS = (
-    ("eq-2.5", "eq-2.2", Z, -1),    # l(x)l(y) - l(x.y) - l(y)l(x) + l(y.x)
-    ("eq-2.6", "eq-2.2", X, 1),     # l(x)r(y) - r(y)l(x) - r(x.y) + r(y)r(x)
-)
-_LDEND_MODULE_IDS = (
-    ("eq-4.1", "eq-3.1", Z, 1),     # [l_r(x), l_r(y)] - l_r([x, y])
-    ("eq-4.2", "eq-3.2", Z, 1),     # [l_r(x), l_l(y)] - l_l(x o y) - l_l(y)l_l(x)
-    ("eq-4.3", "eq-3.1", X, 1),     # r_r(x |> y) + r_r(y)(l_r + l_l - r_r - r_l)(x) - l_r(x)r_r(y)
-    ("eq-4.4", "eq-3.2", X, 1),     # r_r(x <| y) + r_l(y)(l_l - r_r)(x) - l_l(x)(r_r + r_l)(y)
-    ("eq-4.5", "eq-3.2", Y, 1),     # [l_r(x), r_l(y)] - r_l(x * y) + r_l(y)r_l(x)
-)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +308,8 @@ def check_prelie_module(m: PreLieModule) -> CheckReport:
 
     Residuals are the matrix difference of the two sides, flattened row-major.
     """
-    return _check_module(m, "pre_lie", _PRELIE_MODULE_IDS)
+    _require_kind(m, PreLieModule)
+    return _run(m._lines, m.base.dim)
 
 
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:
@@ -323,7 +333,8 @@ def semidirect_prelie(m: PreLieModule) -> Algebra:
 def check_ldend_module(m: LDendModule) -> CheckReport:
     """The five module identities over all basis pairs, with the vertical,
     horizontal and bracket products recomputed from the base tables."""
-    return _check_module(m, "l_dendriform", _LDEND_MODULE_IDS)
+    _require_kind(m, LDendModule)
+    return _run(m._lines, m.base.dim)
 
 
 def dual_ldend_module(m: LDendModule) -> LDendModule:

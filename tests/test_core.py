@@ -151,6 +151,24 @@ def test_duplicate_tensor_entry_rejected():
         sa.tensor3(2, [(2, 1, 2, 1), (1, 1, 1, 1), (2, 1, 2, "1/2")])
 
 
+@pytest.mark.parametrize("row, kind, message", [
+    ((1, 1), ValueError, "structure constant row has 2 fields, not 4"),
+    ((1.0, 1, 1, 1), TypeError, "index (1.0,1,1) must be ints"),
+    ((1, 3, 1, 1), sa.DimensionMismatch, "index (1,3,1) outside 1..2"),
+    ((2, 1, 2, 1), ValueError, "duplicate structure constant at (2,1,2)"),
+    ((1, 1, 1, 0.5), TypeError, "not an exact rational: 0.5"),
+    ((1, 1, 1, "x"), ValueError, "Invalid literal for Fraction: 'x'"),
+    ((1, 1, 1, "1/0"), ZeroDivisionError, "Fraction(1, 0)"),
+], ids=["fields", "int", "range", "duplicate", "float", "literal", "zero-denominator"])
+def test_algebra_refusals_name_the_op(row, kind, message):
+    """Each refusal of a sparse row by ``algebra`` keeps its type and names
+    the op, as ``Algebra`` does for a dense table."""
+    with pytest.raises(kind) as excinfo:
+        sa.algebra(2, {"circ": [(1, 1, 1, 1)], "bullet": [(2, 1, 2, 1), row]})
+    assert type(excinfo.value) is kind
+    assert str(excinfo.value) == f"table 'bullet': {message}"
+
+
 def test_sparse_rows_of_the_wrong_length_rejected():
     with pytest.raises(ValueError):
         sa.algebra(2, {"circ": [(1, 1, 1)]})

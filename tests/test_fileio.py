@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import re
 import threading
@@ -215,7 +216,7 @@ def test_duplicate_structure_constant_is_located():
     doc = {"dim": 2, "ops": {"circ": [[1, 1, 1, "1"], [1, 1, 1, "2"]]}}
     with pytest.raises(fileio.FileFormatError) as excinfo:
         fileio.algebra_from_doc(doc)
-    assert str(excinfo.value) == "algebra: duplicate structure constant at (1,1,1)"
+    assert str(excinfo.value) == "algebra.ops.circ[1]: duplicate entry at (1,1,1)"
 
 
 def test_bad_rank_rejected():
@@ -306,15 +307,69 @@ def test_cli_rejects_boolean_dim(tmp_path, capsys):
     (fileio.map_from_doc, {"rows": 2, "cols": 2, "entries": [[1, 2, "1"], [1, 2, "5"]]},
      "map.entries[1]: duplicate entry at (1,2)"),
     (fileio.form_from_doc, {"gram": {"rows": 1, "cols": 1, "entries": [[1, 1, "1"], [1, 1, "1"]]}},
-     "form.gram.entries[1]: duplicate entry at (1,1)"),
+     "form.gram.entries: more rows (2) than the grid has entries (1)"),
     (fileio.tensor_from_doc, {"dim": 2, "rank": 2, "entries": [[1, 1, "1"], [1, 1, "5"]]},
-     "tensor: duplicate entry at (1,1)"),
+     "tensor.entries[1]: duplicate entry at (1,1)"),
     (fileio.tensor_from_doc, {"dim": 2, "rank": 3, "entries": [[1, 2, 1, "1"], [1, 2, 1, "1"]]},
-     "tensor: duplicate entry at (1,2,1)"),
+     "tensor.entries[1]: duplicate entry at (1,2,1)"),
+    (fileio.form_from_doc, {"gram": {"rows": 2, "cols": 2, "entries": [[2, 1, "1"], [2, 1, "1"]]}},
+     "form.gram.entries[1]: duplicate entry at (2,1)"),
 ])
 def test_duplicate_entries_rejected(reader, doc, where):
     with pytest.raises(fileio.FileFormatError, match=re.escape(where)):
         reader(doc)
+
+
+_SQUARE = {"rows": 2, "cols": 2, "entries": [[1, 2, "1"]]}
+
+#: kind -> (reader, grid shape, default name of the row list, its document)
+_GRIDS = {
+    "algebra": (fileio.algebra_from_doc, (2, 2, 2), "algebra.ops.tri_l",
+                lambda rows: {"dim": 2, "ops": {"tri_r": [], "tri_l": rows}}),
+    "map": (fileio.map_from_doc, (2, 3), "map.entries",
+            lambda rows: {"rows": 2, "cols": 3, "entries": rows}),
+    "gram": (fileio.form_from_doc, (2, 2), "form.gram.entries",
+             lambda rows: {"gram": {"rows": 2, "cols": 2, "entries": rows}}),
+    "family": (fileio.module_from_doc, (2, 2), "module.r[0].entries",
+               lambda rows: {"base": {"dim": 1, "ops": {"circ": []}}, "vdim": 2,
+                             "l": [_SQUARE], "r": [{"rows": 2, "cols": 2, "entries": rows}]}),
+    "tensor2": (fileio.tensor_from_doc, (2, 2), "tensor.entries",
+                lambda rows: {"dim": 2, "rank": 2, "entries": rows}),
+    "tensor3": (fileio.tensor_from_doc, (2, 2, 2), "tensor.entries",
+                lambda rows: {"dim": 2, "rank": 3, "entries": rows}),
+}
+
+
+@pytest.mark.parametrize("kind", list(_GRIDS))
+def test_every_grid_kind_locates_its_refused_row(kind):
+    """One reader serves every sparse grid in a file: a repeated and an
+    out-of-range row are named by their position, and a list longer than
+    the grid is refused by its count before any row is converted (its row 0
+    holds a bad scalar, which would be refused first otherwise)."""
+    reader, shape, where, doc = _GRIDS[kind]
+    rank, size = len(shape), math.prod(shape)
+    ranges = "1..2" if len(set(shape)) == 1 else "1..2 x 1..3"
+    ok, other = [1] * rank + ["1/2"], [*shape, "-1"]
+    far = [*shape[:-1], shape[-1] + 1, "1"]
+    refusals = [
+        ([ok, other, ok], f"[2]: duplicate entry at ({','.join(['1'] * rank)})"),
+        ([other, far], f"[1]: index outside {ranges}"),
+        ([[1] * rank + ["1/0"]] + [ok] * size,
+         f": more rows ({size + 1}) than the grid has entries ({size})"),
+    ]
+    for rows, message in refusals:
+        with pytest.raises(fileio.FileFormatError) as excinfo:
+            reader(doc(rows))
+        assert str(excinfo.value) == where + message
+    reader(doc([ok, other]))
+
+
+def test_earlier_op_is_refused_before_a_later_one():
+    doc = {"dim": 2, "ops": {"circ": [[1, 1, 1, "1"], [1, 1, 1, "2"]],
+                             "bullet": [[3, 1, 1, "1"]]}}
+    with pytest.raises(fileio.FileFormatError,
+                       match=re.escape("algebra.ops.circ[1]: duplicate entry at (1,1,1)")):
+        fileio.algebra_from_doc(doc)
 
 
 @pytest.mark.parametrize("reader, text, where", [

@@ -278,6 +278,28 @@ def test_module_refusals_keep_their_type_message_and_order(kind):
         assert _refusal(make, base, 2, before + [flat] + [flat] * after) == shape
 
 
+def test_checks_refuse_a_module_of_the_other_kind(p2, ld2):
+    """The module and O-operator checks of one kind refuse a module of the
+    other with a TypeError, on a fresh value and after the check of its own
+    kind has kept its compiled lines with it, and build nothing for it."""
+    base = sa.merge_ops(p2, ld2)
+    T = sa.LinearMap.identity(2)
+    checks = {sa.PreLieModule: [sa.check_prelie_module, lambda m: sa.check_o_prelie(T, m)],
+              sa.LDendModule: [sa.check_ldend_module, lambda m: sa.check_o_ldend(T, m)]}
+    own = {sa.PreLieModule: sa.check_prelie_module, sa.LDendModule: sa.check_ldend_module}
+    for checked in (False, True):
+        for m in (regular_prelie_module(base), regular_ldend_module(base)):
+            if checked:
+                assert own[type(m)](m).passed
+            kept = set(vars(m))
+            other = sa.LDendModule if type(m) is sa.PreLieModule else sa.PreLieModule
+            for check in checks[other]:
+                with pytest.raises(TypeError) as excinfo:
+                    check(m)
+                assert str(excinfo.value) == f"{other.__name__} required, got {type(m).__name__}"
+            assert set(vars(m)) == kept
+
+
 # ---------------------------------------------------------------------------
 # the two pre-Lie modules carried by any L-dendriform algebra
 
