@@ -132,22 +132,22 @@ XYZ, YXZ, XZY, YZX, ZXY = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
 
 
 def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
-    """Plane function of one identity over the int tables ``ops``, by the
+    """Line function of one identity over the int tables ``ops``, by the
     keys its terms name, with largest entries ``bounds``: n, the dimension of
     the tables' inputs, is read from them.  Its slot ``free`` is free over
-    the basis indices ``rows``: ``plane(*idx)``, given the other slots'
-    indices, is the int residual at every f in ``rows`` as one packed plane,
-    row f - rows.start at field (f - rows.start) * width.  A term costs one
-    big-int multiply-add per inner index m per line, not per tuple: when z
-    is free, a scalar row times a table's plane,
+    the basis indices ``rows``: ``line(*idx)``, given the other slots'
+    indices, evaluates the int residual at every f in ``rows`` as one
+    packed plane, row f - rows.start at field (f - rows.start) * width.  A
+    term costs one big-int multiply-add per inner index m per line, not per
+    tuple: when z is free, a scalar row times a table's plane,
       (x A y) B z  =  sum_m A[x][y][m] * (B[m][z] over all z),
     else a column of the free role's table packed at the row stride times
     the other table's vector, their outer product (see
     :func:`splitalg.core.slot_sum`).  Identities compiled with one
     ``packings`` dict share their packings, and negative terms are summed
-    apart, so no negated copy is kept.  Returns ``plane`` and ``split``,
-    which lists (f - rows.start, entries) for the nonzero rows of a plane,
-    without the first ``skip`` entries of each when they are known zero.
+    apart, so no negated copy is kept.  ``line`` returns (f - rows.start,
+    entries) for the nonzero rows of the plane, without the first ``skip``
+    entries of each when they are known zero.
     """
     first = terms[0]
     n, width = len(ops[first[2]]), len(ops[first[3] if first[1] == LEFT else first[2]][0][0])
@@ -189,16 +189,14 @@ def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
                     packed(a, "vec"), x))
         (pos if sign > 0 else neg).append(row)
 
-    def plane(*given):
+    def line(*given, skip=0):
         idx = (*given, 0)
-        return (sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in pos])
-                - sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in neg]))
-
-    def split(p, skip=0):
+        p = (sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in pos])
+             - sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in neg]))
         return [(f, unpack(row >> skip * bits, width - skip, bits))
                 for f, row in enumerate(unpack(p, len(rows), stride)) if row] if p else ()
 
-    return plane, split
+    return line
 
 
 def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None) -> CheckReport:
@@ -230,9 +228,8 @@ def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None)
         lines, packings = [], {}
         for ident, arity, terms in system:
             _, shape, a, b, _ = terms[0]
-            plane, split = _compile(terms, ops, bounds, packings, arity - 1, range(alg.dim))
             lines.append((ident, arity, scale[a] if shape == PLAIN else scale[a] * scale[b],
-                          lambda *idx, plane=plane, split=split: split(plane(*idx))))
+                          _compile(terms, ops, bounds, packings, arity - 1, range(alg.dim))))
         return lines
 
     return _run(compiled() if form is not None else alg.compiled(system, compiled), alg.dim)

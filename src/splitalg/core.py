@@ -117,13 +117,12 @@ def _reshape(flat: Iterable, shape: Sequence[int]) -> tuple:
 
 
 def _has_shape(grid, shape: Sequence[int], kinds: set) -> bool:
-    """Whether ``grid`` is nested to exactly ``shape``; the types of its rows
-    at every level above the entries are added to ``kinds``."""
+    """Whether ``grid`` is nested to exactly ``shape``, of rank 2 or more;
+    the types of its rows at every level above the entries are added to
+    ``kinds``."""
     n, *rest = shape
     if len(grid) != n:
         return False
-    if not rest:
-        return True
     kinds.update(map(type, grid))
     if len(rest) > 1:
         return all(_has_shape(sub, rest, kinds) for sub in grid)
@@ -140,11 +139,6 @@ def check_grid(grid, shape: Sequence[int], mismatch: str, what: str) -> tuple:
         raise DimensionMismatch(mismatch)
     _check_rationals(_leaves(grid, len(shape)), what)
     return grid if kinds == {tuple} else _reshape(_leaves(grid, len(shape)), shape)
-
-
-def nest(flat: Iterable, dim: int, rank: int) -> tuple:
-    """The dim^rank grid whose row-major entries are ``flat``."""
-    return _reshape(flat, (dim,) * rank)
 
 
 def _entrywise(op, rank: int, *grids) -> tuple:
@@ -179,12 +173,16 @@ def grid_from_values(values: Mapping[tuple, Fraction], shape: Sequence[int]) -> 
 def grid_from_rows(dim: int, rank: int, rows: Iterable[Sequence], what: str) -> tuple:
     """The dense dim^rank grid of sparse 1-based ``(*index, value)`` rows, as
     the API constructors take them (:mod:`splitalg.fileio` reads a file's
-    rows itself, naming each refused row by its position).  A row of the
-    wrong length or an index given twice, as a duplicate ``what``, is a
-    ValueError; an index part that is not an int a TypeError, and one
-    outside 1..dim a DimensionMismatch."""
+    rows itself, naming each refused row by its position).  A ``dim`` that
+    is not an int, a row that is not a sequence or an index part that is
+    not an int is a TypeError; a row of the wrong length or an index given
+    twice, as a duplicate ``what``, a ValueError, and an index part outside
+    1..dim a DimensionMismatch."""
+    check_size(dim, "dimension")
     values = {}
     for row in rows:
+        if not isinstance(row, Sequence):
+            raise TypeError(f"{what} row must be a sequence, got {row!r}")
         if len(row) != rank + 1:
             raise ValueError(f"{what} row has {len(row)} fields, not {rank + 1}")
         index = tuple(row[:rank])
@@ -217,14 +215,6 @@ def zero_vector(dim: int) -> Vector:
 
 def basis_vector(dim: int, i: int) -> Vector:
     return tuple(_ONE if k == i else _ZERO for k in range(dim))
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
 def _dot(x: Iterable, y: Iterable) -> Fraction:
@@ -799,18 +789,22 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # d_A * d_B for a form identity, d_A * d_t**2 for a tensor equation.  A
 # module's action tables are scaled by the lcm d of their denominators and
 # d_A, and the base tables rescaled by d / d_A when that is not 1, so a module
-# identity divides by d**2 and an O-operator identity by d_t**2 * d.  The
-# scaling is one flat pass per grid, as in the dense-grid layer: each grid is
-# rectangular, so it is flattened at C speed, scaled as one list and nested
-# again.  Vectors are packed into one int (Kronecker substitution), so a
-# linear combination of vectors costs one big-int multiply-add per vector
-# instead of one per entry.  Two vectors packed at strides 1 and n multiply
+# identity divides by d**2 and an O-operator identity by d_t**2 * d; a module
+# value keeps these ints once, as its O-operator rows.  The scaling is one
+# flat pass per grid, as in the dense-grid layer: each grid is rectangular,
+# so it is flattened at C speed, scaled as one list and nested again.
+# Vectors are packed into one int (Kronecker substitution), so a linear
+# combination of vectors costs one big-int multiply-add per vector instead
+# of one per entry.  Two vectors packed at strides 1 and n multiply
 # to their outer product, packed as an n x n plane in row-major order: the
 # slot products keep one such plane per slot-1 component, and a block of a
 # term costs one big-int multiply-add (see :func:`slot_sum`).  An identity
 # check packs the residuals of a line of basis tuples, all values of one free
-# slot, into one such plane (:func:`splitalg.axioms._compile`), compiled once
-# per algebra or module value (:meth:`Algebra.compiled`).  Each packing
+# slot, into one such plane and splits its nonzero rows, one line function per
+# identity (:func:`splitalg.axioms._compile`), compiled once per algebra or
+# module value (:meth:`Algebra.compiled`).  Neither kernel keeps a table with
+# its two inputs swapped: each makes that view with ``zip`` where it reads
+# it, the slot sums per call, the compiler in its packings.  Each packing
 # is exact while every field of the result stays below 2**(width - 1) in
 # absolute value; :func:`field_width` gives the width for a bound on the
 # result's fields, found from the factors' largest entries.
@@ -921,8 +915,8 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
       s's other slot:  acc[y] += S_v[y] * sum_u R_u (x) T_uv,
       the shared slot: acc[k] += T_uv[k] * (R_u (x) S_v),
     one multiply-add per block, not one per entry.  The second is the first
-    with r and s swapped and the table's inputs swapped, a table the int form
-    derives once per value like the others.  No field of the sum
+    with r and s swapped and the table's inputs swapped, a view the call
+    makes with ``zip`` and does not keep.  No field of the sum
     exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
     maxima taken over the int tables and tensors (:func:`field_width`).
     """
@@ -951,12 +945,6 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
         return tuple(pack(row, stride * bits) if any(row) else 0 for row in grid)
 
     @cache
-    def transposed(key) -> Table:
-        """Table ``key`` with its two inputs swapped, kept in the int form."""
-        parts = ((1, key, False),) if isinstance(key, str) else key
-        return alg.scaled(tuple((sign, name, not flipped) for sign, name, flipped in parts))[1][0]
-
-    @cache
     def support(key, first: bool) -> tuple:
         """The shared-slot components of tensor ``key``'s nonzero rows."""
         return tuple(u for u, row in enumerate(rows(key, first)) if any(row))
@@ -967,7 +955,7 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
         r_key, s_key = (id(r), r_first), (id(s), s_first)
         if s_stride == n * n:       # s's other slot is slot 1: r's layout, roles swapped
             r_key, s_key, r_stride, s_stride = s_key, r_key, s_stride, r_stride
-            table = transposed(key)
+            table = tuple(zip(*table))
         vs = support(*s_key)
         blocks = [(u, v, vec) for u in support(*r_key)
                   for v, vec in zip(vs, map(table[u].__getitem__, vs)) if any(vec)]

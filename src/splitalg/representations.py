@@ -11,9 +11,9 @@ A module kind is declared once, as its blocks: each a base op extended by a
 and as its module check: a class system and module-identity rows.  The
 constructors, the semidirect sums, the module and O-operator checks and
 the file format all read that declaration, and each check refuses a
-module of the other kind.  A module value keeps its int form (base tables
-and action tables as ints), its O-operator rows and its compiled module
-identities, built on first use.
+module of the other kind.  A module value keeps its int form, one
+O-operator row of base table and action tables as ints per block, and its
+compiled module identities, built on first use.
 
 A module is checked as the class identities of its semidirect sum: the
 family data is a module exactly when A + V lies in the class, and since
@@ -92,7 +92,7 @@ class _Module:
     check: the class ``_system`` of its semidirect sum and its module
     identities ``_ids`` (see :attr:`_lines`).  Copies and pickles are
     rebuilt from the fields, without what checks keep with the value: the
-    int form, the O-operator rows and the compiled identities."""
+    int form, as O-operator rows, and the compiled identities."""
 
     def __post_init__(self):
         """Refuse a base without a block op, a ``vdim`` that is not an int,
@@ -114,19 +114,15 @@ class _Module:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @cached_property
-    def _ints(self) -> tuple[int, list]:
-        """d and each block's (base table, l, r action tables) as ints
-        scaled by d (see :func:`_module_ints`), built once per value."""
-        d, tables, acts = _module_ints(self.base, [op for op, *_ in self._blocks],
-                                       [getattr(self, name) for name in self._families()])
-        return d, list(zip(tables, acts[::2], acts[1::2]))
-
-    @cached_property
     def _o_rows(self) -> tuple[list, int, int]:
-        """The O-operator rows (id, base table, l, r) of the int form, vdim
-        and d: the arguments after the map of ``operators._check_o``."""
-        d, blocks = self._ints
-        return [(ident, *grids) for (*_, ident), grids in zip(self._blocks, blocks)], self.vdim, d
+        """The module's int form, built once per value: one O-operator row
+        (id, base table, l, r action tables) per block, as ints scaled by d
+        (see :func:`_module_ints`), vdim and d: the arguments after the map
+        of ``operators._check_o``."""
+        ops, *_, idents = zip(*self._blocks)
+        d, tables, acts = _module_ints(self.base, ops,
+                                       [getattr(self, name) for name in self._families()])
+        return list(zip(idents, tables, acts[::2], acts[1::2])), self.vdim, d
 
     @cached_property
     def _lines(self) -> list:
@@ -138,23 +134,23 @@ class _Module:
         is sign times the module part of the class residual (the base part
         vanishes), flattened row-major.  The slot of f_w is the free slot of
         the compiled identity, so one plane per (i, j) holds every column."""
-        n, v = self.base.dim, self.vdim
-        d, blocks = self._ints
-        ops = {op: _block_fill(*grids, 0) for (op, *_), grids in zip(self._blocks, blocks)}
+        n = self.base.dim
+        rows, v, d = self._o_rows
+        ops = {op: _block_fill(*grids, 0) for (op, *_), (_, *grids) in zip(self._blocks, rows)}
         bounds = {op: max_abs(table) for op, table in ops.items()}
         terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[self._system]}
         packings = {}
 
         def module_line(cls, slot, sign):
-            plane, split = _compile(terms[cls], ops, bounds, packings, slot, range(n, n + v))
+            line = _compile(terms[cls], ops, bounds, packings, slot, range(n, n + v))
 
-            def line(i):
+            def matrices(i):
                 for j in range(n):
-                    if cols := dict(split(plane(i, j), n)):
+                    if cols := dict(line(i, j, skip=n)):
                         yield j, [sign * cols[w][r] if w in cols else 0
                                   for r in range(v) for w in range(v)]
 
-            return line
+            return matrices
 
         return [(ident, 2, d ** 2, module_line(cls, slot, sign))
                 for ident, cls, slot, sign in self._ids]
@@ -315,6 +311,7 @@ def check_prelie_module(m: PreLieModule) -> CheckReport:
 def dual_prelie_module(m: PreLieModule) -> PreLieModule:
     """The dual module (l* - r*, -r*, V*) with rho* = -rho^T, that is
     ((r - l)^T, r^T, V*)."""
+    _require_kind(m, PreLieModule)
     acts = {"r": _actions(m.r), "l": _actions(m.l)}
     return PreLieModule(m.base, m.vdim, *map(_family, _dual_actions(acts, _DUAL_PRELIE)))
 
@@ -324,6 +321,7 @@ def semidirect_prelie(m: PreLieModule) -> Algebra:
 
     Base coordinates come first, module coordinates second; V.V = 0.
     """
+    _require_kind(m, PreLieModule)
     return _semidirect(m, "semidirect_prelie")
 
 
@@ -341,10 +339,12 @@ def dual_ldend_module(m: LDendModule) -> LDendModule:
     """The dual module (l_r* + l_l* - r_r* - r_l*,  r_r*,  r_r* - l_l*,
     -(r_r* + r_l*),  V*) with rho* = -rho^T, that is
     ((r_r + r_l - l_r - l_l)^T, (-r_r)^T, (l_l - r_r)^T, (r_r + r_l)^T, V*)."""
+    _require_kind(m, LDendModule)
     acts = {name: _actions(getattr(m, name)) for name in ("r_r", "r_l", "l_r", "l_l")}
     return LDendModule(m.base, m.vdim, *map(_family, _dual_actions(acts, _DUAL_LDEND)))
 
 
 def semidirect_ldend(m: LDendModule) -> Algebra:
     """L-dendriform structure on A + V from the four action families."""
+    _require_kind(m, LDendModule)
     return _semidirect(m, "semidirect_ldend")

@@ -46,6 +46,7 @@ from .representations import (
     LDendModule,
     PreLieModule,
     _prelie_modules,
+    _require_kind,
     dual_ldend_module,
     dual_prelie_module,
     regular_ldend_module,
@@ -313,6 +314,7 @@ def embed_operator(T: LinearMap) -> Tensor2:
 def build_s_solution(m: PreLieModule, T: LinearMap) -> tuple[Algebra, Tensor2]:
     """The semidirect pre-Lie algebra on A + V* through the dual module,
     together with the symmetric tensor T + sigma(T)."""
+    _require_kind(m, PreLieModule)
     if T.rows != m.base.dim or T.cols != m.vdim:
         raise DimensionMismatch("operator shape does not match the module")
     hat = semidirect_prelie(dual_prelie_module(m))
@@ -323,6 +325,7 @@ def build_s_solution(m: PreLieModule, T: LinearMap) -> tuple[Algebra, Tensor2]:
 def build_ld_solution(m: LDendModule, T: LinearMap) -> tuple[Algebra, Tensor2]:
     """The semidirect L-dendriform algebra on A + V* through the dual module,
     together with the skew tensor T - sigma(T)."""
+    _require_kind(m, LDendModule)
     if T.rows != m.base.dim or T.cols != m.vdim:
         raise DimensionMismatch("operator shape does not match the module")
     big = semidirect_ldend(dual_ldend_module(m))

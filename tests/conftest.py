@@ -1,13 +1,14 @@
 """Shared fixtures: the shipped catalog plus the solution / non-solution
 instance sets used by the equation suites and the acceptance criteria.
 
-Everything is session-scoped; all objects are immutable.
+Everything is session-scoped and all objects are immutable, except the
+``constructions`` counter, which spies on one test.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,19 @@ import pytest
 import splitalg as sa
 from splitalg import catalog
 from splitalg.representations import regular_ldend_module, regular_prelie_module
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of Algebra, PreLieModule and LDendModule values built."""
+    counts = Counter()
+    for cls in (sa.Algebra, sa.PreLieModule, sa.LDendModule):
+        def counted(self, original=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -36,8 +36,6 @@ from splitalg.core import (
     tensor2,
     tensor3_from_entries,
     tensor_to_map,
-    vec_add,
-    vec_sub,
 )
 from splitalg.functors import SUB_ADJACENT, horizontal_prelie, vertical_prelie
 from splitalg.operators import _gate, _require_shape
@@ -57,6 +55,7 @@ from splitalg.ybe import (
     s_residual,
 )
 
+from naive_kernel import vec_add, vec_sub
 from naive_tensor import naive_s_alternate
 
 

@@ -7,6 +7,9 @@ holds entries or further rows from the row's first element.  Grids need not
 be rectangular here.  The package instead reads one shape per grid, flattens
 it in one pass and nests the scaled entries again, so agreement between the
 two, nesting included, is a meaningful cross-check.
+
+It also holds the grid and vector helpers the tests build inputs and
+oracles with: ``nest``, ``vec_add`` and ``vec_sub``.
 """
 
 import math
@@ -52,3 +55,19 @@ def naive_max_abs(grid) -> int:
     if _is_leaf_row(grid):
         return max(map(abs, grid), default=0)
     return max((naive_max_abs(sub) for sub in grid), default=0)
+
+
+def nest(flat, dim: int, rank: int) -> tuple:
+    """The dim^rank grid of tuples whose row-major entries are ``flat``."""
+    grid = tuple(flat)
+    for _ in range(rank - 1):
+        grid = tuple(grid[i:i + dim] for i in range(0, len(grid), dim))
+    return grid
+
+
+def vec_add(x, y) -> tuple:
+    return tuple(a + b for a, b in zip(x, y, strict=True))
+
+
+def vec_sub(x, y) -> tuple:
+    return tuple(a - b for a, b in zip(x, y, strict=True))

@@ -169,6 +169,23 @@ def test_algebra_refusals_name_the_op(row, kind, message):
     assert str(excinfo.value) == f"table 'bullet': {message}"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: sa.algebra("2", {"circ": [(1, 1, 1, 1)]}),
+     "table 'circ': dimension must be an int, got '2'"),
+    (lambda: sa.tensor2(2.0, [(1, 1, 1)]), "dimension must be an int, got 2.0"),
+    (lambda: sa.tensor2(2, [5]), "entry row must be a sequence, got 5"),
+    (lambda: sa.algebra(2, {"circ": [None]}),
+     "table 'circ': structure constant row must be a sequence, got None"),
+], ids=["algebra-str-dim", "tensor2-float-dim", "tensor2-int-row", "algebra-none-row"])
+def test_sparse_builders_refuse_wrong_types_in_their_own_words(build, message):
+    """A dimension that is not an int, or a row that is not a sequence, is
+    refused as a TypeError before either is used, with the builders' own
+    message rather than one from Python internals."""
+    with pytest.raises(TypeError) as excinfo:
+        build()
+    assert type(excinfo.value) is TypeError and str(excinfo.value) == message
+
+
 def test_sparse_rows_of_the_wrong_length_rejected():
     with pytest.raises(ValueError):
         sa.algebra(2, {"circ": [(1, 1, 1)]})

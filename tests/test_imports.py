@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, and no private
-module-level helper outlives its last caller.
+module-level helper outlives its last caller, nor a public one that no
+user can reach.
 
 Deleting a helper tends to leave its import behind, and no linter runs on
 the sources, so this walks each module's syntax tree: every name bound by a
@@ -7,7 +8,9 @@ module-level ``import`` must be referenced somewhere in the module or be
 listed in its ``__all__``.  The package ``__init__`` re-exports by import and
 is skipped.  Likewise every module-level private function, class or constant
 (a name with one leading underscore) must be referenced by some code in the
-package outside its own definition.
+package outside its own definition.  So must every public module-level
+name, unless its module's ``__all__`` lists it or the package ``__init__``
+imports it: a public name no user is offered and no code calls is dead too.
 
 The test oracles ``tests/naive_tensor.py`` and ``tests/naive_kernel.py``
 must stay independent of the package they check, so they may import the
@@ -85,18 +88,37 @@ def _referenced_names(node: ast.AST) -> set[str]:
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each module-level private definition in ``sources``
-    (module name -> source) that no other top-level statement references."""
+def _unreferenced(sources: dict[str, str], wanted) -> list[str]:
+    """``module.name`` of each module-level definition in ``sources`` (module
+    name -> source) with ``wanted(module, name)`` that no other top-level
+    statement references."""
     statements = [(module, node) for module, text in sources.items()
                   for node in ast.parse(text).body]
     references = [_referenced_names(node) for _, node in statements]
     dead = []
     for index, (module, node) in enumerate(statements):
-        for name in filter(_private, _defined_names(node)):
-            if not any(name in refs for k, refs in enumerate(references) if k != index):
+        for name in _defined_names(node):
+            if wanted(module, name) and not any(
+                    name in refs for k, refs in enumerate(references) if k != index):
                 dead.append(f"{module}.{name}")
     return dead
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level private definition in ``sources``
+    (module name -> source) that no other top-level statement references."""
+    return _unreferenced(sources, lambda module, name: _private(name))
+
+
+def unused_public_names(sources: dict[str, str], init: str) -> list[str]:
+    """``module.name`` of each module-level public definition in ``sources``
+    that no other top-level statement references, that its module's
+    ``__all__`` does not list and that the package ``init`` source does not
+    import: a name no caller in the package and no user can reach."""
+    exported = {module: _exported(ast.parse(text)) for module, text in sources.items()}
+    imported = set(_imported_names(ast.parse(init)))
+    return _unreferenced(sources, lambda module, name: not name.startswith("_")
+                         and name not in exported[module] | imported)
 
 
 def test_dead_private_names_are_detected():
@@ -116,6 +138,27 @@ def test_no_dead_private_names():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in SOURCES + [SOURCES[0].parent / "__init__.py"]}
     assert dead_private_names(sources) == []
+
+
+def test_unused_public_names_are_detected():
+    sources = {
+        "a": "__all__ = ['listed']\nLIMIT = 3\nSPARE = 1\n"
+             "def listed():\n    return LIMIT\n"
+             "def helper(x):\n    return helper(x - 1) if x else 0\n"
+             "def reexported():\n    pass\n"
+             "class Orphan:\n    pass\n",
+        "b": "from a import listed\n"
+             "def public():\n    return listed()\n",
+    }
+    init = "from .a import reexported\nfrom .b import public\n"
+    # helper only calls itself, which does not keep it alive
+    assert unused_public_names(sources, init) == ["a.SPARE", "a.helper", "a.Orphan"]
+
+
+def test_no_unused_public_names():
+    init = SOURCES[0].parent / "__init__.py"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES + [init]}
+    assert unused_public_names(sources, init.read_text(encoding="utf-8")) == []
 
 
 def non_stdlib_imports(source: str) -> list[str]:

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg.axioms import CLASS_NAMES
-from splitalg.core import nest, slot_sum
+from splitalg.core import slot_sum
+
+from naive_kernel import nest
 
 #: denominator sets of one object; drawn per object, so tables and tensors
 #: often have denominators that do not divide each other
@@ -177,19 +179,21 @@ def test_equal_vectors_of_the_int_form_are_one_tuple():
     assert len({id(vec) for vec in vectors}) == len(set(vectors))
 
 
-def test_a_term_with_s_in_slot_1_reads_the_transposed_table_once_per_value():
-    """Such a term swaps the table's inputs; the swapped table is a derived
-    table of the int form, built by the first call and kept for the next."""
+def test_a_term_with_s_in_slot_1_keeps_no_swapped_table():
+    """Such a term reads its table with the two inputs swapped, a view the
+    call makes and drops: the int form gains no key beyond the keys the
+    terms name, on the first call or the next, and each call answers as on
+    a fresh value."""
     alg = _algebra()
     r = sa.tensor2(2, [(1, 2, 1), (2, 1, Fraction(-1, 3))])
-    terms = [(1, r, (2, 3), r, (1, 2), "circ")]
-    first = slot_sum(terms, alg)
+    s = sa.tensor2(2, [(1, 1, Fraction(1, 2)), (2, 1, 2)])
+    vertical = ((1, "tri_r", False), (-1, "tri_l", True))
+    terms = [(1, r, (2, 3), s, (1, 2), "circ"), (-1, s, (3, 2), r, (2, 1), vertical)]
     form = alg._int_form[1]
-    swapped = form[((1, "circ", True),)]
-    assert swapped == (tuple(zip(*alg.scaled("circ")[1][0])), alg.entry_bound("circ"))
-    keys = set(form)
+    first = slot_sum(terms, alg)
+    assert set(form) == {*OPS, vertical}
     assert slot_sum(terms, alg) == first == slot_sum(terms, fresh(alg))
-    assert set(form) == keys and form[((1, "circ", True),)] is swapped
+    assert set(form) == {*OPS, vertical}
 
 
 def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
@@ -315,7 +319,8 @@ def test_reports_on_a_reused_algebra_answer_as_on_a_fresh_one(case, data):
 def test_checked_algebras_and_modules_stay_values():
     """Checks keep compiled identities with the algebra's int form and with
     the module, the reports their modules' O-operator rows with the int
-    form, and the O-operator checks a module's int form with the module;
+    form, and the module and O-operator checks a module's int form, its
+    O-operator rows, with the module, which keeps no other int copy;
     copies, pickles and ``dataclasses.replace`` are rebuilt from the fields
     and carry none of it, yet compare equal, hash alike and answer alike."""
     alg = _algebra()
@@ -333,7 +338,8 @@ def test_checked_algebras_and_modules_stay_values():
     answers = {value: repr(check(value)) for value, check in checks.items()}
     assert set(vars(alg)) == {"dim", "ops", "class_tag", "_int_form"}
     assert {sa.s_equivalence_check, sa.ld_equivalence_check} <= set(alg._int_form[3])
-    assert all({"_lines", "_ints", "_o_rows"} <= set(vars(m)) for m in (pm, lm))
+    assert all({"_lines", "_o_rows"} <= set(vars(m)) for m in (pm, lm))
+    assert not any(hasattr(m, "_ints") for m in (pm, lm))
     for value, check in checks.items():
         names = {f.name for f in dataclasses.fields(value)}
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),

@@ -11,7 +11,6 @@ scale (so T over 1/5 meets tables over 1/3), and are sometimes all zero.
 import copy
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -22,13 +21,13 @@ from hypothesis import strategies as st
 import splitalg as sa
 from splitalg import axioms, catalog, core, operators, representations, ybe
 from splitalg.axioms import REQUIRED_OPS
-from splitalg.core import clear_denominators, field_width, max_abs, nest, pack, slot_sum, unpack
+from splitalg.core import clear_denominators, field_width, max_abs, pack, slot_sum, unpack
 from splitalg.functors import VERTICAL
 from splitalg.representations import _actions, _module_ints
 from splitalg.ybe import _check_companion_identity
 
 import naive_checks as naive
-from naive_kernel import naive_clear_denominators, naive_max_abs
+from naive_kernel import naive_clear_denominators, naive_max_abs, nest
 from naive_tensor import (
     naive_ld_residual,
     naive_s_alternate,
@@ -299,7 +298,9 @@ def test_plane_fields_reach_the_width_bound(shape, free, lo):
     every field of the residual is +-n * (a + c') (+-(a + c') when PLAIN),
     the bound the kernel sizes its fields for, here 2**40 - 1, and the
     sign flips from each field to the next, also across a row boundary.
-    A carry or borrow into a neighbouring row reads as a wrong residual."""
+    The compiled identity is one line function, whose rows are the packed
+    plane split: a carry or borrow into a neighbouring field or row reads
+    as a wrong residual."""
     n, top = 3, 2 ** 40 - 1
     total = top if shape == axioms.PLAIN else top // n
     ops = {"A": _checkerboard(total - 2 ** 20, n), "C": _checkerboard(-(2 ** 20), n),
@@ -307,18 +308,18 @@ def test_plane_fields_reach_the_width_bound(shape, free, lo):
     perm = axioms.XY if shape == axioms.PLAIN else axioms.XYZ
     terms = ((1, shape, "A", "B", perm), (-1, shape, "C", "B", perm))
     bounds = {name: max_abs(table) for name, table in ops.items()}
-    plane, split = axioms._compile(terms, ops, bounds, {}, free, range(lo, n))
-    bits = field_width(top)
-    assert bits == 41
+    line = axioms._compile(terms, ops, bounds, {}, free, range(lo, n))
+    assert callable(line)
+    assert field_width(top) == 41
     for prefix in itertools.product(range(n), repeat=len(perm) - 1):
-        packed = plane(*prefix)
-        assert [f for f, _ in split(packed)] == list(range(n - lo))
-        for f, row in enumerate(unpack(packed, n - lo, n * bits), lo):
+        rows = line(*prefix)
+        assert [f for f, _ in rows] == list(range(n - lo))
+        for f, entries in rows:
             idx = list(prefix)
-            idx.insert(free, f)
+            idx.insert(free, f + lo)
             expected = [p - q for p, q in zip(_term(shape, ops["A"], ops["B"], *idx),
                                                _term(shape, ops["C"], ops["B"], *idx))]
-            assert unpack(row, n, bits) == expected == split(packed)[f - lo][1]
+            assert entries == expected
             assert {abs(x) for x in expected} == {top}
 
 
@@ -564,6 +565,33 @@ def test_slot_sum_fields_reach_the_width_bound(m, r_slots, s_slots):
     assert values == {2 * n * n * m ** 3, -2 * n * n * m ** 3}
 
 
+@pytest.mark.parametrize("m", [2 ** 40, Fraction(2 ** 40, 3)], ids=["int", "fraction"])
+def test_o_operator_fields_reach_the_width_bound(m):
+    """Every entry of T, the base product and the module's actions is +-m:
+    T[a][u] = m x_a y_u, circ[a][b][k] = m x_a x_b x_k and l(e_a) f_v =
+    -m x_a y_v y, r(e_b) f_u = -m x_b y_u y, for sign vectors x and y.  So
+    T(f_u) o T(f_v) = n**2 m**3 y_u y_v x and T(l(T(f_u)) f_v) =
+    T(r(T(f_v)) f_u) = -n vdim m**3 y_u y_v x, and every residual field is
+    +-(n**2 + 2 n vdim) M**3, M = 2**40 the int that m scales to: the bound
+    ``operators._packed_base`` sizes its fields for, reached exactly and in
+    both signs.  A field one bit too narrow reads one of them wrongly."""
+    n, vdim = 3, 2
+    x, y = (1, -1, 1), (-1, 1)
+    circ = nest([m * x[a] * x[b] * x[k] for a in range(n) for b in range(n) for k in range(n)],
+                n, 3)
+    T = sa.LinearMap(n, vdim, tuple(tuple(m * x[a] * y[u] for u in range(vdim))
+                                    for a in range(n)))
+    # the matrix of l(e_a) = r(e_a): column v is -m x_a y_v y
+    acts = tuple(sa.LinearMap(vdim, vdim, nest([-m * x[a] * y[v] * y[w] for w in range(vdim)
+                                                for v in range(vdim)], vdim, 2))
+                 for a in range(n))
+    module = sa.PreLieModule(sa.Algebra(n, {"circ": circ}), vdim, acts, acts)
+    failures = same_report("check_o_prelie", T, module)
+    bound = (n * n + 2 * n * vdim) * m ** 3
+    assert [indices for _, indices, _ in failures] == [(u, v) for u in (1, 2) for v in (1, 2)]
+    assert {Fraction(value) for *_, residual in failures for value in residual} == {bound, -bound}
+
+
 
 # ---------------------------------------------------------------------------
 # the equivalence reports against the module-value route
@@ -615,19 +643,6 @@ def test_ld_equivalence_report_matches_module_route(ld_instances, data):
 
 # ---------------------------------------------------------------------------
 # the checks evaluate on int tables and build no module values
-
-@pytest.fixture
-def constructions(monkeypatch):
-    """Counts of Algebra, PreLieModule and LDendModule values built."""
-    counts = Counter()
-    for cls in (sa.Algebra, sa.PreLieModule, sa.LDendModule):
-        def counted(self, original=cls.__post_init__, name=cls.__name__):
-            counts[name] += 1
-            original(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    return counts
-
 
 def test_checks_build_no_module_values(constructions, p2, l2, ld2, rb2):
     """The four O-operator checks build no values, nor does a report asked
@@ -701,8 +716,9 @@ def test_a_module_keeps_its_int_form(monkeypatch, p2, ld2):
         first = check(T, m)
         assert len(calls) == 1
         assert check(T, m) == first and module_check(m).passed and len(calls) == 1
+        assert "_o_rows" in vars(m) and not hasattr(m, "_ints")
         other = copy.copy(m)
-        assert "_ints" not in vars(other)
+        assert "_o_rows" not in vars(other)
         assert check(T, other) == first and len(calls) == 2
 
 

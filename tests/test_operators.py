@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg import catalog, operators
-from splitalg.core import nest
 from splitalg.representations import (
     left_family,
     regular_ldend_module,
@@ -17,6 +16,7 @@ from splitalg.representations import (
 )
 
 import naive_checks as naive
+from naive_kernel import nest
 
 
 def neg(family):

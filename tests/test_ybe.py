@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg import core
-from splitalg.core import nest
 from splitalg.functors import HORIZONTAL, SUB_ADJACENT, VERTICAL, commutator
 from splitalg.representations import regular_ldend_module, regular_prelie_module
 
 import naive_checks as naive
+from naive_kernel import nest
 from naive_tensor import naive_ld_residual, naive_s_residual
 
 
