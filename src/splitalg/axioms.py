@@ -28,9 +28,7 @@ from .core import (
     BilinearForm,
     DimensionMismatch,
     UnknownOperation,
-    clear_denominators,
     field_width,
-    max_abs,
     pack,
     unpack,
 )
@@ -222,9 +220,8 @@ def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None)
         if form is not None:
             if form.dim != alg.dim:
                 raise DimensionMismatch("form dimension does not match the algebra")
-            scale["B"], gram = clear_denominators(form.gram)
+            scale["B"], gram, bounds["B"] = form._ints
             ops["B"] = tuple(tuple((x,) for x in row) for row in gram)
-            bounds["B"] = max_abs(gram)
         lines, packings = [], {}
         for ident, arity, terms in system:
             _, shape, a, b, _ = terms[0]

@@ -239,10 +239,8 @@ def _cmd_verify_eq(args) -> int:
     tensor = read_tensor(args.tensor)
     if not isinstance(tensor, Tensor2):
         raise ValueError("verify-eq expects a rank-2 tensor file")
-    if args.equation == "eq-2.9":
-        residual = s_residual(alg, tensor)
-    else:
-        residual = ld_residual(alg, tensor, args.equation)
+    residual = (s_residual(alg, tensor) if args.equation == "eq-2.9"
+                else ld_residual(alg, tensor, args.equation))
     count = residual.nonzero_count()
     first = next(residual.nonzero_entries(), None)
     if args.json:
@@ -265,17 +263,14 @@ def _cmd_build_solution(args) -> int:
     module = read_module(args.module)
     T = read_map(args.map)
     if isinstance(module, PreLieModule):
-        hat, r = build_s_solution(module, T)
-        equation = "eq-2.9"
+        (hat, r), equation = build_s_solution(module, T), "eq-2.9"
         residual = s_residual(hat, r)
     elif isinstance(module, LDendModule):
-        hat, r = build_ld_solution(module, T)
-        equation = "eq-4.8"
+        (hat, r), equation = build_ld_solution(module, T), "eq-4.8"
         residual = ld_residual(hat, r, equation)
     else:
         raise ValueError("build-solution expects a pre-Lie or L-dendriform module")
-    alg_path = f"{args.out}.alg.json"
-    tensor_path = f"{args.out}.tensor.json"
+    alg_path, tensor_path = f"{args.out}.alg.json", f"{args.out}.tensor.json"
     write_algebra(hat, alg_path)
     write_tensor(r, tensor_path)
     count = residual.nonzero_count()
@@ -294,12 +289,9 @@ def _cmd_catalog(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, obj in files:
         path = out_dir / filename
-        if isinstance(obj, Tensor2):
-            write_tensor(obj, path)
-        elif hasattr(obj, "ops"):
-            write_algebra(obj, path)
-        else:
-            write_map(obj, path)
+        write = (write_tensor if isinstance(obj, Tensor2) else
+                 write_algebra if hasattr(obj, "ops") else write_map)
+        write(obj, path)
         print(f"wrote {path}")
     return 0
 

@@ -13,7 +13,7 @@ Indexing is 0-based internally.  File formats and counterexample reports use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, compress, groupby, product, repeat
@@ -67,14 +67,6 @@ def check_size(value, what: str):
     included)."""
     if not is_int(value):
         raise TypeError(f"{what} must be an int, got {value!r}")
-
-
-def _check_rationals(entries: Iterable, what: str):
-    """Refuse ``entries`` unless each is a Fraction or an int that is not a
-    bool: floats would round, and ``True`` is not the number 1 here."""
-    for x in entries:
-        if type(x) is not Fraction and type(x) is not int:
-            raise TypeError(f"{what} holds an entry that is not an exact rational: {x!r}")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -131,13 +123,17 @@ def _has_shape(grid, shape: Sequence[int], kinds: set) -> bool:
 
 def check_grid(grid, shape: Sequence[int], mismatch: str, what: str) -> tuple:
     """Refuse ``grid`` unless it is nested to exactly ``shape``, raising
-    DimensionMismatch(``mismatch``), and each entry is an exact rational;
-    return it nested in tuples: the grid itself when it already is, else a
-    copy, which later changes to a source list miss."""
+    DimensionMismatch(``mismatch``), and each entry is an exact rational: a
+    Fraction or an int that is not a bool, since floats would round and
+    ``True`` is not the number 1 here.  Return it nested in tuples: the grid
+    itself when it already is, else a copy, which later changes to a source
+    list miss."""
     kinds = {type(grid)}
     if not _has_shape(grid, shape, kinds):
         raise DimensionMismatch(mismatch)
-    _check_rationals(_leaves(grid, len(shape)), what)
+    for x in _leaves(grid, len(shape)):
+        if type(x) is not Fraction and type(x) is not int:
+            raise TypeError(f"{what} holds an entry that is not an exact rational: {x!r}")
     return grid if kinds == {tuple} else _reshape(_leaves(grid, len(shape)), shape)
 
 
@@ -170,15 +166,29 @@ def grid_from_values(values: Mapping[tuple, Fraction], shape: Sequence[int]) -> 
     return _reshape(map(values.get, indices, repeat(_ZERO)), shape)
 
 
+def _grid_of(rows, rank: int, what: str, part: str = "") -> tuple:
+    """The grid of dense ``rows`` nested ``rank`` deep, as the API
+    constructors take them, with every entry coerced by :func:`rat`.  A
+    level above the entries that is not iterable is refused as a TypeError
+    naming ``what`` (and ``part``, " row" below the top), not left to fail
+    inside Python."""
+    if not isinstance(rows, Iterable):
+        raise TypeError(f"{what}{part} must be iterable, got {rows!r}")
+    return tuple(map(rat, rows)) if rank == 1 else tuple(_grid_of(row, rank - 1, what, " row")
+                                                         for row in rows)
+
+
 def grid_from_rows(dim: int, rank: int, rows: Iterable[Sequence], what: str) -> tuple:
     """The dense dim^rank grid of sparse 1-based ``(*index, value)`` rows, as
     the API constructors take them (:mod:`splitalg.fileio` reads a file's
     rows itself, naming each refused row by its position).  A ``dim`` that
-    is not an int, a row that is not a sequence or an index part that is
-    not an int is a TypeError; a row of the wrong length or an index given
-    twice, as a duplicate ``what``, a ValueError, and an index part outside
-    1..dim a DimensionMismatch."""
+    is not an int, rows that are not iterable, a row that is not a sequence
+    or an index part that is not an int is a TypeError; a row of the wrong
+    length or an index given twice, as a duplicate ``what``, a ValueError,
+    and an index part outside 1..dim a DimensionMismatch."""
     check_size(dim, "dimension")
+    if not isinstance(rows, Iterable):
+        raise TypeError(f"{what} rows must be iterable, got {rows!r}")
     values = {}
     for row in rows:
         if not isinstance(row, Sequence):
@@ -272,10 +282,32 @@ def table_apply(table: Table, x: Vector, y: Vector) -> Vector:
 
 
 # ---------------------------------------------------------------------------
+# values that keep derived forms
+
+class _Value:
+    """Base of the frozen values that keep forms derived on first use, each
+    a ``cached_property``: an int form, compiled identities.  Copies and
+    pickles are rebuilt from the fields, as ``dataclasses.replace`` builds
+    its value, so every kept form stays behind."""
+
+    def __reduce__(self):
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+
+
+def _int_grid(grid) -> tuple[int, tuple, int]:
+    """The int form a tensor, map or form keeps: d, the least common
+    denominator of the grid's entries, the grid scaled by it to ints, and
+    its largest absolute entry."""
+    d, ints = clear_denominators(grid)
+    return d, ints, max_abs(ints)
+
+
+# ---------------------------------------------------------------------------
 # algebras
 
 @dataclass(frozen=True)
-class Algebra:
+class Algebra(_Value):
     """A based vector space of dimension ``dim`` with named multiplication
     tables.  ``class_tag`` is unverified provenance metadata, never
     substitutes for an axioms check, and is ignored by equality."""
@@ -317,10 +349,6 @@ class Algebra:
 
     def has_op(self, name: str) -> bool:
         return name in self.ops
-
-    def __reduce__(self):
-        """Copies and pickles are rebuilt from the fields, without the int form."""
-        return Algebra, (self.dim, dict(self.ops), self.class_tag)
 
     @cached_property
     def _int_form(self) -> tuple[int, dict, dict, dict]:
@@ -368,6 +396,17 @@ class Algebra:
         :meth:`scaled`), 0 for none, kept with each table under its key."""
         return max((bound for _, bound in self._entries(keys)), default=0)
 
+    def support(self, key, swapped: bool = False) -> tuple:
+        """The nonzero vectors of the int table named by ``key`` (see
+        :meth:`scaled`) by row: [u] -> the pairs (v, table[u][v]) whose vector
+        is nonzero, by increasing v; with ``swapped``, by the second input,
+        [v] -> the pairs (u, table[u][v]).  Built on first use and kept with
+        the int form, so no slot sum scans a table's zero vectors."""
+        table = self.scaled(key)[1][0]
+        return self.compiled((key, swapped), lambda: tuple(
+            tuple((v, vec) for v, vec in enumerate(row) if any(vec))
+            for row in (zip(*table) if swapped else table)))
+
 
 def _shared(table: Table, vectors: dict) -> tuple[Table, int]:
     """``table`` with each vector replaced by the equal one in ``vectors``,
@@ -383,6 +422,8 @@ def algebra(
 ) -> Algebra:
     """Build an algebra from sparse 1-based ``(i, j, k, value)`` tables (see
     :func:`grid_from_rows`); a refused row is refused with its op named."""
+    if not isinstance(sparse_ops, Mapping):
+        raise TypeError(f"ops must be a mapping of op names to rows, got {sparse_ops!r}")
     tables = {}
     for name, rows in sparse_ops.items():
         try:
@@ -398,9 +439,7 @@ def zero_algebra(dim: int, op_names: Sequence[str], class_tag: str | None = None
 
 def rename_ops(alg: Algebra, mapping: Mapping[str, str]) -> Algebra:
     """Rename operations, e.g. view a dendriform algebra as L-dendriform."""
-    ops = {}
-    for name, table in alg.ops.items():
-        ops[mapping.get(name, name)] = table
+    ops = {mapping.get(name, name): table for name, table in alg.ops.items()}
     if len(ops) != len(alg.ops):
         raise ValueError(f"renaming {mapping!r} collapses two operations")
     return Algebra(alg.dim, ops, alg.class_tag)
@@ -435,13 +474,15 @@ def multiply(alg: Algebra, op: str, x: Sequence, y: Sequence) -> Vector:
 # linear maps
 
 @dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Value):
     """Exact matrix between two based spaces; column j is the image of the
     j-th source basis vector."""
 
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
+    #: the int form of the entries (:func:`_int_grid`), built on first use
+    _ints = cached_property(lambda self: _int_grid(self.entries))
 
     def __post_init__(self):
         check_size(self.rows, "rows")
@@ -452,7 +493,7 @@ class LinearMap:
 
     @staticmethod
     def from_rows(entries: Iterable[Iterable]) -> "LinearMap":
-        grid = _entrywise(rat, 2, entries)
+        grid = _grid_of(entries, 2, "linear map")
         return LinearMap(len(grid), len(grid[0]) if grid else 0, grid)
 
     @staticmethod
@@ -487,10 +528,7 @@ class LinearMap:
         return self.compose(other)
 
     def transpose(self) -> "LinearMap":
-        return LinearMap(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        return LinearMap(self.cols, self.rows, tuple(zip(*self.entries)) or ((),) * self.cols)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if not isinstance(other, LinearMap):
@@ -589,7 +627,7 @@ def dual_rep(family: Sequence[LinearMap]) -> tuple[LinearMap, ...]:
 # tensors
 
 @dataclass(frozen=True)
-class _Tensor:
+class _Tensor(_Value):
     """A dense dim^rank coefficient array; subclasses fix ``rank`` and the
     message for a grid of the wrong shape."""
 
@@ -597,6 +635,8 @@ class _Tensor:
     entries: tuple
     rank: ClassVar[int]
     _mismatch: ClassVar[str]
+    #: the int form of the entries (:func:`_int_grid`), built on first use
+    _ints = cached_property(lambda self: _int_grid(self.entries))
 
     def __post_init__(self):
         check_size(self.dim, "dimension")
@@ -608,8 +648,7 @@ class _Tensor:
         """The tensor of a grid a kernel has built: already nested in tuples
         to dim^rank and holding only Fractions, so it is not checked again."""
         tensor = object.__new__(cls)
-        object.__setattr__(tensor, "dim", dim)
-        object.__setattr__(tensor, "entries", entries)
+        vars(tensor).update(dim=dim, entries=entries)
         return tensor
 
     @property
@@ -656,7 +695,7 @@ def tensor2(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor2:
 
 
 def tensor2_from_entries(entries: Iterable[Iterable]) -> Tensor2:
-    grid = _entrywise(rat, 2, entries)
+    grid = _grid_of(entries, 2, "tensor")
     return Tensor2(len(grid), grid)
 
 
@@ -672,7 +711,7 @@ class Tensor3(_Tensor):
 
 
 def tensor3_from_entries(entries) -> Tensor3:
-    grid = _entrywise(rat, 3, entries)
+    grid = _grid_of(entries, 3, "tensor")
     return Tensor3(len(grid), grid)
 
 
@@ -685,11 +724,13 @@ def tensor3(dim: int, sparse: Iterable[Sequence] = ()) -> Tensor3:
 # bilinear forms
 
 @dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(_Value):
     """Gram-matrix bilinear form: B(e_i, e_j) = gram[i][j]."""
 
     dim: int
     gram: tuple[tuple[Fraction, ...], ...]
+    #: the int form of the Gram matrix (:func:`_int_grid`), built on first use
+    _ints = cached_property(lambda self: _int_grid(self.gram))
 
     def __post_init__(self):
         check_size(self.dim, "dimension")
@@ -715,7 +756,7 @@ class BilinearForm:
 
 
 def bilinear_form(entries: Iterable[Iterable]) -> BilinearForm:
-    grid = _entrywise(rat, 2, entries)
+    grid = _grid_of(entries, 2, "gram matrix")
     return BilinearForm(len(grid), grid)
 
 
@@ -779,14 +820,18 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # ---------------------------------------------------------------------------
 # integer kernel
 #
-# The identity checks and tensor equations evaluate on Python ints.  Those
-# that read an algebra take its tables from its int form, scaled by d_A once
-# per value with every derived table summed once from them
-# (:meth:`Algebra.scaled`), and scale only their other inputs (a form, a map,
-# a tensor) by their own denominator.  Every identity is homogeneous in each
-# kind of factor, so the true residual is the int residual divided by the
-# product of its factors' denominators: d_A**2 for a class identity,
-# d_A * d_B for a form identity, d_A * d_t**2 for a tensor equation.  A
+# The identity checks and tensor equations evaluate on Python ints.  Every
+# exact value keeps one int form, built on first use and left behind by its
+# copies and pickles (:class:`_Value`).  An algebra's holds its tables scaled
+# by d_A with every derived table summed once from them, each with its
+# largest entry and, once a slot sum asks, its nonzero vectors by row and by
+# column (:meth:`Algebra.scaled`, :meth:`Algebra.support`).  A tensor's,
+# map's or form's holds its own denominator, its grid scaled by it and its
+# largest entry (:func:`_int_grid`), so a call that reads the same r, T or B
+# again scales nothing.  Every identity is homogeneous in each kind of
+# factor, so the true residual is the int residual divided by the product of
+# its factors' denominators: d_A**2 for a class identity, d_A * d_B for a
+# form identity, d_A * d_t**2 for a tensor equation.  A
 # module's action tables are scaled by the lcm d of their denominators and
 # d_A, and the base tables rescaled by d / d_A when that is not 1, so a module
 # identity divides by d**2 and an O-operator identity by d_t**2 * d; a module
@@ -803,11 +848,12 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # slot, into one such plane and splits its nonzero rows, one line function per
 # identity (:func:`splitalg.axioms._compile`), compiled once per algebra or
 # module value (:meth:`Algebra.compiled`).  Neither kernel keeps a table with
-# its two inputs swapped: each makes that view with ``zip`` where it reads
-# it, the slot sums per call, the compiler in its packings.  Each packing
-# is exact while every field of the result stays below 2**(width - 1) in
-# absolute value; :func:`field_width` gives the width for a bound on the
-# result's fields, found from the factors' largest entries.
+# its two inputs swapped: the slot sums read the kept support of that view,
+# which holds the table's own vectors, and the compiler makes the view with
+# ``zip`` in its packings.  Each packing is exact while every field of the
+# result stays below 2**(width - 1) in absolute value; :func:`field_width`
+# gives the width for a bound on the result's fields, found from the
+# factors' largest entries.
 
 def _flat(grid) -> tuple[list[int], list]:
     """The shape of a grid of tuples or lists, read from the first element at
@@ -900,10 +946,14 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
     ``(sign, name, flipped)`` parts of a derived product (see :func:`derive`).
 
     The products come from the algebra's int form, scaled by its d_A and
-    derived once per value (:meth:`Algebra.scaled`); only the distinct
-    tensors are scaled here, by the least common denominator d_t of their
-    entries.  Every term has degree 1 in the tables and 2 in the tensors, so
-    the residual is the int sum / (d_A * d_t**2).
+    derived once per value (:meth:`Algebra.scaled`), and so do their
+    supports, the nonzero vectors of each row (:meth:`Algebra.support`):
+    a term's blocks are enumerated from them and from the tensors' nonzero
+    rows, and no zero product vector is scanned.  Each tensor keeps its own
+    int form (d, grid, largest entry); d_t is the lcm of the distinct
+    tensors' d, and a grid is rescaled to it only when its d differs.  Every
+    term has degree 1 in the tables and 2 in the tensors, so the residual is
+    the int sum / (d_A * d_t**2).
 
     The sum is kept as one packed int per slot-1 component i, holding the
     plane [i][j][k] at field j*n + k.  A term is a sum over the shared-slot
@@ -915,25 +965,25 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
       s's other slot:  acc[y] += S_v[y] * sum_u R_u (x) T_uv,
       the shared slot: acc[k] += T_uv[k] * (R_u (x) S_v),
     one multiply-add per block, not one per entry.  The second is the first
-    with r and s swapped and the table's inputs swapped, a view the call
-    makes with ``zip`` and does not keep.  No field of the sum
+    with r and s swapped and the table's inputs swapped: it reads the
+    table's support by column, whose pairs hold the table's own vectors, so
+    no swapped table is built.  No field of the sum
     exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
     maxima taken over the int tables and tensors (:func:`field_width`).
     """
     keys = dict.fromkeys(term[5] for term in terms)
-    d_a, tables = alg.scaled(*keys)
-    products = dict(zip(keys, tables))
-    n = alg.dim
+    weight, n = sum(abs(term[0]) for term in terms) * alg.entry_bound(*keys), alg.dim
     layouts, tensors = [], {}
     for _, r, r_slots, s, s_slots, _ in terms:
         layouts.append(_slot_layout(r_slots, s_slots, n))
         if r.dim != n or s.dim != n:
             raise DimensionMismatch("tensor dimensions do not match the algebra")
-        tensors[id(r)], tensors[id(s)] = r.entries, s.entries
-    d_t, grids = clear_denominators(tuple(tensors.values()))
-    ints = dict(zip(tensors, grids))
-    weight = sum(abs(term[0]) for term in terms) * n * n
-    bits = field_width(weight * alg.entry_bound(*keys) * max(map(max_abs, grids), default=0) ** 2)
+        tensors[id(r)], tensors[id(s)] = r._ints, s._ints
+    d_t = math.lcm(*(d for d, _, _ in tensors.values()))
+    ints = {key: grid if d == d_t else _entrywise((d_t // d).__mul__, 2, grid)
+            for key, (d, grid, _) in tensors.items()}
+    t_bound = max((b * (d_t // d) for d, _, b in tensors.values()), default=0)
+    bits = field_width(weight * n * n * t_bound ** 2)
 
     @cache
     def rows(key, first: bool, stride: int | None = None) -> tuple:
@@ -945,20 +995,19 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
         return tuple(pack(row, stride * bits) if any(row) else 0 for row in grid)
 
     @cache
-    def support(key, first: bool) -> tuple:
-        """The shared-slot components of tensor ``key``'s nonzero rows."""
-        return tuple(u for u, row in enumerate(rows(key, first)) if any(row))
+    def nonzero(key, first: bool) -> tuple:
+        """Whether each of tensor ``key``'s rows is nonzero."""
+        return tuple(map(any, rows(key, first)))
 
     acc = [0] * n
-    for (sign, r, _, s, _, key), (r_first, s_first, *strides) in zip(terms, layouts):
-        (k_stride, r_stride, s_stride), table = strides, products[key]
+    for (sign, r, _, s, _, key), (r_first, s_first, k_stride, r_stride, s_stride) in zip(
+            terms, layouts):
         r_key, s_key = (id(r), r_first), (id(s), s_first)
-        if s_stride == n * n:       # s's other slot is slot 1: r's layout, roles swapped
+        if swapped := s_stride == n * n:    # s's other slot is slot 1: r's layout, roles swapped
             r_key, s_key, r_stride, s_stride = s_key, r_key, s_stride, r_stride
-            table = tuple(zip(*table))
-        vs = support(*s_key)
-        blocks = [(u, v, vec) for u in support(*r_key)
-                  for v, vec in zip(vs, map(table[u].__getitem__, vs)) if any(vec)]
+        table, s_rows = alg.support(key, swapped), nonzero(*s_key)
+        blocks = [(u, v, vec) for u in compress(range(n), nonzero(*r_key))
+                  for v, vec in table[u] if s_rows[v]]
         if k_stride == n * n:       # acc[k] += T_uv[k] * (R_u (x) S_v)
             r_packed, s_packed = rows(*r_key, r_stride), rows(*s_key, s_stride)
             addends = [(vec, r_packed[u] * s_packed[v]) for u, v, vec in blocks]
@@ -971,7 +1020,7 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
                 for i in compress(range(n), outer):
                     acc[i] += sign * outer[i] * inner
 
-    scale = d_a * d_t ** 2
+    scale = alg.scaled()[0] * d_t ** 2
     zero_row = (_ZERO,) * n
     zero_plane = (zero_row,) * n
 

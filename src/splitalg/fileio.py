@@ -278,10 +278,6 @@ def form_from_doc(doc, where: str = "form") -> BilinearForm:
 # ---------------------------------------------------------------------------
 # modules
 
-def _family_to_doc(family) -> list:
-    return [map_to_doc(m) for m in family]
-
-
 def _family_from_doc(rows, vdim: int, base_dim: int, where: str, scalar: _Scalars):
     _expect(isinstance(rows, list) and len(rows) == base_dim,
             f"{where}: expected one matrix per base basis element")
@@ -296,7 +292,7 @@ def _family_from_doc(rows, vdim: int, base_dim: int, where: str, scalar: _Scalar
 def module_to_doc(m: PreLieModule | LDendModule) -> dict:
     doc = {"base": algebra_to_doc(m.base), "vdim": m.vdim}
     for key in m._families():
-        doc[key] = _family_to_doc(getattr(m, key))
+        doc[key] = [map_to_doc(x) for x in getattr(m, key)]
     return doc
 
 

@@ -113,17 +113,19 @@ def _o_packed(T, by_b, l_images, r_images, bits: int):
 
 
 def _check_o(scaled_map, rows, vdim: int, d: int) -> CheckReport:
-    """The O-operator identities of a map given as (d_t, d_t * its rows), one
-    per (id, base table, l action table, r action table) row of int tables
-    scaled by d: the :func:`_o_packed` residuals, one :func:`_run` line per
-    u with its nonzero residuals unpacked.  Every term is
-    quadratic in the map and linear in a table, so each is divided by d_t**2 * d."""
-    d_t, t = scaled_map
+    """The O-operator identities of a map given by its int form: d_t, its
+    rows scaled by d_t and their largest absolute entry (a map's or a
+    tensor's kept form, see :func:`splitalg.core._int_grid`).  One per (id,
+    base table, l action table, r action table) row of int tables scaled by
+    d: the :func:`_o_packed` residuals, one :func:`_run` line per u with its
+    nonzero residuals unpacked.  Every term is quadratic in the map and
+    linear in a table, so each is divided by d_t**2 * d."""
+    d_t, t, big = scaled_map
     n = len(t)
 
-    def line_fn(table, l_images, r_images):
-        bits, by_b = _packed_base(table, vdim, max(map(max_abs, (t, table, l_images, r_images))))
-        packed = _o_packed(t, by_b, l_images, r_images, bits)
+    def line_fn(table, left, right):
+        bits, by_b = _packed_base(table, vdim, max(big, *map(max_abs, (table, left, right))))
+        packed = _o_packed(t, by_b, left, right, bits)
         return lambda u: [(v, unpack(p, n, bits)) for v in range(vdim) if (p := packed(u, v))]
 
     return _run([(ident, 2, d_t ** 2 * d, line_fn(*grids)) for ident, *grids in rows], vdim)
@@ -137,14 +139,14 @@ def check_o_prelie(T: LinearMap, m: PreLieModule) -> CheckReport:
     """T(u) o T(v) = T(l(T(u))v + r(T(v))u)  over all module basis pairs."""
     _require_kind(m, PreLieModule)
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    return _check_o(clear_denominators(T.entries), *m._o_rows)
+    return _check_o(T._ints, *m._o_rows)
 
 
 def check_rota_baxter_prelie(R: LinearMap, alg: Algebra) -> CheckReport:
     """Weight-zero Rota-Baxter identity R(x) o R(y) = R(R(x) o y + x o R(y))."""
     _require_shape(R, alg.dim, alg.dim, "Rota-Baxter operator")
     d_a, (circ, flip) = alg.scaled("circ", _FLIPPED_CIRC)
-    return _check_o(clear_denominators(R.entries), [("eq-2.11", circ, circ, flip)], alg.dim, d_a)
+    return _check_o(R._ints, [("eq-2.11", circ, circ, flip)], alg.dim, d_a)
 
 
 def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckReport:
@@ -156,14 +158,14 @@ def check_o_lie(T: LinearMap, lie: Algebra, rho: Sequence[LinearMap]) -> CheckRe
     _require_shape(T, lie.dim, vdim, "O-operator")
     d, (bracket,), (acts,) = _module_ints(lie, ("bracket",), (rho,))
     rows = [("eq-3.13", bracket, acts, derive({"rho": acts}, ((-1, "rho", False),)))]
-    return _check_o(clear_denominators(T.entries), rows, vdim, d)
+    return _check_o(T._ints, rows, vdim, d)
 
 
 def check_o_ldend(T: LinearMap, m: LDendModule) -> CheckReport:
     """Both displayed O-operator identities of an L-dendriform module."""
     _require_kind(m, LDendModule)
     _require_shape(T, m.base.dim, m.vdim, "O-operator")
-    return _check_o(clear_denominators(T.entries), *m._o_rows)
+    return _check_o(T._ints, *m._o_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ fail.  Each module identity is one class identity with f_w in a fixed slot
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -36,6 +36,7 @@ from .core import (
     LinearMap,
     Table,
     _entrywise,
+    _Value,
     check_size,
     clear_denominators,
     derive,
@@ -85,7 +86,7 @@ _LDEND_MODULE_IDS = (
 )
 
 
-class _Module:
+class _Module(_Value):
     """A module kind with its blocks ``_blocks``: (base op, left family
     field, right family field, O-operator identity id), the families being
     the fields after ``base`` and ``vdim`` in block order, and its module
@@ -109,9 +110,6 @@ class _Module:
     @classmethod
     def _families(cls) -> tuple[str, ...]:
         return tuple(name for _, left, right, _ in cls._blocks for name in (left, right))
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @cached_property
     def _o_rows(self) -> tuple[list, int, int]:

@@ -32,7 +32,6 @@ from .core import (
     SingularMap,
     Tensor2,
     Tensor3,
-    clear_denominators,
     exchange,
     form_from_invertible_map,
     grid_nonzero,
@@ -157,6 +156,13 @@ _LD_TERMS = {eq: tuple((sign, left, right, _LD_KEYS.get(op, op)) for sign, left,
              for eq, rows in LD_VARIANTS.items()}
 
 
+def _map_ints(r: Tensor2) -> tuple[int, tuple, int]:
+    """The int form of r's map (see :func:`splitalg.core.tensor_to_map`):
+    r's kept int form with its grid transposed."""
+    d, grid, bound = r._ints
+    return d, tuple(zip(*grid)), bound
+
+
 def _slot_sum(alg: Algebra, r: Tensor2, summands) -> Tensor3:
     """The signed sum of slot products of r with itself, one per
     (sign, left_slots, right_slots, key) summand, the key an op name or a
@@ -215,7 +221,7 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
     return SEquivalenceReport(
         residual=s_residual(alg, r),
         alternate=_slot_sum(alg, r, _S_FORMS["alternate"]),
-        operator=_check_o(clear_denominators(tensor_to_map(r).entries), *rows),
+        operator=_check_o(_map_ints(r), *rows),
     )
 
 
@@ -290,7 +296,7 @@ def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
     ldend, vertical, horizontal = alg.compiled(ld_equivalence_check, lambda: [
         m._o_rows for m in (dual_ldend_module(regular_ldend_module(alg)),
                             *map(dual_prelie_module, _prelie_modules(alg)))])
-    t = clear_denominators(tensor_to_map(r).entries)
+    t = _map_ints(r)
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
         operator_ldend=_check_o(t, *ldend),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg import catalog
-from splitalg.core import derive, table_apply
+from splitalg.core import derive, slot_sum, table_apply
 
 from naive_checks import table_add, table_flip, table_sub
 from naive_tensor import naive_slot_product
@@ -181,6 +181,29 @@ def test_sparse_builders_refuse_wrong_types_in_their_own_words(build, message):
     """A dimension that is not an int, or a row that is not a sequence, is
     refused as a TypeError before either is used, with the builders' own
     message rather than one from Python internals."""
+    with pytest.raises(TypeError) as excinfo:
+        build()
+    assert type(excinfo.value) is TypeError and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sa.algebra(2, {"circ": 5}), "table 'circ': structure constant rows must be "
+                                         "iterable, got 5"),
+    (lambda: sa.tensor2(2, 5), "entry rows must be iterable, got 5"),
+    (lambda: sa.tensor3(2, 5), "entry rows must be iterable, got 5"),
+    (lambda: sa.algebra(2, [(1, 1, 1, 1)]),
+     "ops must be a mapping of op names to rows, got [(1, 1, 1, 1)]"),
+    (lambda: sa.linmap(5), "linear map must be iterable, got 5"),
+    (lambda: sa.bilinear_form([[1, 2], 3]), "gram matrix row must be iterable, got 3"),
+    (lambda: sa.tensor2_from_entries(5), "tensor must be iterable, got 5"),
+    (lambda: sa.tensor3_from_entries(5), "tensor must be iterable, got 5"),
+    (lambda: sa.tensor3_from_entries([[[1]], [5]]), "tensor row must be iterable, got 5"),
+], ids=["algebra-int-rows", "tensor2-int-rows", "tensor3-int-rows", "algebra-list-ops",
+        "linmap-int", "form-int-row", "tensor2-int", "tensor3-int", "tensor3-int-row"])
+def test_builders_refuse_what_is_not_rows_in_their_own_words(build, message):
+    """A row list, an ops mapping or a dense grid of the wrong type is
+    refused by the builder's own check, as a TypeError naming what it
+    expected, not by a Python internal that happened to touch it."""
     with pytest.raises(TypeError) as excinfo:
         build()
     assert type(excinfo.value) is TypeError and str(excinfo.value) == message
@@ -438,6 +461,70 @@ def test_slot_product_matches_naive_oracle(data):
         [[list(v) for v in plane] for plane in alg.op("circ")],
     )
     assert [[list(v) for v in plane] for plane in ours.entries] == naive
+
+
+@st.composite
+def sparse_tensors(draw, n, dens, numerators):
+    """An n x n tensor with mostly zero rows, its nonzero entries
+    ``numerators`` over one of ``dens``: entries that never reduce, so the
+    tensor's denominator is the drawn one."""
+    d = draw(st.sampled_from(dens))
+    rows = draw(st.lists(st.sampled_from((False, False, True)), min_size=n, max_size=n))
+    return sa.Tensor2(n, tuple(
+        tuple(Fraction(draw(st.sampled_from((0,) + numerators)), d) if live else Fraction(0)
+              for _ in range(n)) for live in rows))
+
+
+@st.composite
+def sparse_slot_cases(draw):
+    """A circ table of dim 1-6 whose product vectors are mostly zero, and
+    two sparse tensors r and s over different denominators (2 or 4, and 3
+    or 5), the table over 1 or 7."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.sampled_from((1, 7)))
+    live = draw(st.lists(st.sampled_from((False, False, False, True)), min_size=n * n,
+                         max_size=n * n))
+    table = tuple(tuple(
+        tuple(Fraction(draw(st.integers(-2, 2)), d) for _ in range(n)) if live[u * n + v]
+        else (Fraction(0),) * n for v in range(n)) for u in range(n))
+    r = draw(sparse_tensors(n, (2, 4), (-3, -1, 1, 3)))
+    s = draw(sparse_tensors(n, (3, 5), (-2, -1, 1, 2)))
+    return sa.Algebra(n, {"circ": table}), r, s
+
+
+def _lists(grid):
+    return [_lists(row) for row in grid] if isinstance(grid, tuple) else grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_slot_cases())
+def test_slot_sums_on_kept_supports_match_the_oracle(case):
+    """slot_product for every slot pair of _SLOT_PAIRS and one slot_sum of
+    all of them with alternating signs, each called twice on the same
+    values (the second call reads the kept int forms and table supports),
+    against the naive oracle; then the same calls on a pickled copy of the
+    inputs, which carries none of the forms the calls kept."""
+    alg, r, s = case
+    table = _lists(alg.op("circ"))
+    oracle = {pair: naive_slot_product(_lists(r.entries), pair[0], _lists(s.entries), pair[1],
+                                       table) for pair in _SLOT_PAIRS}
+    signed = [(sign, pair) for sign, pair in zip((1, -1) * 3, _SLOT_PAIRS)]
+    oracle["sum"] = [[[sum(sign * oracle[pair][i][j][k] for sign, pair in signed)
+                       for k in range(alg.dim)] for j in range(alg.dim)] for i in range(alg.dim)]
+
+    def calls(alg, r, s):
+        out = {pair: sa.slot_product(r, pair[0], s, pair[1], alg, "circ") for pair in _SLOT_PAIRS}
+        out["sum"] = slot_sum([(sign, r, left, s, right, "circ")
+                               for sign, (left, right) in signed], alg)
+        return out
+
+    first, second = calls(alg, r, s), calls(alg, r, s)
+    for key, expected in oracle.items():
+        assert _lists(first[key].entries) == _lists(second[key].entries) == expected, key
+    copies = pickle.loads(pickle.dumps((alg, r, s)))
+    assert "_int_form" in vars(alg) and all("_ints" in vars(x) for x in (r, s))
+    assert all("_int_form" not in vars(x) and "_ints" not in vars(x) for x in copies)
+    assert calls(*copies) == first
 
 
 @settings(max_examples=25, deadline=None)

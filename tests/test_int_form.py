@@ -9,9 +9,13 @@ copies, pickles and ``dataclasses.replace`` see the fields only.
 
 import copy
 import dataclasses
+import functools
+import importlib
 import pickle
+import pkgutil
 import sys
 import threading
+import types
 from fractions import Fraction
 from math import lcm
 
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg.axioms import CLASS_NAMES
-from splitalg.core import slot_sum
+from splitalg.core import _Value, slot_sum
 
 from naive_kernel import nest
 
@@ -320,9 +324,11 @@ def test_checked_algebras_and_modules_stay_values():
     """Checks keep compiled identities with the algebra's int form and with
     the module, the reports their modules' O-operator rows with the int
     form, and the module and O-operator checks a module's int form, its
-    O-operator rows, with the module, which keeps no other int copy;
-    copies, pickles and ``dataclasses.replace`` are rebuilt from the fields
-    and carry none of it, yet compare equal, hash alike and answer alike."""
+    O-operator rows, with the module, which keeps no other int copy; a
+    tensor, map or form keeps its int form once a check has read it (a
+    Tensor3 once it is asked for).  Copies, pickles and
+    ``dataclasses.replace`` are rebuilt from the fields and carry none of
+    it, yet compare equal, hash alike and answer alike."""
     alg = _algebra()
     maps = [sa.LinearMap(3, 3, nest([Fraction((a + 5 * i) % 7 - 3, 1 + i % 2) for i in range(9)],
                                     3, 2)) for a in range(8)]
@@ -330,16 +336,24 @@ def test_checked_algebras_and_modules_stay_values():
     lm = sa.LDendModule(alg, 3, maps[0:2], maps[2:4], maps[4:6], maps[6:8])
     T = sa.LinearMap(2, 3, ((1, Fraction(1, 2), 0), (0, -1, Fraction(2, 3))))
     r = sa.tensor2(2, [(1, 2, Fraction(1, 3)), (2, 2, 1)])
+    t3 = sa.tensor3(2, [(1, 2, 1, Fraction(-1, 4)), (2, 2, 2, 3)])
+    form = sa.bilinear_form([[1, Fraction(1, 3)], [Fraction(-1, 3), 2]])
     checks = {alg: lambda a: [sa.check_class(a, c) for c in ("pre_lie", "l_dendriform")]
               + [sa.s_equivalence_check(a, r + sa.exchange(r)),
                  sa.ld_equivalence_check(a, r - sa.exchange(r))],
               pm: lambda m: [sa.check_prelie_module(m), sa.check_o_prelie(T, m)],
-              lm: lambda m: [sa.check_ldend_module(m), sa.check_o_ldend(T, m)]}
+              lm: lambda m: [sa.check_ldend_module(m), sa.check_o_ldend(T, m)],
+              r: lambda t: [sa.s_residual(alg, t), sa.ld_residual(alg, t, "eq-4.9")],
+              t3: lambda t: [t._ints, t + t],
+              T: lambda m: [sa.check_o_prelie(m, pm), sa.check_o_ldend(m, lm)],
+              form: lambda b: [sa.check_prelie_cocycle(alg, b), sa.check_ldend_cocycle(alg, b)]}
     answers = {value: repr(check(value)) for value, check in checks.items()}
     assert set(vars(alg)) == {"dim", "ops", "class_tag", "_int_form"}
     assert {sa.s_equivalence_check, sa.ld_equivalence_check} <= set(alg._int_form[3])
     assert all({"_lines", "_o_rows"} <= set(vars(m)) for m in (pm, lm))
     assert not any(hasattr(m, "_ints") for m in (pm, lm))
+    for value in (r, t3, T, form):
+        assert set(vars(value)) == {f.name for f in dataclasses.fields(value)} | {"_ints"}
     for value, check in checks.items():
         names = {f.name for f in dataclasses.fields(value)}
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
@@ -348,3 +362,55 @@ def test_checked_algebras_and_modules_stay_values():
             assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
             assert set(vars(other)) == names
             assert repr(check(other)) == answers[value]
+
+
+# ---------------------------------------------------------------------------
+# every class that keeps a form reduces through the shared helper
+
+def _package_modules() -> list:
+    return [importlib.import_module(f"splitalg.{info.name}")
+            for info in pkgutil.iter_modules(sa.__path__)]
+
+
+def leaky_classes(modules) -> tuple[list[str], list[str]]:
+    """The classes defined in ``modules`` that hold a ``cached_property``
+    (in their own body or a base's), as ``module.Class``, and those of
+    them whose ``__reduce__`` is not the shared helper's: their copies and
+    pickles would carry the kept forms."""
+    keeping, leaking = [], []
+    for module in modules:
+        for name, cls in vars(module).items():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            if any(isinstance(attr, functools.cached_property)
+                   for base in cls.__mro__ for attr in vars(base).values()):
+                keeping.append(f"{module.__name__}.{name}")
+                if cls.__reduce__ is not _Value.__reduce__:
+                    leaking.append(f"{module.__name__}.{name}")
+    return keeping, leaking
+
+
+def test_leaky_classes_are_detected():
+    module = types.ModuleType("sample")
+    source = (
+        "import functools\n"
+        "class Plain:\n    pass\n"
+        "class Kept(Value):\n    form = functools.cached_property(lambda self: 1)\n"
+        "class Leaks:\n    form = functools.cached_property(lambda self: 1)\n"
+        "class Inherits(Leaks):\n    pass\n"
+        "class Overrides(Kept):\n    def __reduce__(self):\n        return object, ()\n"
+    )
+    module.Value = _Value
+    exec(source, vars(module))
+    assert leaky_classes([module]) == (
+        ["sample.Kept", "sample.Leaks", "sample.Inherits", "sample.Overrides"],
+        ["sample.Leaks", "sample.Inherits", "sample.Overrides"])
+
+
+def test_every_class_that_keeps_a_form_reduces_through_the_shared_helper():
+    keeping, leaking = leaky_classes(_package_modules())
+    assert {"splitalg.core.Algebra", "splitalg.core.LinearMap", "splitalg.core.Tensor2",
+            "splitalg.core.Tensor3", "splitalg.core.BilinearForm",
+            "splitalg.representations.PreLieModule",
+            "splitalg.representations.LDendModule"} <= set(keeping)
+    assert leaking == []

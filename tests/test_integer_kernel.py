@@ -741,7 +741,9 @@ def _holds(grid, ids) -> bool:
 
 def test_checks_scale_no_algebra_table(monkeypatch, p2, l2, ld2, rb2):
     """The checks scale their own maps, tensors and action tables; no call
-    to clear_denominators receives an op table or an int-form table."""
+    to clear_denominators receives an op table or an int-form table, and a
+    map or tensor read by several checks is scaled once, into its kept int
+    form."""
     algebras = (p2, l2, ld2)
     for alg in algebras:
         alg.scaled()                    # the int forms, built before the spy
@@ -763,11 +765,15 @@ def test_checks_scale_no_algebra_table(monkeypatch, p2, l2, ld2, rb2):
     sa.check_o_ldend(T, ldend)
     sa.check_rota_baxter_prelie(rb2, p2)
     sa.search_rb(p2, [-1, 0, 1])
-    sa.s_equivalence_check(p2, sa.tensor2(2, [(1, 2, 1), (2, 1, 1)]))
-    sa.ld_equivalence_check(ld2, sa.tensor2(2, [(1, 2, 1), (2, 1, -1)]))
+    sym, skew = sa.tensor2(2, [(1, 2, 1), (2, 1, 1)]), sa.tensor2(2, [(1, 2, 1), (2, 1, -1)])
+    sa.s_equivalence_check(p2, sym)
+    sa.ld_equivalence_check(ld2, skew)
     forbidden = {id(table) for alg in algebras for table in alg.ops.values()}
     forbidden |= {id(table) for alg in algebras for table, _ in alg._int_form[1].values()}
-    assert len(calls) >= 9
+    # T by three O-operator checks; sym by two residuals and a report's map,
+    # skew by three residuals and three O-operator conditions
+    assert [sum(args[0] is grid for args in calls) for grid in (T.entries, sym.entries,
+                                                               skew.entries)] == [1, 1, 1]
     assert [args for args in calls if _holds(args, forbidden)] == []
 
 
