@@ -108,33 +108,29 @@ def _reshape(flat: Iterable, shape: Sequence[int]) -> tuple:
     return tuple(flat)
 
 
-def _has_shape(grid, shape: Sequence[int], kinds: set) -> bool:
-    """Whether ``grid`` is nested to exactly ``shape``, of rank 2 or more;
-    the types of its rows at every level above the entries are added to
-    ``kinds``."""
-    n, *rest = shape
-    if len(grid) != n:
-        return False
-    kinds.update(map(type, grid))
-    if len(rest) > 1:
-        return all(_has_shape(sub, rest, kinds) for sub in grid)
-    return all(len(row) == rest[0] for row in grid)
-
-
 def check_grid(grid, shape: Sequence[int], mismatch: str, what: str) -> tuple:
     """Refuse ``grid`` unless it is nested to exactly ``shape``, raising
     DimensionMismatch(``mismatch``), and each entry is an exact rational: a
     Fraction or an int that is not a bool, since floats would round and
-    ``True`` is not the number 1 here.  Return it nested in tuples: the grid
-    itself when it already is, else a copy, which later changes to a source
-    list miss."""
-    kinds = {type(grid)}
-    if not _has_shape(grid, shape, kinds):
-        raise DimensionMismatch(mismatch)
-    for x in _leaves(grid, len(shape)):
+    ``True`` is not the number 1 here.  A level above the entries that is
+    not a sequence is a TypeError naming ``what`` (and " row" below the
+    top), not left to fail inside ``len``.  Return it nested in tuples: the
+    grid itself when it already is, else a copy, which later changes to a
+    source list miss."""
+    level, part, tuples = (grid,), "", True
+    for size in shape:
+        for row in level:
+            if type(row) is not tuple:
+                if not isinstance(row, Sequence):
+                    raise TypeError(f"{what}{part} must be a sequence, got {row!r}")
+                tuples = False
+            if len(row) != size:
+                raise DimensionMismatch(mismatch)
+        level, part = tuple(chain.from_iterable(level)), " row"
+    for x in level:
         if type(x) is not Fraction and type(x) is not int:
             raise TypeError(f"{what} holds an entry that is not an exact rational: {x!r}")
-    return grid if kinds == {tuple} else _reshape(_leaves(grid, len(shape)), shape)
+    return grid if tuples else _reshape(level, shape)
 
 
 def _entrywise(op, rank: int, *grids) -> tuple:
@@ -320,6 +316,8 @@ class Algebra(_Value):
         check_size(self.dim, "dimension")
         if self.dim < 1:
             raise DimensionMismatch(f"dimension must be positive, got {self.dim}")
+        if not isinstance(self.ops, Mapping):
+            raise TypeError(f"ops must be a mapping of op names to tables, got {self.ops!r}")
         ops = {}
         for name, table in self.ops.items():
             if name not in OP_NAMES:

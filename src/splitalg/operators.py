@@ -83,31 +83,32 @@ def _packed_base(table, vdim: int, big: int):
     return bits, tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
 
 
-def _o_packed(T, by_b, l_images, r_images, bits: int):
+def _o_packed(cols, packed, by_b, l_images, r_images):
     """Packed int residual of  T(u).T(v) - T(l(T(u))v + r(T(v))u)
     over module basis pairs (u, v), of degree 3 in its inputs.
 
-    T holds int rows (base x module), ``by_b`` is the packed base product
-    (see :func:`_packed_base`), and ``l_images[a][v]`` / ``r_images[a][v]``
-    are l(e_a) / r(e_a) applied to the v-th module basis vector.  Every
-    product that does not depend on both u and v is formed once.
+    ``cols[u]`` is the int column T(f_u), a base vector, and ``packed[u]``
+    the same column packed at the residual's field width; ``by_b`` is the
+    packed base product (see :func:`_packed_base`), and ``l_images[a][v]`` /
+    ``r_images[a][v]`` are l(e_a) / r(e_a) applied to the v-th module basis
+    vector.  A term that depends on u alone is formed the first time row u
+    is asked for, one on v alone the first time column v is, so a caller
+    that reads a few pairs pays for those rows and columns only.
     """
-    images = tuple(zip(*T))                     # images[u] = T(f_u), a base vector
-    packed_t = [pack(col, bits) for col in images]
-
     def t_of(vec):                              # T(vec), packed
-        return sum(map(mul, vec, packed_t))
+        return sum(map(mul, vec, packed))
 
-    # l_by_v[v][a] = T(l(e_a) f_v),  r_by_u[u][a] = T(r(e_a) f_u)
-    l_by_v = tuple(zip(*[[t_of(img) for img in row] for row in l_images]))
-    r_by_u = tuple(zip(*[[t_of(img) for img in row] for row in r_images]))
-    # left_of[u][b] = T(f_u) . e_b,  l_term[u][v] = T(l(T(f_u)) f_v)
-    left_of = [[sum(map(mul, tu, col)) for col in by_b] for tu in images]
-    l_term = [[sum(map(mul, tu, col)) for col in l_by_v] for tu in images]
+    # row_of[u][b] = T(f_u) . e_b - T(r(e_b) f_u),  col_of[v][a] = T(l(e_a) f_v)
+    row_of, col_of = [None] * len(cols), [None] * len(cols)
 
     def residual(u, v):
-        tv = images[v]
-        return sum(map(mul, tv, left_of[u])) - l_term[u][v] - sum(map(mul, tv, r_by_u[u]))
+        row, col = row_of[u], col_of[v]
+        if row is None:
+            row = row_of[u] = [sum(map(mul, cols[u], b_col)) - t_of(img[u])
+                               for b_col, img in zip(by_b, r_images)]
+        if col is None:
+            col = col_of[v] = [t_of(img[v]) for img in l_images]
+        return sum(map(mul, cols[v], row)) - sum(map(mul, cols[u], col))
 
     return residual
 
@@ -117,16 +118,17 @@ def _check_o(scaled_map, rows, vdim: int, d: int) -> CheckReport:
     rows scaled by d_t and their largest absolute entry (a map's or a
     tensor's kept form, see :func:`splitalg.core._int_grid`).  One per (id,
     base table, l action table, r action table) row of int tables scaled by
-    d: the :func:`_o_packed` residuals, one :func:`_run` line per u with its
-    nonzero residuals unpacked.  Every term is quadratic in the map and
+    d: the :func:`_o_packed` residuals over the map's columns, packed once
+    per row, and one :func:`_run` line per u with its nonzero residuals
+    unpacked.  Every term is quadratic in the map and
     linear in a table, so each is divided by d_t**2 * d."""
     d_t, t, big = scaled_map
-    n = len(t)
+    n, cols = len(t), tuple(zip(*t))
 
     def line_fn(table, left, right):
         bits, by_b = _packed_base(table, vdim, max(big, *map(max_abs, (table, left, right))))
-        packed = _o_packed(t, by_b, left, right, bits)
-        return lambda u: [(v, unpack(p, n, bits)) for v in range(vdim) if (p := packed(u, v))]
+        residual = _o_packed(cols, [pack(col, bits) for col in cols], by_b, left, right)
+        return lambda u: [(v, unpack(p, n, bits)) for v in range(vdim) if (p := residual(u, v))]
 
     return _run([(ident, 2, d_t ** 2 * d, line_fn(*grids)) for ident, *grids in rows], vdim)
 
@@ -344,7 +346,13 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     is nonzero.  Component k at (u, v) reads columns u and v and row k of the
     map, so it is checked once, where the last of those three is completed
     (or, with one value per entry, at the last entry), and a complete map has
-    every component checked exactly once."""
+    every component checked exactly once.
+
+    Each evaluated partial map is one :func:`_o_packed` call, which forms
+    only the row and column terms of the pairs checked at that entry.  The
+    map is kept by columns with each column packed, and assigning x at (i,
+    j) adds (x - old) << i * bits to column j's packed int, so no column is
+    packed again per evaluation."""
     n = alg.dim
     values = sorted({rat(x) for x in entry_set})
     total = len(values) ** (n * n)
@@ -357,26 +365,28 @@ def search_rb(alg: Algebra, entry_set: Sequence, cap: int = 10**6) -> list[Linea
     bits, by_b = _packed_base(circ, n, max(alg.entry_bound("circ"), max_abs(ints)))
     order = _hook_order(n)
     offset, schedule = _rb_schedule(order, n, bits, len(ints) > 1)
-    # unassigned entries keep stale values from ints: in range of the packing,
-    # and read by no decided component
-    grid = [[0] * n for _ in range(n)]
+    # the map by columns, and each column packed: unassigned entries keep stale
+    # values from ints, in range of the packing and read by no decided component
+    cols = [[0] * n for _ in range(n)]
+    packed = [0] * n
     last = len(order) - 1
     found = []
     stack = [iter(ints)]                        # stack[d]: the untried values at order[d]
     while stack:
         depth = len(stack) - 1
         i, j = order[depth]
-        checks = schedule[depth]
+        col, shift, checks = cols[j], i * bits, schedule[depth]
         for x in stack[-1]:
-            grid[i][j] = x
+            packed[j] += (x - col[i]) << shift
+            col[i] = x
             if checks:
-                residual = _o_packed(grid, by_b, circ, r_images, bits)
+                residual = _o_packed(cols, packed, by_b, circ, r_images)
                 if any((residual(u, v) + offset) & mask != zero for u, v, mask, zero in checks):
                     continue
             if depth < last:
                 stack.append(iter(ints))
                 break
-            found.append(tuple(map(tuple, grid)))
+            found.append(tuple(zip(*cols)))
         else:
             stack.pop()
     found.sort()        # ints are the values scaled by d > 0, so int order is rational order

@@ -209,6 +209,30 @@ def test_builders_refuse_what_is_not_rows_in_their_own_words(build, message):
     assert type(excinfo.value) is TypeError and str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: sa.Algebra(2, [(1, 1, 1, 1)]),
+     "ops must be a mapping of op names to tables, got [(1, 1, 1, 1)]"),
+    (lambda: sa.Algebra(2, {"circ": 5}), "table 'circ' must be a sequence, got 5"),
+    (lambda: sa.Algebra(2, {"circ": (((1, 0), (0, 0)), 5)}),
+     "table 'circ' row must be a sequence, got 5"),
+    (lambda: sa.LinearMap(2, 2, 5), "linear map must be a sequence, got 5"),
+    (lambda: sa.LinearMap(2, 2, ((1, 2), {3, 4})), "linear map row must be a sequence, got {3, 4}"),
+    (lambda: sa.LinearMap(2, 2, {(1, 2), (3, 4)}),
+     "linear map must be a sequence, got {(1, 2), (3, 4)}"),
+    (lambda: sa.Tensor2(2, 5), "tensor must be a sequence, got 5"),
+    (lambda: sa.Tensor3(2, ((1, 2), (3, 4))), "tensor row must be a sequence, got 1"),
+    (lambda: sa.BilinearForm(2, None), "gram matrix must be a sequence, got None"),
+], ids=["algebra-list-ops", "algebra-int-table", "algebra-int-plane", "map-int", "map-set-row",
+        "map-set-of-rows", "tensor2-int", "tensor3-int-rows", "form-none"])
+def test_dense_constructors_refuse_what_is_not_a_grid_in_their_own_words(build, message):
+    """A non-mapping ``ops``, or a grid level above the entries that is not
+    a sequence (an int, None, or a set, whose order is arbitrary), is
+    refused as a TypeError naming the field before ``len`` touches it."""
+    with pytest.raises(TypeError) as excinfo:
+        build()
+    assert type(excinfo.value) is TypeError and str(excinfo.value) == message
+
+
 def test_sparse_rows_of_the_wrong_length_rejected():
     with pytest.raises(ValueError):
         sa.algebra(2, {"circ": [(1, 1, 1)]})

@@ -1,7 +1,9 @@
 """Rota-Baxter and O-operator checks plus every induced construction."""
 
+import hashlib
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg import catalog, operators
+from splitalg.core import pack
 from splitalg.representations import (
     left_family,
     regular_ldend_module,
@@ -360,19 +363,50 @@ _ENTRY_SETS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_ENTRY_SETS))
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_search_rb_matches_enumeration_on_random_tables(kind, data):
-    """Any circ table, pre-Lie or not, with int or half-integer entries: the
-    search returns the enumeration's hits, values and order alike."""
+def _random_search(data, kind):
+    """Any circ table, pre-Lie or not, with int or half-integer entries, and
+    an entry set of ``kind``, sized so the enumeration stays small."""
     n = data.draw(st.integers(1, 3))
     denominator = data.draw(st.sampled_from([1, 2]))
     entries = st.one_of(st.just(0), st.integers(-2, 2)).map(lambda x: Fraction(x, denominator))
     circ = nest(data.draw(st.lists(entries, min_size=n ** 3, max_size=n ** 3)), n, 3)
-    alg = sa.Algebra(n, {"circ": circ})
-    entry_set = data.draw(_ENTRY_SETS[kind]({1: 5, 2: 4, 3: 2}[n]))
+    return sa.Algebra(n, {"circ": circ}), data.draw(_ENTRY_SETS[kind]({1: 5, 2: 4, 3: 2}[n]))
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRY_SETS))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_search_rb_matches_enumeration_on_random_tables(kind, data):
+    """The search returns the enumeration's hits, values and order alike."""
+    alg, entry_set = _random_search(data, kind)
     assert repr(sa.search_rb(alg, entry_set)) == repr(naive.enumerate_rb(alg, entry_set))
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRY_SETS))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_search_rb_packed_columns_follow_each_assignment(kind, data):
+    """At every evaluation the packed columns the search passes are its
+    columns packed afresh, stale entries of unassigned positions included:
+    the shift-add of each assignment never drifts."""
+    alg, entry_set = _random_search(data, kind)
+    widths, calls = [], []
+    base, kernel = operators._packed_base, operators._o_packed
+
+    def packed_base(*args):
+        bits, by_b = base(*args)
+        widths.append(bits)
+        return bits, by_b
+
+    def checked(cols, packed, *rest):
+        assert packed == [pack(col, widths[-1]) for col in cols]
+        calls.append(1)
+        return kernel(cols, packed, *rest)
+
+    with mock.patch.object(operators, "_packed_base", packed_base), \
+            mock.patch.object(operators, "_o_packed", checked):
+        sa.search_rb(alg, entry_set)
+    assert len(widths) == 1 and bool(calls) == bool(entry_set)
 
 
 def test_search_rb_one_value_at_dim_40_is_one_deep_search(monkeypatch):
@@ -439,6 +473,16 @@ def test_search_rb_kernel_calls_are_pinned(monkeypatch, dim, circ, entry_set, ca
     monkeypatch.setattr(operators, "_o_packed", lambda *args: evaluations.append(1) or kernel(*args))
     found = sa.search_rb(alg, entry_set)
     assert (len(evaluations), len(found)) == (calls, hits)
+
+
+def test_search_rb_on_a_dim_4_double_where_pruning_runs_deepest():
+    """The horizontal double of LD2 over {-1, 0, 1}: 3**16 candidates, 801
+    hits, pinned by digest, each a Rota-Baxter operator."""
+    alg = catalog.build("LD2_DOUBLE_HOR")
+    found = sa.search_rb(alg, [-1, 0, 1], cap=3 ** 16)
+    assert len(found) == 801
+    assert hashlib.sha256(repr(found).encode()).hexdigest()[:8] == "fb119c06"
+    assert all(sa.check_rota_baxter_prelie(R, alg).passed for R in found)
 
 
 def test_search_rb_empty_entry_set_finds_nothing(p2):
