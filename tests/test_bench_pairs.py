@@ -36,8 +36,9 @@ def _synthetic_runs():
         pair = calls[workload] // 2
         calls[workload] += 1
         op_ms, work = values[workload][pair][side == "change"]
-        return _result(op_ms, work, correct=(workload, pair, side) != ("verdicts", 1, "parent"),
-                       failed=int(side == "parent" and workload == "verdicts"))
+        return {"result": _result(
+            op_ms, work, correct=(workload, pair, side) != ("verdicts", 1, "parent"),
+            failed=int(side == "parent" and workload == "verdicts"))}
 
     return bench_pairs.run_plan([("rb-search", 1, 5), ("verdicts", 3, 2)], run_one)
 
@@ -45,7 +46,7 @@ def _synthetic_runs():
 def test_pairs_alternate_with_the_parent_first_in_even_pairs():
     calls = []
     runs = bench_pairs.run_plan([("verdicts", 2, 3), ("rb-search", 1, 2)],
-                                lambda *call: calls.append(call) or {"call": len(calls)})
+                                lambda *call: calls.append(call) or {"result": len(calls)})
     assert calls == [("parent", "verdicts", 2), ("change", "verdicts", 2),
                      ("change", "verdicts", 2), ("parent", "verdicts", 2),
                      ("parent", "verdicts", 2), ("change", "verdicts", 2),
@@ -53,7 +54,26 @@ def test_pairs_alternate_with_the_parent_first_in_even_pairs():
                      ("change", "rb-search", 1), ("parent", "rb-search", 1)]
     assert [(run["pair"], run["side"]) for run in runs[:4]] == \
         [(0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
-    assert [run["result"] for run in runs] == [{"call": k} for k in range(1, 11)]
+    assert [run["result"] for run in runs] == list(range(1, 11))
+
+
+def test_the_plan_stops_at_the_first_error_and_keeps_every_run_made():
+    """Each run is handed on as it is made; the failed run is kept with its
+    error, and aggregation counts only pairs with both results."""
+    seen = []
+    error = {"returncode": 2, "stderr": "Traceback ..."}
+    outcomes = iter([{"result": _result(1.0, 100)}, {"result": _result(0.5, 150)},
+                     {"result": _result(0.5, 151)}, {"result": _result(1.0, 101)},
+                     {"result": _result(1.0, 102)}, {"error": error}])
+    runs = bench_pairs.run_plan([("rb-search", 1, 5), ("verdicts", 1, 2)],
+                                lambda *call: next(outcomes),
+                                lambda runs: seen.append(len(runs)))
+    assert seen == [1, 2, 3, 4, 5, 6] and len(runs) == 6
+    assert runs[-1] == {"workload": "rb-search", "seed": 1, "pair": 2, "side": "change",
+                        "error": error}
+    work = bench_pairs.aggregate(runs, END_TO_END)["rb-search@seed1"]["metrics"]["work_per_s"]
+    assert (work["parent"], work["change"]) == ([100, 101], [150, 151])
+    assert bench_pairs.aggregate(runs[:3], END_TO_END) == {}     # one complete pair
 
 
 def test_aggregation_of_synthetic_runs():

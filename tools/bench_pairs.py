@@ -1,27 +1,35 @@
 """Run alternating parent/change pairs of the benchmark and write a BENCH file.
 
 The parent is a git revision, unpacked with ``git archive`` into a
-temporary directory; the change is the working tree this script sits in.
-Each pair runs ``benchmarks/run.py --workload W --seed S --seconds T
+temporary directory; the change is the working tree this script sits in,
+its files that git does not ignore copied into a sibling directory.  Run
+in place, the working tree read about 0.4 MB more ``peak_rss_mb`` than the
+same commit unpacked by ``git archive``, on every pair.
+Each pair runs ``benchmarks/run.py --workload W --seed S --seconds 12
 --trace 0`` once in each tree, the parent first in even-numbered pairs and
 the change first in odd-numbered ones, and the plan's items run one after
-another in the order given.
+another in the order given.  Every BENCH file uses the same 12 s runs.
 
 Usage::
 
-    python tools/bench_pairs.py --parent REV --out BENCH_N.json [--seconds 12]
-        [--about TEXT] PLAN [PLAN ...]
+    python tools/bench_pairs.py --parent REV --out BENCH_N.json [--about TEXT]
+        PLAN [PLAN ...]
 
 Each PLAN is ``WORKLOAD@seedS:PAIRS``, e.g. ``rb-search@seed1:10``, with
 at least 2 pairs (quartiles need two values).  Writes the ``--out`` file:
 ``about``, ``environment`` (CPUs this process may run on, the Python
 version and ``PYTHONDONTWRITEBYTECODE``),
-``pairs`` (per ``WORKLOAD@seedS`` key: whether every run was correct, the
+``pairs`` (per ``WORKLOAD@seedS`` key with at least two complete pairs:
+whether every run was correct, the
 summed failed and attempted operations, and per end-to-end metric of
 ``BENCHMARK.json`` both sides' values, medians, inclusive quartiles, the
 pairs the change won, the relative change of the median, the change's
 deficit against the bound, and whether the medians differ by more than
-the parent's interquartile range) and ``runs`` (every run's JSON result).
+the parent's interquartile range) and ``runs`` (every run made: its JSON
+``result``, or for a run that exits non-zero its ``error``, the exit code
+and the tail of its stderr).  The file is rewritten after every run, and
+the plan stops at the first run that exits non-zero (exit status 1), so
+an aborted plan still leaves the runs it made.
 Standard library only.
 """
 
@@ -32,6 +40,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 12
 
 
 def _parse_plan(item: str) -> tuple[str, int, int]:
@@ -80,14 +90,18 @@ def _summary(parent: list, change: list, better: str, bound: float) -> dict:
 def aggregate(runs: list[dict], end_to_end: list[dict]) -> dict:
     """The ``pairs`` section of a BENCH file from its ``runs``, keyed
     ``WORKLOAD@seedS`` in first-run order; ``end_to_end`` is BENCHMARK.json's
-    list of metrics (name, better, bound)."""
+    list of metrics (name, better, bound).  A pair counts once both its runs
+    have a result, a key once it has two such pairs."""
     grouped: dict[str, dict[int, dict]] = {}
     for run in runs:
-        key = f"{run['workload']}@seed{run['seed']}"
-        grouped.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = run["result"]
+        if "result" in run:
+            key = f"{run['workload']}@seed{run['seed']}"
+            grouped.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = run["result"]
     pairs = {}
     for key, by_pair in grouped.items():
-        done = [by_pair[k] for k in sorted(by_pair)]
+        done = [by_pair[k] for k in sorted(by_pair) if len(by_pair[k]) == 2]
+        if len(done) < 2:
+            continue
         results = [pair[side] for pair in done for side in ("parent", "change")]
         pairs[key] = {
             "all_correct": all(result["correct"] for result in results),
@@ -106,64 +120,89 @@ def aggregate(runs: list[dict], end_to_end: list[dict]) -> dict:
     return pairs
 
 
-def run_plan(plan, run_one) -> list[dict]:
+def run_plan(plan, run_one, on_run=lambda runs: None) -> list[dict]:
     """Every run of ``plan`` ((workload, seed, pairs) items), in order;
-    ``run_one(side, workload, seed)`` returns one run's JSON result."""
+    ``run_one(side, workload, seed)`` returns one run's ``{"result": ...}``
+    or ``{"error": ...}``.  ``on_run(runs)`` sees the runs made after each
+    one, and the plan stops at the first error."""
     runs = []
     for workload, seed, count in plan:
         for pair in range(count):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
                 runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
-                             "result": run_one(side, workload, seed)})
+                             **run_one(side, workload, seed)})
+                on_run(runs)
+                if "error" in runs[-1]:
+                    return runs
     return runs
 
 
-def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``benchmarks/run.py`` run in ``tree``: the JSON on its last stdout line."""
+def _bench(tree: Path, workload: str, seed: int) -> dict:
+    """One ``benchmarks/run.py`` run in ``tree``: the JSON on its last stdout
+    line as ``result``, or its exit code and stderr's tail as ``error``."""
     done = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        return {"error": {"returncode": done.returncode, "stderr": done.stderr[-4000:]}}
+    return {"result": json.loads(done.stdout.strip().splitlines()[-1])}
+
+
+def _copy_tree(into: Path) -> None:
+    """The working tree's files that git does not ignore, copied into ``into``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, capture_output=True,
+                            check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH file to write")
-    parser.add_argument("--seconds", type=float, default=12)
     parser.add_argument("--about", default="")
     parser.add_argument("plan", nargs="+", type=_parse_plan)
     args = parser.parse_args(argv)
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    about = args.about or (f"Alternating parent/change pairs of `benchmarks/run.py --workload W "
+                           f"--seed S --seconds {SECONDS} --trace 0`; parent: a `git "
+                           f"archive` of {args.parent}, change: a copy of the working tree.")
+    environment = {
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
+
+    def write(runs):
+        bench = {"about": about, "environment": environment,
+                 "pairs": aggregate(runs, end_to_end), "runs": runs}
+        args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+
     archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
                              capture_output=True, check=True).stdout
-    with tempfile.TemporaryDirectory() as parent_dir:
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent_dir)
-        trees = {"parent": Path(parent_dir), "change": ROOT}
+            tar.extractall(trees["parent"])
+        _copy_tree(trees["change"])
         runs = run_plan(args.plan, lambda side, workload, seed: _bench(
-            trees[side], workload, seed, args.seconds))
-    about = args.about or (f"Alternating parent/change pairs of `benchmarks/run.py --workload W "
-                           f"--seed S --seconds {args.seconds:g} --trace 0`; parent: a `git "
-                           f"archive` of {args.parent}, change: the working tree.")
-    bench = {
-        "about": about,
-        "environment": {
-            "cpus": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        },
-        "pairs": aggregate(runs, end_to_end),
-        "runs": runs,
-    }
-    args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
-    for key, pair in bench["pairs"].items():
+            trees[side], workload, seed), write)
+    for key, pair in aggregate(runs, end_to_end).items():
         work = pair["metrics"]["work_per_s"]
         print(f"{key}: correct={pair['all_correct']} work_per_s {work['parent_median']:.6g} -> "
               f"{work['change_median']:.6g} ({work['change_better']} of {work['pairs']} pairs)")
     print(f"wrote {args.out}")
+    failed = runs[-1]
+    if "error" in failed:
+        print(f"stopped: the {failed['side']} run of {failed['workload']}@seed{failed['seed']} "
+              f"pair {failed['pair']} exited {failed['error']['returncode']}:\n"
+              f"{failed['error']['stderr']}", file=sys.stderr)
+        return 1
     return 0
 
 
