@@ -28,7 +28,7 @@ from .core import (
     BilinearForm,
     DimensionMismatch,
     UnknownOperation,
-    field_width,
+    byte_width,
     pack,
     unpack,
 )
@@ -90,23 +90,26 @@ def _run(identities, dim: int) -> CheckReport:
     in declaration order and lexicographic index order, one line at a time.
 
     For each of the dim**(arity-1) prefixes of all but the last index, in
-    lexicographic order, ``line(*prefix)`` gives (last index, int residual)
-    for the tuples of that line whose int residual is nonzero, by increasing
-    last index: the nonzero rows of a packed plane (see :func:`_compile`),
-    each unpacked.  The residuals are on inputs scaled to ints; the exact
-    residual is the int one divided by ``denominator``, the product of the
-    scales of the factors each term multiplies.
+    lexicographic order, ``line(*prefix)`` gives the int residuals of the
+    dim tuples of that line as one flat list, the same number of entries
+    per last index, by increasing last index (a decoded plane, see
+    :func:`_compile`), or an empty sequence when all of them are zero.  A
+    tuple fails when its entries are not all zero.  A line's failures are
+    built in one comprehension over its entries, split into rows at C
+    speed, with their 1-based indices from the prefix made 1-based once per
+    line.  The residuals are on inputs scaled to ints; the exact residual is
+    the int one divided by ``denominator``, the product of the scales of
+    the factors each term multiplies.
     """
     failures = []
     for identity_id, arity, denominator, line in identities:
         exact = functools.cache(functools.partial(Fraction, denominator=denominator))
-        for prefix in itertools.product(range(dim), repeat=arity - 1):
-            for last, residual in line(*prefix):
-                failures.append(Failure(
-                    identity_id,
-                    tuple(i + 1 for i in (*prefix, last)),
-                    tuple(map(exact, residual)),
-                ))
+        for prefix, one_based in zip(itertools.product(range(dim), repeat=arity - 1),
+                                     itertools.product(range(1, dim + 1), repeat=arity - 1)):
+            if flat := line(*prefix):
+                failures += [Failure(identity_id, (*one_based, last), tuple(map(exact, row)))
+                             for last, row in enumerate(zip(*[iter(flat)] * (len(flat) // dim)), 1)
+                             if any(row)]
     return CheckReport(tuple(failures))
 
 
@@ -143,9 +146,11 @@ def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
     the other table's vector, their outer product (see
     :func:`splitalg.core.slot_sum`).  Identities compiled with one
     ``packings`` dict share their packings, and negative terms are summed
-    apart, so no negated copy is kept.  ``line`` returns (f - rows.start,
-    entries) for the nonzero rows of the plane, without the first ``skip``
-    entries of each when they are known zero.
+    apart, so no negated copy is kept.  Fields are 8, 16, 32 or 64 bits wide
+    when that holds the residual's bound (:func:`splitalg.core.byte_width`),
+    so ``line`` decodes its plane in C, once: it returns the entries of
+    every row in row order as one flat list, width entries per row, or ()
+    when the plane is zero (see :func:`_run`).
     """
     first = terms[0]
     n, width = len(ops[first[2]]), len(ops[first[3] if first[1] == LEFT else first[2]][0][0])
@@ -153,8 +158,8 @@ def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
         bounds[a] if shape == PLAIN else n * bounds[a] * bounds[b]
         for _, shape, a, b, _ in terms
     )
-    bits = field_width(bound)
-    stride, lo, hi = width * bits, rows.start, rows.stop
+    bits = byte_width(bound)
+    stride, lo, hi, size = width * bits, rows.start, rows.stop, len(rows) * width
 
     def packed(name, layout, swapped=False):
         """ops[name] (its inputs swapped when ``swapped``) by its first input a:
@@ -187,12 +192,11 @@ def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
                     packed(a, "vec"), x))
         (pos if sign > 0 else neg).append(row)
 
-    def line(*given, skip=0):
+    def line(*given):
         idx = (*given, 0)
         p = (sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in pos])
              - sum([sum(map(mul, t[idx[i]][idx[j]], w[idx[k]])) for t, i, j, w, k in neg]))
-        return [(f, unpack(row >> skip * bits, width - skip, bits))
-                for f, row in enumerate(unpack(p, len(rows), stride)) if row] if p else ()
+        return unpack(p, size, bits) if p else ()
 
     return line
 

@@ -13,6 +13,8 @@ Indexing is 0-based internally.  File formats and counterexample reports use
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
@@ -843,7 +845,7 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # slot products keep one such plane per slot-1 component, and a block of a
 # term costs one big-int multiply-add (see :func:`slot_sum`).  An identity
 # check packs the residuals of a line of basis tuples, all values of one free
-# slot, into one such plane and splits its nonzero rows, one line function per
+# slot, into one such plane and decodes it once, one line function per
 # identity (:func:`splitalg.axioms._compile`), compiled once per algebra or
 # module value (:meth:`Algebra.compiled`).  Neither kernel keeps a table with
 # its two inputs swapped: the slot sums read the kept support of that view,
@@ -851,7 +853,9 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # ``zip`` in its packings.  Each packing is exact while every field of the
 # result stays below 2**(width - 1) in absolute value; :func:`field_width`
 # gives the width for a bound on the result's fields, found from the
-# factors' largest entries.
+# factors' largest entries, and :func:`byte_width` rounds it up to a machine
+# int, which :func:`unpack` decodes in C: the identity planes use it, the
+# slot sums and O-operator rows keep the narrower width.
 
 def _flat(grid) -> tuple[list[int], list]:
     """The shape of a grid of tuples or lists, read from the first element at
@@ -889,8 +893,31 @@ def max_abs(grid) -> int:
 
 
 def field_width(bound: int) -> int:
-    """Bits per packed entry for entries of absolute value at most ``bound``."""
+    """Bits per packed entry for entries of absolute value at most ``bound``:
+    the fewest that hold them as signed fields, as the slot sums and the
+    O-operator kernel pack them."""
     return bound.bit_length() + 1
+
+
+#: the memoryview format of the signed machine ints of 8, 16, 32 and 64 bits,
+#: empty where the machine is big-endian, so :func:`unpack` keeps its loop there
+_SIGNED = {struct.calcsize(f) * 8: f for f in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def byte_width(bound: int) -> int:
+    """Bits per packed entry for entries of absolute value at most ``bound``,
+    rounded up to the smallest of 8, 16, 32 or 64 bits that holds
+    ``field_width(bound)``: fields that :func:`unpack` decodes in C.  Above
+    64 bits it is ``field_width(bound)``.  The identity planes pack at this
+    width (:func:`splitalg.axioms._compile`)."""
+    bits = field_width(bound)
+    return min((w for w in _SIGNED if w >= bits), default=bits)
+
+
+@cache
+def _bias(count: int, width: int) -> int:
+    """H: 2**(width - 1) packed in each of ``count`` fields of ``width`` bits."""
+    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * count, "little")
 
 
 def pack(entries: Sequence[int], width: int) -> int:
@@ -902,7 +929,19 @@ def pack(entries: Sequence[int], width: int) -> int:
 
 
 def unpack(packed: int, count: int, width: int) -> list[int]:
-    """The ``count`` entries of a packed vector, inverse of :func:`pack`."""
+    """The ``count`` entries of a packed vector, inverse of :func:`pack`.
+
+    Fields of 8, 16, 32 or 64 bits (:func:`byte_width`) are decoded in C:
+    adding H, 2**(width - 1) in every field (:func:`_bias`), lifts each
+    field into 0 .. 2**width - 1 with no carry between fields, and xor with
+    H turns each lifted field into its entry's two's complement, whose bytes
+    a memoryview reads as signed machine ints.  Other widths are split one
+    field at a time."""
+    fmt = _SIGNED.get(width)
+    if fmt:
+        bias = _bias(count, width)
+        return memoryview(((packed + bias) ^ bias).to_bytes(count * width // 8, "little")
+                          ).cast(fmt).tolist()
     full = 1 << width
     half = full >> 1
     mask = full - 1

@@ -119,16 +119,25 @@ def _check_o(scaled_map, rows, vdim: int, d: int) -> CheckReport:
     tensor's kept form, see :func:`splitalg.core._int_grid`).  One per (id,
     base table, l action table, r action table) row of int tables scaled by
     d: the :func:`_o_packed` residuals over the map's columns, packed once
-    per row, and one :func:`_run` line per u with its nonzero residuals
-    unpacked.  Every term is quadratic in the map and
-    linear in a table, so each is divided by d_t**2 * d."""
+    per row, and one :func:`_run` line per u: the residuals at every v as
+    one flat list, each nonzero one unpacked, or () when all are zero (a
+    passing check's lines build no list).  Every term is quadratic in
+    the map and linear in a table, so each is divided by d_t**2 * d."""
     d_t, t, big = scaled_map
     n, cols = len(t), tuple(zip(*t))
+    zero = [0] * n
 
     def line_fn(table, left, right):
         bits, by_b = _packed_base(table, vdim, max(big, *map(max_abs, (table, left, right))))
         residual = _o_packed(cols, [pack(col, bits) for col in cols], by_b, left, right)
-        return lambda u: [(v, unpack(p, n, bits)) for v in range(vdim) if (p := residual(u, v))]
+
+        def line(u):
+            planes = [residual(u, v) for v in range(vdim)]
+            if any(planes):
+                return [x for p in planes for x in (unpack(p, n, bits) if p else zero)]
+            return ()
+
+        return line
 
     return _run([(ident, 2, d_t ** 2 * d, line_fn(*grids)) for ident, *grids in rows], vdim)
 

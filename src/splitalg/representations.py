@@ -127,26 +127,32 @@ class _Module(_Value):
         """The module identities ``_ids``, rows (module id, class identity of
         ``_system``, slot of f_w, sign), as :func:`axioms._run` lines of class
         identities of the semidirect sum, compiled once per value from the
-        int form.  The base indices (i, j) fill the other two slots in
-        order, and the residual at (i, j) is the v x v matrix whose column w
-        is sign times the module part of the class residual (the base part
-        vanishes), flattened row-major.  The slot of f_w is the free slot of
-        the compiled identity, so one plane per (i, j) holds every column."""
+        int form, each with its terms times sign.  The base indices (i, j)
+        fill the other two slots in order, and the residual at (i, j) is the
+        v x v matrix whose column w is the module part of the class residual
+        (the base part vanishes), flattened row-major.  The slot of f_w is
+        the free slot of the compiled identity, so one plane per (i, j),
+        decoded as a flat list of v rows of n + v entries, holds every
+        column: matrix row r is the strided slice from entry n + r.  A line
+        is the n matrices at i, or () when all are zero."""
         n = self.base.dim
         rows, v, d = self._o_rows
+        s, zero = n + v, [0] * (v * v)
         ops = {op: _block_fill(*grids, 0) for (op, *_), (_, *grids) in zip(self._blocks, rows)}
         bounds = {op: max_abs(table) for op, table in ops.items()}
         terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[self._system]}
         packings = {}
 
         def module_line(cls, slot, sign):
-            line = _compile(terms[cls], ops, bounds, packings, slot, range(n, n + v))
+            plane = _compile(tuple((sign * t, *rest) for t, *rest in terms[cls]), ops, bounds,
+                             packings, slot, range(n, s))
 
             def matrices(i):
+                out = []
                 for j in range(n):
-                    if cols := dict(line(i, j, skip=n)):
-                        yield j, [sign * cols[w][r] if w in cols else 0
-                                  for r in range(v) for w in range(v)]
+                    flat = plane(i, j)
+                    out += [x for r in range(n, s) for x in flat[r::s]] if flat else zero
+                return out if any(out) else ()
 
             return matrices
 

@@ -4,7 +4,9 @@ and on a committed BENCH file, with no subprocess."""
 import argparse
 import importlib.util
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -131,3 +133,33 @@ def test_plan_items_parse(item, parsed):
 def test_malformed_plan_items_are_refused(item):
     with pytest.raises(argparse.ArgumentTypeError, match="WORKLOAD@seedS:PAIRS"):
         bench_pairs._parse_plan(item)
+
+
+#: ``-X importtime`` lines of one interpreter start: modules that ``site``
+#: imports come first, indented, then ``site`` itself
+_IMPORTTIME = """import time: self [us] | cumulative | imported package
+import time:       310 |        310 |   _distutils_hack
+import time:      9000 |       9000 |     certifi
+import time:      1200 |      %d | site
+import time:       150 |        150 | encodings.site_helper
+"""
+
+
+def test_site_import_time_is_the_median_of_its_unindented_line():
+    calls, cumulative = [], iter([35000, 31000, 40000, 36000, 33000])
+
+    def run(argv, **kwargs):
+        calls.append(argv)
+        return SimpleNamespace(stderr=_IMPORTTIME % next(cumulative))
+
+    assert bench_pairs.site_import_ms(run) == 35.0
+    assert calls == [[sys.executable, "-X", "importtime", "-c", "pass"]] * 5
+
+
+def test_environment_records_the_site_import_time():
+    env = bench_pairs.environment(lambda argv, **kwargs: SimpleNamespace(
+        stderr=_IMPORTTIME % 12345))
+    assert env["site_import_ms"] == 12.345
+    assert set(env) == {"cpus", "python", "PYTHONDONTWRITEBYTECODE", "site_import_ms"}
+    assert bench_pairs.environment(lambda argv, **kwargs: SimpleNamespace(
+        stderr="Traceback ...\n"))["site_import_ms"] is None

@@ -12,7 +12,7 @@ import copy
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 import splitalg as sa
 from splitalg import axioms, catalog, core, operators, representations, ybe
 from splitalg.axioms import REQUIRED_OPS
-from splitalg.core import clear_denominators, field_width, max_abs, pack, slot_sum, unpack
+from splitalg.core import (
+    byte_width,
+    clear_denominators,
+    field_width,
+    max_abs,
+    pack,
+    slot_sum,
+    unpack,
+)
 from splitalg.functors import VERTICAL
 from splitalg.representations import _actions, _module_ints
 from splitalg.ybe import _check_companion_identity
@@ -101,6 +109,26 @@ def scaled(alg, c):
 def test_pack_round_trip(values):
     bits = field_width(max(map(abs, values)))
     assert unpack(pack(values, bits), len(values), bits) == values
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_pack_round_trip_at_every_width(data):
+    """Every width from 2 to 70 bits, entries up to +-(2**(width - 1) - 1):
+    the byte widths decode in C, the others one field at a time."""
+    width = data.draw(st.integers(2, 70))
+    top = 2 ** (width - 1) - 1
+    values = data.draw(st.lists(st.integers(-top, top) | st.sampled_from([-top, top, 0]),
+                                max_size=12))
+    assert unpack(pack(values, width), len(values), width) == values
+
+
+@pytest.mark.parametrize("bits, width", [(1, 8), (8, 8), (9, 16), (16, 16), (17, 32),
+                                         (32, 32), (33, 64), (64, 64), (65, 65), (90, 90)])
+def test_byte_width_rounds_field_width_up_to_a_machine_int(bits, width):
+    bound = 2 ** (bits - 1) - 1         # the largest bound of field_width ``bits``
+    assert field_width(bound) == bits
+    assert byte_width(bound) == width
 
 
 @settings(max_examples=50)
@@ -285,6 +313,14 @@ def _term(shape, a, b, x, y, z=None):
     return [sum(b[y][z][m] * a[x][m][k] for m in range(n)) for k in range(n)]
 
 
+#: tops whose field width fills 8, 16, 32 and 64 bits, tops just over each
+#: (a bound n * (top // n) of at least 2**(w - 1), so the next width), the
+#: 41-bit top, which a 64-bit field holds with 23 bits to spare, and one
+#: above 64 bits
+PLANE_TOPS = (*(2 ** (w - 1) + over for w in (8, 16, 32, 64) for over in (-1, 2)),
+              2 ** 40 - 1, 2 ** 69 - 1)
+
+
 @pytest.mark.parametrize("lo", [0, 1], ids=["all-rows", "rows-from-1"])
 @pytest.mark.parametrize("shape, free", [
     (axioms.LEFT, 0), (axioms.LEFT, 1), (axioms.LEFT, 2),
@@ -296,31 +332,91 @@ def test_plane_fields_reach_the_width_bound(shape, free, lo):
     ``free`` free over the rows lo..n-1.  Every table is a checkerboard
     c * (-1)**(i + j + k): A with c = a, C with c = -c', B with c = 1.  So
     every field of the residual is +-n * (a + c') (+-(a + c') when PLAIN),
-    the bound the kernel sizes its fields for, here 2**40 - 1, and the
-    sign flips from each field to the next, also across a row boundary.
-    The compiled identity is one line function, whose rows are the packed
-    plane split: a carry or borrow into a neighbouring field or row reads
-    as a wrong residual."""
-    n, top = 3, 2 ** 40 - 1
-    total = top if shape == axioms.PLAIN else top // n
-    ops = {"A": _checkerboard(total - 2 ** 20, n), "C": _checkerboard(-(2 ** 20), n),
-           "B": _checkerboard(1, n)}
+    the bound the kernel sizes its fields for, here within n - 1 of each
+    of ``PLANE_TOPS`` and of the same bit length, and the sign flips from
+    each field to the next, also across a row boundary.  The plane's fields
+    are the byte width that holds field_width(top), or field_width(top)
+    itself above 64 bits, so a field one bit too narrow overflows.  The compiled identity is one line function, whose flat
+    list is the packed plane decoded: a carry or borrow into a neighbouring
+    field or row reads as a wrong residual."""
+    n = 3
     perm = axioms.XY if shape == axioms.PLAIN else axioms.XYZ
-    terms = ((1, shape, "A", "B", perm), (-1, shape, "C", "B", perm))
-    bounds = {name: max_abs(table) for name, table in ops.items()}
-    line = axioms._compile(terms, ops, bounds, {}, free, range(lo, n))
-    assert callable(line)
-    assert field_width(top) == 41
-    for prefix in itertools.product(range(n), repeat=len(perm) - 1):
-        rows = line(*prefix)
-        assert [f for f, _ in rows] == list(range(n - lo))
-        for f, entries in rows:
-            idx = list(prefix)
-            idx.insert(free, f + lo)
-            expected = [p - q for p, q in zip(_term(shape, ops["A"], ops["B"], *idx),
-                                               _term(shape, ops["C"], ops["B"], *idx))]
-            assert entries == expected
-            assert {abs(x) for x in expected} == {top}
+    for top in PLANE_TOPS:
+        total = top if shape == axioms.PLAIN else top // n
+        bound = total if shape == axioms.PLAIN else n * total
+        low = total // 2
+        ops = {"A": _checkerboard(total - low, n), "C": _checkerboard(-low, n),
+               "B": _checkerboard(1, n)}
+        terms = ((1, shape, "A", "B", perm), (-1, shape, "C", "B", perm))
+        bounds = {name: max_abs(table) for name, table in ops.items()}
+        line = axioms._compile(terms, ops, bounds, {}, free, range(lo, n))
+        assert callable(line)
+        assert field_width(bound) == top.bit_length() + 1
+        assert byte_width(bound) == min((w for w in (8, 16, 32, 64) if w > top.bit_length()),
+                                        default=top.bit_length() + 1)
+        for prefix in itertools.product(range(n), repeat=len(perm) - 1):
+            flat = line(*prefix)
+            assert len(flat) == (n - lo) * n
+            for f in range(n - lo):
+                idx = list(prefix)
+                idx.insert(free, f + lo)
+                expected = [p - q for p, q in zip(_term(shape, ops["A"], ops["B"], *idx),
+                                                   _term(shape, ops["C"], ops["B"], *idx))]
+                assert flat[f * n:(f + 1) * n] == expected
+                assert {abs(x) for x in expected} == {bound}
+
+
+def _straddling(terms: int, k: int) -> tuple[int, int]:
+    """The largest entry b with terms * b**2 below 2**k, and b + 1: the
+    identity bound of ``terms`` two-table terms over tables of largest
+    entry b (and inputs of dimension one, folded into ``terms``) falls just
+    under 2**k, and at b + 1 just over."""
+    b = isqrt((2 ** k - 1) // terms)
+    return b, b + 1
+
+
+def _extreme_table(rng, n, b):
+    """A dim-n table of entries -b, -b + 1, 0, b - 1 and b, with b at
+    [0][0][0], so that b is its largest entry and every table product can
+    reach the identity's bound."""
+    flat = [Fraction(rng.choice((-b, -b + 1, 0, b - 1, b))) for _ in range(n ** 3)]
+    flat[0] = Fraction(b)
+    return _nest(flat, (n, n, n))
+
+
+@pytest.mark.parametrize("k", [7, 15, 31, 63])
+@pytest.mark.parametrize("over", [False, True], ids=["under", "over"])
+def test_checks_match_oracle_where_the_bound_straddles_a_byte_width(k, over, monkeypatch):
+    """Class and module checks on tables whose largest entry puts an
+    identity's bound just under or just over 2**k, so that its plane takes
+    the byte width that 2**k fits, the next one, or above 2**63 the field
+    width of the loop.  Straddled: pre-Lie eq-2.2 (4 terms, dim 2),
+    L-dendriform eq-3.1 (6 terms, dim 2), and the same identities in the
+    regular pre-Lie and L-dendriform modules over a dim-1 base, whose
+    semidirect sums have dim 2 and whose action tables are the base's own
+    entries; the bit length of the first bound each check compiles is
+    asserted.  Their dual modules, whose actions sum entries, come along."""
+    bounds = []
+    monkeypatch.setattr(axioms, "byte_width",
+                        lambda bound, original=axioms.byte_width:
+                        bounds.append(bound) or original(bound))
+    rng = random.Random(k * 2 + over)
+    for terms, n, class_name, module, dual in (
+            (4, 2, "pre_lie", None, None), (6, 2, "l_dendriform", None, None),
+            (4, 1, "pre_lie", sa.regular_prelie_module, sa.dual_prelie_module),
+            (6, 1, "l_dendriform", sa.regular_ldend_module, sa.dual_ldend_module)):
+        dim = 2 * n if module else n
+        alg = sa.Algebra(n, {name: _extreme_table(rng, n, _straddling(terms * dim, k)[over])
+                             for name in REQUIRED_OPS[class_name]})
+        bounds.clear()
+        if module is None:
+            same_report("check_class", alg, class_name)
+        else:
+            check = "check_prelie_module" if class_name == "pre_lie" else "check_ldend_module"
+            same_report(check, module(alg))
+        assert bounds[0].bit_length() == k + over
+        if module is not None:
+            same_report(check, dual(module(alg)))
 
 
 # ---------------------------------------------------------------------------

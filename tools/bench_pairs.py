@@ -18,7 +18,8 @@ Usage::
 Each PLAN is ``WORKLOAD@seedS:PAIRS``, e.g. ``rb-search@seed1:10``, with
 at least 2 pairs (quartiles need two values).  Writes the ``--out`` file:
 ``about``, ``environment`` (CPUs this process may run on, the Python
-version and ``PYTHONDONTWRITEBYTECODE``),
+version, ``PYTHONDONTWRITEBYTECODE`` and the median cumulative import time
+of ``site`` over five ``python -X importtime -c pass`` starts, in ms),
 ``pairs`` (per ``WORKLOAD@seedS`` key with at least two complete pairs:
 whether every run was correct, the
 summed failed and attempted operations, and per end-to-end metric of
@@ -149,6 +150,31 @@ def _bench(tree: Path, workload: str, seed: int) -> dict:
     return {"result": json.loads(done.stdout.strip().splitlines()[-1])}
 
 
+def site_import_ms(run=subprocess.run) -> float | None:
+    """The median over five interpreter starts of the cumulative import
+    time of ``site``, in ms, read from ``-X importtime``'s report on stderr:
+    the line whose package column is `` site``, unindented, so not a module
+    that ``site`` imports.  ``run`` is :func:`subprocess.run` or a stand-in
+    that returns an object with ``stderr``.  None when no start reports it."""
+    times = []
+    for _ in range(5):
+        done = run([sys.executable, "-X", "importtime", "-c", "pass"],
+                   capture_output=True, text=True)
+        times += [int(line.split("|")[1]) / 1000 for line in done.stderr.splitlines()
+                  if line.startswith("import time:") and line.endswith("| site")]
+    return statistics.median(times) if times else None
+
+
+def environment(run=subprocess.run) -> dict:
+    """The ``environment`` section of a BENCH file."""
+    return {
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "site_import_ms": site_import_ms(run),
+    }
+
+
 def _copy_tree(into: Path) -> None:
     """The working tree's files that git does not ignore, copied into ``into``."""
     listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
@@ -172,14 +198,10 @@ def main(argv=None) -> int:
     about = args.about or (f"Alternating parent/change pairs of `benchmarks/run.py --workload W "
                            f"--seed S --seconds {SECONDS} --trace 0`; parent: a `git "
                            f"archive` of {args.parent}, change: a copy of the working tree.")
-    environment = {
-        "cpus": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-    }
+    env = environment()
 
     def write(runs):
-        bench = {"about": about, "environment": environment,
+        bench = {"about": about, "environment": env,
                  "pairs": aggregate(runs, end_to_end), "runs": runs}
         args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
 
