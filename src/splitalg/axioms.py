@@ -132,15 +132,17 @@ XY, YX = (0, 1), (1, 0)
 XYZ, YXZ, XZY, YZX, ZXY = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)
 
 
-def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
+def _compile(terms, ops, bounds, packings: dict, rows: range):
     """Line function of one identity over the int tables ``ops``, by the
     keys its terms name, with largest entries ``bounds``: n, the dimension of
-    the tables' inputs, is read from them.  Its slot ``free`` is free over
-    the basis indices ``rows``: ``line(*idx)``, given the other slots'
-    indices, evaluates the int residual at every f in ``rows`` as one
-    packed plane, row f - rows.start at field (f - rows.start) * width.  A
-    term costs one big-int multiply-add per inner index m per line, not per
-    tuple: when z is free, a scalar row times a table's plane,
+    the tables' inputs, is read from them, and width, the length of their
+    output vectors, from the outer table of the first term.  Its last slot
+    is free over the basis indices ``rows``, so a term's free role is the
+    variable its perm gives that slot: ``line(*idx)``, given the other
+    slots' indices, evaluates the int residual at every f in ``rows`` as
+    one packed plane, row f - rows.start at field (f - rows.start) * width.
+    A term costs one big-int multiply-add per inner index m per line, not
+    per tuple: when z is free, a scalar row times a table's plane,
       (x A y) B z  =  sum_m A[x][y][m] * (B[m][z] over all z),
     else a column of the free role's table packed at the row stride times
     the other table's vector, their outer product (see
@@ -174,11 +176,11 @@ def _compile(terms, ops, bounds, packings: dict, free: int, rows: range):
                 tuple(pack(col, stride) for col in zip(*plane[lo:hi])) for plane in table)
         return packings[key]
 
-    one = len(first[4]) - 1     # position of the 0 appended to the given indices
+    one = len(first[4]) - 1     # the free slot: the 0 appended to the given indices
     pos, neg = [], []
     for sign, shape, a, b, perm in terms:
-        role = perm.index(free)
-        x, y, z = [slot - (slot > free) for slot in perm] + [one] * (3 - len(perm))
+        role = perm.index(one)
+        x, y, z = (*perm, one)[:3]
         if shape == PLAIN:      # 1 * A[x][f] or A[f][y] over all f
             row = ((((1,),),), one, one, tuple((p,) for p in packed(a, "plane", role == 0)),
                    y if role == 0 else x)
@@ -230,7 +232,7 @@ def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None)
         for ident, arity, terms in system:
             _, shape, a, b, _ = terms[0]
             lines.append((ident, arity, scale[a] if shape == PLAIN else scale[a] * scale[b],
-                          _compile(terms, ops, bounds, packings, arity - 1, range(alg.dim))))
+                          _compile(terms, ops, bounds, packings, range(alg.dim))))
         return lines
 
     return _run(compiled() if form is not None else alg.compiled(system, compiled), alg.dim)

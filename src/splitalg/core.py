@@ -595,22 +595,16 @@ def linmap(entries: Iterable[Iterable]) -> LinearMap:
 
 
 def family_contract(family: Sequence[LinearMap], coeffs: Sequence) -> LinearMap:
-    """Extend a basis-indexed matrix family linearly:  sum_i c_i family[i]."""
+    """Extend a basis-indexed matrix family linearly:  sum_i c_i family[i],
+    summed by :meth:`LinearMap.__add__` from the zero map of family[0]'s
+    shape, so a map of another shape is refused by the sum's own check,
+    and a zero coefficient skips its map, shape check included."""
     if len(family) != len(coeffs):
         raise DimensionMismatch("family length does not match coefficient vector")
     if not family:
         raise DimensionMismatch("an empty family has no map shape")
-    shape = family[0].rows, family[0].cols
-    coefficients, grids = [], []
-    for c, m in zip(map(rat, coeffs), family):  # zero terms skip the shape check
-        if c:
-            if (m.rows, m.cols) != shape:
-                raise DimensionMismatch("addition shape mismatch")
-            coefficients.append(c)
-            grids.append(m.entries)
-    if not coefficients:
-        return LinearMap.zero(*shape)
-    return LinearMap(*shape, _entrywise(lambda *xs: _dot(coefficients, xs), 2, *grids))
+    return sum((m.scale(c) for c, m in zip(map(rat, coeffs), family) if c),
+               LinearMap.zero(family[0].rows, family[0].cols))
 
 
 def dual_rep(family: Sequence[LinearMap]) -> tuple[LinearMap, ...]:
@@ -914,18 +908,22 @@ def byte_width(bound: int) -> int:
     return min((w for w in _SIGNED if w >= bits), default=bits)
 
 
-@cache
-def _bias(count: int, width: int) -> int:
-    """H: 2**(width - 1) packed in each of ``count`` fields of ``width`` bits."""
-    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * count, "little")
-
-
 def pack(entries: Sequence[int], width: int) -> int:
     """One int holding ``entries``: sum_k entries[k] * 2**(k * width).  Any
     linear combination of packed vectors is the packed linear combination,
     as long as each result entry stays below 2**(width - 1) in absolute
     value (see :func:`field_width`)."""
     return sum(map(lshift, entries, range(0, width * len(entries), width)))
+
+
+@cache
+def _bias(count: int, width: int) -> int:
+    """H: 2**(width - 1) packed in each of ``count`` fields of ``width``
+    bits, any width.  Adding H to a packed vector whose entries stay below
+    2**(width - 1) in absolute value lifts every field to a nonnegative
+    value, so no field borrows from the next (see :func:`unpack` and
+    ``operators._rb_schedule``)."""
+    return pack([1 << width - 1] * count, width)
 
 
 def unpack(packed: int, count: int, width: int) -> list[int]:

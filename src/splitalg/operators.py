@@ -18,6 +18,7 @@ from .core import (
     LinearMap,
     PreconditionFailed,
     Table,
+    _bias,
     clear_denominators,
     derive,
     field_width,
@@ -338,7 +339,7 @@ def _rb_schedule(order, n: int, bits: int, prune: bool) -> tuple[int, list[tuple
     for u, v, k in itertools.product(range(n), repeat=3):
         pos = max(col_done[u], col_done[v], row_done[k]) if prune else last
         buckets[pos][u, v] = buckets[pos].get((u, v), 0) | field << k * bits
-    offset = sum((1 << (bits - 1)) << k * bits for k in range(n))
+    offset = _bias(n, bits)
     return offset, [tuple((u, v, mask, offset & mask) for (u, v), mask in bucket.items())
                     for bucket in buckets]
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .axioms import _CLASS_SYSTEMS, CheckReport, _compile, _run
+from .axioms import _CLASS_SYSTEMS, LEFT, CheckReport, _compile, _run
 from .core import (
     Algebra,
     DimensionMismatch,
@@ -130,28 +130,36 @@ class _Module(_Value):
         int form, each with its terms times sign.  The base indices (i, j)
         fill the other two slots in order, and the residual at (i, j) is the
         v x v matrix whose column w is the module part of the class residual
-        (the base part vanishes), flattened row-major.  The slot of f_w is
-        the free slot of the compiled identity, so one plane per (i, j),
-        decoded as a flat list of v rows of n + v entries, holds every
-        column: matrix row r is the strided slice from entry n + r.  A line
-        is the n matrices at i, or () when all are zero."""
+        (the base part vanishes), flattened row-major.  Each identity's slots
+        are renumbered so that f_w's comes last, the compiled identity's free
+        slot: inner products read the semidirect tables, outer products the
+        same tables cut to their module part, so one plane per (i, j),
+        decoded as a flat list of v rows of v entries, holds every column:
+        matrix row r is the strided slice from entry r.  A line is the n
+        matrices at i, or () when all are zero, as every line of a zero
+        module is, which compiles nothing."""
         n = self.base.dim
         rows, v, d = self._o_rows
-        s, zero = n + v, [0] * (v * v)
+        zero = [0] * (v * v)
         ops = {op: _block_fill(*grids, 0) for (op, *_), (_, *grids) in zip(self._blocks, rows)}
-        bounds = {op: max_abs(table) for op, table in ops.items()}
+        ops |= {(op, "V"): _entrywise(lambda vec: vec[n:], 2, t) for op, t in ops.items()}
+        bounds = {key: max_abs(table) for key, table in ops.items()}
         terms = {ident: t for ident, _, t in _CLASS_SYSTEMS[self._system]}
         packings = {}
 
         def module_line(cls, slot, sign):
-            plane = _compile(tuple((sign * t, *rest) for t, *rest in terms[cls]), ops, bounds,
-                             packings, slot, range(n, s))
+            if not v:
+                return lambda i: ()
+            at = {k: k - (k > slot) for k in (X, Y, Z)} | {slot: Z}     # f_w's slot last
+            plane = _compile([(sign * t, s, *((a, (b, "V")) if s == LEFT else ((a, "V"), b)),
+                               tuple(map(at.get, p))) for t, s, a, b, p in terms[cls]],
+                             ops, bounds, packings, range(n, n + v))
 
             def matrices(i):
                 out = []
                 for j in range(n):
                     flat = plane(i, j)
-                    out += [x for r in range(n, s) for x in flat[r::s]] if flat else zero
+                    out += [x for r in range(v) for x in flat[r::v]] if flat else zero
                 return out if any(out) else ()
 
             return matrices

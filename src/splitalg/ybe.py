@@ -180,19 +180,35 @@ def s_residual(alg: Algebra, r: Tensor2) -> Tensor3:
     return _slot_sum(alg, r, _S_FORMS["eq-2.9"])
 
 
-@dataclass(frozen=True)
-class SEquivalenceReport:
-    """Simultaneous-vanishing report for a symmetric tensor: the S-equation
-    residual, its alternate displayed form, and the O-operator condition of
-    the tensor's map for the dual of the regular module."""
-
-    residual: Tensor3
-    alternate: Tensor3
-    operator: CheckReport
+class _EquivalenceReport:
+    """The verdicts of an equivalence report, read from its ``_flags``: one
+    bool per condition of the equivalence, ``residual_zero`` first."""
 
     @property
     def residual_zero(self) -> bool:
         return self.residual.is_zero
+
+    @property
+    def all_vanish(self) -> bool:
+        """Every condition holds."""
+        return all(self._flags)
+
+    @property
+    def consistent(self) -> bool:
+        """The conditions hold or fail together, as the equivalence says."""
+        return len(set(self._flags)) == 1
+
+
+@dataclass(frozen=True)
+class SEquivalenceReport(_EquivalenceReport):
+    """Simultaneous-vanishing report for a symmetric tensor: the S-equation
+    residual, its alternate displayed form, and the O-operator condition of
+    the tensor's map for the dual of the regular module, the three
+    conditions whose flags ``all_vanish`` and ``consistent`` read."""
+
+    residual: Tensor3
+    alternate: Tensor3
+    operator: CheckReport
 
     @property
     def alternate_zero(self) -> bool:
@@ -203,12 +219,8 @@ class SEquivalenceReport:
         return self.operator.passed
 
     @property
-    def all_vanish(self) -> bool:
-        return self.residual_zero and self.alternate_zero and self.operator_zero
-
-    @property
-    def consistent(self) -> bool:
-        return self.residual_zero == self.alternate_zero == self.operator_zero
+    def _flags(self) -> tuple[bool, ...]:
+        return self.residual_zero, self.alternate_zero, self.operator_zero
 
 
 def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
@@ -240,10 +252,11 @@ def ld_residual(alg: Algebra, r: Tensor2, variant: str = "eq-4.8") -> Tensor3:
 
 
 @dataclass(frozen=True)
-class LDEquivalenceReport:
+class LDEquivalenceReport(_EquivalenceReport):
     """The four equivalent conditions for a skew tensor (the LD-equation
-    residual and three O-operator conditions) plus the two auxiliary
-    residuals whose one-way implication is part of the statement."""
+    residual and three O-operator conditions), whose flags ``all_vanish``
+    and ``consistent`` read, plus the two auxiliary residuals whose one-way
+    implication is part of the statement."""
 
     residual: Tensor3
     operator_ldend: CheckReport
@@ -251,10 +264,6 @@ class LDEquivalenceReport:
     operator_horizontal: CheckReport
     aux_a: Tensor3
     aux_b: Tensor3
-
-    @property
-    def residual_zero(self) -> bool:
-        return self.residual.is_zero
 
     @property
     def operator_ldend_zero(self) -> bool:
@@ -272,14 +281,6 @@ class LDEquivalenceReport:
     def _flags(self) -> tuple[bool, ...]:
         return (self.residual_zero, self.operator_ldend_zero, self.operator_vertical_zero,
                 self.operator_horizontal_zero)
-
-    @property
-    def all_vanish(self) -> bool:
-        return all(self._flags)
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self._flags)) == 1
 
     @property
     def aux_implication(self) -> bool:

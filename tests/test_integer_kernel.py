@@ -123,6 +123,14 @@ def test_pack_round_trip_at_every_width(data):
     assert unpack(pack(values, width), len(values), width) == values
 
 
+@pytest.mark.parametrize("width", range(2, 71))
+def test_bias_packs_the_top_bit_of_every_field_at_any_width(width):
+    """H, 2**(width - 1) in every field, for byte widths and all others."""
+    for count in (0, 1, 2, 3, 7, 16):
+        assert core._bias(count, width) == sum((1 << width - 1) << k * width
+                                               for k in range(count))
+
+
 @pytest.mark.parametrize("bits, width", [(1, 8), (8, 8), (9, 16), (16, 16), (17, 32),
                                          (32, 32), (33, 64), (64, 64), (65, 65), (90, 90)])
 def test_byte_width_rounds_field_width_up_to_a_machine_int(bits, width):
@@ -322,25 +330,31 @@ PLANE_TOPS = (*(2 ** (w - 1) + over for w in (8, 16, 32, 64) for over in (-1, 2)
 
 
 @pytest.mark.parametrize("lo", [0, 1], ids=["all-rows", "rows-from-1"])
-@pytest.mark.parametrize("shape, free", [
+@pytest.mark.parametrize("shape, role", [
     (axioms.LEFT, 0), (axioms.LEFT, 1), (axioms.LEFT, 2),
     (axioms.RIGHT, 0), (axioms.RIGHT, 1), (axioms.RIGHT, 2),
     (axioms.PLAIN, 0), (axioms.PLAIN, 1),
 ])
-def test_plane_fields_reach_the_width_bound(shape, free, lo):
-    """The identity +t(A, B) - t(C, B) of one term shape t, with the slot
-    ``free`` free over the rows lo..n-1.  Every table is a checkerboard
-    c * (-1)**(i + j + k): A with c = a, C with c = -c', B with c = 1.  So
-    every field of the residual is +-n * (a + c') (+-(a + c') when PLAIN),
-    the bound the kernel sizes its fields for, here within n - 1 of each
-    of ``PLANE_TOPS`` and of the same bit length, and the sign flips from
-    each field to the next, also across a row boundary.  The plane's fields
-    are the byte width that holds field_width(top), or field_width(top)
-    itself above 64 bits, so a field one bit too narrow overflows.  The compiled identity is one line function, whose flat
-    list is the packed plane decoded: a carry or borrow into a neighbouring
-    field or row reads as a wrong residual."""
+def test_plane_fields_reach_the_width_bound(shape, role, lo):
+    """The identity +t(A, B) - t(C, B) of one term shape t, whose variable
+    at position ``role`` reads the last slot, the one a compiled line keeps
+    free, over the rows lo..n-1: the term's perm puts that slot at
+    ``role`` and the given slots, in order, at the other positions.  Every
+    table is a checkerboard c * (-1)**(i + j + k): A with c = a, C with
+    c = -c', B with c = 1.  So every field of the residual is
+    +-n * (a + c') (+-(a + c') when PLAIN), the bound the kernel sizes its
+    fields for, here within n - 1 of each of ``PLANE_TOPS`` and of the
+    same bit length, and the sign flips from each field to the next, also
+    across a row boundary.  The plane's fields are the byte width that
+    holds field_width(top), or field_width(top) itself above 64 bits, so a
+    field one bit too narrow overflows.  The compiled identity is one line
+    function, whose flat list is the packed plane decoded: a carry or
+    borrow into a neighbouring field or row reads as a wrong residual."""
     n = 3
-    perm = axioms.XY if shape == axioms.PLAIN else axioms.XYZ
+    arity = 2 if shape == axioms.PLAIN else 3
+    perm = list(range(arity - 1))
+    perm.insert(role, arity - 1)
+    perm = tuple(perm)
     for top in PLANE_TOPS:
         total = top if shape == axioms.PLAIN else top // n
         bound = total if shape == axioms.PLAIN else n * total
@@ -349,19 +363,19 @@ def test_plane_fields_reach_the_width_bound(shape, free, lo):
                "B": _checkerboard(1, n)}
         terms = ((1, shape, "A", "B", perm), (-1, shape, "C", "B", perm))
         bounds = {name: max_abs(table) for name, table in ops.items()}
-        line = axioms._compile(terms, ops, bounds, {}, free, range(lo, n))
+        line = axioms._compile(terms, ops, bounds, {}, range(lo, n))
         assert callable(line)
         assert field_width(bound) == top.bit_length() + 1
         assert byte_width(bound) == min((w for w in (8, 16, 32, 64) if w > top.bit_length()),
                                         default=top.bit_length() + 1)
-        for prefix in itertools.product(range(n), repeat=len(perm) - 1):
+        for prefix in itertools.product(range(n), repeat=arity - 1):
             flat = line(*prefix)
             assert len(flat) == (n - lo) * n
             for f in range(n - lo):
-                idx = list(prefix)
-                idx.insert(free, f + lo)
-                expected = [p - q for p, q in zip(_term(shape, ops["A"], ops["B"], *idx),
-                                                   _term(shape, ops["C"], ops["B"], *idx))]
+                idx = (*prefix, f + lo)
+                args = [idx[slot] for slot in perm]
+                expected = [p - q for p, q in zip(_term(shape, ops["A"], ops["B"], *args),
+                                                   _term(shape, ops["C"], ops["B"], *args))]
                 assert flat[f * n:(f + 1) * n] == expected
                 assert {abs(x) for x in expected} == {bound}
 

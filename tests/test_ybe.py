@@ -1,6 +1,7 @@
 """S-equation and LD-equation residuals, equivalences and builders, with the
 naive term-expansion oracle cross-checking every residual."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import splitalg as sa
 from splitalg import core
 from splitalg.functors import HORIZONTAL, SUB_ADJACENT, VERTICAL, commutator
 from splitalg.representations import regular_ldend_module, regular_prelie_module
+from splitalg.ybe import LDEquivalenceReport, SEquivalenceReport
 
 import naive_checks as naive
 from naive_kernel import nest
@@ -306,6 +308,39 @@ def test_ld_equivalence_consistent_on_random_skew(ld2, ldend_canonical_module):
             report = sa.ld_equivalence_check(alg, r)
             assert report.consistent
             assert report.aux_implication
+
+
+def _tensor(zero: bool) -> sa.Tensor3:
+    return sa.tensor3(1) if zero else sa.tensor3(1, [(1, 1, 1, 1)])
+
+
+def _check(passed: bool) -> sa.CheckReport:
+    return sa.CheckReport(() if passed else (sa.Failure("eq-2.10", (1, 1), (Fraction(1),)),))
+
+
+@pytest.mark.parametrize("flags", itertools.product((True, False), repeat=3))
+def test_s_report_verdicts_follow_every_combination_of_its_conditions(flags):
+    """A report built directly: all_vanish only when all three conditions
+    hold, consistent only when all three agree."""
+    residual, alternate, operator = flags
+    report = SEquivalenceReport(_tensor(residual), _tensor(alternate), _check(operator))
+    assert (report.residual_zero, report.alternate_zero, report.operator_zero) == flags
+    assert report.all_vanish == (flags == (True,) * 3)
+    assert report.consistent == (flags in {(True,) * 3, (False,) * 3})
+
+
+@pytest.mark.parametrize("flags", itertools.product((True, False), repeat=4))
+def test_ld_report_verdicts_follow_every_combination_of_its_conditions(flags):
+    """As for the S report, over the LD-equation residual and the three
+    O-operator conditions; the auxiliary residuals take no part."""
+    residual, *operators = flags
+    report = LDEquivalenceReport(_tensor(residual), *map(_check, operators),
+                                 aux_a=_tensor(False), aux_b=_tensor(True))
+    assert (report.residual_zero, report.operator_ldend_zero, report.operator_vertical_zero,
+            report.operator_horizontal_zero) == flags
+    assert report.all_vanish == (flags == (True,) * 4)
+    assert report.consistent == (flags in {(True,) * 4, (False,) * 4})
+    assert not report.aux_implication
 
 
 # ---------------------------------------------------------------------------
