@@ -481,8 +481,10 @@ class LinearMap(_Value):
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
-    #: the int form of the entries (:func:`_int_grid`), built on first use
-    _ints = cached_property(lambda self: _int_grid(self.entries))
+    #: the int form of the columns, read as :meth:`transpose` reads them, so
+    #: a map with no rows has ``cols`` empty columns (:func:`_int_grid`),
+    #: built on first use
+    _ints = cached_property(lambda self: _int_grid(self.transpose().entries))
 
     def __post_init__(self):
         check_size(self.rows, "rows")
@@ -822,14 +824,18 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # column (:meth:`Algebra.scaled`, :meth:`Algebra.support`).  A tensor's,
 # map's or form's holds its own denominator, its grid scaled by it and its
 # largest entry (:func:`_int_grid`), so a call that reads the same r, T or B
-# again scales nothing.  Every identity is homogeneous in each kind of
-# factor, so the true residual is the int residual divided by the product of
-# its factors' denominators: d_A**2 for a class identity, d_A * d_B for a
-# form identity, d_A * d_t**2 for a tensor equation.  A
-# module's action tables are scaled by the lcm d of their denominators and
-# d_A, and the base tables rescaled by d / d_A when that is not 1, so a module
-# identity divides by d**2 and an O-operator identity by d_t**2 * d; a module
-# value keeps these ints once, as its O-operator rows.  The scaling is one
+# again scales nothing.  Each grid is kept in the layout its readers use: a
+# tensor and a form by rows, a map by its columns T(f_u), which the
+# O-operator kernel reads; r's rows are the columns of r's map
+# (:func:`tensor_to_map`), so the equivalence reports pass r's form as a
+# map's.  Every identity is homogeneous in each kind of factor, so the true
+# residual is the int residual divided by the product of its factors'
+# denominators: d_A**2 for a class identity, d_A * d_B for a form identity,
+# d_A * d_t**2 for a tensor equation.  A module's action tables are scaled
+# by the lcm d of their denominators and d_A, and the base tables rescaled by
+# d / d_A when that is not 1, so a module identity divides by d**2 and an
+# O-operator identity by d_t**2 * d; a module value keeps these ints once,
+# as its O-operator rows.  The scaling is one
 # flat pass per grid, as in the dense-grid layer: each grid is rectangular,
 # so it is flattened at C speed, scaled as one list and nested again.
 # Vectors are packed into one int (Kronecker substitution), so a linear
@@ -984,7 +990,9 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
     derived once per value (:meth:`Algebra.scaled`), and so do their
     supports, the nonzero vectors of each row (:meth:`Algebra.support`):
     a term's blocks are enumerated from them and from the tensors' nonzero
-    rows, and no zero product vector is scanned.  Each tensor keeps its own
+    rows, and no zero product vector is scanned.  A packed row is 0 exactly
+    when the row is zero, so s's packed rows say which of its rows a block
+    needs, and r's rows are tested with ``any``.  Each tensor keeps its own
     int form (d, grid, largest entry); d_t is the lcm of the distinct
     tensors' d, and a grid is rescaled to it only when its d differs.  Every
     term has degree 1 in the tables and 2 in the tensors, so the residual is
@@ -1029,25 +1037,20 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
             return grid
         return tuple(pack(row, stride * bits) if any(row) else 0 for row in grid)
 
-    @cache
-    def nonzero(key, first: bool) -> tuple:
-        """Whether each of tensor ``key``'s rows is nonzero."""
-        return tuple(map(any, rows(key, first)))
-
     acc = [0] * n
     for (sign, r, _, s, _, key), (r_first, s_first, k_stride, r_stride, s_stride) in zip(
             terms, layouts):
         r_key, s_key = (id(r), r_first), (id(s), s_first)
         if swapped := s_stride == n * n:    # s's other slot is slot 1: r's layout, roles swapped
             r_key, s_key, r_stride, s_stride = s_key, r_key, s_stride, r_stride
-        table, s_rows = alg.support(key, swapped), nonzero(*s_key)
-        blocks = [(u, v, vec) for u in compress(range(n), nonzero(*r_key))
-                  for v, vec in table[u] if s_rows[v]]
+        table, s_packed = alg.support(key, swapped), rows(*s_key, s_stride)
+        blocks = [(u, v, vec) for u in compress(range(n), map(any, rows(*r_key)))
+                  for v, vec in table[u] if s_packed[v]]
         if k_stride == n * n:       # acc[k] += T_uv[k] * (R_u (x) S_v)
-            r_packed, s_packed = rows(*r_key, r_stride), rows(*s_key, s_stride)
+            r_packed = rows(*r_key, r_stride)
             addends = [(vec, r_packed[u] * s_packed[v]) for u, v, vec in blocks]
         else:                       # acc[x] += R_u[x] * sum_v S_v (x) T_uv
-            r_rows, s_packed, width = rows(*r_key), rows(*s_key, s_stride), k_stride * bits
+            r_rows, width = rows(*r_key), k_stride * bits
             addends = [(r_rows[u], sum([s_packed[v] * pack(vec, width) for _, v, vec in group]))
                        for u, group in groupby(blocks, itemgetter(0))]
         for outer, inner in addends:

@@ -44,8 +44,8 @@ SUB_ADJACENT = commutator(((1, "circ", False),))
 #: x * y = x > y + x < y, the associative sum of a dendriform algebra
 DENDRIFORM_STAR = ((1, "succ", False), (1, "prec", False))
 
-#: the ten derived operations of a quadri-algebra; a product may name one
-#: listed before it, which :func:`quadri_derive` derives first
+#: the ten derived operations of a quadri-algebra, each as parts of the four
+#: quadri tables, so every entry is an int-form key (see :meth:`Algebra.scaled`)
 QUADRI_DERIVED = {
     "succ": ((1, "ne", False), (1, "se", False)),
     "prec": ((1, "nw", False), (1, "sw", False)),
@@ -59,9 +59,9 @@ QUADRI_DERIVED = {
     "circ": ((1, "se", False), (1, "sw", False), (-1, "nw", True), (-1, "ne", True)),
     # x . y = x se y + x ne y - y nw x - y sw x
     "bullet": ((1, "se", False), (1, "ne", False), (-1, "nw", True), (-1, "sw", True)),
-    # [x, y] = x * y - y * x
-    "bracket": commutator(((1, "star", False),)),
 }
+#: [x, y] = x * y - y * x, the commutator of star's four parts
+QUADRI_DERIVED["bracket"] = commutator(QUADRI_DERIVED["star"])
 
 _LD = ("tri_r", "tri_l")
 
@@ -70,13 +70,11 @@ def _tag(name: str, alg: Algebra) -> str:
     return f"{name}({alg.class_tag})" if alg.class_tag else name
 
 
-def _derived(alg: Algebra, name: str, needs: tuple[str, ...], products, via=()) -> Algebra:
+def _derived(alg: Algebra, name: str, needs: tuple[str, ...], products) -> Algebra:
     """The algebra of the derived ``products`` (op -> parts) of the tables
-    ``needs`` of ``alg``, looked up in that order, which may name the
-    products ``via`` ((op, parts) pairs, derived first and not kept)."""
+    ``needs`` of ``alg``, looked up in that order; every part names one of
+    them."""
     tables = {op: alg.op(op) for op in needs}
-    for op, parts in via:
-        tables[op] = derive(tables, parts)
     ops = {op: derive(tables, parts) for op, parts in products.items()}
     return Algebra(alg.dim, ops, _tag(name, alg))
 
@@ -109,11 +107,12 @@ def dendriform_to_ldend(alg: Algebra) -> Algebra:
 
 
 def quadri_derive(alg: Algebra, which: str) -> Algebra:
-    """One derived operation of a quadri-algebra, named by its target op."""
+    """One derived operation of a quadri-algebra, named by its target op:
+    its :data:`QUADRI_DERIVED` parts summed from the four quadri tables in
+    one pass."""
     if which not in QUADRI_DERIVED:
         raise ValueError(
             f"unknown derived operation {which!r} (choose from {sorted(QUADRI_DERIVED)})"
         )
-    parts = QUADRI_DERIVED[which]
-    via = {op: QUADRI_DERIVED[op] for _, op, _ in parts if op in QUADRI_DERIVED}.items()
-    return _derived(alg, f"quadri_derive[{which}]", ("se", "ne", "nw", "sw"), {which: parts}, via)
+    return _derived(alg, f"quadri_derive[{which}]", ("se", "ne", "nw", "sw"),
+                    {which: QUADRI_DERIVED[which]})

@@ -116,19 +116,20 @@ def _o_packed(cols, packed, by_b, l_images, r_images):
 
 def _check_o(scaled_map, rows, vdim: int, d: int) -> CheckReport:
     """The O-operator identities of a map given by its int form: d_t, its
-    rows scaled by d_t and their largest absolute entry (a map's or a
-    tensor's kept form, see :func:`splitalg.core._int_grid`).  One per (id,
-    base table, l action table, r action table) row of int tables scaled by
-    d: the :func:`_o_packed` residuals over the map's columns, packed once
-    per row, and one :func:`_run` line per u: the residuals at every v as
-    one flat list, each nonzero one unpacked, or () when all are zero (a
-    passing check's lines build no list).  Every term is quadratic in
-    the map and linear in a table, so each is divided by d_t**2 * d."""
-    d_t, t, big = scaled_map
-    n, cols = len(t), tuple(zip(*t))
-    zero = [0] * n
+    columns T(f_u) scaled by d_t and their largest absolute entry (a map's
+    kept form, or a tensor's, whose rows are its map's columns; see
+    :func:`splitalg.core._int_grid`).  One per (id, base table, l action
+    table, r action table) row of int tables scaled by d: the
+    :func:`_o_packed` residuals over the columns, packed once per row, and
+    one :func:`_run` line per u: the residuals at every v as one flat list,
+    each nonzero one unpacked, or () when all are zero (a passing check's
+    lines build no list).  Every term is quadratic in the map and linear in
+    a table, so each is divided by d_t**2 * d."""
+    d_t, cols, big = scaled_map
 
     def line_fn(table, left, right):
+        n = len(table)
+        zero = [0] * n
         bits, by_b = _packed_base(table, vdim, max(big, *map(max_abs, (table, left, right))))
         residual = _o_packed(cols, [pack(col, bits) for col in cols], by_b, left, right)
 

@@ -156,13 +156,6 @@ _LD_TERMS = {eq: tuple((sign, left, right, _LD_KEYS.get(op, op)) for sign, left,
              for eq, rows in LD_VARIANTS.items()}
 
 
-def _map_ints(r: Tensor2) -> tuple[int, tuple, int]:
-    """The int form of r's map (see :func:`splitalg.core.tensor_to_map`):
-    r's kept int form with its grid transposed."""
-    d, grid, bound = r._ints
-    return d, tuple(zip(*grid)), bound
-
-
 def _slot_sum(alg: Algebra, r: Tensor2, summands) -> Tensor3:
     """The signed sum of slot products of r with itself, one per
     (sign, left_slots, right_slots, key) summand, the key an op name or a
@@ -233,7 +226,7 @@ def s_equivalence_check(alg: Algebra, r: Tensor2) -> SEquivalenceReport:
     return SEquivalenceReport(
         residual=s_residual(alg, r),
         alternate=_slot_sum(alg, r, _S_FORMS["alternate"]),
-        operator=_check_o(_map_ints(r), *rows),
+        operator=_check_o(r._ints, *rows),
     )
 
 
@@ -290,19 +283,19 @@ class LDEquivalenceReport(_EquivalenceReport):
 
 def ld_equivalence_check(alg: Algebra, r: Tensor2) -> LDEquivalenceReport:
     """eq-4.8 for r against the O-operator identities of r's map for the
-    duals of the regular module and of both pre-Lie modules."""
+    duals of the regular module and of both pre-Lie modules.  r's kept rows
+    are the columns of its map, so both reports pass r's int form as it is."""
     if not r.is_skew:
         raise PreconditionFailed("the LD-equation equivalence needs a skew tensor")
     _check_dims(alg, r)
     ldend, vertical, horizontal = alg.compiled(ld_equivalence_check, lambda: [
         m._o_rows for m in (dual_ldend_module(regular_ldend_module(alg)),
                             *map(dual_prelie_module, _prelie_modules(alg)))])
-    t = _map_ints(r)
     return LDEquivalenceReport(
         residual=ld_residual(alg, r, "eq-4.8"),
-        operator_ldend=_check_o(t, *ldend),
-        operator_vertical=_check_o(t, *vertical),
-        operator_horizontal=_check_o(t, *horizontal),
+        operator_ldend=_check_o(r._ints, *ldend),
+        operator_vertical=_check_o(r._ints, *vertical),
+        operator_horizontal=_check_o(r._ints, *horizontal),
         aux_a=ld_residual(alg, r, "eq-4.9"),
         aux_b=ld_residual(alg, r, "eq-4.10"),
     )

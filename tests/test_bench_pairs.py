@@ -1,9 +1,12 @@
 """The pair aggregation of ``tools/bench_pairs.py`` on synthetic run results
-and on a committed BENCH file, with no subprocess."""
+and on a committed BENCH file, with no subprocess, and its unpacking of both
+sides on a temporary git repository."""
 
 import argparse
 import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -163,3 +166,48 @@ def test_environment_records_the_site_import_time():
     assert set(env) == {"cpus", "python", "PYTHONDONTWRITEBYTECODE", "site_import_ms"}
     assert bench_pairs.environment(lambda argv, **kwargs: SimpleNamespace(
         stderr="Traceback ...\n"))["site_import_ms"] is None
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           "-c", "commit.gpgsign=false", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def _files(tree):
+    return {path.relative_to(tree).as_posix(): path.read_text()
+            for path in tree.rglob("*") if path.is_file()}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_both_sides_unpack_through_one_helper(tmp_path):
+    """The change side holds the working tree's files that git does not
+    ignore: tracked ones as edited, a tracked one that an ignore pattern
+    matches, untracked ones, no deleted or ignored one; the repository's
+    own index is left as it was.  The parent side, a revision, unpacks
+    through the same helper."""
+    repo = tmp_path / "repo"
+    committed = {".gitignore": "ignored.txt\n*.log\n", "kept.log": "forced\n",
+                 "tracked.txt": "same\n", "edited.txt": "old\n", "deleted.txt": "gone\n",
+                 "sub/nested.txt": "deep\n"}
+    for name, text in committed.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "add", "-f", "kept.log")
+    _git(repo, "commit", "-q", "-m", "seed")
+    (repo / "edited.txt").write_text("new\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "untracked.txt").write_text("fresh\n")
+    (repo / "ignored.txt").write_text("build output\n")
+    status = _git(repo, "status", "--porcelain")
+
+    bench_pairs.unpack(bench_pairs.working_tree(repo), tmp_path / "change", repo)
+    bench_pairs.unpack("HEAD", tmp_path / "parent", repo)
+    assert _files(tmp_path / "change") == {
+        ".gitignore": "ignored.txt\n*.log\n", "kept.log": "forced\n", "tracked.txt": "same\n",
+        "edited.txt": "new\n", "sub/nested.txt": "deep\n", "untracked.txt": "fresh\n"}
+    assert _files(tmp_path / "parent") == committed
+    assert _git(repo, "status", "--porcelain") == status
+    assert _git(repo, "diff", "--cached", "--name-only") == ""

@@ -297,3 +297,45 @@ def test_class_tags_record_provenance(ld2):
     assert sa.sub_adjacent_lie(sa.vertical_prelie(ld2)).class_tag == (
         "sub_adjacent_lie(vertical_prelie(LD2))"
     )
+
+
+# ---------------------------------------------------------------------------
+# registry entries as int-form keys
+
+def _quadri_functor(name):
+    return lambda alg: sa.quadri_derive(alg, name).op(name)
+
+
+_QUADRI = ("se", "ne", "nw", "sw")
+
+#: each registry entry: its parts, the ops of an algebra the functor reads,
+#: and the functor's table of the derived product
+_REGISTRY = {
+    "VERTICAL": (sa.functors.VERTICAL, ("tri_r", "tri_l"),
+                 lambda alg: sa.vertical_prelie(alg).op("circ")),
+    "HORIZONTAL": (sa.functors.HORIZONTAL, ("tri_r", "tri_l"),
+                   lambda alg: sa.horizontal_prelie(alg).op("bullet")),
+    "SUB_ADJACENT": (sa.functors.SUB_ADJACENT, ("circ",),
+                     lambda alg: sa.sub_adjacent_lie(alg).op("bracket")),
+    "DENDRIFORM_STAR": (sa.functors.DENDRIFORM_STAR, ("succ", "prec"),
+                        lambda alg: sa.horizontal_prelie(sa.dendriform_to_ldend(alg)).op("bullet")),
+    "commutator(VERTICAL)": (sa.functors.commutator(sa.functors.VERTICAL), ("tri_r", "tri_l"),
+                             lambda alg: sa.sub_adjacent_lie(sa.vertical_prelie(alg)).op("bracket")),
+    **{f"QUADRI_DERIVED[{name}]": (parts, _QUADRI, _quadri_functor(name))
+       for name, parts in sa.functors.QUADRI_DERIVED.items()},
+}
+
+
+@pytest.mark.parametrize("entry", list(_REGISTRY))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_every_registry_entry_resolves_as_an_int_form_key(entry, data):
+    """``Algebra.scaled`` resolves the entry on an algebra that carries the
+    ops its functor reads, to the functor's table scaled by d_A, in ints."""
+    parts, ops, functor = _REGISTRY[entry]
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    alg = sa.Algebra(n, {op: data.draw(raw_tables(n)) for op in ops})
+    d, (table,) = alg.scaled(parts)
+    assert table == tuple(tuple(tuple(d * x for x in vec) for vec in plane)
+                          for plane in functor(alg))
+    assert all(type(x) is int for plane in table for vec in plane for x in vec)

@@ -13,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import isqrt, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -533,6 +534,51 @@ def test_scaled_rota_baxter_operators_pass(p2, rb_operators_p2):
 
 
 # ---------------------------------------------------------------------------
+# the field-by-field decode path: core._SIGNED is empty on a big-endian
+# machine, so byte_width is field_width and unpack splits one field at a time
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_checks_match_oracle_when_every_plane_decodes_field_by_field(data):
+    """Class checks of all six classes, module checks and O-operator checks
+    with ``core._SIGNED`` emptied.  Compiled lines are kept per value, so
+    every value is built, and first checked, inside the patch."""
+    n, v = data.draw(small_dims), data.draw(small_dims)
+    with mock.patch.dict(core._SIGNED, clear=True):
+        assert [byte_width(b) for b in (1, 200, 2 ** 40, 2 ** 70)] == \
+            [field_width(b) for b in (1, 200, 2 ** 40, 2 ** 70)]
+        for class_name in sa.CLASS_NAMES:
+            same_report("check_class", algebras(data.draw, n, REQUIRED_OPS[class_name]),
+                        class_name)
+        base = algebras(data.draw, n, ("circ", "tri_r", "tri_l"))
+        pm = sa.PreLieModule(base, v, families(data.draw, n, v), families(data.draw, n, v))
+        lm = sa.LDendModule(base, v, *(families(data.draw, n, v) for _ in range(4)))
+        for module, check in ((pm, "check_prelie_module"), (lm, "check_ldend_module")):
+            same_report(check, module)
+        same_report("check_prelie_module", sa.dual_prelie_module(pm))
+        same_report("check_ldend_module", sa.dual_ldend_module(lm))
+        T = maps(data.draw, n, v)
+        same_report("check_o_prelie", T, pm)
+        same_report("check_o_ldend", T, lm)
+        same_report("check_o_lie", T, sa.sub_adjacent_lie(base), families(data.draw, n, v))
+        same_report("check_rota_baxter_prelie", maps(data.draw, n, n), base)
+
+
+@pytest.mark.skipif(not core._SIGNED, reason="no C decode path on a big-endian machine")
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@settings(max_examples=50)
+@given(st.data())
+def test_field_by_field_unpack_matches_the_c_path(width, data):
+    top = 2 ** (width - 1) - 1
+    values = data.draw(st.lists(st.integers(-top, top) | st.sampled_from([-top, top, 0]),
+                                max_size=12))
+    packed = pack(values, width)
+    in_c = unpack(packed, len(values), width)
+    with mock.patch.dict(core._SIGNED, clear=True):
+        assert unpack(packed, len(values), width) == in_c == values
+
+
+# ---------------------------------------------------------------------------
 # tensor equations
 
 tensor_dims = st.integers(min_value=1, max_value=4)
@@ -853,7 +899,7 @@ def test_checks_scale_no_algebra_table(monkeypatch, p2, l2, ld2, rb2):
     """The checks scale their own maps, tensors and action tables; no call
     to clear_denominators receives an op table or an int-form table, and a
     map or tensor read by several checks is scaled once, into its kept int
-    form."""
+    form: a map's columns, a tensor's rows."""
     algebras = (p2, l2, ld2)
     for alg in algebras:
         alg.scaled()                    # the int forms, built before the spy
@@ -880,10 +926,13 @@ def test_checks_scale_no_algebra_table(monkeypatch, p2, l2, ld2, rb2):
     sa.ld_equivalence_check(ld2, skew)
     forbidden = {id(table) for alg in algebras for table in alg.ops.values()}
     forbidden |= {id(table) for alg in algebras for table, _ in alg._int_form[1].values()}
-    # T by three O-operator checks; sym by two residuals and a report's map,
-    # skew by three residuals and three O-operator conditions
-    assert [sum(args[0] is grid for args in calls) for grid in (T.entries, sym.entries,
-                                                               skew.entries)] == [1, 1, 1]
+    # T's columns by three O-operator checks; sym by two residuals and a
+    # report's map, skew by three residuals and three O-operator conditions
+    columns = ((Fraction(1, 2), 0), (2, 1))
+    assert [sum(args[0] == columns for args in calls),
+            *(sum(args[0] is grid for args in calls) for grid in (sym.entries, skew.entries))
+            ] == [1, 1, 1]
+    assert T._ints == (2, ((1, 0), (4, 2)), 4)
     assert [args for args in calls if _holds(args, forbidden)] == []
 
 
