@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 import struct
 import sys
+import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, compress, groupby, product, repeat
-from operator import add, attrgetter, eq, itemgetter, lshift, neg, sub
+from itertools import chain, compress, product, repeat
+from operator import add, attrgetter, eq, lshift, neg, sub
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -246,7 +247,20 @@ def derive(tables: Mapping[str, Table], parts: Sequence) -> Table:
     parts: entry [i][j] is the sum over the parts of sign * tables[name][i][j],
     read as tables[name][j][i] when ``flipped``, each sign +1 or -1.  Entries
     may be Fractions or ints, and without flipped parts the grids need not be
-    cubic (a matrix family, rows [a][j], sums the same way)."""
+    cubic (a matrix family, rows [a][j], sums the same way).  When the
+    flipped parts are the unflipped ones with their signs negated, as in
+    every :func:`splitalg.functors.commutator`, the table is U[i][j] -
+    U[j][i] for the sum U of the unflipped parts, and is summed so."""
+    plain = sorted((sign, name) for sign, name, flipped in parts if not flipped)
+    if plain and plain == sorted((-sign, name) for sign, name, flipped in parts if flipped):
+        half = _summed(tables, [part for part in parts if not part[2]])
+        return tuple(tuple(tuple(map(sub, vec, other)) for vec, other in zip(plane, column))
+                     for plane, column in zip(half, zip(*half)))
+    return _summed(tables, parts)
+
+
+def _summed(tables: Mapping[str, Table], parts: Sequence) -> Table:
+    """The table of ``parts`` (see :func:`derive`), added entry by entry."""
     views = [(sign, tuple(zip(*tables[name])) if flipped else tables[name])
              for sign, name, flipped in parts]
     (sign, first), rest = views[0], views[1:]
@@ -675,6 +689,9 @@ class Tensor2(_Tensor):
 
     rank = 2
     _mismatch = "tensor entries are not dim x dim"
+    #: the rows of the int form packed for the slot sums, one (width, rows)
+    #: per (orientation, stride) (see :func:`slot_sum`), filled on use
+    _packed = cached_property(lambda self: {})
 
     @property
     def is_symmetric(self) -> bool:
@@ -843,7 +860,13 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # of one per entry.  Two vectors packed at strides 1 and n multiply
 # to their outer product, packed as an n x n plane in row-major order: the
 # slot products keep one such plane per slot-1 component, and a block of a
-# term costs one big-int multiply-add (see :func:`slot_sum`).  An identity
+# term costs one big-int multiply-add (see :func:`slot_sum`).  Their packed
+# operands are kept with their values, one packing per key at the width it
+# was packed at: the algebra's int form keeps each table support packed,
+# keyed by (table key, swapped, stride), a tensor its rows, keyed by
+# (orientation, stride) (``Tensor2._packed``).  A call packs at the widest
+# of its own bound's width and the widths kept for what it reads, and a
+# kept packing is replaced only by a wider one, so widths only grow.  An identity
 # check packs the residuals of a line of basis tuples, all values of one free
 # slot, into one such plane and decodes it once, one line function per
 # identity (:func:`splitalg.axioms._compile`), compiled once per algebra or
@@ -979,6 +1002,27 @@ def _slot_layout(r_slots, s_slots, n: int) -> tuple[bool, bool, int, int, int]:
             stride[shared], stride[r_other], stride[s_other])
 
 
+#: held while a kept packing is compared with a wider one and replaced
+_REPLACING = threading.Lock()
+
+
+def _kept_packing(kept: dict, key, bits: int, build) -> tuple:
+    """The packing ``kept`` holds under ``key`` when its field width is
+    ``bits``, else ``build()``, the packing at ``bits``, which replaces the
+    kept one only when it is wider: ``kept`` holds one (width, packing) per
+    key, and its widths only grow.  The entry is read once and its width
+    checked, so a call never reads a packing of another width, even while
+    another thread replaces it."""
+    entry = kept.get(key)
+    if entry is not None and entry[0] == bits:
+        return entry[1]
+    packing = build()
+    with _REPLACING:
+        if kept.get(key, (0,))[0] < bits:
+            kept[key] = bits, packing
+    return packing
+
+
 def slot_sum(terms, alg: Algebra) -> Tensor3:
     """Signed sum of slot products (see :func:`slot_product`), evaluated on ints.
 
@@ -991,12 +1035,12 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
     supports, the nonzero vectors of each row (:meth:`Algebra.support`):
     a term's blocks are enumerated from them and from the tensors' nonzero
     rows, and no zero product vector is scanned.  A packed row is 0 exactly
-    when the row is zero, so s's packed rows say which of its rows a block
-    needs, and r's rows are tested with ``any``.  Each tensor keeps its own
-    int form (d, grid, largest entry); d_t is the lcm of the distinct
-    tensors' d, and a grid is rescaled to it only when its d differs.  Every
-    term has degree 1 in the tables and 2 in the tensors, so the residual is
-    the int sum / (d_A * d_t**2).
+    when the row is zero, so the packed rows say which rows a block needs,
+    and r's rows are tested with ``any`` where they are not packed.  Each
+    tensor keeps its own int form (d, grid, largest entry); d_t is the lcm
+    of the distinct tensors' d, and a grid is rescaled to it only when its d
+    differs.  Every term has degree 1 in the tables and 2 in the tensors, so
+    the residual is the int sum / (d_A * d_t**2).
 
     The sum is kept as one packed int per slot-1 component i, holding the
     plane [i][j][k] at field j*n + k.  A term is a sum over the shared-slot
@@ -1013,46 +1057,67 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
     no swapped table is built.  No field of the sum
     exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
     maxima taken over the int tables and tensors (:func:`field_width`).
+
+    The packed operands are kept with the values they belong to, one
+    (width, packing) per key (:func:`_kept_packing`): the algebra's int form
+    keeps each support with its vectors packed at stride * width, keyed by
+    (table key, swapped, stride), and each tensor keeps its rows packed at
+    stride * width, keyed by (orientation, stride) (``Tensor2._packed``).
+    A call packs at the widest of its own bound's width and the widths kept
+    for the packings it reads, so any packing it finds kept either fits or
+    is replaced by its wider one; wider fields are still exact.  Only a
+    tensor's own ints are kept: a grid rescaled to another d_t is packed
+    for the call alone.
     """
     keys = dict.fromkeys(term[5] for term in terms)
     weight, n = sum(abs(term[0]) for term in terms) * alg.entry_bound(*keys), alg.dim
-    layouts, tensors = [], {}
-    for _, r, r_slots, s, s_slots, _ in terms:
-        layouts.append(_slot_layout(r_slots, s_slots, n))
+    plan, tensors = [], {}
+    for sign, r, r_slots, s, s_slots, key in terms:
+        r_first, s_first, k_stride, r_stride, s_stride = _slot_layout(r_slots, s_slots, n)
         if r.dim != n or s.dim != n:
             raise DimensionMismatch("tensor dimensions do not match the algebra")
-        tensors[id(r)], tensors[id(s)] = r._ints, s._ints
-    d_t = math.lcm(*(d for d, _, _ in tensors.values()))
-    ints = {key: grid if d == d_t else _entrywise((d_t // d).__mul__, 2, grid)
-            for key, (d, grid, _) in tensors.items()}
-    t_bound = max((b * (d_t // d) for d, _, b in tensors.values()), default=0)
-    bits = field_width(weight * n * n * t_bound ** 2)
+        tensors[id(r)], tensors[id(s)] = r, s
+        r_op, s_op = (id(r), r_first, r_stride), (id(s), s_first, s_stride)
+        if swapped := s_stride == n * n:    # s's other slot is slot 1: r's layout, roles swapped
+            r_op, s_op = s_op, r_op
+        plan.append((sign, key, swapped, k_stride, r_op, s_op))
+    d_t = math.lcm(*(t._ints[0] for t in tensors.values()))
+    ints, kept = {}, {}
+    for i, t in tensors.items():
+        d, grid, _ = t._ints
+        ints[i] = grid if d == d_t else _entrywise((d_t // d).__mul__, 2, grid)
+        kept[i] = t._packed if d == d_t else {}
+    tables = alg.compiled(slot_sum, dict)
+    t_bound = max((t._ints[2] * (d_t // t._ints[0]) for t in tensors.values()), default=0)
+    reads = [(kept[s_op[0]], s_op[1:]) for *_, s_op in plan]
+    reads += [(kept[r_op[0]], r_op[1:]) if k_stride == n * n else
+              (tables, (key, swapped, k_stride)) for _, key, swapped, k_stride, r_op, _ in plan]
+    bits = max([field_width(weight * n * n * t_bound ** 2),
+                *(packings.get(key, (0,))[0] for packings, key in reads)])
 
     @cache
-    def rows(key, first: bool, stride: int | None = None) -> tuple:
-        """Tensor ``key``'s int rows by its shared-slot component, each
-        packed at ``stride`` fields when one is given."""
-        grid = ints[key] if first else tuple(zip(*ints[key]))
-        if stride is None:
-            return grid
-        return tuple(pack(row, stride * bits) if any(row) else 0 for row in grid)
+    def rows(i, first: bool) -> tuple:
+        """Tensor ``i``'s int rows by its shared-slot component."""
+        return ints[i] if first else tuple(zip(*ints[i]))
+
+    def packed_rows(i, first: bool, stride: int) -> tuple:
+        """Those rows, each packed at ``stride`` fields, 0 for a zero row."""
+        return _kept_packing(kept[i], (first, stride), bits, lambda: tuple(
+            pack(row, stride * bits) if any(row) else 0 for row in rows(i, first)))
 
     acc = [0] * n
-    for (sign, r, _, s, _, key), (r_first, s_first, k_stride, r_stride, s_stride) in zip(
-            terms, layouts):
-        r_key, s_key = (id(r), r_first), (id(s), s_first)
-        if swapped := s_stride == n * n:    # s's other slot is slot 1: r's layout, roles swapped
-            r_key, s_key, r_stride, s_stride = s_key, r_key, s_stride, r_stride
-        table, s_packed = alg.support(key, swapped), rows(*s_key, s_stride)
-        blocks = [(u, v, vec) for u in compress(range(n), map(any, rows(*r_key)))
-                  for v, vec in table[u] if s_packed[v]]
+    for sign, key, swapped, k_stride, (r_id, r_first, r_stride), s_op in plan:
+        s_packed, support = packed_rows(*s_op), alg.support(key, swapped)
         if k_stride == n * n:       # acc[k] += T_uv[k] * (R_u (x) S_v)
-            r_packed = rows(*r_key, r_stride)
-            addends = [(vec, r_packed[u] * s_packed[v]) for u, v, vec in blocks]
+            r_packed = packed_rows(r_id, r_first, r_stride)
+            addends = [(vec, r_packed[u] * s_packed[v]) for u in compress(range(n), r_packed)
+                       for v, vec in support[u] if s_packed[v]]
         else:                       # acc[x] += R_u[x] * sum_v S_v (x) T_uv
-            r_rows, width = rows(*r_key), k_stride * bits
-            addends = [(r_rows[u], sum([s_packed[v] * pack(vec, width) for _, v, vec in group]))
-                       for u, group in groupby(blocks, itemgetter(0))]
+            r_rows, width = rows(r_id, r_first), k_stride * bits
+            table = _kept_packing(tables, (key, swapped, k_stride), bits, lambda: tuple(
+                tuple((v, pack(vec, width)) for v, vec in row) for row in support))
+            addends = [(r_rows[u], sum([s_packed[v] * vec for v, vec in table[u] if s_packed[v]]))
+                       for u in compress(range(n), map(any, r_rows))]
         for outer, inner in addends:
             if inner:
                 for i in compress(range(n), outer):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import splitalg as sa
 from splitalg import catalog
 from splitalg.core import derive, slot_sum, table_apply
+from splitalg.functors import commutator
 
 from naive_checks import table_add, table_flip, table_sub
 from naive_tensor import naive_slot_product
@@ -674,6 +675,8 @@ def test_derive_matches_table_combinators(data):
                              for plane in t) for name, t in grids.items()}
     parts = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.sampled_from(names),
                                          st.booleans()), min_size=1, max_size=4))
+    if data.draw(st.booleans()):        # a commutator, summed as U - U^T, its parts in any order
+        parts = data.draw(st.permutations(commutator(tuple(parts))))
     expected = None
     for sign, name, flipped in parts:
         t = table_flip(grids[name]) if flipped else grids[name]

@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import functools
 import importlib
+import itertools
 import pickle
 import pkgutil
 import sys
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg.axioms import CLASS_NAMES
-from splitalg.core import _Value, slot_sum
+from splitalg.core import _kept_packing, _Value, slot_sum
 
+from conftest import kept_packings
 from naive_kernel import nest
 
 #: denominator sets of one object; drawn per object, so tables and tensors
@@ -202,22 +204,39 @@ def test_a_term_with_s_in_slot_1_keeps_no_swapped_table():
 
 def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
     """Threads filling one value's int form at once, with a short switch
-    interval; each answer must match a fresh copy's."""
+    interval; each answer must match a fresh copy's.  Residuals of r scaled
+    up to ints 2**50 times larger are interleaved with the other calls, and
+    each round builds its tensors anew, so the threads widen the same kept
+    packings of the algebra and of the tensors at once; every packing left
+    kept is its operand at its own width."""
     base = sa.Algebra(3, {name: nest([Fraction((i * 7 + k) % 5 - 2, 1 + (i + k) % 3)
                                       for i in range(27)], 3, 3)
                           for k, name in enumerate(OPS)})
-    r = sa.tensor2(3, [(1, 2, Fraction(1, 2)), (2, 1, -1), (3, 3, Fraction(2, 5))])
-    work = calls(r, r + sa.exchange(r), r - sa.exchange(r), sa.bilinear_form(
-        [[1, 0, Fraction(1, 3)], [0, 2, 0], [Fraction(1, 7), 0, 1]]))
-    expected = [outcome(call, fresh(base)) for _, call in work]
+    entries = sa.tensor2(3, [(1, 2, Fraction(1, 2)), (2, 1, -1), (3, 3, Fraction(2, 5))]).entries
+
+    def work_on(r):
+        """The calls and the tensors they read, r and r at two larger scales."""
+        wide = [sa.Tensor2(3, tuple(tuple(c * x for x in row) for row in r.entries))
+                for c in (10 ** 6, Fraction(10 ** 15, 7))]
+        widening = [(f"s_residual x{k}", lambda a, t=t: sa.s_residual(a, t))
+                    for k, t in enumerate([r, *wide])]
+        widening += [(f"{v} x{k}", lambda a, t=t, v=v: sa.ld_residual(a, t, v))
+                     for k, t in enumerate(wide) for v in sa.LD_VARIANTS]
+        narrow = calls(r, r + sa.exchange(r), r - sa.exchange(r), sa.bilinear_form(
+            [[1, 0, Fraction(1, 3)], [0, 2, 0], [Fraction(1, 7), 0, 1]]))
+        pairs = itertools.zip_longest(narrow, widening)
+        return [call for pair in pairs for call in pair if call], [r, *wide]
+
+    expected = [outcome(call, fresh(base)) for _, call in work_on(sa.Tensor2(3, entries))[0]]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             shared = fresh(base)
+            work, tensors = work_on(sa.Tensor2(3, entries))
             results = {}
 
-            def worker(k, shared=shared, results=results):
+            def worker(k, shared=shared, results=results, work=work):
                 order = work[k:] + work[:k]
                 results[k] = {label: outcome(call, shared) for label, call in order}
 
@@ -230,8 +249,34 @@ def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
             assert len(results) == len(threads)
             for got in results.values():
                 assert [got[label] for label, _ in work] == expected
+            assert kept_packings(shared, tensors)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_kept_packing_is_used_only_at_the_width_read_with_it():
+    """``_kept_packing`` reads a key's (width, packing) once: a packing that
+    another thread puts in its place right after that read is not used, and
+    a kept packing is replaced only by a wider one."""
+    class Racing(dict):
+        def get(self, key, default=None):
+            entry = super().get(key, default)
+            self[key] = (9, "packed by another thread at 9 bits")
+            return entry
+
+    built = []
+
+    def build(text):
+        return lambda: built.append(text) or text
+
+    assert _kept_packing(Racing(k=(5, "kept at 5")), "k", 5, build("at 5")) == "kept at 5"
+    assert built == []
+    kept = {"k": (7, "kept at 7")}
+    assert _kept_packing(kept, "k", 5, build("at 5")) == "at 5"
+    assert kept == {"k": (7, "kept at 7")}
+    assert _kept_packing(kept, "k", 8, build("at 8")) == "at 8"
+    assert _kept_packing(kept, "new", 3, build("at 3")) == "at 3"
+    assert kept == {"k": (8, "at 8"), "new": (3, "at 3")} and built == ["at 5", "at 8", "at 3"]
 
 
 def test_the_int_form_scales_every_table_by_the_lcm_of_all_their_denominators():
@@ -326,7 +371,9 @@ def test_checked_algebras_and_modules_stay_values():
     form, and the module and O-operator checks a module's int form, its
     O-operator rows, with the module, which keeps no other int copy; a
     tensor, map or form keeps its int form once a check has read it (a
-    Tensor3 once it is asked for).  Copies, pickles and
+    Tensor3 once it is asked for), and a tensor that a slot sum read keeps
+    its packed rows, as the algebra's int form keeps its packed supports.
+    Copies, pickles and
     ``dataclasses.replace`` are rebuilt from the fields and carry none of
     it, yet compare equal, hash alike and answer alike."""
     alg = _algebra()
@@ -352,8 +399,10 @@ def test_checked_algebras_and_modules_stay_values():
     assert {sa.s_equivalence_check, sa.ld_equivalence_check} <= set(alg._int_form[3])
     assert all({"_lines", "_o_rows"} <= set(vars(m)) for m in (pm, lm))
     assert not any(hasattr(m, "_ints") for m in (pm, lm))
-    for value in (r, t3, T, form):
-        assert set(vars(value)) == {f.name for f in dataclasses.fields(value)} | {"_ints"}
+    kept = {r: {"_ints", "_packed"}, t3: {"_ints"}, T: {"_ints"}, form: {"_ints"}}
+    for value, forms in kept.items():
+        assert set(vars(value)) == {f.name for f in dataclasses.fields(value)} | forms
+    assert slot_sum in alg._int_form[3]
     for value, check in checks.items():
         names = {f.name for f in dataclasses.fields(value)}
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),

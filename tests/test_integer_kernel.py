@@ -45,6 +45,7 @@ from naive_tensor import (
     t3_combine,
     vertical_table,
 )
+from conftest import kept_packings
 from transport import random_frame, transport_algebra, transport_tensor
 
 DENOMINATORS = (1, 2, 3, 6, 7)
@@ -696,6 +697,64 @@ def test_slot_sums_match_the_sum_of_oracle_products(data):
         terms.append((-sign, *rest))
     order = data.draw(st.permutations(terms))
     assert slot_sum(order, alg) == oracle_sum(order, tables)
+
+
+#: tensor scales whose int bounds rise and fall along a call sequence
+TENSOR_SCALES = (1, 10 ** 6, Fraction(1, 7), Fraction(10 ** 12, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slot_sums_answer_alike_whatever_widths_earlier_calls_kept(data):
+    """One algebra value and a pool of tensors (two drawn ones, each at four
+    scales, so their ints' bounds differ by up to 2**40), then a drawn
+    sequence of ``slot_sum``, ``s_residual`` and ``ld_residual`` calls on
+    them.  Each call packs at least as wide as the packings it reads were
+    kept, so the kept widths grow mid-sequence.  Every answer equals the call
+    on fresh values and the naive oracle; every kept packing is its operand
+    packed at its own width, one per key, keyed without its width (a stride
+    is 1 or n: a slot-1 operand is never packed), whose width never falls."""
+    n = data.draw(tensor_dims)
+    tables = {name: data.draw(grids((n, n, n))) for name in ("circ", "tri_r", "tri_l")}
+    alg = sa.Algebra(n, tables)
+    tables[VERTICAL] = vertical_table(lists(tables["tri_r"]), lists(tables["tri_l"]))
+    pool = [sa.Tensor2(n, tuple(tuple(c * x for x in row) for row in t.entries))
+            for t in (data.draw(tensors(n)), data.draw(tensors(n))) for c in TENSOR_SCALES]
+    picks = st.sampled_from(range(len(pool)))
+    signs, ops = st.sampled_from((1, -1)), st.sampled_from(tuple(tables))
+
+    def fresh(t):
+        return sa.Tensor2(n, t.entries)
+
+    widths = {}
+    for _ in range(data.draw(st.integers(2, 8))):
+        kind = data.draw(st.sampled_from(("slot_sum", "s_residual", "ld_residual")))
+        r = pool[data.draw(picks)]
+        if kind == "s_residual":
+            got, again = sa.s_residual(alg, r), sa.s_residual(sa.Algebra(n, alg.ops), fresh(r))
+            expected = sa.tensor3_from_entries(naive_s_residual(lists(tables["circ"]),
+                                                                lists(r.entries)))
+        elif kind == "ld_residual":
+            variant = data.draw(st.sampled_from(sorted(sa.LD_VARIANTS)))
+            got = sa.ld_residual(alg, r, variant)
+            again = sa.ld_residual(sa.Algebra(n, alg.ops), fresh(r), variant)
+            expected = sa.tensor3_from_entries(naive_ld_residual(
+                lists(tables["tri_r"]), lists(tables["tri_l"]), lists(r.entries), variant))
+        else:
+            terms = [(data.draw(signs), pool[data.draw(picks)], r_slots,
+                      pool[data.draw(picks)], s_slots, data.draw(ops))
+                     for r_slots, s_slots in data.draw(st.lists(st.sampled_from(SLOT_PAIRS),
+                                                                min_size=1, max_size=4))]
+            got = slot_sum(terms, alg)
+            again = slot_sum([(sign, fresh(a), a_slots, fresh(b), b_slots, op)
+                              for sign, a, a_slots, b, b_slots, op in terms],
+                             sa.Algebra(n, alg.ops))
+            expected = oracle_sum(terms, tables)
+        assert got == again == expected
+        kept = kept_packings(alg, pool)
+        assert all(key[-1] in (1, n) for _, key in kept)
+        assert all(kept[key] >= width for key, width in widths.items())
+        widths = kept
 
 
 @pytest.mark.parametrize("m", [2 ** 40, Fraction(2 ** 40, 3)], ids=["int", "fraction"])
