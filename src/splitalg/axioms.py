@@ -148,11 +148,11 @@ def _compile(terms, ops, bounds, packings: dict, rows: range):
     the other table's vector, their outer product (see
     :func:`splitalg.core.slot_sum`).  Identities compiled with one
     ``packings`` dict share their packings, and negative terms are summed
-    apart, so no negated copy is kept.  Fields are 8, 16, 32 or 64 bits wide
-    when that holds the residual's bound (:func:`splitalg.core.byte_width`),
-    so ``line`` decodes its plane in C, once: it returns the entries of
-    every row in row order as one flat list, width entries per row, or ()
-    when the plane is zero (see :func:`_run`).
+    apart, so no negated copy is kept.  Fields are the byte width that
+    holds the residual's bound (:func:`splitalg.core.byte_width`), so
+    ``line`` decodes its plane once, in C up to 64 bits: it returns the
+    entries of every row in row order as one flat list, width entries per
+    row, or () when the plane is zero (see :func:`_run`).
     """
     first = terms[0]
     n, width = len(ops[first[2]]), len(ops[first[3] if first[1] == LEFT else first[2]][0][0])

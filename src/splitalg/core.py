@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
@@ -689,8 +688,8 @@ class Tensor2(_Tensor):
 
     rank = 2
     _mismatch = "tensor entries are not dim x dim"
-    #: the rows of the int form packed for the slot sums, one (width, rows)
-    #: per (orientation, stride) (see :func:`slot_sum`), filled on use
+    #: the rows of the int form packed for the slot sums, keyed by
+    #: (orientation, stride, width) (see :func:`slot_sum`), filled on use
     _packed = cached_property(lambda self: {})
 
     @property
@@ -861,12 +860,11 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # to their outer product, packed as an n x n plane in row-major order: the
 # slot products keep one such plane per slot-1 component, and a block of a
 # term costs one big-int multiply-add (see :func:`slot_sum`).  Their packed
-# operands are kept with their values, one packing per key at the width it
-# was packed at: the algebra's int form keeps each table support packed,
-# keyed by (table key, swapped, stride), a tensor its rows, keyed by
-# (orientation, stride) (``Tensor2._packed``).  A call packs at the widest
-# of its own bound's width and the widths kept for what it reads, and a
-# kept packing is replaced only by a wider one, so widths only grow.  An identity
+# operands are kept with their values, keyed by the width they were packed
+# at: the algebra's int form keeps each table support packed, keyed by
+# (table key, swapped, stride, width), a tensor its rows, keyed by
+# (orientation, stride, width) (``Tensor2._packed``), and a kept entry is
+# never replaced.  An identity
 # check packs the residuals of a line of basis tuples, all values of one free
 # slot, into one such plane and decodes it once, one line function per
 # identity (:func:`splitalg.axioms._compile`), compiled once per algebra or
@@ -874,11 +872,12 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # its two inputs swapped: the slot sums read the kept support of that view,
 # which holds the table's own vectors, and the compiler makes the view with
 # ``zip`` in its packings.  Each packing is exact while every field of the
-# result stays below 2**(width - 1) in absolute value; :func:`field_width`
-# gives the width for a bound on the result's fields, found from the
-# factors' largest entries, and :func:`byte_width` rounds it up to a machine
-# int, which :func:`unpack` decodes in C: the identity planes use it, the
-# slot sums and O-operator rows keep the narrower width.
+# result stays below 2**(width - 1) in absolute value.  One rule sizes the
+# fields of every packer, the identity planes, the slot sums and the
+# O-operator rows: :func:`byte_width` gives the smallest power of two, at
+# least 8 bits, that holds a bound on the result's fields, found from the
+# factors' largest entries, so every field is whole bytes and
+# :func:`unpack` decodes 8 to 64 bits in C.
 
 def _flat(grid) -> tuple[list[int], list]:
     """The shape of a grid of tuples or lists, read from the first element at
@@ -915,33 +914,27 @@ def max_abs(grid) -> int:
     return max(map(abs, _flat(grid)[1]), default=0)
 
 
-def field_width(bound: int) -> int:
-    """Bits per packed entry for entries of absolute value at most ``bound``:
-    the fewest that hold them as signed fields, as the slot sums and the
-    O-operator kernel pack them."""
-    return bound.bit_length() + 1
-
-
 #: the memoryview format of the signed machine ints of 8, 16, 32 and 64 bits,
-#: empty where the machine is big-endian, so :func:`unpack` keeps its loop there
+#: empty where the machine is big-endian, where :func:`unpack` reads every
+#: field with ``int.from_bytes``
 _SIGNED = {struct.calcsize(f) * 8: f for f in "bhiq"} if sys.byteorder == "little" else {}
 
 
 def byte_width(bound: int) -> int:
-    """Bits per packed entry for entries of absolute value at most ``bound``,
-    rounded up to the smallest of 8, 16, 32 or 64 bits that holds
-    ``field_width(bound)``: fields that :func:`unpack` decodes in C.  Above
-    64 bits it is ``field_width(bound)``.  The identity planes pack at this
-    width (:func:`splitalg.axioms._compile`)."""
-    bits = field_width(bound)
-    return min((w for w in _SIGNED if w >= bits), default=bits)
+    """Bits per packed entry for entries of absolute value at most ``bound``:
+    the smallest power of two, at least 8, that holds them as signed fields
+    (8, 16, 32, 64, then 128, 256, ...), so every field is whole bytes.
+    Every packer sizes its fields by it: the identity planes
+    (:func:`splitalg.axioms._compile`), the slot sums (:func:`slot_sum`)
+    and the O-operator rows (``operators._packed_base``)."""
+    return max(8, 1 << bound.bit_length().bit_length())
 
 
 def pack(entries: Sequence[int], width: int) -> int:
     """One int holding ``entries``: sum_k entries[k] * 2**(k * width).  Any
     linear combination of packed vectors is the packed linear combination,
     as long as each result entry stays below 2**(width - 1) in absolute
-    value (see :func:`field_width`)."""
+    value (see :func:`byte_width`)."""
     return sum(map(lshift, entries, range(0, width * len(entries), width)))
 
 
@@ -956,30 +949,23 @@ def _bias(count: int, width: int) -> int:
 
 
 def unpack(packed: int, count: int, width: int) -> list[int]:
-    """The ``count`` entries of a packed vector, inverse of :func:`pack`.
+    """The ``count`` entries of a packed vector, inverse of :func:`pack`, at
+    a width of whole bytes (:func:`byte_width`).
 
-    Fields of 8, 16, 32 or 64 bits (:func:`byte_width`) are decoded in C:
-    adding H, 2**(width - 1) in every field (:func:`_bias`), lifts each
+    Adding H, 2**(width - 1) in every field (:func:`_bias`), lifts each
     field into 0 .. 2**width - 1 with no carry between fields, and xor with
-    H turns each lifted field into its entry's two's complement, whose bytes
-    a memoryview reads as signed machine ints.  Other widths are split one
-    field at a time."""
+    H turns each lifted field into its entry's two's complement, written
+    out as bytes in one call.  Fields of 8, 16, 32 or 64 bits are read in C,
+    by a memoryview cast to signed machine ints; wider ones, or every width
+    on a big-endian machine, by ``int.from_bytes`` one field at a time."""
+    bias = _bias(count, width)
+    data = ((packed + bias) ^ bias).to_bytes(count * width // 8, "little")
     fmt = _SIGNED.get(width)
     if fmt:
-        bias = _bias(count, width)
-        return memoryview(((packed + bias) ^ bias).to_bytes(count * width // 8, "little")
-                          ).cast(fmt).tolist()
-    full = 1 << width
-    half = full >> 1
-    mask = full - 1
-    out = []
-    for _ in range(count):
-        x = packed & mask
-        if x >= half:
-            x -= full
-        out.append(x)
-        packed = (packed - x) >> width
-    return out
+        return memoryview(data).cast(fmt).tolist()
+    size = width // 8
+    return [int.from_bytes(data[k:k + size], "little", signed=True)
+            for k in range(0, len(data), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,25 +988,13 @@ def _slot_layout(r_slots, s_slots, n: int) -> tuple[bool, bool, int, int, int]:
             stride[shared], stride[r_other], stride[s_other])
 
 
-#: held while a kept packing is compared with a wider one and replaced
-_REPLACING = threading.Lock()
-
-
-def _kept_packing(kept: dict, key, bits: int, build) -> tuple:
-    """The packing ``kept`` holds under ``key`` when its field width is
-    ``bits``, else ``build()``, the packing at ``bits``, which replaces the
-    kept one only when it is wider: ``kept`` holds one (width, packing) per
-    key, and its widths only grow.  The entry is read once and its width
-    checked, so a call never reads a packing of another width, even while
-    another thread replaces it."""
-    entry = kept.get(key)
-    if entry is not None and entry[0] == bits:
-        return entry[1]
-    packing = build()
-    with _REPLACING:
-        if kept.get(key, (0,))[0] < bits:
-            kept[key] = bits, packing
-    return packing
+def _kept_packing(kept: dict, key, build) -> tuple:
+    """The packing ``kept`` holds under ``key``, else ``build()``, added
+    under it.  Every key ends in the field width its packing was packed at,
+    so a key names one packing: an entry is only ever added, never
+    replaced, and two threads that build one at once build equal ones."""
+    packing = kept.get(key)
+    return kept.setdefault(key, build()) if packing is None else packing
 
 
 def slot_sum(terms, alg: Algebra) -> Tensor3:
@@ -1056,18 +1030,20 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
     table's support by column, whose pairs hold the table's own vectors, so
     no swapped table is built.  No field of the sum
     exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
-    maxima taken over the int tables and tensors (:func:`field_width`).
+    maxima taken over the int tables and tensors, and the fields are the
+    byte width that holds that bound (:func:`byte_width`), so each nonzero
+    plane is decoded in one :func:`unpack` call.
 
-    The packed operands are kept with the values they belong to, one
-    (width, packing) per key (:func:`_kept_packing`): the algebra's int form
-    keeps each support with its vectors packed at stride * width, keyed by
-    (table key, swapped, stride), and each tensor keeps its rows packed at
-    stride * width, keyed by (orientation, stride) (``Tensor2._packed``).
-    A call packs at the widest of its own bound's width and the widths kept
-    for the packings it reads, so any packing it finds kept either fits or
-    is replaced by its wider one; wider fields are still exact.  Only a
-    tensor's own ints are kept: a grid rescaled to another d_t is packed
-    for the call alone.
+    The packed operands are kept with the values they belong to, keyed by
+    their width (:func:`_kept_packing`): the algebra's int form keeps each
+    support with its vectors packed at stride * width, keyed by (table key,
+    swapped, stride, width), and each tensor keeps its rows packed at
+    stride * width, keyed by (orientation, stride, width)
+    (``Tensor2._packed``).  A call reads and adds packings at its own width
+    only.  A key without its width holds at most one packing per power of
+    two it has met, each at most half the size of the next, so all of them
+    stay under twice the widest.  Only a tensor's own ints are kept: a grid
+    rescaled to another d_t is packed for the call alone.
     """
     keys = dict.fromkeys(term[5] for term in terms)
     weight, n = sum(abs(term[0]) for term in terms) * alg.entry_bound(*keys), alg.dim
@@ -1089,11 +1065,7 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
         kept[i] = t._packed if d == d_t else {}
     tables = alg.compiled(slot_sum, dict)
     t_bound = max((t._ints[2] * (d_t // t._ints[0]) for t in tensors.values()), default=0)
-    reads = [(kept[s_op[0]], s_op[1:]) for *_, s_op in plan]
-    reads += [(kept[r_op[0]], r_op[1:]) if k_stride == n * n else
-              (tables, (key, swapped, k_stride)) for _, key, swapped, k_stride, r_op, _ in plan]
-    bits = max([field_width(weight * n * n * t_bound ** 2),
-                *(packings.get(key, (0,))[0] for packings, key in reads)])
+    bits = byte_width(weight * n * n * t_bound ** 2)
 
     @cache
     def rows(i, first: bool) -> tuple:
@@ -1102,7 +1074,7 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
 
     def packed_rows(i, first: bool, stride: int) -> tuple:
         """Those rows, each packed at ``stride`` fields, 0 for a zero row."""
-        return _kept_packing(kept[i], (first, stride), bits, lambda: tuple(
+        return _kept_packing(kept[i], (first, stride, bits), lambda: tuple(
             pack(row, stride * bits) if any(row) else 0 for row in rows(i, first)))
 
     acc = [0] * n
@@ -1114,7 +1086,7 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
                        for v, vec in support[u] if s_packed[v]]
         else:                       # acc[x] += R_u[x] * sum_v S_v (x) T_uv
             r_rows, width = rows(r_id, r_first), k_stride * bits
-            table = _kept_packing(tables, (key, swapped, k_stride), bits, lambda: tuple(
+            table = _kept_packing(tables, (key, swapped, k_stride, bits), lambda: tuple(
                 tuple((v, pack(vec, width)) for v, vec in row) for row in support))
             addends = [(r_rows[u], sum([s_packed[v] * vec for v, vec in table[u] if s_packed[v]]))
                        for u in compress(range(n), map(any, r_rows))]
@@ -1124,13 +1096,11 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
                     acc[i] += sign * outer[i] * inner
 
     scale = alg.scaled()[0] * d_t ** 2
-    zero_row = (_ZERO,) * n
-    zero_plane = (zero_row,) * n
+    zero_plane = ((_ZERO,) * n,) * n
 
     def unpacked(plane: int) -> tuple:
-        """The rows of a nonzero packed plane: split into packed rows first,
-        so that only the nonzero rows are split into entries."""
-        return tuple(tuple(Fraction(x, scale) if x else _ZERO for x in unpack(row, n, bits))
-                     if row else zero_row for row in unpack(plane, n, n * bits))
+        """The rows of a nonzero packed plane, decoded in one call."""
+        return _reshape([Fraction(x, scale) if x else _ZERO for x in unpack(plane, n * n, bits)],
+                        (n, n))
 
     return Tensor3._built(n, tuple(unpacked(p) if p else zero_plane for p in acc))

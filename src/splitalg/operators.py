@@ -19,9 +19,9 @@ from .core import (
     PreconditionFailed,
     Table,
     _bias,
+    byte_width,
     clear_denominators,
     derive,
-    field_width,
     max_abs,
     pack,
     rat,
@@ -78,9 +78,10 @@ def _require_shape(T: LinearMap, rows: int, cols: int, what: str):
 def _packed_base(table, vdim: int, big: int):
     """The packed field width for the O-operator residuals of a module of
     dimension vdim over the product ``table``, all inputs bounded by big,
+    the byte width that holds their bound (:func:`splitalg.core.byte_width`),
     and that product packed by columns: by_b[b][a] = e_a . e_b."""
     n = len(table)
-    bits = field_width((n * n + 2 * n * vdim) * big ** 3)
+    bits = byte_width((n * n + 2 * n * vdim) * big ** 3)
     return bits, tuple(zip(*[[pack(vec, bits) for vec in plane] for plane in table]))
 
 

@@ -222,24 +222,24 @@ def search_symmetric_cocycles(alg, entries=(-1, 0, 1)):
 # ---------------------------------------------------------------------------
 # the packed operands the slot sums keep (see splitalg.core.slot_sum)
 
-def kept_packings(alg, tensors) -> dict:
-    """The width of every packing the slot sums kept with ``alg`` and
-    ``tensors``, by (owner, key): "alg" and a (table key, swapped, stride)
-    for a table support, the tensor's position and an (orientation, stride)
-    for a tensor's rows.  Each kept packing must be its operand packed again
-    at its own width: the support's vectors, or the tensor's int rows, each
-    at stride * width."""
-    out = {}
-    for key, (width, packing) in alg._int_form[3].get(sa.core.slot_sum, {}).items():
-        table_key, swapped, stride = key
+def kept_packings(alg, tensors) -> list:
+    """The (owner, key) of every packing the slot sums kept with ``alg`` and
+    ``tensors``: "alg" and a (table key, swapped, stride, width) for a table
+    support, the tensor's position and an (orientation, stride, width) for
+    a tensor's rows.  Each kept packing must be its operand packed at its
+    key's width: the support's vectors, or the tensor's int rows, each at
+    stride * width."""
+    out = []
+    for key, packing in alg._int_form[3].get(sa.core.slot_sum, {}).items():
+        table_key, swapped, stride, width = key
         assert packing == tuple(tuple((v, sa.core.pack(vec, stride * width)) for v, vec in row)
                                 for row in alg.support(table_key, swapped)), key
-        out["alg", key] = width
+        out.append(("alg", key))
     for k, t in enumerate(tensors):
-        for key, (width, packing) in vars(t).get("_packed", {}).items():
-            first, stride = key
+        for key, packing in vars(t).get("_packed", {}).items():
+            first, stride, width = key
             grid = t._ints[1] if first else tuple(zip(*t._ints[1]))
             assert packing == tuple(sa.core.pack(row, stride * width) if any(row) else 0
                                     for row in grid), (k, key)
-            out[k, key] = width
+            out.append((k, key))
     return out

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import splitalg as sa
 from splitalg.axioms import CLASS_NAMES
-from splitalg.core import _kept_packing, _Value, slot_sum
+from splitalg.core import _Value, slot_sum
 
 from conftest import kept_packings
 from naive_kernel import nest
@@ -206,9 +206,10 @@ def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
     """Threads filling one value's int form at once, with a short switch
     interval; each answer must match a fresh copy's.  Residuals of r scaled
     up to ints 2**50 times larger are interleaved with the other calls, and
-    each round builds its tensors anew, so the threads widen the same kept
-    packings of the algebra and of the tensors at once; every packing left
-    kept is its operand at its own width."""
+    each round builds its tensors anew, so the threads add packings of
+    several widths under the same keys of the algebra and of the tensors at
+    once, with no lock; every packing left kept is its operand at its key's
+    width."""
     base = sa.Algebra(3, {name: nest([Fraction((i * 7 + k) % 5 - 2, 1 + (i + k) % 3)
                                       for i in range(27)], 3, 3)
                           for k, name in enumerate(OPS)})
@@ -252,31 +253,6 @@ def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
             assert kept_packings(shared, tensors)
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_a_kept_packing_is_used_only_at_the_width_read_with_it():
-    """``_kept_packing`` reads a key's (width, packing) once: a packing that
-    another thread puts in its place right after that read is not used, and
-    a kept packing is replaced only by a wider one."""
-    class Racing(dict):
-        def get(self, key, default=None):
-            entry = super().get(key, default)
-            self[key] = (9, "packed by another thread at 9 bits")
-            return entry
-
-    built = []
-
-    def build(text):
-        return lambda: built.append(text) or text
-
-    assert _kept_packing(Racing(k=(5, "kept at 5")), "k", 5, build("at 5")) == "kept at 5"
-    assert built == []
-    kept = {"k": (7, "kept at 7")}
-    assert _kept_packing(kept, "k", 5, build("at 5")) == "at 5"
-    assert kept == {"k": (7, "kept at 7")}
-    assert _kept_packing(kept, "k", 8, build("at 8")) == "at 8"
-    assert _kept_packing(kept, "new", 3, build("at 3")) == "at 3"
-    assert kept == {"k": (8, "at 8"), "new": (3, "at 3")} and built == ["at 5", "at 8", "at 3"]
 
 
 def test_the_int_form_scales_every_table_by_the_lcm_of_all_their_denominators():

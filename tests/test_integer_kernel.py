@@ -25,7 +25,6 @@ from splitalg.axioms import REQUIRED_OPS
 from splitalg.core import (
     byte_width,
     clear_denominators,
-    field_width,
     max_abs,
     pack,
     slot_sum,
@@ -106,19 +105,24 @@ def scaled(alg, c):
 # ---------------------------------------------------------------------------
 # the integer kernel's helpers
 
+#: the field widths :func:`splitalg.core.byte_width` gives up to 2**255
+BYTE_WIDTHS = (8, 16, 32, 64, 128, 256)
+
+
 @settings(max_examples=50)
-@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
+@given(st.lists(st.integers(-10**6, 10**6) | st.integers(-2**200, 2**200), min_size=1,
+                max_size=9))
 def test_pack_round_trip(values):
-    bits = field_width(max(map(abs, values)))
+    bits = byte_width(max(map(abs, values)))
     assert unpack(pack(values, bits), len(values), bits) == values
 
 
 @settings(max_examples=200)
 @given(st.data())
 def test_pack_round_trip_at_every_width(data):
-    """Every width from 2 to 70 bits, entries up to +-(2**(width - 1) - 1):
-    the byte widths decode in C, the others one field at a time."""
-    width = data.draw(st.integers(2, 70))
+    """Every byte width from 8 to 256 bits, entries up to +-(2**(width - 1)
+    - 1): up to 64 bits they decode in C, above it one field at a time."""
+    width = data.draw(st.sampled_from(BYTE_WIDTHS))
     top = 2 ** (width - 1) - 1
     values = data.draw(st.lists(st.integers(-top, top) | st.sampled_from([-top, top, 0]),
                                 max_size=12))
@@ -134,20 +138,31 @@ def test_bias_packs_the_top_bit_of_every_field_at_any_width(width):
 
 
 @pytest.mark.parametrize("bits, width", [(1, 8), (8, 8), (9, 16), (16, 16), (17, 32),
-                                         (32, 32), (33, 64), (64, 64), (65, 65), (90, 90)])
+                                         (32, 32), (33, 64), (64, 64), (65, 128), (90, 128),
+                                         (128, 128), (129, 256), (256, 256)])
 def test_byte_width_rounds_field_width_up_to_a_machine_int(bits, width):
-    bound = 2 ** (bits - 1) - 1         # the largest bound of field_width ``bits``
-    assert field_width(bound) == bits
+    """A bound whose signed field takes ``bits`` bits takes the smallest power
+    of two, at least 8, that is no less; at a power of two w, 2**(w - 1) - 1
+    takes w bits and 2**(w - 1) the next power of two, 2w."""
+    bound = 2 ** (bits - 1) - 1         # the largest bound a field of ``bits`` bits holds
     assert byte_width(bound) == width
+    if bits == width:
+        assert byte_width(bound + 1) == 2 * width
 
 
-@settings(max_examples=50)
-@given(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
-       st.lists(st.integers(-50, 50), min_size=4, max_size=4), st.integers(-9, 9))
-def test_packed_linear_combination(x, y, c):
-    bits = field_width(50 + 9 * 50)
+@settings(max_examples=150)
+@given(st.data())
+def test_packed_linear_combination(data):
+    """x + c y for |x|, |y| up to top and |c| up to 9 at every byte width
+    from 8 to 256 bits, so every entry of the combination stays within
+    10 top, whose byte width is the width drawn."""
+    width = data.draw(st.sampled_from(BYTE_WIDTHS))
+    top = (2 ** (width - 1) - 1) // 10
+    assert byte_width(10 * top) == width
+    entries = st.lists(st.integers(-top, top), min_size=4, max_size=4)
+    x, y, c = data.draw(entries), data.draw(entries), data.draw(st.integers(-9, 9))
     combined = [a + c * b for a, b in zip(x, y)]
-    assert unpack(pack(x, bits) + c * pack(y, bits), 4, bits) == combined
+    assert unpack(pack(x, width) + c * pack(y, width), 4, width) == combined
 
 
 def test_clear_denominators_scales_every_object():
@@ -323,11 +338,11 @@ def _term(shape, a, b, x, y, z=None):
     return [sum(b[y][z][m] * a[x][m][k] for m in range(n)) for k in range(n)]
 
 
-#: tops whose field width fills 8, 16, 32 and 64 bits, tops just over each
+#: tops that fill fields of 8, 16, 32, 64 and 128 bits, tops just over each
 #: (a bound n * (top // n) of at least 2**(w - 1), so the next width), the
-#: 41-bit top, which a 64-bit field holds with 23 bits to spare, and one
-#: above 64 bits
-PLANE_TOPS = (*(2 ** (w - 1) + over for w in (8, 16, 32, 64) for over in (-1, 2)),
+#: 41-bit top, which a 64-bit field holds with 23 bits to spare, and a
+#: 69-bit one, which a 128-bit field holds
+PLANE_TOPS = (*(2 ** (w - 1) + over for w in (8, 16, 32, 64, 128) for over in (-1, 2)),
               2 ** 40 - 1, 2 ** 69 - 1)
 
 
@@ -347,9 +362,9 @@ def test_plane_fields_reach_the_width_bound(shape, role, lo):
     +-n * (a + c') (+-(a + c') when PLAIN), the bound the kernel sizes its
     fields for, here within n - 1 of each of ``PLANE_TOPS`` and of the
     same bit length, and the sign flips from each field to the next, also
-    across a row boundary.  The plane's fields are the byte width that
-    holds field_width(top), or field_width(top) itself above 64 bits, so a
-    field one bit too narrow overflows.  The compiled identity is one line
+    across a row boundary.  The plane's fields are the smallest power of
+    two, at least 8, above top's bit length, so a field one power of two
+    too narrow overflows.  The compiled identity is one line
     function, whose flat list is the packed plane decoded: a carry or
     borrow into a neighbouring field or row reads as a wrong residual."""
     n = 3
@@ -367,9 +382,8 @@ def test_plane_fields_reach_the_width_bound(shape, role, lo):
         bounds = {name: max_abs(table) for name, table in ops.items()}
         line = axioms._compile(terms, ops, bounds, {}, range(lo, n))
         assert callable(line)
-        assert field_width(bound) == top.bit_length() + 1
-        assert byte_width(bound) == min((w for w in (8, 16, 32, 64) if w > top.bit_length()),
-                                        default=top.bit_length() + 1)
+        assert bound.bit_length() == top.bit_length()
+        assert byte_width(bound) == min(w for w in BYTE_WIDTHS if w > top.bit_length())
         for prefix in itertools.product(range(n), repeat=arity - 1):
             flat = line(*prefix)
             assert len(flat) == (n - lo) * n
@@ -400,13 +414,13 @@ def _extreme_table(rng, n, b):
     return _nest(flat, (n, n, n))
 
 
-@pytest.mark.parametrize("k", [7, 15, 31, 63])
+@pytest.mark.parametrize("k", [7, 15, 31, 63, 127])
 @pytest.mark.parametrize("over", [False, True], ids=["under", "over"])
 def test_checks_match_oracle_where_the_bound_straddles_a_byte_width(k, over, monkeypatch):
     """Class and module checks on tables whose largest entry puts an
     identity's bound just under or just over 2**k, so that its plane takes
-    the byte width that 2**k fits, the next one, or above 2**63 the field
-    width of the loop.  Straddled: pre-Lie eq-2.2 (4 terms, dim 2),
+    the byte width that 2**k fits or the next one, decoded in C up to 64
+    bits and one field at a time above.  Straddled: pre-Lie eq-2.2 (4 terms, dim 2),
     L-dendriform eq-3.1 (6 terms, dim 2), and the same identities in the
     regular pre-Lie and L-dendriform modules over a dim-1 base, whose
     semidirect sums have dim 2 and whose action tables are the base's own
@@ -536,18 +550,19 @@ def test_scaled_rota_baxter_operators_pass(p2, rb_operators_p2):
 
 # ---------------------------------------------------------------------------
 # the field-by-field decode path: core._SIGNED is empty on a big-endian
-# machine, so byte_width is field_width and unpack splits one field at a time
+# machine, so unpack reads every field with int.from_bytes, as it reads
+# fields above 64 bits everywhere
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_checks_match_oracle_when_every_plane_decodes_field_by_field(data):
-    """Class checks of all six classes, module checks and O-operator checks
-    with ``core._SIGNED`` emptied.  Compiled lines are kept per value, so
-    every value is built, and first checked, inside the patch."""
+    """Class checks of all six classes, module checks, O-operator checks
+    and the tensor equations (a slot sum over all six slot pairs, the S
+    residual and all seven LD variants) with ``core._SIGNED`` emptied.
+    Compiled lines and packings are kept per value, so every value is
+    built, and first checked, inside the patch."""
     n, v = data.draw(small_dims), data.draw(small_dims)
     with mock.patch.dict(core._SIGNED, clear=True):
-        assert [byte_width(b) for b in (1, 200, 2 ** 40, 2 ** 70)] == \
-            [field_width(b) for b in (1, 200, 2 ** 40, 2 ** 70)]
         for class_name in sa.CLASS_NAMES:
             same_report("check_class", algebras(data.draw, n, REQUIRED_OPS[class_name]),
                         class_name)
@@ -563,6 +578,15 @@ def test_checks_match_oracle_when_every_plane_decodes_field_by_field(data):
         same_report("check_o_ldend", T, lm)
         same_report("check_o_lie", T, sa.sub_adjacent_lie(base), families(data.draw, n, v))
         same_report("check_rota_baxter_prelie", maps(data.draw, n, n), base)
+        r, s = data.draw(tensors(n)), data.draw(tensors(n))
+        terms = [(1, r, r_slots, s, s_slots, "tri_l") for r_slots, s_slots in SLOT_PAIRS]
+        assert slot_sum(terms, base) == oracle_sum(terms, base.ops)
+        tri_r, tri_l, circ = (lists(base.op(name)) for name in ("tri_r", "tri_l", "circ"))
+        assert sa.s_residual(base, r) == sa.tensor3_from_entries(
+            naive_s_residual(circ, lists(r.entries)))
+        for variant in sa.LD_VARIANTS:
+            assert sa.ld_residual(base, r, variant) == sa.tensor3_from_entries(
+                naive_ld_residual(tri_r, tri_l, lists(r.entries), variant)), variant
 
 
 @pytest.mark.skipif(not core._SIGNED, reason="no C decode path on a big-endian machine")
@@ -577,6 +601,21 @@ def test_field_by_field_unpack_matches_the_c_path(width, data):
     in_c = unpack(packed, len(values), width)
     with mock.patch.dict(core._SIGNED, clear=True):
         assert unpack(packed, len(values), width) == in_c == values
+
+
+@pytest.mark.parametrize("width", [128, 256])
+@settings(max_examples=50)
+@given(st.data())
+def test_fields_wider_than_a_machine_int_round_trip(width, data):
+    """Fields of 128 and 256 bits have no memoryview format and are read one
+    at a time, with ``core._SIGNED`` as it is and emptied."""
+    top = 2 ** (width - 1) - 1
+    values = data.draw(st.lists(st.integers(-top, top) | st.sampled_from([-top, top, 0, -1]),
+                                max_size=12))
+    packed = pack(values, width)
+    assert unpack(packed, len(values), width) == values
+    with mock.patch.dict(core._SIGNED, clear=True):
+        assert unpack(packed, len(values), width) == values
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +748,13 @@ def test_slot_sums_answer_alike_whatever_widths_earlier_calls_kept(data):
     """One algebra value and a pool of tensors (two drawn ones, each at four
     scales, so their ints' bounds differ by up to 2**40), then a drawn
     sequence of ``slot_sum``, ``s_residual`` and ``ld_residual`` calls on
-    them.  Each call packs at least as wide as the packings it reads were
-    kept, so the kept widths grow mid-sequence.  Every answer equals the call
-    on fresh values and the naive oracle; every kept packing is its operand
-    packed at its own width, one per key, keyed without its width (a stride
-    is 1 or n: a slot-1 operand is never packed), whose width never falls."""
+    them.  Each call packs at its own bound's width, so packings of several
+    widths are kept under one key mid-sequence.  Every answer equals the
+    call on fresh values and the naive oracle; every kept packing is its
+    operand packed at its key's width (see ``conftest.kept_packings``, a
+    stride is 1 or n: a slot-1 operand is never packed); every width is a
+    power of two, at least 8, that some call of the sequence packed at; and
+    a key without its width holds at most one packing per width."""
     n = data.draw(tensor_dims)
     tables = {name: data.draw(grids((n, n, n))) for name in ("circ", "tri_r", "tri_l")}
     alg = sa.Algebra(n, tables)
@@ -726,17 +767,22 @@ def test_slot_sums_answer_alike_whatever_widths_earlier_calls_kept(data):
     def fresh(t):
         return sa.Tensor2(n, t.entries)
 
-    widths = {}
+    met = set()
+    spy = mock.patch.object(core, "byte_width", lambda bound, original=core.byte_width:
+                            met.add(original(bound)) or original(bound))
     for _ in range(data.draw(st.integers(2, 8))):
         kind = data.draw(st.sampled_from(("slot_sum", "s_residual", "ld_residual")))
         r = pool[data.draw(picks)]
         if kind == "s_residual":
-            got, again = sa.s_residual(alg, r), sa.s_residual(sa.Algebra(n, alg.ops), fresh(r))
+            with spy:
+                got = sa.s_residual(alg, r)
+            again = sa.s_residual(sa.Algebra(n, alg.ops), fresh(r))
             expected = sa.tensor3_from_entries(naive_s_residual(lists(tables["circ"]),
                                                                 lists(r.entries)))
         elif kind == "ld_residual":
             variant = data.draw(st.sampled_from(sorted(sa.LD_VARIANTS)))
-            got = sa.ld_residual(alg, r, variant)
+            with spy:
+                got = sa.ld_residual(alg, r, variant)
             again = sa.ld_residual(sa.Algebra(n, alg.ops), fresh(r), variant)
             expected = sa.tensor3_from_entries(naive_ld_residual(
                 lists(tables["tri_r"]), lists(tables["tri_l"]), lists(r.entries), variant))
@@ -745,28 +791,75 @@ def test_slot_sums_answer_alike_whatever_widths_earlier_calls_kept(data):
                       pool[data.draw(picks)], s_slots, data.draw(ops))
                      for r_slots, s_slots in data.draw(st.lists(st.sampled_from(SLOT_PAIRS),
                                                                 min_size=1, max_size=4))]
-            got = slot_sum(terms, alg)
+            with spy:
+                got = slot_sum(terms, alg)
             again = slot_sum([(sign, fresh(a), a_slots, fresh(b), b_slots, op)
                               for sign, a, a_slots, b, b_slots, op in terms],
                              sa.Algebra(n, alg.ops))
             expected = oracle_sum(terms, tables)
         assert got == again == expected
         kept = kept_packings(alg, pool)
-        assert all(key[-1] in (1, n) for _, key in kept)
-        assert all(kept[key] >= width for key, width in widths.items())
-        widths = kept
+        assert all(key[-2] in (1, n) for _, key in kept)
+        assert {key[-1] for _, key in kept} <= met
+        assert all(w >= 8 and w & (w - 1) == 0 for w in met)
+        assert len({(owner, key[:-1], key[-1]) for owner, key in kept}) == len(kept)
 
 
-@pytest.mark.parametrize("m", [2 ** 40, Fraction(2 ** 40, 3)], ids=["int", "fraction"])
+def _cube_straddling(c: int, w: int) -> tuple[int, int]:
+    """The largest M with c * M**3 below 2**(w - 1), and M + 1: a bound c *
+    M**3 takes a field of w bits at M and of 2w bits at M + 1."""
+    m = round((2 ** (w - 1) / c) ** (1 / 3))
+    while c * m ** 3 >= 2 ** (w - 1):
+        m -= 1
+    while c * (m + 1) ** 3 < 2 ** (w - 1):
+        m += 1
+    return m, m + 1
+
+
+#: the (w, over, fraction) of the field-reach tests' scales, as ints or as
+#: fractions: M = 2**40, then for w = 32, 64 and 128 the M whose bound lands
+#: just under 2**(w - 1), and just over
+REACH = [(w, over, fraction) for w, over in [(None, False), *itertools.product((32, 64, 128),
+                                                                                (False, True))]
+         for fraction in (False, True)]
+REACH_IDS = [(f"{w}-{'over' if over else 'under'}-" if w else "") +
+             ("fraction" if fraction else "int") for w, over, fraction in REACH]
+
+
+def _reach_scale(c: int, w, over: bool, fraction: bool, monkeypatch, kernel) -> tuple:
+    """The int M of a field-reach case whose bound is c * M**3, the scale m
+    its inputs take, M itself or M over the first of 3, 5 and 7 that does
+    not divide it (so that m scales back to M), and the (bound, width) list
+    that ``kernel``'s byte_width binding fills, checked by :func:`_reached`."""
+    big = 2 ** 40 if w is None else _cube_straddling(c, w)[over]
+    widths = []
+    monkeypatch.setattr(kernel, "byte_width", lambda bound, original=kernel.byte_width:
+                        widths.append((bound, original(bound))) or original(bound))
+    return big, Fraction(big, next(d for d in (3, 5, 7) if big % d)) if fraction else big, widths
+
+
+def _reached(widths, bound: int, w, over: bool):
+    """The kernel sized its fields once, for ``bound``, whose bit length is
+    w - 1 under 2**(w - 1) and w over it, at w and 2w bits."""
+    assert [b for b, _ in widths] == [bound]
+    if w is not None:
+        assert bound.bit_length() == w - 1 + over
+        assert widths[0][1] == (2 * w if over else w)
+
+
+@pytest.mark.parametrize("w, over, fraction", REACH, ids=REACH_IDS)
 @pytest.mark.parametrize("r_slots, s_slots", SLOT_PAIRS)
-def test_slot_sum_fields_reach_the_width_bound(m, r_slots, s_slots):
+def test_slot_sum_fields_reach_the_width_bound(w, over, fraction, r_slots, s_slots, monkeypatch):
     """Every entry of r, s and the table is +-m: r[i][j] = m a_i a_j,
     s[i][j] = m c_i c_j and table[u][v][k] = m a_u c_v g_k.  So each of the
     two terms (the second negates both its sign and s) adds n**2 m**3 a_x c_y
     g_k at every field, and the sum reaches the kernel's bound
-    2 * n**2 * M**3, M = 2**40 the int that m scales to, exactly and in both
-    signs.  A field one bit too narrow reads one of them wrongly."""
+    2 * n**2 * M**3, M the int that m scales to, exactly and in both
+    signs.  M is 2**40, or puts the bound just under or just over
+    2**(w - 1), so that the fields take w or 2w bits: a field one power of
+    two too narrow reads one of them wrongly."""
     n = 3
+    big, m, widths = _reach_scale(2 * n * n, w, over, fraction, monkeypatch, core)
     a, c, g = (1, -1, 1), (1, 1, -1), (-1, 1, 1)
     r = sa.Tensor2(n, nest([m * a[i] * a[j] for i in range(n) for j in range(n)], n, 2))
     s = sa.Tensor2(n, nest([m * c[i] * c[j] for i in range(n) for j in range(n)], n, 2))
@@ -775,22 +868,27 @@ def test_slot_sum_fields_reach_the_width_bound(m, r_slots, s_slots):
     alg = sa.Algebra(n, {"tri_l": table})
     terms = [(1, r, r_slots, s, s_slots, "tri_l"), (-1, r, r_slots, -s, s_slots, "tri_l")]
     out = slot_sum(terms, alg)
+    _reached(widths, 2 * n * n * big ** 3, w, over)
     assert out == oracle_sum(terms, {"tri_l": table})
     values = {x for _, x in out.nonzero_entries()}
     assert values == {2 * n * n * m ** 3, -2 * n * n * m ** 3}
 
 
-@pytest.mark.parametrize("m", [2 ** 40, Fraction(2 ** 40, 3)], ids=["int", "fraction"])
-def test_o_operator_fields_reach_the_width_bound(m):
+@pytest.mark.parametrize("w, over, fraction", REACH, ids=REACH_IDS)
+def test_o_operator_fields_reach_the_width_bound(w, over, fraction, monkeypatch):
     """Every entry of T, the base product and the module's actions is +-m:
     T[a][u] = m x_a y_u, circ[a][b][k] = m x_a x_b x_k and l(e_a) f_v =
     -m x_a y_v y, r(e_b) f_u = -m x_b y_u y, for sign vectors x and y.  So
     T(f_u) o T(f_v) = n**2 m**3 y_u y_v x and T(l(T(f_u)) f_v) =
     T(r(T(f_v)) f_u) = -n vdim m**3 y_u y_v x, and every residual field is
-    +-(n**2 + 2 n vdim) M**3, M = 2**40 the int that m scales to: the bound
+    +-(n**2 + 2 n vdim) M**3, M the int that m scales to: the bound
     ``operators._packed_base`` sizes its fields for, reached exactly and in
-    both signs.  A field one bit too narrow reads one of them wrongly."""
+    both signs.  M is 2**40, or puts the bound just under or just over
+    2**(w - 1), so that the fields take w or 2w bits: a field one power of
+    two too narrow reads one of them wrongly."""
     n, vdim = 3, 2
+    big, m, widths = _reach_scale(n * n + 2 * n * vdim, w, over, fraction, monkeypatch,
+                                  operators)
     x, y = (1, -1, 1), (-1, 1)
     circ = nest([m * x[a] * x[b] * x[k] for a in range(n) for b in range(n) for k in range(n)],
                 n, 3)
@@ -802,6 +900,7 @@ def test_o_operator_fields_reach_the_width_bound(m):
                  for a in range(n))
     module = sa.PreLieModule(sa.Algebra(n, {"circ": circ}), vdim, acts, acts)
     failures = same_report("check_o_prelie", T, module)
+    _reached(widths, (n * n + 2 * n * vdim) * big ** 3, w, over)
     bound = (n * n + 2 * n * vdim) * m ** 3
     assert [indices for _, indices, _ in failures] == [(u, v) for u in (1, 2) for v in (1, 2)]
     assert {Fraction(value) for *_, residual in failures for value in residual} == {bound, -bound}
