@@ -208,7 +208,7 @@ def _check_system(system, alg: Algebra, names, form: BilinearForm | None = None)
     its terms name by key, an op name or a derived product's parts, the ops
     ``names`` looked up first, and an optional form (the table "B"), each
     identity compiled with its last slot free.  Without a form the compiled
-    lines are kept with the algebra's int form; a form is a second value, so
+    lines are kept with the algebra value; a form is a second value, so
     a form's identities are compiled on every call.
 
     The tables and their largest entries come from the algebra's int form,
@@ -309,7 +309,7 @@ def check_class(alg: Algebra, class_name: str) -> CheckReport:
     """Decide membership of ``alg`` in the named algebra class.
 
     The class tag on the algebra is ignored; only the tables matter.  The
-    compiled identities are kept with the algebra's int form, so a second
+    compiled identities are kept with the algebra value, so a second
     check of the same value compiles nothing.
     """
     if class_name not in _CLASS_SYSTEMS:

@@ -297,13 +297,28 @@ def table_apply(table: Table, x: Vector, y: Vector) -> Vector:
 
 class _Value:
     """Base of the frozen values that keep forms derived on first use, each
-    a ``cached_property``: an int form, compiled identities.  Copies and
-    pickles are rebuilt from the fields, as ``dataclasses.replace`` builds
-    its value, so every kept form stays behind."""
+    a ``cached_property``: an int form, and ``_kept``, what kernels built
+    from it (see :meth:`compiled`).  Copies and pickles are rebuilt from the
+    fields, as ``dataclasses.replace`` builds its value, so every kept form
+    stays behind."""
+
+    #: key -> what :meth:`compiled` built under it, filled on use
+    _kept = cached_property(lambda self: {})
 
     def __reduce__(self):
         values = (getattr(self, f.name) for f in fields(self))
         return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+
+    def compiled(self, key, build):
+        """The entry kept under ``key``, else ``build()``, added under it: the
+        identities a class check compiled, the O-operator rows of the modules
+        an equivalence report checks, a table's support, the packed operands
+        of the slot sums.  A key names one entry, built from the value alone
+        and never from a per-call object, so an entry is only ever added,
+        never replaced, and two threads that build one at once build equal
+        ones."""
+        entry = self._kept.get(key)
+        return self._kept.setdefault(key, build()) if entry is None else entry
 
 
 def _int_grid(grid) -> tuple[int, tuple, int]:
@@ -364,20 +379,19 @@ class Algebra(_Value):
         return name in self.ops
 
     @cached_property
-    def _int_form(self) -> tuple[int, dict, dict, dict]:
+    def _int_form(self) -> tuple[int, dict, dict]:
         """d_A, the least common denominator of all the tables, the tables
         scaled by it to ints, each with its largest absolute entry (key ->
-        (table, bound), see :meth:`scaled`), the vectors of those tables
-        (vector -> itself), so that equal vectors are one tuple, and what
-        checks compiled or built from them (see :meth:`compiled`)."""
+        (table, bound), see :meth:`scaled`), and the vectors of those tables
+        (vector -> itself), so that equal vectors are one tuple."""
         d, tables = clear_denominators(tuple(self.ops.values()))
         vectors: dict = {}
-        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors, {}
+        return d, {name: _shared(t, vectors) for name, t in zip(self.ops, tables)}, vectors
 
     def _entries(self, keys) -> list[tuple[Table, int]]:
         """The int tables named by ``keys`` with their bounds, each derived
         on first use and kept with the value under its own key."""
-        _, tables, vectors, _ = self._int_form
+        _, tables, vectors = self._int_form
         for key in keys:
             if key not in tables:
                 names = [key] if isinstance(key, str) else [name for _, name, _ in key]
@@ -395,15 +409,6 @@ class Algebra(_Value):
         per algebra, however many checks read them."""
         return self._int_form[0], tuple(table for table, _ in self._entries(keys))
 
-    def compiled(self, key, build):
-        """``build()``, called on first use and kept with the int form under
-        ``key``: the identities a class check compiled from the int tables,
-        or the O-operator rows of the modules an equivalence report checks."""
-        kept = self._int_form[3]
-        if key not in kept:
-            kept[key] = build()
-        return kept[key]
-
     def entry_bound(self, *keys) -> int:
         """The largest absolute entry of the int tables named by ``keys`` (see
         :meth:`scaled`), 0 for none, kept with each table under its key."""
@@ -414,9 +419,10 @@ class Algebra(_Value):
         :meth:`scaled`) by row: [u] -> the pairs (v, table[u][v]) whose vector
         is nonzero, by increasing v; with ``swapped``, by the second input,
         [v] -> the pairs (u, table[u][v]).  Built on first use and kept with
-        the int form, so no slot sum scans a table's zero vectors."""
+        the value under (``Algebra.support``, key, swapped) (see
+        :meth:`compiled`), so no slot sum scans a table's zero vectors."""
         table = self.scaled(key)[1][0]
-        return self.compiled((key, swapped), lambda: tuple(
+        return self.compiled((Algebra.support, key, swapped), lambda: tuple(
             tuple((v, vec) for v, vec in enumerate(row) if any(vec))
             for row in (zip(*table) if swapped else table)))
 
@@ -688,9 +694,6 @@ class Tensor2(_Tensor):
 
     rank = 2
     _mismatch = "tensor entries are not dim x dim"
-    #: the rows of the int form packed for the slot sums, keyed by
-    #: (orientation, stride, width) (see :func:`slot_sum`), filled on use
-    _packed = cached_property(lambda self: {})
 
     @property
     def is_symmetric(self) -> bool:
@@ -847,7 +850,8 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # map's.  Every identity is homogeneous in each kind of factor, so the true
 # residual is the int residual divided by the product of its factors'
 # denominators: d_A**2 for a class identity, d_A * d_B for a form identity,
-# d_A * d_t**2 for a tensor equation.  A module's action tables are scaled
+# d_A * d_t**2 for a tensor equation in t (a slot sum of several tensors
+# scales each term to the lcm of its terms' d_r * d_s).  A module's action tables are scaled
 # by the lcm d of their denominators and d_A, and the base tables rescaled by
 # d / d_A when that is not 1, so a module identity divides by d**2 and an
 # O-operator identity by d_t**2 * d; a module value keeps these ints once,
@@ -859,12 +863,14 @@ def map_from_form(B: BilinearForm) -> LinearMap:
 # of one per entry.  Two vectors packed at strides 1 and n multiply
 # to their outer product, packed as an n x n plane in row-major order: the
 # slot products keep one such plane per slot-1 component, and a block of a
-# term costs one big-int multiply-add (see :func:`slot_sum`).  Their packed
-# operands are kept with their values, keyed by the width they were packed
-# at: the algebra's int form keeps each table support packed, keyed by
-# (table key, swapped, stride, width), a tensor its rows, keyed by
-# (orientation, stride, width) (``Tensor2._packed``), and a kept entry is
-# never replaced.  An identity
+# term costs one big-int multiply-add (see :func:`slot_sum`).  Whatever a
+# kernel builds from a value's int form is kept by one rule,
+# :meth:`_Value.compiled`: one entry per key, in the value's own ``_kept``,
+# only ever added.  So the slot sums' packed operands are kept with their
+# values, keyed by the width they were packed at: an algebra keeps each
+# table support packed, keyed by (``slot_sum``, table key, swapped, stride,
+# width), a tensor its rows, keyed by (``slot_sum``, orientation, stride,
+# width).  An identity
 # check packs the residuals of a line of basis tuples, all values of one free
 # slot, into one such plane and decodes it once, one line function per
 # identity (:func:`splitalg.axioms._compile`), compiled once per algebra or
@@ -988,13 +994,18 @@ def _slot_layout(r_slots, s_slots, n: int) -> tuple[bool, bool, int, int, int]:
             stride[shared], stride[r_other], stride[s_other])
 
 
-def _kept_packing(kept: dict, key, build) -> tuple:
-    """The packing ``kept`` holds under ``key``, else ``build()``, added
-    under it.  Every key ends in the field width its packing was packed at,
-    so a key names one packing: an entry is only ever added, never
-    replaced, and two threads that build one at once build equal ones."""
-    packing = kept.get(key)
-    return kept.setdefault(key, build()) if packing is None else packing
+def _rows(t: Tensor2, first: bool) -> tuple:
+    """t's int rows by its first component, or by its second, kept with t
+    under (``slot_sum``, False)."""
+    grid = t._ints[1]
+    return grid if first else t.compiled((slot_sum, False), lambda: tuple(zip(*grid)))
+
+
+def _packed_rows(t: Tensor2, first: bool, stride: int, bits: int) -> tuple:
+    """Those rows, each packed at ``stride`` fields of ``bits``, 0 for a zero
+    row, kept with t under (``slot_sum``, first, stride, bits)."""
+    return t.compiled((slot_sum, first, stride, bits), lambda: tuple(
+        pack(row, stride * bits) if any(row) else 0 for row in _rows(t, first)))
 
 
 def slot_sum(terms, alg: Algebra) -> Tensor3:
@@ -1011,10 +1022,12 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
     rows, and no zero product vector is scanned.  A packed row is 0 exactly
     when the row is zero, so the packed rows say which rows a block needs,
     and r's rows are tested with ``any`` where they are not packed.  Each
-    tensor keeps its own int form (d, grid, largest entry); d_t is the lcm
-    of the distinct tensors' d, and a grid is rescaled to it only when its d
-    differs.  Every term has degree 1 in the tables and 2 in the tensors, so
-    the residual is the int sum / (d_A * d_t**2).
+    tensor keeps its own int form (d, grid, largest entry), and every term
+    reads its tensors' grids as they are: a term has degree 1 in the table
+    and 1 in each of r and s, so its int sum is exact over d_A * d_r * d_s.
+    With d the lcm of those products d_r * d_s over the terms, each term's
+    sign is multiplied by d // (d_r * d_s), and the residual is the int sum
+    / (d_A * d).
 
     The sum is kept as one packed int per slot-1 component i, holding the
     plane [i][j][k] at field j*n + k.  A term is a sum over the shared-slot
@@ -1028,65 +1041,48 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
     one multiply-add per block, not one per entry.  The second is the first
     with r and s swapped and the table's inputs swapped: it reads the
     table's support by column, whose pairs hold the table's own vectors, so
-    no swapped table is built.  No field of the sum
-    exceeds sum|sign| * n**2 * max|T| * max|t|**2 in absolute value, the
-    maxima taken over the int tables and tensors, and the fields are the
-    byte width that holds that bound (:func:`byte_width`), so each nonzero
-    plane is decoded in one :func:`unpack` call.
+    no swapped table is built.  No field of the sum exceeds n**2 * max|T| *
+    sum |sign| * (d // (d_r * d_s)) * max|r| * max|s| in absolute value,
+    the sum over the terms and max|T| over their int tables, and the fields
+    are the byte width that holds that bound (:func:`byte_width`), so each
+    nonzero plane is decoded in one :func:`unpack` call.
 
     The packed operands are kept with the values they belong to, keyed by
-    their width (:func:`_kept_packing`): the algebra's int form keeps each
-    support with its vectors packed at stride * width, keyed by (table key,
-    swapped, stride, width), and each tensor keeps its rows packed at
-    stride * width, keyed by (orientation, stride, width)
-    (``Tensor2._packed``).  A call reads and adds packings at its own width
-    only.  A key without its width holds at most one packing per power of
-    two it has met, each at most half the size of the next, so all of them
-    stay under twice the widest.  Only a tensor's own ints are kept: a grid
-    rescaled to another d_t is packed for the call alone.
+    their width (:meth:`_Value.compiled`): the algebra keeps each support
+    with its vectors packed at stride * width under (``slot_sum``, table
+    key, swapped, stride, width), and each tensor its rows packed at stride
+    * width under (``slot_sum``, orientation, stride, width), and its rows
+    by the second component under (``slot_sum``, False).  A call reads and
+    adds packings at its own width only.  A key without its width holds at
+    most one packing per power of two it has met, each at most half the
+    size of the next, so all of them stay under twice the widest.
     """
-    keys = dict.fromkeys(term[5] for term in terms)
-    weight, n = sum(abs(term[0]) for term in terms) * alg.entry_bound(*keys), alg.dim
-    plan, tensors = [], {}
+    t_bound, n = alg.entry_bound(*dict.fromkeys(term[5] for term in terms)), alg.dim
+    plan = []
     for sign, r, r_slots, s, s_slots, key in terms:
         r_first, s_first, k_stride, r_stride, s_stride = _slot_layout(r_slots, s_slots, n)
         if r.dim != n or s.dim != n:
             raise DimensionMismatch("tensor dimensions do not match the algebra")
-        tensors[id(r)], tensors[id(s)] = r, s
-        r_op, s_op = (id(r), r_first, r_stride), (id(s), s_first, s_stride)
+        r_op, s_op = (r, r_first, r_stride), (s, s_first, s_stride)
         if swapped := s_stride == n * n:    # s's other slot is slot 1: r's layout, roles swapped
             r_op, s_op = s_op, r_op
-        plan.append((sign, key, swapped, k_stride, r_op, s_op))
-    d_t = math.lcm(*(t._ints[0] for t in tensors.values()))
-    ints, kept = {}, {}
-    for i, t in tensors.items():
-        d, grid, _ = t._ints
-        ints[i] = grid if d == d_t else _entrywise((d_t // d).__mul__, 2, grid)
-        kept[i] = t._packed if d == d_t else {}
-    tables = alg.compiled(slot_sum, dict)
-    t_bound = max((t._ints[2] * (d_t // t._ints[0]) for t in tensors.values()), default=0)
-    bits = byte_width(weight * n * n * t_bound ** 2)
-
-    @cache
-    def rows(i, first: bool) -> tuple:
-        """Tensor ``i``'s int rows by its shared-slot component."""
-        return ints[i] if first else tuple(zip(*ints[i]))
-
-    def packed_rows(i, first: bool, stride: int) -> tuple:
-        """Those rows, each packed at ``stride`` fields, 0 for a zero row."""
-        return _kept_packing(kept[i], (first, stride, bits), lambda: tuple(
-            pack(row, stride * bits) if any(row) else 0 for row in rows(i, first)))
+        (d_r, _, r_bound), (d_s, _, s_bound) = r._ints, s._ints
+        plan.append((sign, d_r * d_s, r_bound * s_bound, key, swapped, k_stride, r_op, s_op))
+    d = math.lcm(*(term[1] for term in plan))
+    bits = byte_width(n * n * t_bound * sum(abs(sign) * (d // d_rs) * bound
+                                            for sign, d_rs, bound, *_ in plan))
 
     acc = [0] * n
-    for sign, key, swapped, k_stride, (r_id, r_first, r_stride), s_op in plan:
-        s_packed, support = packed_rows(*s_op), alg.support(key, swapped)
+    for sign, d_rs, _, key, swapped, k_stride, (r, r_first, r_stride), s_op in plan:
+        sign *= d // d_rs
+        s_packed, support = _packed_rows(*s_op, bits), alg.support(key, swapped)
         if k_stride == n * n:       # acc[k] += T_uv[k] * (R_u (x) S_v)
-            r_packed = packed_rows(r_id, r_first, r_stride)
+            r_packed = _packed_rows(r, r_first, r_stride, bits)
             addends = [(vec, r_packed[u] * s_packed[v]) for u in compress(range(n), r_packed)
                        for v, vec in support[u] if s_packed[v]]
         else:                       # acc[x] += R_u[x] * sum_v S_v (x) T_uv
-            r_rows, width = rows(r_id, r_first), k_stride * bits
-            table = _kept_packing(tables, (key, swapped, k_stride, bits), lambda: tuple(
+            r_rows, width = _rows(r, r_first), k_stride * bits
+            table = alg.compiled((slot_sum, key, swapped, k_stride, bits), lambda: tuple(
                 tuple((v, pack(vec, width)) for v, vec in row) for row in support))
             addends = [(r_rows[u], sum([s_packed[v] * vec for v, vec in table[u] if s_packed[v]]))
                        for u in compress(range(n), map(any, r_rows))]
@@ -1095,7 +1091,7 @@ def slot_sum(terms, alg: Algebra) -> Tensor3:
                 for i in compress(range(n), outer):
                     acc[i] += sign * outer[i] * inner
 
-    scale = alg.scaled()[0] * d_t ** 2
+    scale = alg.scaled()[0] * d
     zero_plane = ((_ZERO,) * n,) * n
 
     def unpacked(plane: int) -> tuple:

@@ -122,23 +122,21 @@ def _check_o(scaled_map, rows, vdim: int, d: int) -> CheckReport:
     :func:`splitalg.core._int_grid`).  One per (id, base table, l action
     table, r action table) row of int tables scaled by d: the
     :func:`_o_packed` residuals over the columns, packed once per row, and
-    one :func:`_run` line per u: the residuals at every v as one flat list,
-    each nonzero one unpacked, or () when all are zero (a passing check's
-    lines build no list).  Every term is quadratic in the map and linear in
-    a table, so each is divided by d_t**2 * d."""
+    one :func:`_run` line per u: the residuals at every v packed as one int,
+    v's n fields from field v * n on, and decoded once, as identity lines
+    are, or () when all are zero (a passing check's lines build no list).
+    Every term is quadratic in the map and linear in a table, so each is
+    divided by d_t**2 * d."""
     d_t, cols, big = scaled_map
 
     def line_fn(table, left, right):
         n = len(table)
-        zero = [0] * n
         bits, by_b = _packed_base(table, vdim, max(big, *map(max_abs, (table, left, right))))
         residual = _o_packed(cols, [pack(col, bits) for col in cols], by_b, left, right)
 
         def line(u):
-            planes = [residual(u, v) for v in range(vdim)]
-            if any(planes):
-                return [x for p in planes for x in (unpack(p, n, bits) if p else zero)]
-            return ()
+            p = sum([residual(u, v) << v * n * bits for v in range(vdim)])
+            return unpack(p, vdim * n, bits) if p else ()
 
         return line
 

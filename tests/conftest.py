@@ -224,20 +224,27 @@ def search_symmetric_cocycles(alg, entries=(-1, 0, 1)):
 
 def kept_packings(alg, tensors) -> list:
     """The (owner, key) of every packing the slot sums kept with ``alg`` and
-    ``tensors``: "alg" and a (table key, swapped, stride, width) for a table
-    support, the tensor's position and an (orientation, stride, width) for
-    a tensor's rows.  Each kept packing must be its operand packed at its
-    key's width: the support's vectors, or the tensor's int rows, each at
-    stride * width."""
-    out = []
-    for key, packing in alg._int_form[3].get(sa.core.slot_sum, {}).items():
-        table_key, swapped, stride, width = key
-        assert packing == tuple(tuple((v, sa.core.pack(vec, stride * width)) for v, vec in row)
-                                for row in alg.support(table_key, swapped)), key
-        out.append(("alg", key))
+    ``tensors``: "alg" and a (slot_sum, table key, swapped, stride, width)
+    for a table support, the tensor's position and a (slot_sum,
+    orientation, stride, width) for a tensor's rows.  Each kept packing
+    must be its operand packed at its key's width: the support's vectors,
+    or the tensor's int rows, each at stride * width; a tensor's kept rows
+    by the second component, under (slot_sum, False), must be its int
+    rows' transpose."""
+    slot_sum, out = sa.core.slot_sum, []
+    for key, packing in vars(alg).get("_kept", {}).items():
+        if type(key) is tuple and key[0] is slot_sum:
+            _, table_key, swapped, stride, width = key
+            assert packing == tuple(tuple((v, sa.core.pack(vec, stride * width)) for v, vec in row)
+                                    for row in alg.support(table_key, swapped)), key
+            out.append(("alg", key))
     for k, t in enumerate(tensors):
-        for key, packing in vars(t).get("_packed", {}).items():
-            first, stride, width = key
+        for key, packing in vars(t).get("_kept", {}).items():
+            assert key[0] is slot_sum, (k, key)
+            if key == (slot_sum, False):
+                assert packing == tuple(zip(*t._ints[1])), (k, key)
+                continue
+            _, first, stride, width = key
             grid = t._ints[1] if first else tuple(zip(*t._ints[1]))
             assert packing == tuple(sa.core.pack(row, stride * width) if any(row) else 0
                                     for row in grid), (k, key)

@@ -255,6 +255,35 @@ def test_threads_sharing_an_algebra_get_the_answers_of_a_fresh_one():
         sys.setswitchinterval(interval)
 
 
+def test_a_repeated_pass_keeps_nothing_new():
+    """One pass of ``s_residual``, the seven LD variants and both
+    equivalence reports fills the algebra's and the tensors' ``_kept``; a
+    second pass over the same values adds no entry to any of them.  Each
+    key names what a value keeps by stable objects only, so a key built
+    from a per-call object (a local function, say) would add an entry on
+    every call and let the store grow without bound."""
+    alg = sa.Algebra(3, {name: nest([Fraction((i * 5 + k) % 7 - 3, 1 + (i + k) % 4)
+                                     for i in range(27)], 3, 3) for k, name in enumerate(OPS)})
+    r = sa.tensor2(3, [(1, 2, Fraction(1, 2)), (2, 3, -1), (3, 3, Fraction(2, 5))])
+    sym, skew = r + sa.exchange(r), r - sa.exchange(r)
+
+    def run_pass():
+        sa.s_residual(alg, sym)
+        for variant in sa.LD_VARIANTS:
+            sa.ld_residual(alg, skew, variant)
+        sa.s_equivalence_check(alg, sym)
+        sa.ld_equivalence_check(alg, skew)
+
+    def kept():
+        return [set(vars(value).get("_kept", ())) for value in (alg, sym, skew)]
+
+    run_pass()
+    first = kept()
+    assert all(first)
+    run_pass()
+    assert kept() == first
+
+
 def test_the_int_form_scales_every_table_by_the_lcm_of_all_their_denominators():
     alg = _algebra()
     d, tables = alg.scaled(*alg.ops)
@@ -342,13 +371,14 @@ def test_reports_on_a_reused_algebra_answer_as_on_a_fresh_one(case, data):
 
 
 def test_checked_algebras_and_modules_stay_values():
-    """Checks keep compiled identities with the algebra's int form and with
-    the module, the reports their modules' O-operator rows with the int
-    form, and the module and O-operator checks a module's int form, its
-    O-operator rows, with the module, which keeps no other int copy; a
+    """Checks keep compiled identities with the algebra (its ``_kept``)
+    and with the module, the reports their modules' O-operator rows with
+    the algebra, and the module and O-operator checks a module's int form,
+    its O-operator rows, with the module, which keeps no other int copy; a
     tensor, map or form keeps its int form once a check has read it (a
     Tensor3 once it is asked for), and a tensor that a slot sum read keeps
-    its packed rows, as the algebra's int form keeps its packed supports.
+    its packed rows in its ``_kept``, as the algebra keeps its packed
+    supports.
     Copies, pickles and
     ``dataclasses.replace`` are rebuilt from the fields and carry none of
     it, yet compare equal, hash alike and answer alike."""
@@ -371,14 +401,14 @@ def test_checked_algebras_and_modules_stay_values():
               T: lambda m: [sa.check_o_prelie(m, pm), sa.check_o_ldend(m, lm)],
               form: lambda b: [sa.check_prelie_cocycle(alg, b), sa.check_ldend_cocycle(alg, b)]}
     answers = {value: repr(check(value)) for value, check in checks.items()}
-    assert set(vars(alg)) == {"dim", "ops", "class_tag", "_int_form"}
-    assert {sa.s_equivalence_check, sa.ld_equivalence_check} <= set(alg._int_form[3])
+    assert set(vars(alg)) == {"dim", "ops", "class_tag", "_int_form", "_kept"}
+    assert {sa.s_equivalence_check, sa.ld_equivalence_check} <= set(alg._kept)
     assert all({"_lines", "_o_rows"} <= set(vars(m)) for m in (pm, lm))
     assert not any(hasattr(m, "_ints") for m in (pm, lm))
-    kept = {r: {"_ints", "_packed"}, t3: {"_ints"}, T: {"_ints"}, form: {"_ints"}}
+    kept = {r: {"_ints", "_kept"}, t3: {"_ints"}, T: {"_ints"}, form: {"_ints"}}
     for value, forms in kept.items():
         assert set(vars(value)) == {f.name for f in dataclasses.fields(value)} | forms
-    assert slot_sum in alg._int_form[3]
+    assert any(type(key) is tuple and key[0] is slot_sum for key in alg._kept)
     for value, check in checks.items():
         names = {f.name for f in dataclasses.fields(value)}
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),

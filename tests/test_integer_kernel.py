@@ -875,6 +875,45 @@ def test_slot_sum_fields_reach_the_width_bound(w, over, fraction, r_slots, s_slo
 
 
 @pytest.mark.parametrize("w, over, fraction", REACH, ids=REACH_IDS)
+@pytest.mark.parametrize("r_slots, s_slots", SLOT_PAIRS)
+def test_mixed_denominator_slot_sums_reach_the_width_bound(w, over, fraction, r_slots, s_slots,
+                                                          monkeypatch):
+    """The width-bound case with terms (r, s) and (r, r) whose tensors have
+    different denominators: r[i][j] = m a_i a_j, s = r / q and
+    table[u][v][k] = m a_u a_v g_k, with q = 7 prime to M, the int that m
+    scales to.  So d_s = q * d_r, the two terms are exact over d_A * d_r**2
+    * q and d_A * d_r**2, and the second term's sign is multiplied by q.
+    Each field of the int sum is n**2 M**3 (1 + q) a_x a_y g_k, which
+    reaches the kernel's bound n**2 * (1 + q) * M**3 exactly and in both
+    signs, and equals the oracle.  The call keeps the packings of both
+    tensors, except s's where s's other slot is slot 1 and its rows are
+    read unpacked, and a second call packs nothing."""
+    n, q = 3, 7
+    big, m, widths = _reach_scale(n * n * (1 + q), w, over, fraction, monkeypatch, core)
+    assert big % q
+    a, g = (1, -1, 1), (-1, 1, 1)
+    r = sa.Tensor2(n, nest([m * a[i] * a[j] for i in range(n) for j in range(n)], n, 2))
+    s = sa.Tensor2(n, nest([Fraction(m * a[i] * a[j], q) for i in range(n) for j in range(n)], n, 2))
+    table = nest([m * a[u] * a[v] * g[k] for u in range(n) for v in range(n) for k in range(n)],
+                 n, 3)
+    alg = sa.Algebra(n, {"tri_l": table})
+    terms = [(1, r, r_slots, s, s_slots, "tri_l"), (1, r, r_slots, r, s_slots, "tri_l")]
+    out = slot_sum(terms, alg)
+    assert s._ints[0] == q * r._ints[0]
+    _reached(widths, n * n * (1 + q) * big ** 3, w, over)
+    assert out == oracle_sum(terms, {"tri_l": table})
+    top = Fraction(n * n * (1 + q) * m ** 3, q)
+    assert {x for _, x in out.nonzero_entries()} == {top, -top}
+    s_packed = not (1 in s_slots and 1 not in r_slots)
+    owners = {owner for owner, _ in kept_packings(alg, [r, s])} - {"alg"}
+    assert owners == ({0, 1} if s_packed else {0})
+    packs = []
+    monkeypatch.setattr(core, "pack", lambda *args, original=core.pack:
+                        packs.append(args) or original(*args))
+    assert slot_sum(terms, alg) == out and packs == []
+
+
+@pytest.mark.parametrize("w, over, fraction", REACH, ids=REACH_IDS)
 def test_o_operator_fields_reach_the_width_bound(w, over, fraction, monkeypatch):
     """Every entry of T, the base product and the module's actions is +-m:
     T[a][u] = m x_a y_u, circ[a][b][k] = m x_a x_b x_k and l(e_a) f_v =
@@ -961,7 +1000,7 @@ def test_ld_equivalence_report_matches_module_route(ld_instances, data):
 def test_checks_build_no_module_values(constructions, p2, l2, ld2, rb2):
     """The four O-operator checks build no values, nor does a report asked
     of an algebra it has been asked of before: it reads the O-operator rows
-    its first call kept with the int form (see the next test)."""
+    its first call kept with the algebra (see the next test)."""
     skew = sa.tensor2(2, [(1, 2, 1), (2, 1, -1)])
     symmetric = sa.tensor2(2, [(1, 2, 1), (2, 1, 1)])
     T = sa.linmap([[1, 2], [0, 1]])
@@ -990,8 +1029,8 @@ def test_a_report_builds_the_papers_modules_once_per_algebra(constructions, kind
     and its dual; the first LD-report call builds the regular L-dendriform
     module and its dual, the vertical and horizontal pre-Lie algebras (the
     latter renamed circ), the two pre-Lie modules over them and their duals.
-    Only the duals' int O-operator rows are kept, with the algebra's int
-    form, so a second call builds nothing and reads the same rows."""
+    Only the duals' int O-operator rows are kept, with the algebra (its
+    ``_kept``), so a second call builds nothing and reads the same rows."""
     if kind == "s":
         alg = sa.Algebra(2, dict(catalog.p2().ops))
         report, r = sa.s_equivalence_check, sa.tensor2(2, [(1, 2, 1), (2, 1, 1)])
@@ -1008,7 +1047,7 @@ def test_a_report_builds_the_papers_modules_once_per_algebra(constructions, kind
     assert constructions == built
     constructions.clear()
     assert report(alg, r) == first and constructions == {}
-    kept = alg._int_form[3][report]
+    kept = alg._kept[report]
     assert (kept if kind == "ld" else [kept]) == expected and _ints_only(kept)
 
 
