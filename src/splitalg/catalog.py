@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .core import Algebra, LinearMap, algebra, linmap, zero_algebra
 from .functors import horizontal_prelie, sub_adjacent_lie, vertical_prelie
-from .ybe import canonical_double_solution
 
 __all__ = ["CATALOG_NAMES", "build", "catalog_files"]
 
@@ -63,6 +62,14 @@ def d1() -> Algebra:
     return algebra(1, {"succ": [(1, 1, 1, 1)], "prec": []}, "D1")
 
 
+def _ld2_double(part: int):
+    """Part ``part`` of LD2's canonical double solution (vertical algebra,
+    horizontal algebra, tensor); only these fixtures load ``ybe``."""
+    from .ybe import canonical_double_solution
+
+    return canonical_double_solution(ld2())[part]
+
+
 #: fixture name -> builder, in catalog order
 _BUILDERS = {
     "Z2": z2, "P1": p1, "P2": p2, "N2": n2, "L2": l2,
@@ -70,9 +77,9 @@ _BUILDERS = {
     "LD2_VERT": lambda: vertical_prelie(ld2()),
     "LD2_HOR": lambda: horizontal_prelie(ld2()),
     "LD2_LIE": lambda: sub_adjacent_lie(vertical_prelie(ld2())),
-    "LD2_DOUBLE_VERT": lambda: canonical_double_solution(ld2())[0],
-    "LD2_DOUBLE_HOR": lambda: canonical_double_solution(ld2())[1],
-    "LD2_CANONICAL_R": lambda: canonical_double_solution(ld2())[2],
+    "LD2_DOUBLE_VERT": lambda: _ld2_double(0),
+    "LD2_DOUBLE_HOR": lambda: _ld2_double(1),
+    "LD2_CANONICAL_R": lambda: _ld2_double(2),
 }
 
 CATALOG_NAMES = tuple(_BUILDERS)

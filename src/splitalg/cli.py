@@ -5,6 +5,12 @@ Exit codes: 0 all checks passed / construction succeeded; 1 a mathematical
 check failed (a counterexample is reported); 2 usage or I/O error.  Output
 is deterministic for identical inputs: no timestamps, fixed ordering.
 Reports are JSON-lines with --json, human-readable tables otherwise.
+
+Each process loads only the modules its verb runs.  This module imports the
+ones every verb needs (``core``, ``axioms``, ``functors``, ``fileio`` and
+``catalog``), and each handler imports what it calls of ``operators``,
+``representations`` and ``ybe``; so a ``check`` or ``derive`` step loads
+none of those three.
 """
 
 from __future__ import annotations
@@ -51,22 +57,6 @@ from .functors import (
     transpose,
     vertical_prelie,
 )
-from .operators import (
-    adjoint_family,
-    check_o_ldend,
-    check_o_lie,
-    check_o_prelie,
-    check_rota_baxter_prelie,
-    compatible_ldend_from_invertible_o,
-    ldend_from_2cocycle,
-    ldend_from_commuting_pair,
-    ldend_from_o_prelie,
-    ldend_from_rb,
-    prelie_from_o_lie,
-    search_rb,
-)
-from .representations import LDendModule, PreLieModule
-from .ybe import LD_VARIANTS, build_ld_solution, build_s_solution, ld_residual, s_residual
 
 _FUNCTORS = {
     "sub_adjacent_lie": sub_adjacent_lie,
@@ -77,7 +67,10 @@ _FUNCTORS = {
     **{f"quadri_{name}": (lambda a, _n=name: quadri_derive(a, _n)) for name in QUADRI_DERIVED},
 }
 
-_EQUATIONS = ("eq-2.9",) + tuple(sorted(LD_VARIANTS))
+#: ``("eq-2.9",)`` and the sorted names of ``ybe.LD_VARIANTS``, written out so
+#: that the parser loads no ``ybe``
+_EQUATIONS = ("eq-2.9", "eq-4.10", "eq-4.11", "eq-4.12", "eq-4.13", "eq-4.14", "eq-4.8",
+              "eq-4.9")
 
 _COCYCLE_CLASSES = ("prelie_cocycle", "ldend_cocycle")
 
@@ -134,6 +127,9 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_oop_check(args) -> int:
+    from .operators import adjoint_family, check_o_ldend, check_o_lie, check_o_prelie
+    from .representations import LDendModule, PreLieModule
+
     if args.module and args.algebra:
         raise ValueError("oop-check takes --module or a Lie algebra file, not both")
     T = read_map(args.map)
@@ -158,6 +154,8 @@ def _cmd_oop_check(args) -> int:
 
 
 def _cmd_rb_check(args) -> int:
+    from .operators import check_rota_baxter_prelie
+
     alg = read_algebra(args.algebra)
     R = read_map(args.map)
     report = check_rota_baxter_prelie(R, alg)
@@ -166,6 +164,8 @@ def _cmd_rb_check(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from .operators import ldend_from_2cocycle
+
     alg = read_algebra(args.algebra)
     form = read_form(args.form)
     lifted = ldend_from_2cocycle(alg, form, force=args.force)
@@ -174,6 +174,15 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    from .operators import (
+        compatible_ldend_from_invertible_o,
+        ldend_from_commuting_pair,
+        ldend_from_o_prelie,
+        ldend_from_rb,
+        prelie_from_o_lie,
+    )
+    from .representations import PreLieModule
+
     if args.module and args.algebra:
         raise ValueError("induce takes --module or an algebra file, not both")
     if args.compatible and not args.module:
@@ -211,6 +220,8 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_search_rb(args) -> int:
+    from .operators import search_rb
+
     alg = read_algebra(args.algebra)
     entry_set = []
     for piece in filter(None, map(str.strip, args.entry_set.split(","))):
@@ -235,6 +246,8 @@ def _cmd_search_rb(args) -> int:
 
 
 def _cmd_verify_eq(args) -> int:
+    from .ybe import ld_residual, s_residual
+
     alg = read_algebra(args.algebra)
     tensor = read_tensor(args.tensor)
     if not isinstance(tensor, Tensor2):
@@ -260,6 +273,9 @@ def _cmd_verify_eq(args) -> int:
 
 
 def _cmd_build_solution(args) -> int:
+    from .representations import LDendModule, PreLieModule
+    from .ybe import build_ld_solution, build_s_solution, ld_residual, s_residual
+
     module = read_module(args.module)
     T = read_map(args.map)
     if isinstance(module, PreLieModule):

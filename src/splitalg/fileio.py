@@ -24,6 +24,7 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import (
     Algebra,
@@ -37,7 +38,9 @@ from .core import (
     is_int,
     rat,
 )
-from .representations import LDendModule, PreLieModule
+
+if TYPE_CHECKING:
+    from .representations import LDendModule, PreLieModule
 
 __all__ = [
     "FileFormatError",
@@ -299,6 +302,8 @@ def module_to_doc(m: PreLieModule | LDendModule) -> dict:
 def module_from_doc(doc, where: str = "module"):
     """Returns a PreLieModule, an LDendModule, or an (algebra, rho family)
     pair for a Lie representation file, depending on the keys present."""
+    from .representations import LDendModule, PreLieModule
+
     _expect(isinstance(doc, dict), f"{where}: expected an object")
     _expect("base" in doc, f"{where}: missing 'base'")
     scalar = _Scalars()                         # one bound for the base and every family

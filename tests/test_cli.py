@@ -669,3 +669,27 @@ def test_every_verb_on_mutated_files_exits_with_a_code(cli_files, data):
             code = main(argv)
         assert code in (0, 1, 2), (form, target, doc)
         assert len(err.getvalue().encode()) < 1024, (form, target, err.getvalue()[:200])
+
+
+_VERBS = ("check", "derive", "oop-check", "rb-check", "lift", "induce", "search-rb",
+          "verify-eq", "build-solution", "catalog")
+
+
+def test_help_bytes_are_pinned(monkeypatch, capsys):
+    """``splitalg --help`` and each verb's ``--help`` at 80 columns, as the
+    golden file pins them: the parser's choices come from no lazy module."""
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for argv in [["--help"]] + [[verb, "--help"] for verb in _VERBS]:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        pages.append(f"$ splitalg {' '.join(argv)}\n{captured.out}")
+    golden = (Path(__file__).parent / "golden" / "cli_help.txt").read_text(encoding="utf-8")
+    assert "".join(pages) == golden
+
+
+def test_equation_choices_are_the_ld_variants():
+    from splitalg import cli, ybe
+
+    assert cli._EQUATIONS == ("eq-2.9",) + tuple(sorted(ybe.LD_VARIANTS))

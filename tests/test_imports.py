@@ -5,12 +5,13 @@ user can reach.
 Deleting a helper tends to leave its import behind, and no linter runs on
 the sources, so this walks each module's syntax tree: every name bound by a
 module-level ``import`` must be referenced somewhere in the module or be
-listed in its ``__all__``.  The package ``__init__`` re-exports by import and
-is skipped.  Likewise every module-level private function, class or constant
-(a name with one leading underscore) must be referenced by some code in the
-package outside its own definition.  So must every public module-level
-name, unless its module's ``__all__`` lists it or the package ``__init__``
-imports it: a public name no user is offered and no code calls is dead too.
+listed in its ``__all__``.  The package ``__init__`` re-exports through its
+lazy export table and is skipped.  Likewise every module-level private
+function, class or constant (a name with one leading underscore) must be
+referenced by some code in the package outside its own definition.  So must
+every public module-level name, unless its module's ``__all__`` lists it or
+the package ``__init__`` re-exports it, by import or in its ``_EXPORTS``
+table: a public name no user is offered and no code calls is dead too.
 
 The test oracles ``tests/naive_tensor.py`` and ``tests/naive_kernel.py``
 must stay independent of the package they check, so they may import the
@@ -110,13 +111,28 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
     return _unreferenced(sources, lambda module, name: _private(name))
 
 
+def reexported_names(init: str) -> set[str]:
+    """The names the package ``init`` source re-exports: those its
+    module-level imports bind, and those its literal ``_EXPORTS`` table
+    (submodule -> names) lists."""
+    tree = ast.parse(init)
+    names = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
+        ):
+            names.update(name for group in ast.literal_eval(node.value).values()
+                         for name in group)
+    return names
+
+
 def unused_public_names(sources: dict[str, str], init: str) -> list[str]:
     """``module.name`` of each module-level public definition in ``sources``
     that no other top-level statement references, that its module's
     ``__all__`` does not list and that the package ``init`` source does not
-    import: a name no caller in the package and no user can reach."""
+    re-export: a name no caller in the package and no user can reach."""
     exported = {module: _exported(ast.parse(text)) for module, text in sources.items()}
-    imported = set(_imported_names(ast.parse(init)))
+    imported = reexported_names(init)
     return _unreferenced(sources, lambda module, name: not name.startswith("_")
                          and name not in exported[module] | imported)
 
@@ -153,12 +169,24 @@ def test_unused_public_names_are_detected():
     init = "from .a import reexported\nfrom .b import public\n"
     # helper only calls itself, which does not keep it alive
     assert unused_public_names(sources, init) == ["a.SPARE", "a.helper", "a.Orphan"]
+    # a lazy package lists its re-exports in a literal table instead
+    lazy = ("import importlib\n_EXPORTS = {'a': ('reexported',), 'b': ('public',)}\n"
+            "__all__ = ['reexported', 'public']\n"
+            "def __getattr__(name):\n    return importlib.import_module(name)\n")
+    assert reexported_names(lazy) == {"importlib", "reexported", "public"}
+    assert unused_public_names(sources, lazy) == ["a.SPARE", "a.helper", "a.Orphan"]
+    # and a name the table leaves out is unreachable again
+    dropped = lazy.replace("'reexported', ", "").replace("'reexported',", "")
+    assert unused_public_names(sources, dropped) == [
+        "a.SPARE", "a.helper", "a.reexported", "a.Orphan"]
 
 
 def test_no_unused_public_names():
     init = SOURCES[0].parent / "__init__.py"
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES + [init]}
-    assert unused_public_names(sources, init.read_text(encoding="utf-8")) == []
+    text = init.read_text(encoding="utf-8")
+    assert "Algebra" in reexported_names(text)      # the table was found and read
+    assert unused_public_names(sources, text) == []
 
 
 def non_stdlib_imports(source: str) -> list[str]:
